@@ -15,12 +15,12 @@ the fly from the same constructions.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from importlib import resources
 
 from . import complexes, trigroup
 from .complexes import PolygonComplex
+from .errors import InvariantError
 
 #: name -> (k, g, N, provenance)
 EXPECTED = {
@@ -128,7 +128,11 @@ def _dual_extremal_complex(two_n: int) -> PolygonComplex:
             "embedding produced index %d, expected %d" % (table.index, 2 * hurwitz_index)
         )
     big_rec = trigroup.classify(table, 2, 3, two_n)
-    assert big_rec.torsion_free and big_rec.proper and big_rec.genus == rec.genus
+    if not (big_rec.torsion_free and big_rec.proper and big_rec.genus == rec.genus):
+        raise InvariantError(
+            "dual-extremal embedding into (2,3,%d) is not a torsion-free proper genus-%d record"
+            % (two_n, rec.genus)
+        )
     return trigroup.subgroup_to_complex(big_rec)
 
 
@@ -177,21 +181,7 @@ def write_catalog(directory) -> None:
 
     directory = pathlib.Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    index = {}
     for name in EXPECTED:
-        c = derive(name)
         (directory / ("%s.cmplx" % name)).write_text(
-            complexes.serialize(c), encoding="utf-8"
+            complexes.serialize(derive(name)), encoding="utf-8"
         )
-        k, g, n, prov = EXPECTED[name]
-        index[name] = {
-            "file": "%s.cmplx" % name,
-            "k": k,
-            "g": g,
-            "N": n,
-            "provenance": prov,
-        }
-    (directory / "catalog.json").write_text(
-        json.dumps({"format_version": 1, "entries": index}, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )

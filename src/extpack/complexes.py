@@ -21,13 +21,16 @@ side i of polygon p.  The gluing partitions corners into vertex cycles; a
 complex is certified extremal when it is connected, non-orientable, all
 polygons share one size N >= 7 and every vertex cycle has length exactly
 three (three angles of 2*pi/3 closing up to 2*pi).
+
+Every combinatorial fact here is read from the flag action (see
+flag_action), which a complex builds once, when it is created.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ComplexFormatError, InvalidComplexError
+from .errors import ComplexFormatError, InvalidComplexError, InvariantError
 
 FORMAT_HEADER = "# extpack complex format v1"
 
@@ -41,6 +44,8 @@ class PolygonComplex:
     """An edge-identified collection of polygons forming a closed surface.
 
     The name is presentation metadata and does not take part in equality.
+    Creating a complex validates its labels and builds its flag action in
+    one pass; the action is kept outside the dataclass fields.
     """
 
     polygons: tuple[tuple[int, ...], ...]
@@ -51,21 +56,55 @@ class PolygonComplex:
         object.__setattr__(self, "polygons", polys)
         if not polys:
             raise InvalidComplexError("complex needs at least one polygon")
-        counts: dict[int, int] = {}
+        # one pass validates the labels and builds the flag action (see
+        # flag_action for the numbering): seen maps a label to its first
+        # side's flags until the second occurrence pairs it, then to None
+        m = 2 * sum(map(len, polys))
+        t0 = [0] * m
+        t1 = [0] * m
+        seen: dict[int, tuple[int, int, bool] | None] = {}
+        bad = []
+        corner = 0
         for word in polys:
-            if len(word) < 1:
+            n = len(word)
+            if n < 1:
                 raise InvalidComplexError("empty polygon")
-            for v in word:
+            for i, v in enumerate(word):
                 if not isinstance(v, int) or v == 0:
                     raise InvalidComplexError("labels must be nonzero integers, got %r" % (v,))
-                counts[abs(v)] = counts.get(abs(v), 0) + 1
-        bad = sorted(a for a, n in counts.items() if n != 2)
+                start = 2 * (corner + i)
+                end = 2 * (corner + (i + 1) % n) + 1
+                t0[start] = end
+                t0[end] = start
+                a = abs(v)
+                if a not in seen:
+                    seen[a] = (start, end, v > 0)
+                    continue
+                first = seen[a]
+                if first is None:
+                    bad.append(a)
+                    continue
+                seen[a] = None
+                start1, end1, positive = first
+                if positive == (v > 0):
+                    start, end = end, start
+                t1[start1], t1[start] = start, start1
+                t1[end1], t1[end] = end, end1
+            corner += n
+        bad.extend(a for a, first in seen.items() if first is not None)
         if bad:
             raise InvalidComplexError(
-                "unpaired label %s: every label must occur exactly twice" % (bad[0],)
+                "unpaired label %s: every label must occur exactly twice" % (min(bad),)
             )
-        if not _connected(polys):
+        t2 = [0] * m
+        t2[0::2] = range(1, m, 2)
+        t2[1::2] = range(0, m, 2)
+        flags = (tuple(t0), tuple(t1), tuple(t2))
+        transitive, bipartite = two_color(flags)
+        if not transitive:
             raise InvalidComplexError("complex is disconnected")
+        object.__setattr__(self, "_flags", flags)
+        object.__setattr__(self, "_orientable", bipartite)
 
     @property
     def num_polygons(self) -> int:
@@ -145,59 +184,47 @@ class ExtremalityReport:
 
 
 # ---------------------------------------------------------------------------
-# little union-find used throughout
+# combinatorial structure, all read from the flag action
 
 
-class UnionFind:
-    __slots__ = ("parent", "size")
+def two_color(perms) -> tuple[bool, bool]:
+    """Color points by a BFS from 0 in which every permutation flips the color.
 
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> int:
-        """Merge the classes of a and b; returns the merged class size."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return self.size[ra]
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return self.size[ra]
-
-    def classes(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {}
-        for x in range(len(self.parent)):
-            out.setdefault(self.find(x), []).append(x)
-        return out
+    Returns (transitive, bipartite): whether every point is reached, and
+    whether no permutation maps a point to one of its own color.  For a
+    complex's flag action these are connectivity and orientability; for a
+    subgroup's coset action bipartite means the subgroup avoids every
+    orientation-reversing word.
+    """
+    color = [-1] * len(perms[0])
+    color[0] = 0
+    queue = [0]
+    bipartite = True
+    for x in queue:
+        flip = 1 - color[x]
+        for perm in perms:
+            y = perm[x]
+            cy = color[y]
+            if cy < 0:
+                color[y] = flip
+                queue.append(y)
+            elif cy != flip:
+                bipartite = False
+    return len(queue) == len(color), bipartite
 
 
-def _connected(polys: tuple[tuple[int, ...], ...]) -> bool:
-    uf = UnionFind(len(polys))
-    seen: dict[int, int] = {}
-    for p, word in enumerate(polys):
-        for v in word:
-            a = abs(v)
-            if a in seen:
-                uf.union(seen[a], p)
-            else:
-                seen[a] = p
-    root = uf.find(0)
-    return all(uf.find(p) == root for p in range(len(polys)))
+def flag_action(c: PolygonComplex) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The three flag involutions (side swap, edge crossing, corner swap).
 
-
-# ---------------------------------------------------------------------------
-# combinatorial structure
+    Every corner carries two flags.  Number corner (p, i) as j = (corners
+    of the polygons before p) + i; then flag 2*j sits on the side leaving
+    corner j and flag 2*j+1 on the side arriving at it.  So the corner of
+    flag f is f >> 1, and t2, which swaps the two flags of a corner within
+    its polygon, is f ^ 1.  t0 exchanges the two flags of a side, and t1
+    crosses the edge pairing (respecting the sign convention).  The action
+    is built once, when the complex is created.
+    """
+    return c._flags
 
 
 def occurrences(c: PolygonComplex) -> dict[int, tuple[tuple[int, int, int], tuple[int, int, int]]]:
@@ -209,107 +236,41 @@ def occurrences(c: PolygonComplex) -> dict[int, tuple[tuple[int, int, int], tupl
     return {a: (occ[0], occ[1]) for a, occ in out.items()}
 
 
-def corner_offsets(c: PolygonComplex) -> list[int]:
-    offs = [0]
-    for w in c.polygons:
-        offs.append(offs[-1] + len(w))
-    return offs
+def _corners(c: PolygonComplex) -> list[Corner]:
+    """Every corner, indexed by its number in the flag action."""
+    return [Corner(p, i) for p, word in enumerate(c.polygons) for i in range(len(word))]
 
 
-def _corner_relations(c: PolygonComplex, offs: list[int]):
-    """Yield the corner identifications (as dense corner ids) of every pairing."""
-    sizes = c.sizes
-    for (p, i, s1), (q, j, s2) in occurrences(c).values():
-        a0 = offs[p] + i
-        a1 = offs[p] + (i + 1) % sizes[p]
-        b0 = offs[q] + j
-        b1 = offs[q] + (j + 1) % sizes[q]
-        if s1 == s2:
-            yield a0, b1
-            yield a1, b0
-        else:
-            yield a0, b0
-            yield a1, b1
+def _walk(c: PolygonComplex):
+    """Yield each vertex cycle as the flags that t1 . t2 visits.
+
+    Cycles come in the order of their least corner and start at its
+    leaving flag; the walk meets each corner of a cycle once.
+    """
+    t1 = c._flags[1]
+    seen = bytearray(len(t1) >> 1)
+    for start in range(0, len(t1), 2):
+        if seen[start >> 1]:
+            continue
+        cycle = []
+        f = start
+        while True:
+            cycle.append(f)
+            seen[f >> 1] = 1
+            f = t1[f ^ 1]
+            if f == start:
+                break
+        yield cycle
 
 
 def vertex_class_sizes(c: PolygonComplex, cap: int | None = None) -> list[int] | None:
     """Sizes of the corner classes; returns None early if any exceeds cap."""
-    offs = corner_offsets(c)
-    uf = UnionFind(offs[-1])
-    for a, b in _corner_relations(c, offs):
-        if uf.union(a, b) > (cap or 1 << 60):
+    sizes = []
+    for cycle in _walk(c):
+        if cap and len(cycle) > cap:
             return None
-    return sorted(len(cl) for cl in uf.classes().values())
-
-
-def flag_action(c: PolygonComplex) -> tuple[list[int], list[int], list[int]]:
-    """The three flag involutions (side swap, edge crossing, corner swap).
-
-    Flags are corner-side incidences: flag 2*(offset+i)+e sits on side i of
-    polygon p next to vertex v_{i+e}.  t0 exchanges the two flags of a side,
-    t2 the two flags of a corner within its polygon, and t1 crosses the edge
-    pairing (respecting the sign convention).
-    """
-    offs = corner_offsets(c)
-    m = 2 * offs[-1]
-    t0 = [0] * m
-    t1 = [0] * m
-    t2 = [0] * m
-    sizes = c.sizes
-    for p, word in enumerate(c.polygons):
-        n = sizes[p]
-        for i in range(n):
-            f0 = 2 * (offs[p] + i)
-            f1 = f0 + 1
-            t0[f0] = f1
-            t0[f1] = f0
-            g0 = 2 * (offs[p] + (i + 1) % n)
-            t2[f1] = g0
-            t2[g0] = f1
-    for (p, i, s1), (q, j, s2) in occurrences(c).values():
-        a0 = 2 * (offs[p] + i)
-        b0 = 2 * (offs[q] + j)
-        if s1 == s2:
-            t1[a0], t1[b0 + 1] = b0 + 1, a0
-            t1[a0 + 1], t1[b0] = b0, a0 + 1
-        else:
-            t1[a0], t1[b0] = b0, a0
-            t1[a0 + 1], t1[b0 + 1] = b0 + 1, a0 + 1
-    return t0, t1, t2
-
-
-def vertex_cycles(c: PolygonComplex) -> list[VertexCycle]:
-    """All vertex cycles with their corners in cyclic order around the vertex."""
-    offs = corner_offsets(c)
-    sizes = c.sizes
-    _, t1, t2 = flag_action(c)
-
-    def corner_of(flag: int) -> Corner:
-        side, e = divmod(flag, 2)
-        p = _poly_of(offs, side)
-        i = side - offs[p]
-        return Corner(p, (i + e) % sizes[p])
-
-    total = offs[-1]
-    seen = [False] * total
-    cycles = []
-    for p in range(len(sizes)):
-        for i in range(sizes[p]):
-            cid = offs[p] + i
-            if seen[cid]:
-                continue
-            start = Corner(p, i)
-            f = 2 * cid  # flag (p, i, 0) sits at corner (p, i)
-            order = []
-            while True:
-                cur = corner_of(f)
-                if order and cur == start:
-                    break
-                order.append(cur)
-                seen[offs[cur.polygon] + cur.position] = True
-                f = t1[t2[f]]
-            cycles.append(VertexCycle(tuple(order)))
-    return cycles
+        sizes.append(len(cycle))
+    return sorted(sizes)
 
 
 @dataclass(frozen=True)
@@ -327,79 +288,41 @@ class CycleCrossings:
 
 
 def vertex_cycles_with_crossings(c: PolygonComplex) -> list[CycleCrossings]:
-    offs = corner_offsets(c)
-    sizes = c.sizes
-    _, t1, t2 = flag_action(c)
-    occ = occurrences(c)
-    first_occ = {lab: (p, i) for lab, ((p, i, _), _) in occ.items()}
-
-    def corner_of(flag: int) -> Corner:
-        side, e = divmod(flag, 2)
-        p = _poly_of(offs, side)
-        return Corner(p, (side - offs[p] + e) % sizes[p])
-
-    def side_of(flag: int) -> tuple[int, int]:
-        side = flag // 2
-        p = _poly_of(offs, side)
-        return p, side - offs[p]
-
-    total = offs[-1]
-    seen = [False] * total
+    t0 = c._flags[0]
+    corners = _corners(c)
+    # sides are numbered like the corners they leave
+    labels = [abs(v) for word in c.polygons for v in word]
+    first: dict[int, int] = {}
+    for side, lab in enumerate(labels):
+        first.setdefault(lab, side)
     out = []
-    for p in range(len(sizes)):
-        for i in range(sizes[p]):
-            if seen[offs[p] + i]:
-                continue
-            start = Corner(p, i)
-            f = 2 * (offs[p] + i)
-            order: list[Corner] = []
-            crossings: list[tuple[int, int]] = []
-            while True:
-                cur = corner_of(f)
-                if order and cur == start:
-                    break
-                order.append(cur)
-                seen[offs[cur.polygon] + cur.position] = True
-                f1 = t2[f]
-                sp, si = side_of(f1)
-                lab = abs(c.polygons[sp][si])
-                direction = 1 if first_occ[lab] == (sp, si) else -1
-                crossings.append((lab, direction))
-                f = t1[f1]
-            out.append(CycleCrossings(VertexCycle(tuple(order)), tuple(crossings)))
+    for cycle in _walk(c):
+        crossings = []
+        for f in cycle:
+            # the walk leaves the corner along the other flag's side
+            g = f ^ 1
+            side = (t0[g] if g & 1 else g) >> 1
+            lab = labels[side]
+            crossings.append((lab, 1 if first[lab] == side else -1))
+        out.append(CycleCrossings(
+            VertexCycle(tuple(corners[f >> 1] for f in cycle)), tuple(crossings)
+        ))
     return out
 
 
-def _poly_of(offs: list[int], corner_id: int) -> int:
-    lo, hi = 0, len(offs) - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if offs[mid] <= corner_id:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+def vertex_cycles(c: PolygonComplex) -> list[VertexCycle]:
+    """All vertex cycles with their corners in cyclic order around the vertex."""
+    return [data.cycle for data in vertex_cycles_with_crossings(c)]
 
 
 def is_orientable(c: PolygonComplex) -> bool:
-    """Two-sheet propagation test: the complex is orientable iff the
-    polygon x {+,-} graph induced by the pairings has two components."""
-    k = c.num_polygons
-    uf = UnionFind(2 * k)
-    for (p, _, s1), (q, _, s2) in occurrences(c).values():
-        if s1 == s2:
-            uf.union(2 * p, 2 * q)
-            uf.union(2 * p + 1, 2 * q + 1)
-        else:
-            uf.union(2 * p, 2 * q + 1)
-            uf.union(2 * p + 1, 2 * q)
-    return uf.find(0) != uf.find(1)
+    """Whether the flag action two-colors (decided when c is created)."""
+    return c._orientable
 
 
 def surface_invariants(c: PolygonComplex) -> SurfaceInvariants:
     """Euler characteristic, orientability and genus of the glued surface."""
-    sizes = vertex_class_sizes(c)
-    v = len(sizes)
+    v = sum(1 for _ in _walk(c))
     e = c.num_edges
     f = c.num_polygons
     chi = v - e + f
@@ -430,19 +353,15 @@ def verify_extremal(c: PolygonComplex) -> ExtremalityReport:
         if n < 7:
             failures.append("CellTooSmall(N=%d)" % n)
 
-    offs = corner_offsets(c)
-    uf = UnionFind(offs[-1])
-    for a, b in _corner_relations(c, offs):
-        uf.union(a, b)
-    classes = uf.classes()
-    v = len(classes)
-    for cl in classes.values():
-        if len(cl) != 3:
-            p = _poly_of(offs, cl[0])
-            failures.append(
-                "NotTrivalent(length=%d, corner=(%d, %d))"
-                % (len(cl), p, cl[0] - offs[p])
-            )
+    v = 0
+    corners = None
+    for cycle in _walk(c):
+        v += 1
+        if len(cycle) != 3:
+            if corners is None:
+                corners = _corners(c)
+            p, i = corners[cycle[0] >> 1]
+            failures.append("NotTrivalent(length=%d, corner=(%d, %d))" % (len(cycle), p, i))
     orientable = is_orientable(c)
     if orientable:
         failures.append("Orientable")
@@ -454,7 +373,10 @@ def verify_extremal(c: PolygonComplex) -> ExtremalityReport:
     k = g = nn = None
     if ok:
         k, nn, g = f, n, 2 - chi
-        assert k * nn == 6 * g + 6 * k - 12
+        if k * nn != 6 * g + 6 * k - 12:
+            raise InvariantError(
+                "verify_extremal: kN = 6g + 6k - 12 fails for (k, g, N) = (%d, %d, %d)" % (k, g, nn)
+            )
     return ExtremalityReport(
         ok=ok, k=k, g=g, n=nn, chi=chi, orientable=orientable, failures=tuple(failures)
     )

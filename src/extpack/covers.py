@@ -26,7 +26,7 @@ from math import gcd, lcm
 
 from . import complexes, feasibility, grafting
 from .complexes import PolygonComplex
-from .errors import CoverError, EnumerationCapError
+from .errors import CoverError, EnumerationCapError, InvariantError
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,9 @@ def orientation_double_cover(c: PolygonComplex) -> PolygonComplex:
     # faces 0..k-1 are the + copies, k..2k-1 the reversed copies
     words = [[0] * sizes[p] for p in range(k)] + [[0] * sizes[p] for p in range(k)]
     label = 0
-    for lab in sorted(complexes.occurrences(c)):
-        (p, i, s1), (q, j, s2) = complexes.occurrences(c)[lab]
+    occ = complexes.occurrences(c)
+    for lab in sorted(occ):
+        (p, i, s1), (q, j, s2) = occ[lab]
         ri = sizes[p] - 1 - i
         rj = sizes[q] - 1 - j
         if s1 == s2:
@@ -73,16 +74,9 @@ def orientation_double_cover(c: PolygonComplex) -> PolygonComplex:
         tuple(tuple(w) for w in words),
         name=(c.name + "+") if c.name else None,
     )
-    assert complexes.is_orientable(out)
+    if not complexes.is_orientable(out):
+        raise InvariantError("orientation_double_cover: the cover of %r is not orientable" % (c,))
     return out
-
-
-def deck_swapped_double_cover(c: PolygonComplex) -> PolygonComplex:
-    """The double cover with its two sheets exchanged (for involution tests)."""
-    cover = orientation_double_cover(c)
-    k = c.num_polygons
-    words = cover.polygons
-    return PolygonComplex(words[k:] + words[:k], name=cover.name)
 
 
 # ---------------------------------------------------------------------------
@@ -164,13 +158,29 @@ def _cover_words(c: PolygonComplex, n: int, volt: dict[int, int]):
 
 
 def _cover_components(c: PolygonComplex, n: int, volt: dict[int, int]) -> int:
-    k = c.num_polygons
-    uf = complexes.UnionFind(n * k)
+    """Components of the degree-n cover: gcd of n and the net voltages of
+    closed walks in the (connected) polygon graph of the base.
+
+    A spanning tree gives every polygon a potential; each edge then
+    contributes its voltage less the potential difference it spans.
+    """
+    adjacent: list[list[tuple[int, int]]] = [[] for _ in range(c.num_polygons)]
     for lab, ((p, _, _), (q, _, _)) in complexes.occurrences(c).items():
-        v = volt[lab] % n
-        for t in range(n):
-            uf.union(t * k + p, ((t + v) % n) * k + q)
-    return len({uf.find(x) for x in range(n * k)})
+        adjacent[p].append((q, volt[lab]))
+        adjacent[q].append((p, -volt[lab]))
+    potential: list[int | None] = [None] * c.num_polygons
+    potential[0] = 0
+    stack = [0]
+    parts = n
+    while stack:
+        p = stack.pop()
+        for q, v in adjacent[p]:
+            if potential[q] is None:
+                potential[q] = potential[p] + v
+                stack.append(q)
+            else:
+                parts = gcd(parts, potential[p] + v - potential[q])
+    return parts
 
 
 def cyclic_cover(c: PolygonComplex, assignment: VoltageAssignment) -> PolygonComplex:
@@ -204,7 +214,11 @@ def cyclic_cover(c: PolygonComplex, assignment: VoltageAssignment) -> PolygonCom
         )
     out = PolygonComplex(tuple(tuple(w) for w in _cover_words(c, n, volt)))
     sizes = complexes.vertex_class_sizes(out)
-    assert sizes and sizes[0] == 3 and sizes[-1] == 3
+    if sizes[0] != 3 or sizes[-1] != 3:
+        raise InvariantError(
+            "cyclic_cover: the %d-cover of %r has vertex cycles of lengths %d..%d"
+            % (n, c, sizes[0], sizes[-1])
+        )
     return out
 
 
@@ -266,5 +280,8 @@ def realize_spec(k: int, g: int) -> PolygonComplex:
     base = grafting.build_primitive(n_sides)
     out = find_nonorientable_cyclic_cover(base, j)
     rep = complexes.verify_extremal(out)
-    assert rep.ok and (rep.k, rep.g, rep.n) == (k, g, n_sides), (rep, k, g)
+    if not (rep.ok and (rep.k, rep.g, rep.n) == (k, g, n_sides)):
+        raise InvariantError(
+            "realize_spec: the complex for (k, g) = (%d, %d) certifies as %s" % (k, g, rep)
+        )
     return PolygonComplex(out.polygons, name="K%dG%d" % (k, g))

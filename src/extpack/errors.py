@@ -44,3 +44,10 @@ class EnumerationCapError(RuntimeError):
 
 class InconclusiveError(RuntimeError):
     """A bounded numeric test exhausted its budget without deciding."""
+
+
+class InvariantError(RuntimeError):
+    """An internal postcondition failed: a bug in the library, not bad input.
+
+    The message names the check and the object it failed on.
+    """

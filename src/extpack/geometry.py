@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from . import complexes
 from .complexes import PolygonComplex
-from .errors import InconclusiveError, NotExtremalError
+from .errors import InconclusiveError, InvariantError, NotExtremalError
 
 MATCH_TOL = 1e-9
 
@@ -115,7 +115,11 @@ def two_point_isometry(
     if reversing:
         fa = Isometry(fa.a.conjugate(), fa.b.conjugate(), True)
     out = fb.inverse().compose(fa)
-    assert abs(out(z1) - w1) < 1e-9 and abs(out(z2) - w2) < 1e-9
+    miss = max(abs(out(z1) - w1), abs(out(z2) - w2))
+    if not miss < 1e-9:
+        raise InvariantError(
+            "two_point_isometry: the image of %r misses %r by %.3g" % ((z1, z2), (w1, w2), miss)
+        )
     return out
 
 
@@ -196,7 +200,10 @@ def regular_ngon(n: int) -> NgonGeometry:
     cosh_r = 1.0 / (2.0 * math.sin(math.pi / n))
     cosh_rho = (math.cos(math.pi / n) / math.sin(math.pi / n)) / math.sqrt(3.0)
     cosh_half_s = 2.0 * math.cos(math.pi / n) / math.sqrt(3.0)
-    assert abs(cosh_rho - cosh_r * cosh_half_s) < 1e-12
+    if not abs(cosh_rho - cosh_r * cosh_half_s) < 1e-12:
+        raise InvariantError(
+            "regular_ngon: right-triangle identity cosh rho = cosh r cosh s/2 fails for n = %d" % n
+        )
     rho = math.acosh(cosh_rho)
     radius = math.tanh(rho / 2.0)
     verts = tuple(radius * cmath.exp(2j * math.pi * t / n) for t in range(n))
@@ -406,23 +413,6 @@ def holonomy_check(layout: DiskLayout) -> HolonomyReport:
             ang = corner_angle(poly[i], poly[i - 1], poly[(i + 1) % n])
             angle_err = max(angle_err, abs(ang - target))
     return HolonomyReport(max_displacement=worst, max_angle_error=angle_err)
-
-
-def perturbed(layout: DiskLayout, label: int, eps: float = 1e-3) -> DiskLayout:
-    """Copy of the layout with one pairing matrix entry nudged (for testing
-    the sensitivity of the holonomy detector)."""
-    g = layout.pairings[label]
-    bad = Isometry(g.a + eps, g.b, g.reversing)
-    pairings = dict(layout.pairings)
-    pairings[label] = bad
-    return DiskLayout(
-        complex=layout.complex,
-        cell=layout.cell,
-        placements=layout.placements,
-        vertices=layout.vertices,
-        pairings=pairings,
-        tree_labels=layout.tree_labels,
-    )
 
 
 # ---------------------------------------------------------------------------

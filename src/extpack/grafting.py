@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from . import complexes
 from .complexes import PolygonComplex, VertexCycle
-from .errors import IneligibleSiteError, NotExtremalError, RewriteSearchError
+from .errors import IneligibleSiteError, InvariantError, NotExtremalError, RewriteSearchError
 
 
 class GraftVariant(enum.Enum):
@@ -236,7 +236,11 @@ def _iter_rewrites(c: PolygonComplex, site: GraftSite, need, max_insert):
             if not complexes.is_graftable(out):
                 continue
             new_classes = complexes.vertex_class_sizes(out)
-            assert len(new_classes) == len(old_classes) + 2
+            if len(new_classes) != len(old_classes) + 2:
+                raise InvariantError(
+                    "graft: rewrite %s at %s changes the vertex count by %d, not 2"
+                    % (rw.insertions, site.corners, len(new_classes) - len(old_classes))
+                )
             yield rw
 
 
@@ -374,7 +378,10 @@ def _graft_pair(
     """
     k = c.num_polygons
     total = sum(c.sizes) + 12
-    assert total % k == 0
+    if total % k:
+        raise InvariantError(
+            "graft pair: %d sides after two grafts do not split evenly over %r" % (total, c)
+        )
     m = total // k
     final = tuple([m] * k)
     sites1 = eligible_sites(c, v1)

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from . import complexes
 from .complexes import PolygonComplex
-from .errors import EnumerationCapError
+from .errors import EnumerationCapError, InvariantError
 
 UNDEF = -1
 
@@ -159,52 +159,37 @@ class CosetTable:
 
 
 def validate_table(pres: Presentation, table: CosetTable) -> None:
-    """Assert relators act trivially, the action is transitive, and the
+    """Check that relators act trivially, the action is transitive, and the
     subgroup words stabilize coset 0."""
     n = table.index
     for rel in pres.relators:
         for c in range(n):
             if table.apply_word(c, rel) != c:
                 raise ValueError("relator %s broken at coset %d" % (rel, c))
-    seen = {0}
-    queue = deque([0])
-    inv = table.inverse_perms()
-    while queue:
-        c = queue.popleft()
-        for perm in list(table.perms) + list(inv):
-            d = perm[c]
-            if d not in seen:
-                seen.add(d)
-                queue.append(d)
-    if len(seen) != n:
+    if not complexes.two_color(table.perms)[0]:
         raise ValueError("action is not transitive")
     for w in table.subgroup_words:
         if table.apply_word(0, w) != 0:
             raise ValueError("subgroup word %s does not stabilize coset 0" % (w,))
 
 
-def standardize(perms: list[list[int]]) -> tuple[tuple[int, ...], ...]:
-    """Renumber points in BFS order from 0 (columns scanned in order)."""
-    n = len(perms[0])
-    order = [UNDEF] * n
-    order[0] = 0
-    seq = [0]
-    head = 0
-    while head < len(seq):
-        c = seq[head]
-        head += 1
+def _bfs_renumber(perms, start: int) -> tuple[tuple[int, ...], ...]:
+    """Renumber points in BFS order from start (columns scanned in order)."""
+    order = [UNDEF] * len(perms[0])
+    order[start] = 0
+    seq = [start]
+    for x in seq:
         for perm in perms:
-            d = perm[c]
-            if order[d] == UNDEF:
-                order[d] = len(seq)
-                seq.append(d)
-    out = []
-    for perm in perms:
-        new = [0] * n
-        for old, img in enumerate(perm):
-            new[order[old]] = order[img]
-        out.append(tuple(new))
-    return tuple(out)
+            y = perm[x]
+            if order[y] == UNDEF:
+                order[y] = len(seq)
+                seq.append(y)
+    return tuple(tuple([order[perm[x]] for x in seq]) for perm in perms)
+
+
+def standardize(perms) -> tuple[tuple[int, ...], ...]:
+    """Renumber points in BFS order from 0 (columns scanned in order)."""
+    return _bfs_renumber(perms, 0)
 
 
 def schreier_generators(table: CosetTable) -> list[Word]:
@@ -418,25 +403,6 @@ def _cycle_lengths(perm: tuple[int, ...], nxt: tuple[int, ...]) -> list[int]:
     return out
 
 
-def _two_colorable(perms) -> bool:
-    """True iff the coset graph admits a parity coloring flipped by every
-    generator; equivalently the subgroup avoids orientation-reversing words."""
-    n = len(perms[0])
-    color = [UNDEF] * n
-    color[0] = 0
-    queue = deque([0])
-    while queue:
-        c = queue.popleft()
-        for perm in perms:
-            d = perm[c]
-            if color[d] == UNDEF:
-                color[d] = 1 - color[c]
-                queue.append(d)
-            elif color[d] == color[c]:
-                return False
-    return True
-
-
 def classify(table: CosetTable, p: int, q: int, r: int) -> SubgroupRecord:
     """Classify a subgroup of the extended (p, q, r) triangle group.
 
@@ -460,7 +426,7 @@ def classify(table: CosetTable, p: int, q: int, r: int) -> SubgroupRecord:
                 raise ValueError("rotation relator broken: cycle %d vs order %d" % (length, full))
         if torsion_free and any(length != full for length in lengths):
             torsion_free = False
-    proper = not _two_colorable(table.perms)
+    proper = not complexes.two_color(table.perms)[1]
     mu = 1 - Fraction(1, p) - Fraction(1, q) - Fraction(1, r)
     genus: int | None = None
     if torsion_free:
@@ -699,27 +665,7 @@ class _TriangleSearch:
 
 def _canonical_table_key(perms) -> tuple:
     """Minimum over all base points of the BFS-renumbered table."""
-    n = len(perms[0])
-    best = None
-    for start in range(n):
-        order = [UNDEF] * n
-        order[start] = 0
-        seq = [start]
-        head = 0
-        while head < len(seq):
-            x = seq[head]
-            head += 1
-            for perm in perms:
-                y = perm[x]
-                if order[y] == UNDEF:
-                    order[y] = len(seq)
-                    seq.append(y)
-        key = tuple(
-            tuple(order[perm[seq[i]]] for i in range(n)) for perm in perms
-        )
-        if best is None or key < best:
-            best = key
-    return best
+    return min(_bfs_renumber(perms, start) for start in range(len(perms[0])))
 
 
 def low_index_subgroups(
@@ -759,7 +705,7 @@ def low_index_subgroups(
     seen_keys: set[tuple] = set()
     for perms in search.solutions():
         rec = classify(
-            CosetTable(ngens=3, perms=standardize([list(x) for x in perms])),
+            CosetTable(ngens=3, perms=standardize(perms)),
             p, q, r,
         )
         if torsion_free and not rec.torsion_free:
@@ -785,11 +731,17 @@ def complex_to_subgroup(c: PolygonComplex) -> SubgroupRecord:
     rep = complexes.verify_extremal(c)
     if not rep.ok:
         raise ValueError("complex is not extremal: %s" % (rep.failures,))
-    t0, t1, t2 = complexes.flag_action(c)
-    table = CosetTable(ngens=3, perms=standardize([t0, t1, t2]))
+    table = CosetTable(ngens=3, perms=standardize(complexes.flag_action(c)))
     rec = classify(table, 2, 3, rep.n)
-    assert rec.torsion_free and rec.proper and rec.genus == rep.g
-    assert rec.index == 2 * rep.k * rep.n
+    if not (rec.torsion_free and rec.proper and rec.genus == rep.g):
+        raise InvariantError(
+            "complex_to_subgroup: record of %r is not torsion-free proper of genus %d" % (c, rep.g)
+        )
+    if rec.index != 2 * rep.k * rep.n:
+        raise InvariantError(
+            "complex_to_subgroup: record of %r has index %d, expected 2kN = %d"
+            % (c, rec.index, 2 * rep.k * rep.n)
+        )
     return rec
 
 
@@ -827,7 +779,11 @@ def subgroup_to_complex(rec: SubgroupRecord) -> PolygonComplex:
             a = s2[b]
             if a == start:
                 break
-        assert len(sides) == N
+        if len(sides) != N:
+            raise InvariantError(
+                "subgroup_to_complex: the face through coset %d has %d sides, expected N = %d"
+                % (start, len(sides), N)
+            )
         faces.append(sides)
 
     words: list[list[int]] = [[0] * N for _ in faces]
@@ -839,13 +795,20 @@ def subgroup_to_complex(rec: SubgroupRecord) -> PolygonComplex:
             label += 1
             words[f][i] = label
             f2, i2, end = side_of[s1[a]]
-            assert (f2, i2) != (f, i)
+            if (f2, i2) == (f, i):
+                raise InvariantError(
+                    "subgroup_to_complex: r1 glues side %d of face %d to itself" % (i, f)
+                )
             words[f2][i2] = label if end == 1 else -label
     out = complexes.canonicalize(
         PolygonComplex(tuple(tuple(w) for w in words))
     )
     check = complexes.verify_extremal(out)
-    assert check.ok and check.g == rec.genus and check.n == N
+    if not (check.ok and check.g == rec.genus and check.n == N):
+        raise InvariantError(
+            "subgroup_to_complex: quotient %r certifies as %s, expected genus %s and N = %d"
+            % (out, (check.ok, check.g, check.n), rec.genus, N)
+        )
     return out
 
 

@@ -1,3 +1,5 @@
+import pathlib
+
 from extpack import catalog
 from extpack import complexes as cx
 
@@ -17,6 +19,15 @@ def test_derivation_matches_shipped_files():
         derived = catalog.derive(name)
         shipped = catalog.load_entry(name).complex
         assert derived.polygons == shipped.polygons, name
+
+
+def test_shipped_files_are_fixed_points():
+    # a shipped file is already in the form serialize writes
+    files = sorted((pathlib.Path(catalog.__file__).parent / "catalog").glob("*.cmplx"))
+    assert [f.stem for f in files] == sorted(catalog.EXPECTED)
+    for f in files:
+        text = f.read_text(encoding="utf-8")
+        assert cx.serialize(cx.parse(text)) == text, f.name
 
 
 def test_dual_fixtures():

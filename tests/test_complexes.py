@@ -1,7 +1,9 @@
 import pytest
 
 from conftest import random_complexes
+from extpack import catalog
 from extpack import complexes as cx
+from extpack import trigroup as tg
 from extpack.complexes import PolygonComplex
 from extpack.errors import ComplexFormatError, InvalidComplexError
 
@@ -41,6 +43,12 @@ def test_validation_errors():
         PolygonComplex(((1, 1), (2, 2)))
     with pytest.raises(InvalidComplexError):
         PolygonComplex(((1, 1, 1),))
+    # the smallest bad label is reported, whether seen once or three times
+    with pytest.raises(InvalidComplexError, match="unpaired label 1"):
+        PolygonComplex(((3, 3, 3, 1),))
+    # a zero label is reported before any unpaired one
+    with pytest.raises(InvalidComplexError, match="nonzero integers, got 0"):
+        PolygonComplex(((1, 1, 1, 0),))
 
 
 def test_parse_examples():
@@ -103,6 +111,43 @@ def test_canonicalize_rotation_invariance_single_polygon():
         for r in range(len(word)):
             rot = PolygonComplex((word[r:] + word[:r],))
             assert cx.canonicalize(rot) == canon
+
+
+def mirrored(c, p):
+    """c with polygon p read the other way round: its word reversed and
+    every label in it negated.  The glued surface is the same."""
+    words = list(c.polygons)
+    words[p] = tuple(-v for v in reversed(words[p]))
+    return PolygonComplex(tuple(words))
+
+
+def presentation_facts(c):
+    rep = cx.verify_extremal(c)
+    return (
+        cx.surface_invariants(c),
+        sorted(cx.vertex_class_sizes(c)),
+        (rep.ok, rep.k, rep.g, rep.n),
+    )
+
+
+def test_mirroring_a_polygon_keeps_invariants():
+    for c in random_complexes(300, seed=13):
+        facts = presentation_facts(c)
+        for p in range(c.num_polygons):
+            assert presentation_facts(mirrored(c, p)) == facts, (c, p)
+
+
+def test_mirroring_a_catalog_polygon_keeps_invariants_and_subgroup():
+    for entry in catalog.load_all().values():
+        c = entry.complex
+        facts = presentation_facts(c)
+        key = tg._canonical_table_key(tg.complex_to_subgroup(c).table.perms)
+        for p in range(c.num_polygons):
+            m = mirrored(c, p)
+            assert presentation_facts(m) == facts, (entry.name, p)
+            assert tg._canonical_table_key(tg.complex_to_subgroup(m).table.perms) == key, (
+                entry.name, p
+            )
 
 
 def test_verify_extremal_failures():

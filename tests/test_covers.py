@@ -30,9 +30,17 @@ def test_double_cover_of_x7(seeds):
     assert sizes[0] == 3 and sizes[-1] == 3
 
 
+def deck_swapped_double_cover(c: PolygonComplex) -> PolygonComplex:
+    """The double cover with its two sheets exchanged."""
+    cover = covers.orientation_double_cover(c)
+    k = c.num_polygons
+    words = cover.polygons
+    return PolygonComplex(words[k:] + words[:k], name=cover.name)
+
+
 def test_double_cover_deck_swap(seeds):
     dc = covers.orientation_double_cover(seeds[9])
-    swapped = covers.deck_swapped_double_cover(seeds[9])
+    swapped = deck_swapped_double_cover(seeds[9])
     assert swapped.polygons != dc.polygons  # the swap fixes no polygon
     assert cx.canonicalize(swapped).polygons == cx.canonicalize(dc).polygons
 

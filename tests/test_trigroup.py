@@ -127,11 +127,21 @@ def test_subgroup_orbit_counts(seeds):
     m = rec.index
 
     def orbit_count(perms):
-        uf = cx.UnionFind(m)
-        for perm in perms:
-            for a, b in enumerate(perm):
-                uf.union(a, b)
-        return len(uf.classes())
+        seen = [False] * m
+        count = 0
+        for start in range(m):
+            if seen[start]:
+                continue
+            count += 1
+            seen[start] = True
+            stack = [start]
+            while stack:
+                a = stack.pop()
+                for perm in perms:
+                    if not seen[perm[a]]:
+                        seen[perm[a]] = True
+                        stack.append(perm[a])
+        return count
 
     n = 12
     k = m // (2 * n)
