@@ -13,7 +13,9 @@ from .complexes import (
     PolygonComplex,
     SurfaceInvariants,
     VertexCycle,
+    automorphisms,
     canonicalize,
+    least_code,
     parse,
     serialize,
     surface_invariants,
@@ -49,7 +51,6 @@ from .geometry import (
     boroczky_equality_check,
     equilateral_angle,
     holonomy_check,
-    normalizes,
     realize,
     regular_ngon,
     render_svg,

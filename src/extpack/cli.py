@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage, 2 infeasible input or failed certificate,
-3 exhausted resource caps.  Complex files are read from a path, from the
+3 exhausted resource caps, 4 internal error (a failed library invariant,
+reported without a traceback).  Complex files are read from a path, from the
 shipped catalog by name (X7, X12, ...), or from stdin when the argument is
 omitted or '-'; results go to stdout unless -o is given, so commands
 compose in pipelines.
@@ -18,10 +19,10 @@ from .errors import (
     ComplexFormatError,
     CoverError,
     EnumerationCapError,
-    InconclusiveError,
     InfeasibleSpecError,
     IneligibleSiteError,
     InvalidComplexError,
+    InvariantError,
     NotExtremalError,
     RewriteSearchError,
 )
@@ -29,6 +30,7 @@ from .errors import (
 USAGE_EXIT = 1
 DOMAIN_EXIT = 2
 RESOURCE_EXIT = 3
+INTERNAL_EXIT = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -404,16 +406,18 @@ def main(argv: list[str] | None = None) -> int:
         CoverError,
         ComplexFormatError,
         InvalidComplexError,
-        RewriteSearchError,
         FileNotFoundError,
         ValueError,
         KeyError,
     ) as err:
         print("error: %s" % err, file=sys.stderr)
         return DOMAIN_EXIT
-    except (EnumerationCapError, InconclusiveError) as err:
+    except EnumerationCapError as err:
         print("resource limit: %s" % err, file=sys.stderr)
         return RESOURCE_EXIT
+    except (InvariantError, RewriteSearchError, ArithmeticError) as err:
+        print("internal error: %s" % err, file=sys.stderr)
+        return INTERNAL_EXIT
 
 
 if __name__ == "__main__":

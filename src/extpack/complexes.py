@@ -213,6 +213,66 @@ def two_color(perms) -> tuple[bool, bool]:
     return len(queue) == len(color), bipartite
 
 
+def bfs_code(perms, start: int, bound: tuple[int, ...] | None = None) -> tuple[int, ...] | None:
+    """The action renumbered by a BFS from start, read point by point.
+
+    Points are numbered in the order the BFS first reaches them, scanning
+    the permutations in order; entry k*i + j of the code (k = len(perms))
+    is the number of perms[j] applied to point number i.  Two pointed
+    transitive actions are isomorphic exactly when their codes are equal.
+    With a bound, returns None as soon as a prefix of the code reads
+    greater than the bound's (Weinberg's 1966 code for maps, with the
+    early abort of a least-code search).
+    """
+    order = [-1] * len(perms[0])
+    order[start] = 0
+    seq = [start]
+    code = []
+    for x in seq:
+        for perm in perms:
+            y = perm[x]
+            o = order[y]
+            if o < 0:
+                o = order[y] = len(seq)
+                seq.append(y)
+            if bound is not None and o != bound[len(code)]:
+                if o > bound[len(code)]:
+                    return None
+                bound = None
+            code.append(o)
+    return tuple(code)
+
+
+def least_code(perms) -> tuple[int, ...]:
+    """The least BFS code over all start points of a transitive action.
+
+    It is the isomorphism key: equal for two actions exactly when they are
+    isomorphic, so for two complexes' flag actions exactly when one is the
+    other relabeled, with polygons rotated, reordered or mirrored, and for
+    two coset tables exactly when the subgroups are conjugate.
+    """
+    best = bfs_code(perms, 0)
+    for start in range(1, len(perms[0])):
+        code = bfs_code(perms, start, best)
+        if code is not None:
+            best = code
+    return best
+
+
+def automorphisms(c: PolygonComplex) -> list[int]:
+    """The automorphism group of c, as the images of flag 0.
+
+    An automorphism of the flag action commutes with t0, t1 and t2, so it
+    is fixed by where it sends flag 0, and flag f is such an image exactly
+    when the BFS code from f equals the code from flag 0.  The list starts
+    with flag 0 (the identity) and is increasing; the group acts freely on
+    the flags, so its order, the length of the list, divides their number.
+    """
+    perms = c._flags
+    ref = bfs_code(perms, 0)
+    return [f for f in range(len(perms[0])) if bfs_code(perms, f, ref) == ref]
+
+
 def flag_action(c: PolygonComplex) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """The three flag involutions (side swap, edge crossing, corner swap).
 

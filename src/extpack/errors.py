@@ -42,10 +42,6 @@ class EnumerationCapError(RuntimeError):
     """A coset enumeration or search exceeded its resource cap."""
 
 
-class InconclusiveError(RuntimeError):
-    """A bounded numeric test exhausted its budget without deciding."""
-
-
 class InvariantError(RuntimeError):
     """An internal postcondition failed: a bug in the library, not bad input.
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from . import complexes
 from .complexes import PolygonComplex
-from .errors import InconclusiveError, InvariantError, NotExtremalError
+from .errors import InvariantError, NotExtremalError
 
 MATCH_TOL = 1e-9
 
@@ -84,10 +84,6 @@ class Isometry:
         if abs(p) >= 1:
             raise ValueError("point outside the open unit disk")
         return Isometry(1.0 + 0j, p, False)
-
-    @staticmethod
-    def conjugation() -> "Isometry":
-        return Isometry(1.0 + 0j, 0j, True)
 
 
 def disk_distance(z: complex, w: complex) -> float:
@@ -413,71 +409,6 @@ def holonomy_check(layout: DiskLayout) -> HolonomyReport:
             ang = corner_angle(poly[i], poly[i - 1], poly[(i + 1) % n])
             angle_err = max(angle_err, abs(ang - target))
     return HolonomyReport(max_displacement=worst, max_angle_error=angle_err)
-
-
-# ---------------------------------------------------------------------------
-# bounded numeric normalizer test
-
-
-def _iso_key(g: Isometry, digits: int = 7):
-    a, b = g.a, g.b
-    # projective sign: fix the first sufficiently nonzero coordinate
-    pick = a if abs(a) > 0.5 else b
-    if pick.real < 0 or (abs(pick.real) < 1e-9 and pick.imag < 0):
-        a, b = -a, -b
-    return (round(a.real, digits), round(a.imag, digits),
-            round(b.real, digits), round(b.imag, digits), g.reversing)
-
-
-def normalizes(
-    gens: list[Isometry],
-    t: Isometry,
-    tol: float = 1e-9,
-    max_length: int = 6,
-    max_elements: int = 200000,
-) -> bool:
-    """Best-effort numeric test that t normalizes the group generated by
-    gens: every t g t^-1 must match some bounded-length word in the
-    generators within tol.  Raises InconclusiveError when the word search
-    exhausts its bounds without deciding."""
-    probes = (0.31 + 0.07j, -0.12 + 0.26j)
-
-    def close(g: Isometry, h: Isometry) -> bool:
-        if g.reversing != h.reversing:
-            return False
-        return all(abs(g(z) - h(z)) <= tol for z in probes)
-
-    alphabet = []
-    for g in gens:
-        alphabet.append(g)
-        alphabet.append(g.inverse())
-    elements = [Isometry.identity()]
-    seen = {_iso_key(elements[0])}
-    frontier = list(elements)
-    for _ in range(max_length):
-        new_frontier = []
-        for w in frontier:
-            for g in alphabet:
-                cand = w.compose(g)
-                key = _iso_key(cand)
-                if key in seen:
-                    continue
-                seen.add(key)
-                elements.append(cand)
-                new_frontier.append(cand)
-                if len(elements) > max_elements:
-                    raise InconclusiveError("word search exceeded the element cap")
-        frontier = new_frontier
-        if not frontier:
-            break
-    tinv = t.inverse()
-    for g in gens:
-        conj = t.compose(g).compose(tinv)
-        if not any(close(conj, h) for h in elements):
-            raise InconclusiveError(
-                "conjugate of a generator not found within word length %d" % max_length
-            )
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -99,9 +99,9 @@ def eligible_sites(c: PolygonComplex, variant: GraftVariant) -> list[GraftSite]:
     if not complexes.is_graftable(c):
         raise NotExtremalError("complex is not graftable (trivalent + non-orientable)")
     sites = []
+    occ = complexes.occurrences(c)
     for data in complexes.vertex_cycles_with_crossings(c):
         if variant.needs_shared_edge:
-            occ = complexes.occurrences(c)
             shared = None
             for lab, _ in data.crossings:
                 (p1, _, _), (p2, _, _) = occ[lab]

@@ -173,23 +173,11 @@ def validate_table(pres: Presentation, table: CosetTable) -> None:
             raise ValueError("subgroup word %s does not stabilize coset 0" % (w,))
 
 
-def _bfs_renumber(perms, start: int) -> tuple[tuple[int, ...], ...]:
-    """Renumber points in BFS order from start (columns scanned in order)."""
-    order = [UNDEF] * len(perms[0])
-    order[start] = 0
-    seq = [start]
-    for x in seq:
-        for perm in perms:
-            y = perm[x]
-            if order[y] == UNDEF:
-                order[y] = len(seq)
-                seq.append(y)
-    return tuple(tuple([order[perm[x]] for x in seq]) for perm in perms)
-
-
 def standardize(perms) -> tuple[tuple[int, ...], ...]:
     """Renumber points in BFS order from 0 (columns scanned in order)."""
-    return _bfs_renumber(perms, 0)
+    code = complexes.bfs_code(perms, 0)
+    k = len(perms)
+    return tuple(code[g::k] for g in range(k))
 
 
 def schreier_generators(table: CosetTable) -> list[Word]:
@@ -663,11 +651,6 @@ class _TriangleSearch:
             self.count -= 1
 
 
-def _canonical_table_key(perms) -> tuple:
-    """Minimum over all base points of the BFS-renumbered table."""
-    return min(_bfs_renumber(perms, start) for start in range(len(perms[0])))
-
-
 def low_index_subgroups(
     pres: Presentation,
     index: int,
@@ -683,8 +666,8 @@ def low_index_subgroups(
     read off the relators.  Filters restrict the output (and, for
     torsion_free, prune the search itself).  max_count stops the search
     after that many records, preserving the deterministic DFS order; the
-    default enumerates the complete list with conjugates removed via a
-    canonical table form.
+    default enumerates the complete list with conjugates removed by their
+    least code (complexes.least_code).
     """
     if index < 1:
         raise ValueError("need index >= 1")
@@ -712,7 +695,7 @@ def low_index_subgroups(
             continue
         if want_proper is not None and rec.proper != want_proper:
             continue
-        key = _canonical_table_key(rec.table.perms)
+        key = complexes.least_code(rec.table.perms)
         if key in seen_keys:
             continue
         seen_keys.add(key)

@@ -4,6 +4,7 @@ import pytest
 
 from extpack import cli
 from extpack import complexes as cx
+from extpack.errors import InvariantError, RewriteSearchError
 
 
 def run(capsys, *argv):
@@ -152,3 +153,21 @@ def test_catalog_command(capsys):
 def test_cyclic_cover_voltage_count_error(capsys):
     code, _, err = run(capsys, "cyclic-cover", "X12", "--n", "2", "--voltages", "1", "0")
     assert code == 2 and "voltages" in err
+
+
+@pytest.mark.parametrize(
+    "module,name,argv,error",
+    [
+        ("geometry", "realize", ["render", "X12"], ArithmeticError("residual (layout bug)")),
+        ("grafting", "build_primitive", ["build", "--N", "9"], RewriteSearchError("no rewrite")),
+        ("trigroup", "complex_to_subgroup", ["to-group", "X12"], InvariantError("not proper")),
+    ],
+)
+def test_internal_errors_exit_4(monkeypatch, capsys, module, name, argv, error):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(getattr(cli, module), name, fail)
+    code, out, err = run(capsys, *argv)
+    assert code == 4 and out == ""
+    assert err == "internal error: %s\n" % error

@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import random_complexes
-from extpack import catalog
+from extpack import catalog, covers
 from extpack import complexes as cx
 from extpack import trigroup as tg
 from extpack.complexes import PolygonComplex
@@ -127,6 +127,8 @@ def presentation_facts(c):
         cx.surface_invariants(c),
         sorted(cx.vertex_class_sizes(c)),
         (rep.ok, rep.k, rep.g, rep.n),
+        cx.least_code(cx.flag_action(c)),
+        len(cx.automorphisms(c)),
     )
 
 
@@ -141,13 +143,55 @@ def test_mirroring_a_catalog_polygon_keeps_invariants_and_subgroup():
     for entry in catalog.load_all().values():
         c = entry.complex
         facts = presentation_facts(c)
-        key = tg._canonical_table_key(tg.complex_to_subgroup(c).table.perms)
+        key = cx.least_code(tg.complex_to_subgroup(c).table.perms)
         for p in range(c.num_polygons):
             m = mirrored(c, p)
             assert presentation_facts(m) == facts, (entry.name, p)
-            assert tg._canonical_table_key(tg.complex_to_subgroup(m).table.perms) == key, (
-                entry.name, p
-            )
+            assert cx.least_code(tg.complex_to_subgroup(m).table.perms) == key, (entry.name, p)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="canonicalize is stable under rotation and reordering of polygons, not under mirroring",
+)
+def test_canonicalize_is_mirror_invariant():
+    c = catalog.load_entry("X7").complex
+    canon = cx.canonicalize(c)
+    for p in range(c.num_polygons):
+        assert cx.canonicalize(mirrored(c, p)) == canon, p
+
+
+def extends_to_automorphism(perms, f):
+    """Whether flag 0 -> f extends to a bijection commuting with every
+    permutation (the reference for automorphisms)."""
+    phi = {0: f}
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        for perm in perms:
+            y, img = perm[x], perm[phi[x]]
+            if y not in phi:
+                phi[y] = img
+                stack.append(y)
+            elif phi[y] != img:
+                return False
+    return len(set(phi.values())) == len(perms[0])
+
+
+def test_automorphisms_against_the_extension_reference():
+    sample = random_complexes(150, seed=17) + [e.complex for e in catalog.load_all().values()]
+    for c in sample:
+        perms = cx.flag_action(c)
+        auts = cx.automorphisms(c)
+        assert auts[0] == 0
+        assert len(perms[0]) % len(auts) == 0
+        assert auts == [f for f in range(len(perms[0])) if extends_to_automorphism(perms, f)], c
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_deck_group_divides_the_automorphism_group(seeds, n):
+    cover = covers.find_nonorientable_cyclic_cover(seeds[9], n)
+    assert len(cx.automorphisms(cover)) % n == 0
 
 
 def test_verify_extremal_failures():

@@ -6,7 +6,6 @@ import mpmath
 import pytest
 
 from extpack import geometry as geom
-from extpack.errors import InconclusiveError
 from extpack.feasibility import is_feasible, packing_radius_bound
 from extpack.geometry import Isometry
 
@@ -144,17 +143,6 @@ def test_layout_json(seeds):
     assert data["cell_size"] == 12
     assert len(data["polygons"]) == 1 and len(data["polygons"][0]) == 12
     assert set(data["pairings"]) == {str(lab) for lab in lay.pairings}
-
-
-def test_normalizes(seeds):
-    lay = geom.realize(seeds[12])
-    gens = [lay.pairings[lab] for lab in sorted(lay.pairings)]
-    assert geom.normalizes(gens, Isometry.identity(), 1e-9, max_length=2)
-    # a generator normalizes the group it generates
-    assert geom.normalizes(gens, gens[0], 1e-6, max_length=3)
-    stranger = Isometry.translate_to(0.123 + 0.456j)
-    with pytest.raises(InconclusiveError):
-        geom.normalizes(gens, stranger, 1e-9, max_length=2)
 
 
 def test_render_svg(seeds):

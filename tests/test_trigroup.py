@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -39,6 +40,42 @@ def test_low_index_subgroup_class_counts_in_s4():
     pres = tg.triangle_presentation(2, 3, 3)
     for index, classes in [(1, 1), (2, 1), (3, 1), (4, 1), (6, 3), (8, 1), (12, 2), (24, 1)]:
         assert len(tg.low_index_subgroups(pres, index)) == classes
+
+
+def reference_table_key(perms):
+    """The earlier isomorphism key: the least of the tables renumbered by a
+    BFS from every point, compared column by column."""
+    def renumber(start):
+        order = [-1] * len(perms[0])
+        order[start] = 0
+        seq = [start]
+        for x in seq:
+            for perm in perms:
+                if order[perm[x]] < 0:
+                    order[perm[x]] = len(seq)
+                    seq.append(perm[x])
+        return tuple(tuple(order[perm[x]] for x in seq) for perm in perms)
+
+    return min(renumber(s) for s in range(len(perms[0])))
+
+
+@pytest.mark.parametrize("pqr,index,torsion_free", [((2, 3, 8), 48, True), ((2, 3, 7), 28, False)])
+def test_least_code_partitions_like_the_reference_key(pqr, index, torsion_free):
+    sols = list(tg._TriangleSearch(*pqr, index, torsion_free).solutions())
+    pairs = {(reference_table_key(perms), cx.least_code(perms)) for perms in sols}
+    classes = len({ref for ref, _ in pairs})
+    assert classes > 1
+    assert len({code for _, code in pairs}) == len(pairs) == classes
+    # the key does not depend on how the points are numbered
+    rng = random.Random(index)
+    for perms in sols[:20]:
+        sigma = list(range(index))
+        rng.shuffle(sigma)
+        moved = [[0] * index for _ in perms]
+        for new, perm in zip(moved, perms):
+            for x in range(index):
+                new[sigma[x]] = sigma[perm[x]]
+        assert cx.least_code(moved) == cx.least_code(perms)
 
 
 def test_low_index_deterministic():
