@@ -20,7 +20,7 @@ from importlib import resources
 
 from . import complexes, trigroup
 from .complexes import PolygonComplex
-from .errors import InvariantError
+from .errors import InvariantError, UnknownCatalogEntryError
 
 #: name -> (k, g, N, provenance)
 EXPECTED = {
@@ -62,7 +62,7 @@ def _certify(name: str, c: PolygonComplex) -> PolygonComplex:
 def derive(name: str) -> PolygonComplex:
     """Recompute a catalog complex from scratch (search or grafting)."""
     if name not in EXPECTED:
-        raise KeyError("unknown catalog entry %r" % (name,))
+        raise UnknownCatalogEntryError("unknown catalog entry %r" % (name,))
     k, g, n, _ = EXPECTED[name]
     if name in SEED_NAMES:
         pres = trigroup.triangle_presentation(2, 3, n)
@@ -148,7 +148,7 @@ def _load_file(name: str) -> PolygonComplex | None:
 def load_entry(name: str) -> CatalogEntry:
     """Load (or derive) one catalog entry, re-certifying it."""
     if name not in EXPECTED:
-        raise KeyError("unknown catalog entry %r" % (name,))
+        raise UnknownCatalogEntryError("unknown catalog entry %r" % (name,))
     c = _load_file(name)
     if c is None:
         c = derive(name)
@@ -169,7 +169,7 @@ _seed_cache: dict[int, PolygonComplex] = {}
 def seed_complex(n: int) -> PolygonComplex:
     """The seed complex of cell size n (7, 8, 9 or 12)."""
     if n not in (7, 8, 9, 12):
-        raise KeyError("no seed with cell size %r" % (n,))
+        raise UnknownCatalogEntryError("no seed with cell size %r" % (n,))
     if n not in _seed_cache:
         _seed_cache[n] = load_entry("X%d" % n).complex
     return _seed_cache[n]

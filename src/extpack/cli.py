@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage, 2 infeasible input or failed certificate,
-3 exhausted resource caps, 4 internal error (a failed library invariant,
-reported without a traceback).  Complex files are read from a path, from the
+3 exhausted resource caps, 4 internal error (a failed library invariant or
+any other lookup failure inside the library, reported without a
+traceback).  Complex files are read from a path, from the
 shipped catalog by name (X7, X12, ...), or from stdin when the argument is
 omitted or '-'; results go to stdout unless -o is given, so commands
 compose in pipelines.
@@ -25,6 +26,7 @@ from .errors import (
     InvariantError,
     NotExtremalError,
     RewriteSearchError,
+    UnknownCatalogEntryError,
 )
 
 USAGE_EXIT = 1
@@ -408,14 +410,14 @@ def main(argv: list[str] | None = None) -> int:
         InvalidComplexError,
         FileNotFoundError,
         ValueError,
-        KeyError,
+        UnknownCatalogEntryError,
     ) as err:
         print("error: %s" % err, file=sys.stderr)
         return DOMAIN_EXIT
     except EnumerationCapError as err:
         print("resource limit: %s" % err, file=sys.stderr)
         return RESOURCE_EXIT
-    except (InvariantError, RewriteSearchError, ArithmeticError) as err:
+    except (InvariantError, RewriteSearchError, ArithmeticError, KeyError) as err:
         print("internal error: %s" % err, file=sys.stderr)
         return INTERNAL_EXIT
 

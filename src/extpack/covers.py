@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 
 from . import complexes, feasibility, grafting
@@ -99,8 +98,17 @@ def _cycle_matrix(c: PolygonComplex):
 
 
 def _integer_kernel(rows: list[list[int]], ncols: int) -> list[list[int]]:
-    """Primitive integer basis of the rational nullspace of the row matrix."""
-    mat = [[Fraction(x) for x in row] for row in rows]
+    """Primitive integer basis of the rational nullspace of the row matrix.
+
+    Fraction-free Gauss-Jordan elimination: each row operation scales the
+    row by the pivot before subtracting and then divides the row by the gcd
+    of its entries, so every row stays a nonzero multiple of the row that
+    exact rational reduction would hold, and the pivot columns are the
+    same.  Each free column gives one kernel vector, scaled by the lcm of
+    the pivots so it is integral and then made primitive, with a positive
+    entry at its free column.
+    """
+    mat = [list(row) for row in rows]
     pivots: list[int] = []
     r = 0
     for col in range(ncols):
@@ -108,30 +116,33 @@ def _integer_kernel(rows: list[list[int]], ncols: int) -> list[list[int]]:
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
-        pv = mat[r][col]
-        mat[r] = [x / pv for x in mat[r]]
+        prow = mat[r]
+        pv = prow[col]
         for i in range(len(mat)):
-            if i != r and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+            f = mat[i][col]
+            if i != r and f:
+                row = [pv * a - f * b for a, b in zip(mat[i], prow)]
+                g = 0
+                for x in row:
+                    g = gcd(g, x)
+                mat[i] = [x // g for x in row] if g > 1 else row
         pivots.append(col)
         r += 1
         if r == len(mat):
             break
+    scale = 1
+    for rr, pc in enumerate(pivots):
+        scale = lcm(scale, mat[rr][pc])
     basis = []
     for fc in (cc for cc in range(ncols) if cc not in pivots):
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
+        v = [0] * ncols
+        v[fc] = scale
         for rr, pc in enumerate(pivots):
-            v[pc] = -mat[rr][fc]
-        den = 1
-        for x in v:
-            den = lcm(den, x.denominator)
-        iv = [int(x * den) for x in v]
+            v[pc] = -mat[rr][fc] * (scale // mat[rr][pc])
         g = 0
-        for x in iv:
-            g = gcd(g, abs(x))
-        basis.append([x // g for x in iv] if g > 1 else iv)
+        for x in v:
+            g = gcd(g, x)
+        basis.append([x // g for x in v] if g > 1 else v)
     return basis
 
 

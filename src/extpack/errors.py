@@ -34,6 +34,17 @@ class RewriteSearchError(RuntimeError):
     """
 
 
+class UnknownCatalogEntryError(KeyError):
+    """Raised when the shipped catalog has no entry of the requested name.
+
+    It is a KeyError, so callers that catch a failed lookup keep working;
+    unlike KeyError it prints its message without quotes.
+    """
+
+    def __str__(self):
+        return str(self.args[0]) if self.args else ""
+
+
 class CoverError(ValueError):
     """Raised when a covering construction violates its preconditions."""
 

@@ -75,11 +75,17 @@ def packing_radius_bound(k: int, g: int) -> ExtremalParams:
 
     Returns cosh R = 1 / (2 sin(k*pi/(6g+6k-12))) together with the exact
     cell size N; infeasible pairs still get a bound, with N reported as a
-    non-integral rational.
+    non-integral rational.  Raises ValueError when k or g is too large for
+    the bound to be evaluated in double precision.
     """
     _check_domain(k, g)
     denom = 6 * g + 6 * k - 12
-    cosh_r = 1.0 / (2.0 * math.sin(math.pi * k / denom))
+    try:
+        cosh_r = 1.0 / (2.0 * math.sin(math.pi * k / denom))
+    except OverflowError:
+        raise ValueError(
+            "the radius bound for k=%d, g=%d is out of double-precision range" % (k, g)
+        ) from None
     cell = Fraction(denom, k)
     integral = cell.denominator == 1
     return ExtremalParams(

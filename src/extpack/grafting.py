@@ -216,32 +216,149 @@ def _candidate_rewrites(c: PolygonComplex, slots, need, max_insert):
                 )
 
 
-def _iter_rewrites(c: PolygonComplex, site: GraftSite, need, max_insert):
-    """Yield every rewrite at the site meeting all graft postconditions,
-    in the fixed deterministic order of the candidate stream."""
+class RewriteSearch:
+    """What a bounded rewrite search did, for the error that ends it.
+
+    tried counts candidate rewrites, rejected those the local check turned
+    down, and ended names the slot tier or cap that ended the last scan.
+    """
+
+    def __init__(self):
+        self.tried = 0
+        self.rejected = 0
+        self.ended = "no slot tier"
+
+    def __str__(self):
+        return "%d candidates tried, %d rejected by the local check, ended by %s" % (
+            self.tried, self.rejected, self.ended
+        )
+
+
+def _trivalent_after(words, occ, rw: Rewrite) -> bool:
+    """Whether apply_rewrite(c, rw) is trivalent, for a graftable c with
+    polygon words `words` and occurrences `occ`.
+
+    Only cycles through a corner the rewrite touches can change: the two
+    halves of each split slot corner and the corners between new sides.
+    Every other cycle is a cycle of c, which is trivalent.  The touched
+    cycles are walked like complexes._walk walks t1 . t2, on states
+    (polygon, position, leaving) of the grafted complex: a leaving state
+    crosses the side before its corner at that side's head, an arriving
+    state the side after it at its tail; an equal-sign pairing glues head
+    to tail, an opposite one head to head.  Old positions are mapped
+    through the insertion shifts, so no word is rebuilt.
+    """
+    inserted: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+    for p, pos, seq in rw.insertions:
+        inserted.setdefault(p, []).append((pos, seq))
+    sizes = [len(w) for w in words]
+    new_occ: dict[int, list[tuple[int, int, int]]] = {}
+    touched = []
+    for p, ins in inserted.items():
+        ins.sort()
+        shift = 0
+        for pos, seq in ins:
+            a = pos + shift
+            for t, v in enumerate(seq):
+                new_occ.setdefault(abs(v), []).append((p, a + t, v))
+            touched.extend((p, a + t) for t in range(len(seq) + 1))
+            shift += len(seq)
+        sizes[p] += shift
+
+    def moved(p, i):
+        """Where old side i of polygon p sits after the insertions."""
+        j = i
+        for pos, seq in inserted.get(p, ()):
+            if pos > i:
+                break
+            j += len(seq)
+        return j
+
+    def crossing(p, s):
+        """(same sign, partner polygon, partner position) of side s of p."""
+        shift = 0
+        for pos, seq in inserted.get(p, ()):
+            a = pos + shift
+            if s < a:
+                break
+            if s < a + len(seq):
+                v = seq[s - a]
+                first, second = new_occ[abs(v)]
+                q, j, w = second if first[:2] == (p, s) else first
+                return (v > 0) == (w > 0), q, j
+            shift += len(seq)
+        i = s - shift
+        v = words[p][i]
+        first, second = occ[abs(v)]
+        q, j, w = second if first[:2] == (p, i) else first
+        return (v > 0) == (w > 0), q, moved(q, j)
+
+    seen = set()
+    for start in touched:
+        if start in seen:
+            continue
+        p, i = start
+        leaving = True
+        for length in (1, 2, 3, 4):
+            seen.add((p, i))
+            if leaving:
+                same, q, j = crossing(p, (i - 1) % sizes[p])
+                p, i, leaving = (q, j, True) if same else (q, (j + 1) % sizes[q], False)
+            else:
+                same, q, j = crossing(p, i)
+                p, i, leaving = (q, (j + 1) % sizes[q], False) if same else (q, j, True)
+            if leaving and (p, i) == start:
+                break
+        if length != 3:
+            return False
+    return True
+
+
+def _iter_rewrites(c: PolygonComplex, site: GraftSite, need, max_insert, search: RewriteSearch):
+    """Yield (rewrite, grafted complex) for every rewrite at the site meeting
+    all graft postconditions, in the fixed deterministic order of the
+    candidate stream.
+
+    Each candidate is checked on the site's cycles (_trivalent_after); the
+    grafted complex stays connected and non-orientable, because every old
+    pairing survives.  Only an accepted candidate is built, and then
+    checked in full: a disagreement is an InvariantError.
+    """
     corner_slots = [(p, i) for (p, i) in site.corners]
     widened = set()
     for p, i in site.corners:
         n = len(c.polygons[p])
         widened.update({(p, (i - 1) % n), (p, i), (p, (i + 1) % n)})
-    tiers = [corner_slots, sorted(widened)]
+    tiers = (("the corner slot tier", corner_slots), ("the widened slot tier", sorted(widened)))
     if need is not None:
         slot_polys = {p for p, _ in widened}
         if any(v > 0 and p not in slot_polys for p, v in need.items()):
+            search.ended = "a target that grows a polygon away from the site"
             return
     old_classes = complexes.vertex_class_sizes(c)
-    for slots in tiers:
+    if old_classes[0] != 3 or old_classes[-1] != 3 or complexes.is_orientable(c):
+        raise NotExtremalError("complex is not graftable (trivalent + non-orientable)")
+    occ = complexes.occurrences(c)
+    for tier, slots in tiers:
+        search.ended = tier
         for rw in _candidate_rewrites(c, slots, need, max_insert):
+            search.tried += 1
+            if not _trivalent_after(c.polygons, occ, rw):
+                search.rejected += 1
+                continue
             out = apply_rewrite(c, rw)
             if not complexes.is_graftable(out):
-                continue
+                raise InvariantError(
+                    "graft: the local check accepts rewrite %s at %s, the full check rejects it"
+                    % (rw.insertions, site.corners)
+                )
             new_classes = complexes.vertex_class_sizes(out)
             if len(new_classes) != len(old_classes) + 2:
                 raise InvariantError(
                     "graft: rewrite %s at %s changes the vertex count by %d, not 2"
                     % (rw.insertions, site.corners, len(new_classes) - len(old_classes))
                 )
-            yield rw
+            yield rw, out
 
 
 def _resolve_constraints(c, target_sizes, max_size):
@@ -274,15 +391,24 @@ def discover_rewrite(
     uniform and pins the polygon sizes of the result; max_size instead caps
     every polygon (the free half of a paired graft).  Raises
     RewriteSearchError when the space is exhausted, which signals a wrong
-    eligibility predicate rather than a user error.
+    eligibility predicate rather than a user error; its message names the
+    candidates tried, how many the local check rejected and the slot tier
+    that ended the search.
     """
+    return _graft_at(c, site, target_sizes, max_size)[0]
+
+
+def _graft_at(c, site, target_sizes, max_size) -> tuple[Rewrite, PolygonComplex]:
+    """discover_rewrite's rewrite together with the grafted complex."""
     need, max_insert = _resolve_constraints(c, target_sizes, max_size)
-    for rw in _iter_rewrites(c, site, need, max_insert):
-        return rw
-    raise RewriteSearchError(
-        "no rewrite at cycle %s (target %s, cap %s)"
-        % (site.corners, target_sizes, max_size)
-    )
+    search = RewriteSearch()
+    found = next(_iter_rewrites(c, site, need, max_insert, search), None)
+    if found is None:
+        raise RewriteSearchError(
+            "no rewrite at cycle %s (target %s, cap %s): %s"
+            % (site.corners, target_sizes, max_size, search)
+        )
+    return found
 
 
 def has_complementary_pair(c: PolygonComplex) -> bool:
@@ -348,21 +474,24 @@ def apply_graft(
             total = sum(c.sizes) + 12
             if total % c.num_polygons == 0:
                 max_size = total // c.num_polygons
-    rw = discover_rewrite(c, site, target_sizes, max_size)
-    return apply_rewrite(c, rw)
+    return _graft_at(c, site, target_sizes, max_size)[1]
 
 
-def _graft_any_site(c, variant, target_sizes=None, max_size=None):
-    """Apply the variant at the first site admitting a valid rewrite."""
-    last_err = None
-    for site in eligible_sites(c, variant):
-        try:
-            rw = discover_rewrite(c, site, target_sizes, max_size)
-        except RewriteSearchError as err:
-            last_err = err
-            continue
-        return apply_rewrite(c, rw)
-    raise last_err or RewriteSearchError("no eligible site for %s" % variant)
+def _graft_any_site(c, variant, target_sizes=None, max_size=None, search=None):
+    """Apply the variant at the first site admitting a valid rewrite.
+
+    The candidates are counted into search (a fresh RewriteSearch if None).
+    """
+    search = RewriteSearch() if search is None else search
+    need, max_insert = _resolve_constraints(c, target_sizes, max_size)
+    sites = eligible_sites(c, variant)
+    for site in sites:
+        for _, out in _iter_rewrites(c, site, need, max_insert, search):
+            return out
+    raise RewriteSearchError(
+        "no %s rewrite at any of %d sites (target %s, cap %s): %s"
+        % (variant.value, len(sites), target_sizes, max_size, search)
+    )
 
 
 def _graft_pair(
@@ -385,6 +514,8 @@ def _graft_pair(
     m = total // k
     final = tuple([m] * k)
     sites1 = eligible_sites(c, v1)
+    search = RewriteSearch()
+    pairs = capped_pairs = capped_sites = 0
 
     if k == 6:
         sites2 = eligible_sites(c, v2)
@@ -397,34 +528,38 @@ def _graft_pair(
                 polys2 = {p for p, _ in site2.corners}
                 if polys2 != set(range(k)) - polys1:
                     continue
+                pairs += 1
                 count = 0
-                for rw1 in _iter_rewrites(c, site1, need1, None):
-                    mid = apply_rewrite(c, rw1)
-                    # site2's corners are untouched by rw1, so the cycle and
-                    # its positions survive into mid
-                    site2_mid = GraftSite(
-                        variant=v2, cycle=site2.cycle, shared_edge=site2.shared_edge
-                    )
+                for _, mid in _iter_rewrites(c, site1, need1, None, search):
+                    # site2's corners are untouched by the first half, so
+                    # the cycle and its positions survive into mid
                     need2, _ = _resolve_constraints(mid, final, None)
-                    for rw2 in _iter_rewrites(mid, site2_mid, need2, None):
-                        return mid, apply_rewrite(mid, rw2)
+                    for _, fin in _iter_rewrites(mid, site2, need2, None, search):
+                        return mid, fin
                     count += 1
                     if count >= 8:
+                        search.ended = "the cap of 8 first halves per site pair"
+                        capped_pairs += 1
                         break
 
-    last_err = None
+    max_insert = {p: m - sz for p, sz in enumerate(c.sizes)}
     for site1 in sites1:
         count = 0
-        for rw1 in _iter_rewrites(c, site1, None, {p: m - sz for p, sz in enumerate(c.sizes)}):
-            mid = apply_rewrite(c, rw1)
+        for _, mid in _iter_rewrites(c, site1, None, max_insert, search):
             try:
-                return mid, _graft_any_site(mid, v2, final)
-            except RewriteSearchError as err:
-                last_err = err
+                return mid, _graft_any_site(mid, v2, final, search=search)
+            except RewriteSearchError:
+                pass
             count += 1
             if count >= 40:
+                search.ended = "the cap of 40 first halves per site"
+                capped_sites += 1
                 break
-    raise last_err or RewriteSearchError("no workable %s/%s pair" % (v1, v2))
+    raise RewriteSearchError(
+        "no workable %s/%s pair: %s; the cap of 8 ended %d of %d site pairs, "
+        "the cap of 40 ended %d of %d sites"
+        % (v1.value, v2.value, search, capped_pairs, pairs, capped_sites, len(sites1))
+    )
 
 
 # schedules: base seed, variant rotation, and whether grafts come in pairs,

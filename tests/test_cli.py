@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from extpack import cli
+from extpack import catalog, cli
 from extpack import complexes as cx
-from extpack.errors import InvariantError, RewriteSearchError
+from extpack.errors import InvariantError, RewriteSearchError, UnknownCatalogEntryError
 
 
 def run(capsys, *argv):
@@ -26,6 +26,13 @@ def test_bound_infeasible_still_reports(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["integral"] is False and data["N"] == [15, 2]
+
+
+def test_bound_out_of_float_range_is_a_domain_error(capsys):
+    huge = "1" + "0" * 320
+    code, out, err = run(capsys, "bound", "--k", "1", "--g", huge)
+    assert code == 2 and out == ""
+    assert err.startswith("error: the radius bound for k=1, g=%s is out of" % huge)
 
 
 def test_feasible_exit_codes(capsys):
@@ -161,6 +168,7 @@ def test_cyclic_cover_voltage_count_error(capsys):
         ("geometry", "realize", ["render", "X12"], ArithmeticError("residual (layout bug)")),
         ("grafting", "build_primitive", ["build", "--N", "9"], RewriteSearchError("no rewrite")),
         ("trigroup", "complex_to_subgroup", ["to-group", "X12"], InvariantError("not proper")),
+        ("catalog", "load_all", ["catalog"], KeyError(12)),
     ],
 )
 def test_internal_errors_exit_4(monkeypatch, capsys, module, name, argv, error):
@@ -171,3 +179,18 @@ def test_internal_errors_exit_4(monkeypatch, capsys, module, name, argv, error):
     code, out, err = run(capsys, *argv)
     assert code == 4 and out == ""
     assert err == "internal error: %s\n" % error
+
+
+def test_unknown_catalog_entry_is_a_domain_error(monkeypatch, capsys):
+    with pytest.raises(KeyError):
+        catalog.load_entry("X99")
+    with pytest.raises(UnknownCatalogEntryError, match="no seed with cell size 5"):
+        catalog.seed_complex(5)
+
+    def load_all():
+        return {"X99": catalog.load_entry("X99")}
+
+    monkeypatch.setattr(cli.catalog, "load_all", load_all)
+    code, out, err = run(capsys, "catalog")
+    assert code == 2 and out == ""
+    assert err == "error: unknown catalog entry 'X99'\n"

@@ -1,3 +1,7 @@
+import random
+from fractions import Fraction
+from math import gcd, lcm
+
 import pytest
 
 from conftest import random_complexes
@@ -131,3 +135,64 @@ def test_realize_spec_genus_arithmetic():
         j = cover_index(k, g)
         gN = primitive_pair(rep.n)[1]
         assert g == 2 + j * (gN - 2)
+
+
+def reference_integer_kernel(rows, ncols):
+    """The nullspace basis by exact rational Gauss-Jordan elimination."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        pv = mat[r][col]
+        mat[r] = [x / pv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col]:
+                f = mat[i][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(mat):
+            break
+    basis = []
+    for fc in (cc for cc in range(ncols) if cc not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for rr, pc in enumerate(pivots):
+            v[pc] = -mat[rr][fc]
+        den = 1
+        for x in v:
+            den = lcm(den, x.denominator)
+        iv = [int(x * den) for x in v]
+        g = 0
+        for x in iv:
+            g = gcd(g, abs(x))
+        basis.append([x // g for x in iv] if g > 1 else iv)
+    return basis
+
+
+@pytest.mark.parametrize("n", [7, 12, 15, 23, 29])
+def test_integer_kernel_on_crossing_matrices(n):
+    from extpack.grafting import build_primitive
+
+    labels, rows, _ = covers._cycle_matrix(build_primitive(n))
+    basis = covers._integer_kernel(rows, len(labels))
+    assert basis and basis == reference_integer_kernel(rows, len(labels))
+
+
+def test_integer_kernel_on_random_matrices():
+    rng = random.Random(17)
+    for _ in range(2000):
+        nrows, ncols = rng.randint(0, 7), rng.randint(1, 11)
+        rows = [[rng.choice((0, 0, 0, 1, -1, 2, -3, 7)) for _ in range(ncols)] for _ in range(nrows)]
+        if rows and rng.random() < 0.3:  # rank deficient
+            rows.append([2 * a - 5 * b for a, b in zip(rows[0], rows[-1])])
+        if rng.random() < 0.2:
+            rows.insert(rng.randint(0, len(rows)), [0] * ncols)
+        basis = covers._integer_kernel(rows, ncols)
+        assert basis == reference_integer_kernel(rows, ncols), rows
+        for v in basis:
+            assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows)

@@ -1,9 +1,14 @@
+import itertools
+import random
+import re
+from collections import Counter
+
 import pytest
 
 from extpack import complexes as cx
 from extpack import grafting as gr
-from extpack.errors import IneligibleSiteError, NotExtremalError
-from extpack.feasibility import primitive_pair
+from extpack.errors import IneligibleSiteError, NotExtremalError, RewriteSearchError
+from extpack.feasibility import primitive_pair, smallest_k
 
 
 def test_eligible_sites_shapes(seeds):
@@ -107,3 +112,105 @@ def test_discover_rewrite_is_deterministic(seeds):
     out = gr.apply_rewrite(seeds[12], rw1)
     assert sum(len(seq) for _, _, seq in rw1.insertions) == 6
     assert cx.verify_extremal(out).ok
+
+
+def random_rewrites(c, slots, rng, count):
+    """Random candidates over the slots: six new sides, three pairs, signs."""
+    base = max(abs(v) for w in c.polygons for v in w)
+    for _ in range(count):
+        darts = []
+        for lab in range(base + 1, base + 4):
+            darts += [lab, rng.choice((lab, -lab))]
+        rng.shuffle(darts)
+        where = sorted(rng.randrange(len(slots)) for _ in range(6))
+        seqs = {}
+        for s, v in zip(where, darts):
+            seqs.setdefault(s, []).append(v)
+        yield gr.Rewrite(tuple(
+            (slots[s][0], slots[s][1], tuple(seq)) for s, seq in sorted(seqs.items())
+        ))
+
+
+def site_slots(c, site):
+    """The two slot tiers of a site: its corners, then those widened by one."""
+    widened = {(p, (i + d) % len(c.polygons[p])) for p, i in site.corners for d in (-1, 0, 1)}
+    return list(site.corners), sorted(widened)
+
+
+def test_local_check_matches_the_full_check():
+    # every complex of every chain up to N = 31 (the mids of the paired
+    # schedules included) and every site; at each, two candidates of the
+    # search's own order over the corner slots, with two new sides per
+    # corner, and a random rewrite over the widened slots.  The two meet
+    # both verdicts: index 81 of the corner tier often grafts.
+    rng = random.Random(4)
+    verdicts = Counter()
+    for n in range(26, 32):
+        gr.build_primitive(n)
+        steps = smallest_k(n) * (n - gr._SCHEDULES[n % 6][0]) // 6
+        for c in gr._chains[n % 6][: steps + 1]:
+            occ = cx.occurrences(c)
+            for site in gr.eligible_sites(c, gr.GraftVariant.EG1):
+                need = Counter(p for p, _ in site.corners for _ in range(2))
+                corner, widened = site_slots(c, site)
+                for rw in itertools.chain(
+                    itertools.islice(gr._candidate_rewrites(c, corner, need, None), 4, 82, 77),
+                    random_rewrites(c, widened, rng, 1),
+                ):
+                    local = gr._trivalent_after(c.polygons, occ, rw)
+                    assert local == cx.is_graftable(gr.apply_rewrite(c, rw)), (c, rw)
+                    verdicts[local] += 1
+    assert verdicts[True] > 300 and verdicts[False] > 4000
+
+
+def test_rewrite_search_error_names_its_counts(seeds, monkeypatch):
+    c = seeds[8]
+    target = gr.default_target_sizes(c)
+    site = next(
+        s for s in gr.eligible_sites(c, gr.GraftVariant.EG1)
+        if len({p for p, _ in s.corners}) == 3
+    )
+    need = {p: 2 for p in range(3)}
+    tried = sum(
+        1 for slots in site_slots(c, site) for _ in gr._candidate_rewrites(c, slots, need, None)
+    )
+    monkeypatch.setattr(gr, "_trivalent_after", lambda words, occ, rw: False)
+    with pytest.raises(RewriteSearchError) as err:
+        gr.discover_rewrite(c, site, target)
+    assert (
+        "%d candidates tried, %d rejected by the local check, ended by the widened slot tier"
+        % (tried, tried)
+    ) in str(err.value)
+
+
+@pytest.mark.parametrize("n", [7, 9])
+def test_graft_pair_error_names_the_caps(seeds, monkeypatch, n):
+    # every first half is the search's first one, over and over, and no
+    # second half is found: the k = 6 search stops at 8 first halves per
+    # site pair, the fallback at 40 per site, and the error says so
+    base = seeds[n]
+    search_rewrites = gr._iter_rewrites
+
+    def first_halves_only(c, site, need, max_insert, search):
+        found = None
+        if c is base:
+            found = next(search_rewrites(c, site, need, max_insert, search), None)
+        while found is not None:
+            yield None, cx.PolygonComplex(found[1].polygons)
+
+    monkeypatch.setattr(gr, "_iter_rewrites", first_halves_only)
+    with pytest.raises(RewriteSearchError) as err:
+        gr._graft_pair(base, gr.GraftVariant.EG3, gr.GraftVariant.EG1)
+    match = re.search(
+        r"^no workable EG3/EG1 pair: (\d+) candidates tried, (\d+) rejected by the local "
+        r"check, ended by (.*); the cap of 8 ended (\d+) of (\d+) site pairs, "
+        r"the cap of 40 ended (\d+) of (\d+) sites$",
+        str(err.value),
+    )
+    assert match, str(err.value)
+    tried, rejected, ended, capped_pairs, pairs, capped_sites, sites = match.groups()
+    assert int(tried) > int(rejected) > 0
+    assert int(pairs) > 0 if n == 7 else int(pairs) == 0
+    assert ended == "the cap of 40 first halves per site" and capped_pairs == pairs
+    assert int(sites) == len(gr.eligible_sites(base, gr.GraftVariant.EG3))
+    assert 0 < int(capped_sites) <= int(sites)
