@@ -123,28 +123,11 @@ class PolygonComplex:
         return "<PolygonComplex%s k=%d sides=%s>" % (tag, self.num_polygons, list(self.sizes))
 
 
-class Corner(tuple):
-    """Polygon corner (polygon index, boundary position)."""
-
-    __slots__ = ()
-
-    def __new__(cls, polygon, position):
-        return super().__new__(cls, (polygon, position))
-
-    @property
-    def polygon(self):
-        return self[0]
-
-    @property
-    def position(self):
-        return self[1]
-
-
 @dataclass(frozen=True)
 class VertexCycle:
-    """Corners around one surface vertex, in cyclic order."""
+    """Corners (polygon, position) around one surface vertex, in cyclic order."""
 
-    corners: tuple[Corner, ...]
+    corners: tuple[tuple[int, int], ...]
 
     def __len__(self):
         return len(self.corners)
@@ -296,9 +279,9 @@ def occurrences(c: PolygonComplex) -> dict[int, tuple[tuple[int, int, int], tupl
     return {a: (occ[0], occ[1]) for a, occ in out.items()}
 
 
-def _corners(c: PolygonComplex) -> list[Corner]:
-    """Every corner, indexed by its number in the flag action."""
-    return [Corner(p, i) for p, word in enumerate(c.polygons) for i in range(len(word))]
+def _corners(c: PolygonComplex) -> list[tuple[int, int]]:
+    """Every corner (polygon, position), indexed by its number in the flag action."""
+    return [(p, i) for p, word in enumerate(c.polygons) for i in range(len(word))]
 
 
 def _walk(c: PolygonComplex):

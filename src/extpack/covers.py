@@ -27,6 +27,9 @@ from . import complexes, feasibility, grafting
 from .complexes import PolygonComplex
 from .errors import CoverError, EnumerationCapError, InvariantError
 
+#: largest coefficient radius the voltage search scans
+MAX_VOLTAGE_RADIUS = 4
+
 
 @dataclass(frozen=True)
 class VoltageAssignment:
@@ -233,12 +236,13 @@ def cyclic_cover(c: PolygonComplex, assignment: VoltageAssignment) -> PolygonCom
     return out
 
 
-def find_voltage(c: PolygonComplex, n: int, max_radius: int = 4) -> VoltageAssignment:
+def find_voltage(c: PolygonComplex, n: int) -> VoltageAssignment:
     """First voltage assignment giving a connected non-orientable n-cover.
 
     Candidates are integer combinations of a kernel basis of the cycle
     crossing matrix (so cycle sums vanish exactly), scanned in order of
-    increasing coefficient radius and lexicographic within a radius.
+    increasing coefficient radius, up to MAX_VOLTAGE_RADIUS, and
+    lexicographic within a radius.
     """
     rep = complexes.verify_extremal(c)
     if not rep.ok:
@@ -247,7 +251,7 @@ def find_voltage(c: PolygonComplex, n: int, max_radius: int = 4) -> VoltageAssig
     if n == 1:
         return VoltageAssignment.from_dict(1, {lab: 0 for lab in labels})
     basis = _integer_kernel(rows, len(labels))
-    for radius in range(1, max_radius + 1):
+    for radius in range(1, MAX_VOLTAGE_RADIUS + 1):
         for combo in itertools.product(range(-radius, radius + 1), repeat=len(basis)):
             if max(abs(x) for x in combo) != radius:
                 continue
@@ -267,7 +271,7 @@ def find_voltage(c: PolygonComplex, n: int, max_radius: int = 4) -> VoltageAssig
                 continue
             return VoltageAssignment.from_dict(n, volt)
     raise EnumerationCapError(
-        "voltage search exhausted (radius %d, kernel dim %d)" % (max_radius, len(basis))
+        "voltage search exhausted (radius %d, kernel dim %d)" % (MAX_VOLTAGE_RADIUS, len(basis))
     )
 
 

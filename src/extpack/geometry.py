@@ -23,6 +23,8 @@ from .complexes import PolygonComplex
 from .errors import InvariantError, NotExtremalError
 
 MATCH_TOL = 1e-9
+#: width and height of a rendered SVG, in pixels
+SVG_SIZE = 640
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +299,8 @@ def realize(c: PolygonComplex, tol: float = MATCH_TOL) -> DiskLayout:
     """Draw a certified extremal complex in the unit disk.
 
     Polygon 0 is centered at the origin; the rest are transported across a
-    spanning tree of inter-polygon edges (lowest label first).  Every edge
+    breadth-first spanning tree of inter-polygon edges, grown from polygon
+    0 and taking each polygon's edges in label order.  Every edge
     pairing gets the isometry carrying the drawn second occurrence onto the
     drawn first one, reversing exactly when the signs differ; paired edges
     must land on each other within tol.
@@ -323,28 +326,32 @@ def realize(c: PolygonComplex, tol: float = MATCH_TOL) -> DiskLayout:
         )
 
     k = c.num_polygons
+    # a BFS tree from polygon 0, so every polygon is drawn as few gluings
+    # from the origin as the dual graph allows
+    shared: list[list[int]] = [[] for _ in range(k)]
+    for lab in sorted(occ):
+        (p, _, _), (q, _, _) = occ[lab]
+        if p != q:
+            shared[p].append(lab)
+            shared[q].append(lab)
     placements: list[Isometry | None] = [None] * k
     placements[0] = Isometry.identity()
     tree: set[int] = set()
-    placed = 1
-    while placed < k:
-        progress = False
-        for lab in sorted(occ):
-            (p, i, s1), (q, j, s2) = occ[lab]
-            if p == q:
-                continue
-            if placements[p] is not None and placements[q] is None:
+    queue = [0]
+    for x in queue:
+        for lab in shared[x]:
+            (p, _, _), (q, _, _) = occ[lab]
+            if placements[q] is None:
                 placements[q] = placements[p].compose(gamma(lab))
-                tree.add(lab)
-                placed += 1
-                progress = True
-            elif placements[q] is not None and placements[p] is None:
+                queue.append(q)
+            elif placements[p] is None:
                 placements[p] = placements[q].compose(gamma(lab).inverse())
-                tree.add(lab)
-                placed += 1
-                progress = True
-        if not progress:
-            raise NotExtremalError("complex is disconnected")  # unreachable for valid input
+                queue.append(p)
+            else:
+                continue
+            tree.add(lab)
+    if len(queue) < k:
+        raise NotExtremalError("complex is disconnected")  # unreachable for valid input
 
     verts = tuple(
         tuple(placements[p](v) for v in base) for p in range(k)
@@ -389,7 +396,6 @@ def holonomy_check(layout: DiskLayout) -> HolonomyReport:
     how far the corner point moves; also check all drawn corner angles
     against 2*pi/3."""
     c = layout.complex
-    occ = complexes.occurrences(c)
     n = layout.cell.n
     worst = 0.0
     for data in complexes.vertex_cycles_with_crossings(c):
@@ -447,14 +453,14 @@ def _geodesic_midpoint(v: complex, u: complex) -> complex:
     return center + abs(v - center) * cmath.exp(1j * (a1 + span / 2.0))
 
 
-def render_svg(layout: DiskLayout, size: int = 640) -> str:
+def render_svg(layout: DiskLayout) -> str:
     """Deterministic SVG: the unit circle, every polygon side as a geodesic
     arc, and one signed label per side occurrence."""
     n = layout.cell.n
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
-        'viewBox="-1.1 -1.1 2.2 2.2">' % (size, size),
+        'viewBox="-1.1 -1.1 2.2 2.2">' % (SVG_SIZE, SVG_SIZE),
         '<circle cx="0" cy="0" r="1" fill="none" stroke="#888888" stroke-width="0.004"/>',
     ]
     for p, poly in enumerate(layout.vertices):

@@ -3,11 +3,13 @@ complex by one while keeping every vertex trivalent.
 
 A graft inserts three new edge pairs (six new sides) at a chosen vertex
 cycle, keeping all old pairings.  The exact wiring is not hard-coded:
-`discover_rewrite` searches the bounded space of insertions at boundary
-slots adjacent to the site's corners and returns the first rewrite, in a
-fixed deterministic order, whose output is again trivalent, non-orientable
-and matches the requested polygon sizes.  Any such rewrite changes
-(V, E, F) by (+2, +3, 0), so the genus goes up by exactly one.
+`discover_rewrite` searches the bounded space of insertions at the
+site's corners and returns the first rewrite, in a fixed deterministic
+order, whose output is again trivalent, non-orientable and matches the
+requested polygon sizes.  Each candidate is checked by walking only the
+cycles through the corners it touches, on the base's flag action plus
+the flags of the new sides.  Any such rewrite changes (V, E, F) by
+(+2, +3, 0), so the genus goes up by exactly one.
 
 The four variants come in two alternating families.  EG1/EG2 act at a
 cycle seen as three separate boundary corners; EG3/EG4 act at a cycle two
@@ -35,15 +37,6 @@ class GraftVariant(enum.Enum):
     EG2 = "EG2"
     EG3 = "EG3"
     EG4 = "EG4"
-
-    @property
-    def partner(self) -> "GraftVariant":
-        return {
-            GraftVariant.EG1: GraftVariant.EG2,
-            GraftVariant.EG2: GraftVariant.EG1,
-            GraftVariant.EG3: GraftVariant.EG4,
-            GraftVariant.EG4: GraftVariant.EG3,
-        }[self]
 
     @property
     def needs_shared_edge(self) -> bool:
@@ -99,18 +92,15 @@ def eligible_sites(c: PolygonComplex, variant: GraftVariant) -> list[GraftSite]:
     if not complexes.is_graftable(c):
         raise NotExtremalError("complex is not graftable (trivalent + non-orientable)")
     sites = []
-    occ = complexes.occurrences(c)
     for data in complexes.vertex_cycles_with_crossings(c):
         if variant.needs_shared_edge:
-            shared = None
-            for lab, _ in data.crossings:
-                (p1, _, _), (p2, _, _) = occ[lab]
-                if p1 != p2:
-                    shared = lab
-                    break
-            if shared is None:
+            # crossing t joins the polygons of corners t and t + 1
+            polys = [p for p, _ in data.cycle.corners]
+            shared = [lab for (lab, _), p, q in zip(data.crossings, polys, polys[1:] + polys[:1])
+                      if p != q]
+            if not shared:
                 continue
-            sites.append(GraftSite(variant=variant, cycle=data.cycle, shared_edge=shared))
+            sites.append(GraftSite(variant=variant, cycle=data.cycle, shared_edge=shared[0]))
         else:
             sites.append(GraftSite(variant=variant, cycle=data.cycle))
     sites.sort(key=lambda s: min(s.corners))
@@ -234,82 +224,54 @@ class RewriteSearch:
         )
 
 
-def _trivalent_after(words, occ, rw: Rewrite) -> bool:
-    """Whether apply_rewrite(c, rw) is trivalent, for a graftable c with
-    polygon words `words` and occurrences `occ`.
+def _trivalent_after(c: PolygonComplex, rw: Rewrite) -> bool:
+    """Whether apply_rewrite(c, rw) is trivalent, for a graftable c.
 
-    Only cycles through a corner the rewrite touches can change: the two
-    halves of each split slot corner and the corners between new sides.
-    Every other cycle is a cycle of c, which is trivalent.  The touched
-    cycles are walked like complexes._walk walks t1 . t2, on states
-    (polygon, position, leaving) of the grafted complex: a leaving state
-    crosses the side before its corner at that side's head, an arriving
-    state the side after it at its tail; an equal-sign pairing glues head
-    to tail, an opposite one head to head.  Old positions are mapped
-    through the insertion shifts, so no word is rebuilt.
+    Only cycles through a corner the rewrite creates or splits can change;
+    every other cycle is a cycle of c, which is trivalent.  The touched
+    cycles are walked like complexes._walk walks t1 . t2, on c's flag
+    action plus an overlay: each new side gets two flags numbered after
+    c's, a split corner keeps its old arriving flag at its first half and
+    its old leaving flag at its last half, and new labels glue by the
+    sign rule of PolygonComplex.  No old flag is renumbered, so c's t1
+    serves every old side as it is.
     """
-    inserted: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+    t1 = complexes.flag_action(c)[1]
+    m = len(t1)
+    first_corner = list(itertools.accumulate(map(len, c.polygons), initial=0))
+    cross = {}  # t1 on the new flags
+    turn = {}  # t2 where the rewrite changes it
+    unpaired = {}  # label -> (tail, head, positive) of its first new side
+    starts = []  # the leaving flag of every created or split corner
+    f = m
     for p, pos, seq in rw.insertions:
-        inserted.setdefault(p, []).append((pos, seq))
-    sizes = [len(w) for w in words]
-    new_occ: dict[int, list[tuple[int, int, int]]] = {}
-    touched = []
-    for p, ins in inserted.items():
-        ins.sort()
-        shift = 0
-        for pos, seq in ins:
-            a = pos + shift
-            for t, v in enumerate(seq):
-                new_occ.setdefault(abs(v), []).append((p, a + t, v))
-            touched.extend((p, a + t) for t in range(len(seq) + 1))
-            shift += len(seq)
-        sizes[p] += shift
-
-    def moved(p, i):
-        """Where old side i of polygon p sits after the insertions."""
-        j = i
-        for pos, seq in inserted.get(p, ()):
-            if pos > i:
-                break
-            j += len(seq)
-        return j
-
-    def crossing(p, s):
-        """(same sign, partner polygon, partner position) of side s of p."""
-        shift = 0
-        for pos, seq in inserted.get(p, ()):
-            a = pos + shift
-            if s < a:
-                break
-            if s < a + len(seq):
-                v = seq[s - a]
-                first, second = new_occ[abs(v)]
-                q, j, w = second if first[:2] == (p, s) else first
-                return (v > 0) == (w > 0), q, j
-            shift += len(seq)
-        i = s - shift
-        v = words[p][i]
-        first, second = occ[abs(v)]
-        q, j, w = second if first[:2] == (p, i) else first
-        return (v > 0) == (w > 0), q, moved(q, j)
-
-    seen = set()
-    for start in touched:
-        if start in seen:
-            continue
-        p, i = start
-        leaving = True
-        for length in (1, 2, 3, 4):
-            seen.add((p, i))
-            if leaving:
-                same, q, j = crossing(p, (i - 1) % sizes[p])
-                p, i, leaving = (q, j, True) if same else (q, (j + 1) % sizes[q], False)
+        j = first_corner[p] + pos
+        arriving = 2 * j + 1
+        for v in seq:
+            turn[arriving], turn[f] = f, arriving
+            starts.append(f)
+            tail, head = f, f + 1
+            first = unpaired.pop(abs(v), None)
+            if first is None:
+                unpaired[abs(v)] = (tail, head, v > 0)
             else:
-                same, q, j = crossing(p, i)
-                p, i, leaving = (q, (j + 1) % sizes[q], False) if same else (q, j, True)
-            if leaving and (p, i) == start:
+                tail1, head1, positive = first
+                if positive == (v > 0):
+                    tail, head = head, tail
+                cross[tail1], cross[tail] = tail, tail1
+                cross[head1], cross[head] = head, head1
+            arriving = f + 1
+            f += 2
+        turn[arriving], turn[2 * j] = 2 * j, arriving
+        starts.append(2 * j)
+    for start in starts:
+        f = start
+        for length in (1, 2, 3):
+            g = turn.get(f, f ^ 1)
+            f = cross[g] if g >= m else t1[g]
+            if f == start:
                 break
-        if length != 3:
+        if f != start or length != 3:
             return False
     return True
 
@@ -324,41 +286,33 @@ def _iter_rewrites(c: PolygonComplex, site: GraftSite, need, max_insert, search:
     pairing survives.  Only an accepted candidate is built, and then
     checked in full: a disagreement is an InvariantError.
     """
-    corner_slots = [(p, i) for (p, i) in site.corners]
-    widened = set()
-    for p, i in site.corners:
-        n = len(c.polygons[p])
-        widened.update({(p, (i - 1) % n), (p, i), (p, (i + 1) % n)})
-    tiers = (("the corner slot tier", corner_slots), ("the widened slot tier", sorted(widened)))
     if need is not None:
-        slot_polys = {p for p, _ in widened}
+        slot_polys = {p for p, _ in site.corners}
         if any(v > 0 and p not in slot_polys for p, v in need.items()):
             search.ended = "a target that grows a polygon away from the site"
             return
     old_classes = complexes.vertex_class_sizes(c)
     if old_classes[0] != 3 or old_classes[-1] != 3 or complexes.is_orientable(c):
         raise NotExtremalError("complex is not graftable (trivalent + non-orientable)")
-    occ = complexes.occurrences(c)
-    for tier, slots in tiers:
-        search.ended = tier
-        for rw in _candidate_rewrites(c, slots, need, max_insert):
-            search.tried += 1
-            if not _trivalent_after(c.polygons, occ, rw):
-                search.rejected += 1
-                continue
-            out = apply_rewrite(c, rw)
-            if not complexes.is_graftable(out):
-                raise InvariantError(
-                    "graft: the local check accepts rewrite %s at %s, the full check rejects it"
-                    % (rw.insertions, site.corners)
-                )
-            new_classes = complexes.vertex_class_sizes(out)
-            if len(new_classes) != len(old_classes) + 2:
-                raise InvariantError(
-                    "graft: rewrite %s at %s changes the vertex count by %d, not 2"
-                    % (rw.insertions, site.corners, len(new_classes) - len(old_classes))
-                )
-            yield rw, out
+    search.ended = "the corner slot tier"
+    for rw in _candidate_rewrites(c, list(site.corners), need, max_insert):
+        search.tried += 1
+        if not _trivalent_after(c, rw):
+            search.rejected += 1
+            continue
+        out = apply_rewrite(c, rw)
+        if not complexes.is_graftable(out):
+            raise InvariantError(
+                "graft: the local check accepts rewrite %s at %s, the full check rejects it"
+                % (rw.insertions, site.corners)
+            )
+        new_classes = complexes.vertex_class_sizes(out)
+        if len(new_classes) != len(old_classes) + 2:
+            raise InvariantError(
+                "graft: rewrite %s at %s changes the vertex count by %d, not 2"
+                % (rw.insertions, site.corners, len(new_classes) - len(old_classes))
+            )
+        yield rw, out
 
 
 def _resolve_constraints(c, target_sizes, max_size):
@@ -386,14 +340,12 @@ def discover_rewrite(
     """Find the first rewrite at the site meeting all graft postconditions.
 
     The search space is bounded: six new sides at slots splitting the
-    site's corners (widened by one position on either side if that fails),
-    three new pairs, one sign each.  target_sizes, when given, must be
+    site's corners, three new pairs, one sign each.  target_sizes, when given, must be
     uniform and pins the polygon sizes of the result; max_size instead caps
     every polygon (the free half of a paired graft).  Raises
     RewriteSearchError when the space is exhausted, which signals a wrong
     eligibility predicate rather than a user error; its message names the
-    candidates tried, how many the local check rejected and the slot tier
-    that ended the search.
+    candidates tried and how many the local check rejected.
     """
     return _graft_at(c, site, target_sizes, max_size)[0]
 
@@ -412,24 +364,16 @@ def _graft_at(c, site, target_sizes, max_size) -> tuple[Rewrite, PolygonComplex]
 
 
 def has_complementary_pair(c: PolygonComplex) -> bool:
-    """True when some shared-edge cycle and some disjoint second cycle split
-    the polygons three against three: the shape the paired k = 6 grafting
-    steps consume."""
+    """True when some shared-edge cycle (an EG3 site) and some disjoint
+    second cycle split the polygons three against three: the shape the
+    paired k = 6 grafting steps consume.  c must be graftable."""
     if c.num_polygons != 6:
         return False
-    occ = complexes.occurrences(c)
-    info = []
-    for d in complexes.vertex_cycles_with_crossings(c):
-        ps = frozenset(p for p, _ in d.cycle.corners)
-        shared = any(occ[l][0][0] != occ[l][1][0] for l, _ in d.crossings)
-        info.append((ps, shared))
-    allp = frozenset(range(6))
-    for a, shared in info:
-        if len(a) != 3 or not shared:
-            continue
-        for b, _ in info:
-            if len(b) == 3 and not (a & b) and a | b == allp:
-                return True
+    polys = {frozenset(p for p, _ in cycle.corners) for cycle in complexes.vertex_cycles(c)}
+    for site in eligible_sites(c, GraftVariant.EG3):
+        a = frozenset(p for p, _ in site.corners)
+        if len(a) == 3 and frozenset(range(6)) - a in polys:
+            return True
     return False
 
 

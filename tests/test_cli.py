@@ -150,6 +150,17 @@ def test_render_command(tmp_path, capsys):
     assert svg.count('class="edge"') == 12
 
 
+def test_realize_render_pipeline(tmp_path, capsys):
+    # a 9-sheet cover whose layout a label-sweep spanning tree drew too deep
+    code, out, _ = run(capsys, "realize", "--k", "16", "--g", "10")
+    assert code == 0
+    path = tmp_path / "k16g10.cmplx"
+    path.write_text(out)
+    code, out, _ = run(capsys, "render", str(path))
+    assert code == 0
+    assert out.count('class="edge"') == 16 * 9
+
+
 def test_catalog_command(capsys):
     code, out, _ = run(capsys, "catalog", "--json")
     assert code == 0

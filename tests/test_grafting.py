@@ -149,7 +149,6 @@ def test_local_check_matches_the_full_check():
         gr.build_primitive(n)
         steps = smallest_k(n) * (n - gr._SCHEDULES[n % 6][0]) // 6
         for c in gr._chains[n % 6][: steps + 1]:
-            occ = cx.occurrences(c)
             for site in gr.eligible_sites(c, gr.GraftVariant.EG1):
                 need = Counter(p for p, _ in site.corners for _ in range(2))
                 corner, widened = site_slots(c, site)
@@ -157,7 +156,7 @@ def test_local_check_matches_the_full_check():
                     itertools.islice(gr._candidate_rewrites(c, corner, need, None), 4, 82, 77),
                     random_rewrites(c, widened, rng, 1),
                 ):
-                    local = gr._trivalent_after(c.polygons, occ, rw)
+                    local = gr._trivalent_after(c, rw)
                     assert local == cx.is_graftable(gr.apply_rewrite(c, rw)), (c, rw)
                     verdicts[local] += 1
     assert verdicts[True] > 300 and verdicts[False] > 4000
@@ -171,14 +170,12 @@ def test_rewrite_search_error_names_its_counts(seeds, monkeypatch):
         if len({p for p, _ in s.corners}) == 3
     )
     need = {p: 2 for p in range(3)}
-    tried = sum(
-        1 for slots in site_slots(c, site) for _ in gr._candidate_rewrites(c, slots, need, None)
-    )
-    monkeypatch.setattr(gr, "_trivalent_after", lambda words, occ, rw: False)
+    tried = sum(1 for _ in gr._candidate_rewrites(c, list(site.corners), need, None))
+    monkeypatch.setattr(gr, "_trivalent_after", lambda c, rw: False)
     with pytest.raises(RewriteSearchError) as err:
         gr.discover_rewrite(c, site, target)
     assert (
-        "%d candidates tried, %d rejected by the local check, ended by the widened slot tier"
+        "%d candidates tried, %d rejected by the local check, ended by the corner slot tier"
         % (tried, tried)
     ) in str(err.value)
 
