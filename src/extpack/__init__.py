@@ -71,7 +71,6 @@ from .trigroup import (
     canonical_fuchsian,
     classify,
     complex_to_subgroup,
-    coset_enumerate,
     low_index_subgroups,
     subgroup_to_complex,
     triangle_presentation,

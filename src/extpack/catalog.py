@@ -104,8 +104,9 @@ def _dual_extremal_complex(two_n: int) -> PolygonComplex:
     The reflection group of the (pi/3, pi/3, pi/n) triangle sits with index
     two in the (pi/2, pi/3, pi/2n) one: halve the triangle along the mirror
     through its apex.  In the larger group's generators the smaller one is
-    <r2, r1, r0 r2 r0>, so a subgroup given on cosets of (3, 3, n) can be
-    re-enumerated inside (2, 3, 2n) through that substitution.
+    <r2, r1, r0 r2 r0>, so a subgroup of index m in (3, 3, n) has index 2m
+    in (2, 3, 2n), and its action there is induced from the smaller one
+    (trigroup.induced_action).
     """
     n = two_n // 2
     hurwitz_index = {9: 18, 7: 42}[n]
@@ -116,18 +117,7 @@ def _dual_extremal_complex(two_n: int) -> PolygonComplex:
     if not recs:
         raise RuntimeError("no surface subgroup at index %d in (3,3,%d)" % (hurwitz_index, n))
     rec = recs[0]
-    images = {1: (3,), 2: (2,), 3: (1, 3, 1)}
-    words = tuple(
-        trigroup.substitute(w, images)
-        for w in trigroup.schreier_generators(rec.table)
-    )
-    big = trigroup.triangle_presentation(2, 3, two_n)
-    table = trigroup.coset_enumerate(big, words, cap=10**5)
-    if table.index != 2 * hurwitz_index:
-        raise RuntimeError(
-            "embedding produced index %d, expected %d" % (table.index, 2 * hurwitz_index)
-        )
-    big_rec = trigroup.classify(table, 2, 3, two_n)
+    big_rec = trigroup.induced_action(rec)
     if not (big_rec.torsion_free and big_rec.proper and big_rec.genus == rec.genus):
         raise InvariantError(
             "dual-extremal embedding into (2,3,%d) is not a torsion-free proper genus-%d record"

@@ -569,37 +569,3 @@ def serialize(c: PolygonComplex) -> str:
     for word in canon.polygons:
         lines.append("polygon " + " ".join(str(v) for v in word))
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# exhaustive single-polygon gluings (the small-scale search oracle)
-
-
-def all_single_polygon_gluings(n: int):
-    """Yield every complex made of one n-gon: all side matchings and signs.
-
-    There are (n-1)!! * 2^(n/2) of them; n must be even.  Deterministic
-    order: matchings by smallest-unmatched-first recursion, then sign masks.
-    """
-    if n < 2 or n % 2:
-        raise ValueError("need an even polygon size, got %r" % (n,))
-
-    def matchings(free: tuple[int, ...]):
-        if not free:
-            yield ()
-            return
-        a = free[0]
-        rest = free[1:]
-        for t, b in enumerate(rest):
-            sub = rest[:t] + rest[t + 1:]
-            for m in matchings(sub):
-                yield ((a, b),) + m
-
-    positions = tuple(range(n))
-    for match in matchings(positions):
-        for mask in range(1 << (n // 2)):
-            word = [0] * n
-            for lab, (a, b) in enumerate(match, start=1):
-                word[a] = lab
-                word[b] = lab if not (mask >> (lab - 1)) & 1 else -lab
-            yield PolygonComplex((tuple(word),))

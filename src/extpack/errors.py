@@ -50,7 +50,7 @@ class CoverError(ValueError):
 
 
 class EnumerationCapError(RuntimeError):
-    """A coset enumeration or search exceeded its resource cap."""
+    """A bounded search exceeded its resource cap."""
 
 
 class InvariantError(RuntimeError):

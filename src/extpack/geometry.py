@@ -42,8 +42,8 @@ class Isometry:
 
     def __post_init__(self):
         det = abs(self.a) ** 2 - abs(self.b) ** 2
-        if det <= 0:
-            raise ValueError("not a disk automorphism: |a|^2 - |b|^2 = %g" % det)
+        if not det > 0:
+            raise ArithmeticError("not a disk automorphism: |a|^2 - |b|^2 = %g" % det)
         s = math.sqrt(det)
         object.__setattr__(self, "a", self.a / s)
         object.__setattr__(self, "b", self.b / s)

@@ -1,5 +1,7 @@
-"""Extended triangle groups: presentations, coset enumeration, low-index
-subgroup search, and the bridge between subgroups and polygon complexes.
+"""Extended triangle groups: presentations, coset tables, low-index
+subgroup search, the two index-2 constructions (the orientation-preserving
+half and the induced (3, 3, n) < (2, 3, 2n) action), and the bridge between
+subgroups and polygon complexes.
 
 The extended triangle group of type (p, q, r) is generated by the three
 reflections r0, r1, r2 in the sides of a hyperbolic triangle with angles
@@ -17,13 +19,12 @@ conversion directions live here.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import complexes
 from .complexes import PolygonComplex
-from .errors import EnumerationCapError, InvariantError
+from .errors import InvariantError
 
 UNDEF = -1
 
@@ -74,19 +75,13 @@ class Presentation:
         object.__setattr__(self, "relators", tuple(rels))
 
 
-def triangle_presentation(p: int, q: int, r: int, extended: bool = True) -> Presentation:
-    """Presentation of the (p, q, r) triangle group.
-
-    Extended: reflections r0, r1, r2 with pairwise rotation orders p, q, r.
-    Otherwise the rotation subgroup <x, y | x^p = y^q = (xy)^r = 1>.
-    """
+def triangle_presentation(p: int, q: int, r: int) -> Presentation:
+    """Presentation of the extended (p, q, r) triangle group: reflections
+    r0, r1, r2 with pairwise rotation orders p, q, r."""
     if min(p, q, r) < 2:
         raise ValueError("triangle parameters must be >= 2")
-    if extended:
-        rels = [(1, 1), (2, 2), (3, 3), (1, 2) * p, (2, 3) * q, (3, 1) * r]
-        return Presentation(3, tuple(rels))
-    rels = [(1,) * p, (2,) * q, (1, 2) * r]
-    return Presentation(2, tuple(rels))
+    rels = [(1, 1), (2, 2), (3, 3), (1, 2) * p, (2, 3) * q, (3, 1) * r]
+    return Presentation(3, tuple(rels))
 
 
 def triangle_type(pres: Presentation) -> tuple[int, int, int] | None:
@@ -178,151 +173,6 @@ def standardize(perms) -> tuple[tuple[int, ...], ...]:
     code = complexes.bfs_code(perms, 0)
     k = len(perms)
     return tuple(code[g::k] for g in range(k))
-
-
-def schreier_generators(table: CosetTable) -> list[Word]:
-    """Subgroup generators from a spanning tree of the coset graph."""
-    n = table.index
-    inv = table.inverse_perms()
-    path: list[Word | None] = [None] * n
-    path[0] = ()
-    queue = deque([0])
-    tree: set[tuple[int, int]] = set()
-    while queue:
-        c = queue.popleft()
-        for g in range(table.ngens):
-            for sign, perm in ((1, table.perms[g]), (-1, inv[g])):
-                d = perm[c]
-                if path[d] is None:
-                    path[d] = path[c] + (sign * (g + 1),)
-                    tree.add((c, sign * (g + 1)))
-                    queue.append(d)
-    gens: list[Word] = []
-    seen: set[Word] = set()
-    for c in range(n):
-        for g in range(table.ngens):
-            if (c, g + 1) in tree:
-                continue
-            d = table.perms[g][c]
-            back = tuple(-x for x in reversed(path[d]))
-            w = _free_reduce(path[c] + (g + 1,) + back)
-            if w and w not in seen:
-                seen.add(w)
-                gens.append(w)
-    return gens
-
-
-def substitute(word: Word, images: dict[int, Word]) -> Word:
-    """Rewrite a word through generator images (for subgroup embeddings)."""
-    out: list[int] = []
-    for x in word:
-        img = images[abs(x)]
-        if x > 0:
-            out.extend(img)
-        else:
-            out.extend(-y for y in reversed(img))
-    return _free_reduce(tuple(out))
-
-
-# ---------------------------------------------------------------------------
-# Todd-Coxeter enumeration
-
-
-def coset_enumerate(
-    pres: Presentation,
-    subgroup_words: tuple[Word, ...] = (),
-    cap: int = 10**6,
-) -> CosetTable:
-    """Enumerate the cosets of the subgroup generated by subgroup_words.
-
-    HLT-style scanning with on-the-fly filling; merged cosets are tracked
-    through a union-find.  `cap` bounds the total number of coset rows ever
-    allocated (live plus collapsed); exceeding it raises
-    EnumerationCapError, a resource signal rather than a mathematical one.
-    """
-    ncols = 2 * pres.ngens
-
-    def col_of(letter: int) -> int:
-        return 2 * (abs(letter) - 1) + (0 if letter > 0 else 1)
-
-    rel_paths = [tuple(col_of(x) for x in rel) for rel in pres.relators]
-    sub_paths = [tuple(col_of(x) for x in w) for w in subgroup_words]
-
-    rows: list[list[int]] = [[UNDEF] * ncols]
-    labels: list[int] = [0]
-
-    def find(c: int) -> int:
-        root = c
-        while labels[root] != root:
-            root = labels[root]
-        while labels[c] != root:
-            labels[c], c = root, labels[c]
-        return root
-
-    def follow(c: int, col: int) -> int:
-        c = find(c)
-        d = rows[c][col]
-        if d == UNDEF:
-            if len(rows) >= cap:
-                raise EnumerationCapError(
-                    "coset enumeration exceeded the cap of %d rows" % cap
-                )
-            d = len(rows)
-            rows.append([UNDEF] * ncols)
-            labels.append(d)
-            rows[c][col] = d
-            rows[d][col ^ 1] = c
-        return find(d)
-
-    def unify(a: int, b: int) -> None:
-        stack = [(a, b)]
-        while stack:
-            x, y = stack.pop()
-            x, y = find(x), find(y)
-            if x == y:
-                continue
-            if x > y:
-                x, y = y, x
-            labels[y] = x
-            rx, ry = rows[x], rows[y]
-            for col in range(ncols):
-                d = ry[col]
-                if d == UNDEF:
-                    continue
-                if rx[col] == UNDEF:
-                    rx[col] = d
-                else:
-                    stack.append((rx[col], d))
-
-    def trace(c: int, cols: tuple[int, ...]) -> int:
-        for col in cols:
-            c = follow(c, col)
-        return c
-
-    for path in sub_paths:
-        unify(trace(0, path), 0)
-
-    visit = 0
-    while visit < len(rows):
-        if find(visit) == visit:
-            for path in rel_paths:
-                unify(trace(visit, path), visit)
-        visit += 1
-
-    live = [c for c in range(len(rows)) if find(c) == c]
-    renum = {c: i for i, c in enumerate(live)}
-    perms = []
-    for g in range(pres.ngens):
-        col = 2 * g
-        perm = [renum[find(rows[c][col])] for c in live]
-        perms.append(perm)
-    table = CosetTable(
-        ngens=pres.ngens,
-        perms=standardize(perms),
-        subgroup_words=tuple(tuple(w) for w in subgroup_words),
-    )
-    validate_table(pres, table)
-    return table
 
 
 # ---------------------------------------------------------------------------
@@ -816,3 +666,24 @@ def canonical_fuchsian(rec: SubgroupRecord) -> SubgroupRecord:
     table = CosetTable(ngens=3, perms=standardize(doubled))
     p, q, r = rec.params
     return classify(table, p, q, r)
+
+
+def induced_action(rec: SubgroupRecord) -> SubgroupRecord:
+    """A subgroup K of the (3, 3, n) group, acting on its cosets in (2, 3, 2n).
+
+    (3, 3, n) is the index-2 subgroup <r2, r1, r0 r2 r0> of (2, 3, 2n), so K
+    has 2m cosets there: point x is Kx and point m + x is Kx r0.  r0 swaps
+    the two sheets; r1 commutes with r0 and acts by s2 on both; r2 acts by
+    s1 on the first sheet and by s3 = r0 r2 r0 on the second.
+    """
+    p, q, n = rec.params
+    if (p, q) != (3, 3):
+        raise ValueError("induced action needs a (3, 3, n) record")
+    s1, s2, s3 = rec.table.perms
+    m = rec.index
+    r0 = [m + x for x in range(m)] + list(range(m))
+    r1 = list(s2) + [m + x for x in s2]
+    r2 = list(s1) + [m + x for x in s3]
+    table = CosetTable(ngens=3, perms=standardize((r0, r1, r2)))
+    validate_table(triangle_presentation(2, 3, 2 * n), table)
+    return classify(table, 2, 3, 2 * n)

@@ -184,11 +184,41 @@ def test_criterion_09_numeric_layer():
             time.time() - start, 5)
 
 
+def all_single_polygon_gluings(n: int):
+    """Yield every complex made of one n-gon: all side matchings and signs.
+
+    There are (n-1)!! * 2^(n/2) of them; n must be even.  Deterministic
+    order: matchings by smallest-unmatched-first recursion, then sign masks.
+    """
+    if n < 2 or n % 2:
+        raise ValueError("need an even polygon size, got %r" % (n,))
+
+    def matchings(free: tuple[int, ...]):
+        if not free:
+            yield ()
+            return
+        a = free[0]
+        rest = free[1:]
+        for t, b in enumerate(rest):
+            sub = rest[:t] + rest[t + 1:]
+            for m in matchings(sub):
+                yield ((a, b),) + m
+
+    positions = tuple(range(n))
+    for match in matchings(positions):
+        for mask in range(1 << (n // 2)):
+            word = [0] * n
+            for lab, (a, b) in enumerate(match, start=1):
+                word[a] = lab
+                word[b] = lab if not (mask >> (lab - 1)) & 1 else -lab
+            yield cx.PolygonComplex((tuple(word),))
+
+
 def test_criterion_10_exhaustive_small_oracle():
     start = time.time()
     total = 0
     hits = 0
-    for c in cx.all_single_polygon_gluings(12):
+    for c in all_single_polygon_gluings(12):
         total += 1
         if cx.vertex_class_sizes(c, cap=3) is None:
             continue  # some vertex cycle exceeds length 3: cannot certify
@@ -204,6 +234,12 @@ def test_criterion_10_exhaustive_small_oracle():
     assert hits >= 1
     _report(10, "12-gon exhaustion: %d gluings, %d certified" % (total, hits),
             time.time() - start, 120)
+
+
+def test_single_polygon_gluing_count():
+    assert sum(1 for _ in all_single_polygon_gluings(6)) == 15 * 2**3
+    with pytest.raises(ValueError):
+        next(all_single_polygon_gluings(5))
 
 
 def test_criterion_11_classical_fixtures():

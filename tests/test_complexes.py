@@ -219,9 +219,3 @@ def test_report_json_shape():
     rep = cx.verify_extremal(PolygonComplex(((1, 2, 1, 2),)))
     d = rep.to_json_dict()
     assert set(d) == {"format_version", "ok", "k", "g", "N", "chi", "orientable", "failures"}
-
-
-def test_single_polygon_gluing_count():
-    assert sum(1 for _ in cx.all_single_polygon_gluings(6)) == 15 * 2**3
-    with pytest.raises(ValueError):
-        next(cx.all_single_polygon_gluings(5))

@@ -22,6 +22,12 @@ def test_isometry_algebra():
         assert abs(m.inverse()(m(z)) - z) < 1e-12
 
 
+@pytest.mark.parametrize("a", [1 + 0j, complex(math.nan, 0)])
+def test_degenerate_isometry_is_a_numeric_failure(a):
+    with pytest.raises(ArithmeticError, match="not a disk automorphism"):
+        Isometry(a, 1 + 0j)
+
+
 def test_rotation_pi_about():
     r0 = geom.rotation_pi_about(0j)
     assert abs(r0(0.25 + 0.1j) + (0.25 + 0.1j)) < 1e-14
