@@ -3,9 +3,10 @@
 The packing arithmetic lives in `feasibility`; combinatorial surfaces as
 edge-identified polygons in `complexes`; the genus-raising edge-grafting
 rewrites in `grafting`; orientation double covers and cyclic covers in
-`covers`; triangle-group coset machinery and the subgroup/complex bridge
-in `trigroup`; the numeric unit-disk layer in `geometry`; and the shipped
-certified examples in `catalog`.
+`covers`; subgroups of the extended (p, q, r) triangle groups, held as
+the coset actions of the three reflections, their low-index search and
+the subgroup/complex bridge in `trigroup`; the numeric unit-disk layer in
+`geometry`; and the shipped certified examples in `catalog`.
 """
 
 from .complexes import (
@@ -65,15 +66,12 @@ from .grafting import (
     eligible_sites,
 )
 from .trigroup import (
-    CosetTable,
-    Presentation,
     SubgroupRecord,
     canonical_fuchsian,
     classify,
     complex_to_subgroup,
     low_index_subgroups,
     subgroup_to_complex,
-    triangle_presentation,
 )
 
 __version__ = "0.1.0"

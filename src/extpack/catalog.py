@@ -65,7 +65,6 @@ def derive(name: str) -> PolygonComplex:
         raise UnknownCatalogEntryError("unknown catalog entry %r" % (name,))
     k, g, n, _ = EXPECTED[name]
     if name in SEED_NAMES:
-        pres = trigroup.triangle_presentation(2, 3, n)
         if name == "X7":
             # the N = +-1 (mod 6) schedules pair grafts at two cycles whose
             # polygons split three against three; not every index-84 class
@@ -73,7 +72,7 @@ def derive(name: str) -> PolygonComplex:
             from . import grafting
 
             recs = trigroup.low_index_subgroups(
-                pres, 2 * k * n, torsion_free=True, proper=True
+                2, 3, n, 2 * k * n, torsion_free=True, proper=True
             )
             for rec in recs:
                 c = trigroup.subgroup_to_complex(rec)
@@ -83,7 +82,7 @@ def derive(name: str) -> PolygonComplex:
                 raise RuntimeError("no schedule-compatible seed at index 84")
         else:
             recs = trigroup.low_index_subgroups(
-                pres, 2 * k * n, torsion_free=True, proper=True, max_count=1
+                2, 3, n, 2 * k * n, torsion_free=True, proper=True, max_count=1
             )
             if not recs:
                 raise RuntimeError("seed search found nothing at index %d" % (2 * k * n,))
@@ -110,9 +109,8 @@ def _dual_extremal_complex(two_n: int) -> PolygonComplex:
     """
     n = two_n // 2
     hurwitz_index = {9: 18, 7: 42}[n]
-    small = trigroup.triangle_presentation(3, 3, n)
     recs = trigroup.low_index_subgroups(
-        small, hurwitz_index, torsion_free=True, proper=True, max_count=1
+        3, 3, n, hurwitz_index, torsion_free=True, proper=True, max_count=1
     )
     if not recs:
         raise RuntimeError("no surface subgroup at index %d in (3,3,%d)" % (hurwitz_index, n))

@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage, 2 infeasible input or failed certificate,
-3 exhausted resource caps, 4 internal error (a failed library invariant or
+Exit codes: 0 success, 1 usage, 2 infeasible or malformed input, a failed
+certificate, or a file that cannot be read or written, 3 exhausted
+resource caps, 4 internal error (a failed library invariant or
 any other lookup failure inside the library, reported without a
 traceback).  Complex files are read from a path, from the
 shipped catalog by name (X7, X12, ...), or from stdin when the argument is
@@ -138,7 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", type=int, required=True)
     p.add_argument("--torsion-free", action="store_true")
     p.add_argument("--proper", action="store_true")
-    p.add_argument("--nonorientable", action="store_true")
     p.add_argument("--max-count", type=int, default=None)
 
     p = add("to-group", "flag action of a certified complex, as a subgroup record")
@@ -319,13 +319,10 @@ def _cmd_cyclic_cover(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    pres = trigroup.triangle_presentation(args.p, args.q, args.r)
     recs = trigroup.low_index_subgroups(
-        pres,
-        args.index,
+        args.p, args.q, args.r, args.index,
         torsion_free=args.torsion_free,
         proper=args.proper or None,
-        nonorientable=args.nonorientable or None,
         max_count=args.max_count,
     )
     _emit_json(
@@ -337,7 +334,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_to_group(args) -> int:
     rec = trigroup.complex_to_subgroup(_read_complex(args.file))
-    _write(rec.to_json(), args.output)
+    _emit_json(rec.to_json_dict(), args.output)
     return 0
 
 
@@ -408,7 +405,7 @@ def main(argv: list[str] | None = None) -> int:
         CoverError,
         ComplexFormatError,
         InvalidComplexError,
-        FileNotFoundError,
+        OSError,
         ValueError,
         UnknownCatalogEntryError,
     ) as err:

@@ -43,6 +43,8 @@ class VoltageAssignment:
 
     @classmethod
     def from_dict(cls, n: int, d: dict[int, int]) -> "VoltageAssignment":
+        if n < 1:
+            raise CoverError("cover degree must be >= 1")
         return cls(modulus=n, voltages=tuple(sorted((k, v % n) for k, v in d.items())))
 
 
@@ -244,6 +246,8 @@ def find_voltage(c: PolygonComplex, n: int) -> VoltageAssignment:
     increasing coefficient radius, up to MAX_VOLTAGE_RADIUS, and
     lexicographic within a radius.
     """
+    if n < 1:
+        raise CoverError("cover degree must be >= 1")
     rep = complexes.verify_extremal(c)
     if not rep.ok:
         raise CoverError("base complex is not extremal: %s" % (rep.failures,))

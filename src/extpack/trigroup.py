@@ -1,13 +1,14 @@
-"""Extended triangle groups: presentations, coset tables, low-index
-subgroup search, the two index-2 constructions (the orientation-preserving
-half and the induced (3, 3, n) < (2, 3, 2n) action), and the bridge between
-subgroups and polygon complexes.
+"""Extended triangle groups: low-index subgroup search, classification,
+the two index-2 constructions (the orientation-preserving half and the
+induced (3, 3, n) < (2, 3, 2n) action), and the bridge between subgroups
+and polygon complexes.
 
 The extended triangle group of type (p, q, r) is generated by the three
 reflections r0, r1, r2 in the sides of a hyperbolic triangle with angles
-pi/p, pi/q, pi/r; relators are the squares of the generators and the
-rotation orders (r0 r1)^p, (r1 r2)^q, (r2 r0)^r.  A subgroup of finite
-index is stored as its permutation action on right cosets.
+pi/p, pi/q, pi/r; its relations are r0^2 = r1^2 = r2^2 = 1 and the
+rotation orders (r0 r1)^p = (r1 r2)^q = (r2 r0)^r = 1.  A subgroup of
+finite index m is stored as its action on right cosets: three involutions
+of the points 0..m-1, coset 0 being the subgroup itself.
 
 For a torsion-free subgroup, cosets are flags of the quotient surface and
 every generator acts as a fixed-point-free involution whose pairwise
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import complexes
 from .complexes import PolygonComplex
@@ -28,147 +28,10 @@ from .errors import InvariantError
 
 UNDEF = -1
 
-Word = tuple[int, ...]
+Perms = tuple[tuple[int, ...], ...]
 
 
-# ---------------------------------------------------------------------------
-# presentations
-
-
-def _free_reduce(word: Word) -> Word:
-    out: list[int] = []
-    for x in word:
-        if out and out[-1] == -x:
-            out.pop()
-        else:
-            out.append(x)
-    return tuple(out)
-
-
-def _cyclic_reduce(word: Word) -> Word:
-    w = list(_free_reduce(word))
-    while len(w) >= 2 and w[0] == -w[-1]:
-        w = w[1:-1]
-    return tuple(w)
-
-
-@dataclass(frozen=True)
-class Presentation:
-    """A finite presentation: generator count plus relator words.
-
-    Words are tuples of signed 1-based generator numbers; relators are
-    stored freely and cyclically reduced.
-    """
-
-    ngens: int
-    relators: tuple[Word, ...]
-
-    def __post_init__(self):
-        rels = []
-        for rel in self.relators:
-            for x in rel:
-                if x == 0 or abs(x) > self.ngens:
-                    raise ValueError("bad letter %r in relator" % (x,))
-            red = _cyclic_reduce(tuple(rel))
-            if red:
-                rels.append(red)
-        object.__setattr__(self, "relators", tuple(rels))
-
-
-def triangle_presentation(p: int, q: int, r: int) -> Presentation:
-    """Presentation of the extended (p, q, r) triangle group: reflections
-    r0, r1, r2 with pairwise rotation orders p, q, r."""
-    if min(p, q, r) < 2:
-        raise ValueError("triangle parameters must be >= 2")
-    rels = [(1, 1), (2, 2), (3, 3), (1, 2) * p, (2, 3) * q, (3, 1) * r]
-    return Presentation(3, tuple(rels))
-
-
-def triangle_type(pres: Presentation) -> tuple[int, int, int] | None:
-    """Recover (p, q, r) if pres is an extended triangle presentation."""
-    if pres.ngens != 3:
-        return None
-    invol = set()
-    orders: dict[frozenset, int] = {}
-    for rel in pres.relators:
-        w = tuple(abs(x) for x in rel)
-        if len(w) == 2 and w[0] == w[1]:
-            invol.add(w[0])
-            continue
-        if len(w) % 2 == 0 and len(set(w[0::2])) == 1 and len(set(w[1::2])) == 1 and w[0] != w[1]:
-            orders[frozenset((w[0], w[1]))] = len(w) // 2
-            continue
-        return None
-    if invol != {1, 2, 3} or set(map(frozenset, [(1, 2), (2, 3), (3, 1)])) != set(orders):
-        return None
-    return (
-        orders[frozenset((1, 2))],
-        orders[frozenset((2, 3))],
-        orders[frozenset((3, 1))],
-    )
-
-
-# ---------------------------------------------------------------------------
-# coset tables
-
-
-@dataclass(frozen=True)
-class CosetTable:
-    """A complete transitive right-coset action of a presentation's group."""
-
-    ngens: int
-    perms: tuple[tuple[int, ...], ...]
-    subgroup_words: tuple[Word, ...] = ()
-
-    @property
-    def index(self) -> int:
-        return len(self.perms[0])
-
-    def inverse_perms(self) -> tuple[tuple[int, ...], ...]:
-        out = []
-        for perm in self.perms:
-            inv = [0] * len(perm)
-            for i, j in enumerate(perm):
-                inv[j] = i
-            out.append(tuple(inv))
-        return tuple(out)
-
-    def apply_word(self, c: int, word: Word) -> int:
-        inv = None
-        for x in word:
-            if x > 0:
-                c = self.perms[x - 1][c]
-            else:
-                if inv is None:
-                    inv = self.inverse_perms()
-                c = inv[-x - 1][c]
-        return c
-
-    def to_json_dict(self) -> dict:
-        return {
-            "format_version": 1,
-            "index": self.index,
-            "generators": [list(p) for p in self.perms],
-            "subgroup_words": [list(w) for w in self.subgroup_words],
-        }
-
-
-def validate_table(pres: Presentation, table: CosetTable) -> None:
-    """Check that relators act trivially, the action is transitive, and the
-    subgroup words stabilize coset 0."""
-    n = table.index
-    for rel in pres.relators:
-        for c in range(n):
-            if table.apply_word(c, rel) != c:
-                raise ValueError("relator %s broken at coset %d" % (rel, c))
-    if not complexes.two_color(table.perms)[0]:
-        raise ValueError("action is not transitive")
-    for w in table.subgroup_words:
-        if table.apply_word(0, w) != 0:
-            raise ValueError("subgroup word %s does not stabilize coset 0" % (w,))
-
-
-def standardize(perms) -> tuple[tuple[int, ...], ...]:
+def standardize(perms) -> Perms:
     """Renumber points in BFS order from 0 (columns scanned in order)."""
     code = complexes.bfs_code(perms, 0)
     k = len(perms)
@@ -181,46 +44,67 @@ def standardize(perms) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class SubgroupRecord:
-    """A finite-index subgroup of an extended triangle group, classified."""
+    """A finite-index subgroup of an extended triangle group, classified.
 
-    table: CosetTable
+    perms are the actions of r0, r1, r2 on the cosets; the quotient surface
+    is orientable exactly when the subgroup is not proper.
+    """
+
+    perms: Perms
     params: tuple[int, int, int]
     torsion_free: bool
     proper: bool
-    quotient_orientable: bool
     genus: int | None
 
     @property
     def index(self) -> int:
-        return self.table.index
+        return len(self.perms[0])
+
+    @property
+    def quotient_orientable(self) -> bool:
+        return not self.proper
 
     def to_json_dict(self) -> dict:
-        d = self.table.to_json_dict()
-        d.update(
-            {
-                "triangle": list(self.params),
-                "extended": True,
-                "torsion_free": self.torsion_free,
-                "proper": self.proper,
-                "quotient_orientable": self.quotient_orientable,
-                "genus": self.genus,
-            }
-        )
-        return d
+        return {
+            "format_version": 1,
+            "index": self.index,
+            "generators": [list(p) for p in self.perms],
+            "subgroup_words": [],
+            "triangle": list(self.params),
+            "extended": True,
+            "torsion_free": self.torsion_free,
+            "proper": self.proper,
+            "quotient_orientable": self.quotient_orientable,
+            "genus": self.genus,
+        }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+
+def _ints(value) -> bool:
+    return isinstance(value, list) and all(type(x) is int for x in value)
 
 
 def record_from_json(text: str) -> SubgroupRecord:
-    d = json.loads(text)
-    table = CosetTable(
-        ngens=3,
-        perms=tuple(tuple(p) for p in d["generators"]),
-        subgroup_words=tuple(tuple(w) for w in d.get("subgroup_words", ())),
-    )
-    p, q, r = d["triangle"]
-    return classify(table, p, q, r)
+    """Read a subgroup record (SubgroupRecord.to_json_dict, as JSON).
+
+    Only "triangle" and "generators" are read; classify checks the action
+    and recomputes the classification ("subgroup_words" and the stored
+    flags are ignored).  A malformed record raises ValueError.
+    """
+    try:
+        d = json.loads(text)
+    except json.JSONDecodeError as err:
+        raise ValueError("subgroup record is not JSON: %s" % err) from None
+    if not isinstance(d, dict):
+        raise ValueError("subgroup record is not a JSON object")
+    for key in ("triangle", "generators"):
+        if key not in d:
+            raise ValueError("subgroup record has no %r field" % key)
+    pqr, gens = d["triangle"], d["generators"]
+    if not (_ints(pqr) and len(pqr) == 3):
+        raise ValueError("subgroup record: 'triangle' is not three integers")
+    if not (isinstance(gens, list) and all(map(_ints, gens))):
+        raise ValueError("subgroup record: 'generators' is not a list of integer lists")
+    return classify(gens, *pqr)
 
 
 def _cycle_lengths(perm: tuple[int, ...], nxt: tuple[int, ...]) -> list[int]:
@@ -241,46 +125,74 @@ def _cycle_lengths(perm: tuple[int, ...], nxt: tuple[int, ...]) -> list[int]:
     return out
 
 
-def classify(table: CosetTable, p: int, q: int, r: int) -> SubgroupRecord:
-    """Classify a subgroup of the extended (p, q, r) triangle group.
+def _check_params(p: int, q: int, r: int) -> None:
+    if min(p, q, r) < 2:
+        raise ValueError("triangle parameters must be >= 2, got (%d, %d, %d)" % (p, q, r))
 
+
+def classify(perms, p: int, q: int, r: int) -> SubgroupRecord:
+    """Check a coset action of the extended (p, q, r) triangle group and
+    classify the subgroup it stands for.
+
+    perms must be three involutions of the points 0..m-1 (the actions of
+    r0, r1, r2) that act transitively, with every cycle of r0 r1, r1 r2,
+    r2 r0 of length dividing p, q, r respectively; anything else raises
+    ValueError naming the generator, the point or the cycle at fault.
     Torsion-freeness is fixed-point-freeness of the reflections together
     with full cycle length of the three rotations.  Properness is failure
     of the parity coloring.  Genus comes from the area: with
     mu = 1 - 1/p - 1/q - 1/r, a torsion-free subgroup of index m
     uniformizes a surface of Euler characteristic -m*mu/2.
     """
-    if table.ngens != 3:
-        raise ValueError("expected a 3-generator (reflection) table")
-    s0, s1, s2 = table.perms
-    m = table.index
-    orders = (p, q, r)
-    pairs = ((s0, s1), (s1, s2), (s2, s0))
-    torsion_free = all(perm[c] != c for perm in table.perms for c in range(m))
-    for (a, b), full in zip(pairs, orders):
-        lengths = _cycle_lengths(a, b)
+    _check_params(p, q, r)
+    if len(perms) != 3:
+        raise ValueError("expected three generators (r0, r1, r2), got %d" % len(perms))
+    perms = tuple(tuple(perm) for perm in perms)
+    m = len(perms[0])
+    if m == 0:
+        raise ValueError("the action has no points")
+    points = list(range(m))
+    for g, perm in enumerate(perms):
+        if len(perm) != m:
+            raise ValueError("generator %d moves %d points, generator 0 moves %d" % (g, len(perm), m))
+        if min(perm) < 0 or max(perm) >= m:
+            x = next(x for x in points if not 0 <= perm[x] < m)
+            raise ValueError("generator %d sends point %d to %d, outside 0..%d" % (g, x, perm[x], m - 1))
+        if [perm[y] for y in perm] != points:
+            if len(set(perm)) != m:
+                raise ValueError("generator %d is not a permutation: it hits a point twice" % g)
+            x = next(x for x in points if perm[perm[x]] != x)
+            raise ValueError(
+                "generator %d is not an involution: it sends %d to %d and %d to %d"
+                % (g, x, perm[x], perm[x], perm[perm[x]])
+            )
+    torsion_free = all(perm[c] != c for perm in perms for c in range(m))
+    for g, full in enumerate((p, q, r)):
+        lengths = _cycle_lengths(perms[g], perms[(g + 1) % 3])
         for length in lengths:
             if full % length:
-                raise ValueError("rotation relator broken: cycle %d vs order %d" % (length, full))
-        if torsion_free and any(length != full for length in lengths):
-            torsion_free = False
-    proper = not complexes.two_color(table.perms)[1]
-    mu = 1 - Fraction(1, p) - Fraction(1, q) - Fraction(1, r)
+                raise ValueError(
+                    "rotation r%d r%d has a cycle of length %d, which does not divide %d"
+                    % (g, (g + 1) % 3, length, full)
+                )
+        torsion_free = torsion_free and set(lengths) == {full}
+    transitive, bipartite = complexes.two_color(perms)
+    if not transitive:
+        raise ValueError("the action is not transitive: point 0 does not reach all %d points" % m)
+    proper = not bipartite
     genus: int | None = None
     if torsion_free:
-        if proper:
-            gg = 2 + Fraction(m, 2) * mu
-        else:
-            gg = 1 + Fraction(m, 4) * mu
-        if gg.denominator != 1:
-            raise ValueError("classification inconsistency: non-integral genus %s" % (gg,))
-        genus = int(gg)
+        # genus 2 + m*mu/2 (non-orientable) or 1 + m*mu/4 (orientable)
+        num = m * (p * q * r - q * r - r * p - p * q)
+        den = (2 if proper else 4) * p * q * r
+        if num % den:
+            raise ValueError("classification inconsistency: genus has fraction %d/%d" % (num % den, den))
+        genus = (2 if proper else 1) + num // den
     return SubgroupRecord(
-        table=table,
+        perms=perms,
         params=(p, q, r),
         torsion_free=torsion_free,
         proper=proper,
-        quotient_orientable=not proper,
         genus=genus,
     )
 
@@ -302,7 +214,6 @@ class _TriangleSearch:
     """
 
     def __init__(self, p: int, q: int, r: int, index: int, torsion_free: bool):
-        self.orders = (p, q, r)
         self.m = index
         self.tf = torsion_free
         self.t = [[UNDEF] * index for _ in range(3)]
@@ -312,34 +223,24 @@ class _TriangleSearch:
             (1, 2): q, (2, 1): q,
             (2, 0): r, (0, 2): r,
         }
-        self.prefilled = False
-        if torsion_free:
-            blk = 2 * r
-            if index % blk:
-                self.impossible = True
-                return
-            self.impossible = False
-            self.block = blk
+        self.count = 1
+        self.block = blk = 2 * r
+        self.impossible = torsion_free and index % blk != 0
+        if torsion_free and not self.impossible:
+            t0, t2 = self.t[0], self.t[2]
             for base in range(0, index, blk):
-                t0, t2 = self.t[0], self.t[2]
                 for s in range(0, blk, 2):
                     t0[base + s] = base + s + 1
                     t0[base + s + 1] = base + s
                     t2[base + s + 1] = base + (s + 2) % blk
                     t2[base + (s + 2) % blk] = base + s + 1
-            self.prefilled = True
-            self.blocks = index // blk
-            self.block_hits = [0] * self.blocks
+            self.block_hits = [0] * (index // blk)
             self.block_hits[0] = 1  # block 0 is the root
-        else:
-            self.impossible = False
-            self.count = 1
 
     # -- assignment with propagation ------------------------------------
 
     def _analyze(self, i: int, j: int, c: int, d: int, queue) -> bool:
         L = self.pair_of[(i, j)]
-        t = self.t
         if c == d:
             # loop: one reflection end of the chain
             end, col, hops, looped = self._walk(i, j, c, j, None)
@@ -408,7 +309,7 @@ class _TriangleSearch:
             t[col][a] = b
             t[col][b] = a
             self.trail.append((col, a, b))
-            if self.prefilled and col == 1:
+            if self.tf and col == 1:
                 self.block_hits[a // self.block] += 1
                 if a != b:
                     self.block_hits[b // self.block] += 1
@@ -425,7 +326,7 @@ class _TriangleSearch:
             col, a, b = self.trail.pop()
             t[col][a] = UNDEF
             t[col][b] = UNDEF
-            if self.prefilled and col == 1:
+            if self.tf and col == 1:
                 self.block_hits[a // self.block] -= 1
                 if a != b:
                     self.block_hits[b // self.block] -= 1
@@ -436,7 +337,7 @@ class _TriangleSearch:
         """Yield complete tables as generator permutations, in DFS order."""
         if self.impossible:
             return
-        if self.prefilled:
+        if self.tf:
             yield from self._search_prefilled(0)
         else:
             yield from self._search_generic(0, 0)
@@ -454,7 +355,7 @@ class _TriangleSearch:
             return
         hits = self.block_hits
         fresh = None
-        for blk in range(self.blocks):
+        for blk in range(len(hits)):
             if hits[blk] == 0:
                 fresh = blk * self.block
                 break
@@ -485,8 +386,6 @@ class _TriangleSearch:
         for d in range(self.count):
             if self.t[col][d] != UNDEF:
                 continue
-            if self.tf and d == c:
-                continue
             mark = len(self.trail)
             if self._assign(col, c, d):
                 yield from self._search_generic(c, col)
@@ -502,50 +401,40 @@ class _TriangleSearch:
 
 
 def low_index_subgroups(
-    pres: Presentation,
+    p: int,
+    q: int,
+    r: int,
     index: int,
     *,
     torsion_free: bool = False,
     proper: bool | None = None,
-    nonorientable: bool | None = None,
     max_count: int | None = None,
 ) -> list[SubgroupRecord]:
-    """Subgroups of exactly the given index, up to conjugacy, classified.
+    """Subgroups of the extended (p, q, r) triangle group of exactly the
+    given index, up to conjugacy, classified.
 
-    Only extended triangle presentations are supported; the pair orders are
-    read off the relators.  Filters restrict the output (and, for
-    torsion_free, prune the search itself).  max_count stops the search
-    after that many records, preserving the deterministic DFS order; the
-    default enumerates the complete list with conjugates removed by their
-    least code (complexes.least_code).
+    Filters restrict the output (and, for torsion_free, prune the search
+    itself); proper=True keeps the subgroups with a non-orientable
+    quotient, proper=False those with an orientable one.  max_count
+    (>= 1) stops the search after that many records, preserving the
+    deterministic DFS order; the default enumerates the complete list with
+    conjugates removed by their least code (complexes.least_code).
     """
+    _check_params(p, q, r)
     if index < 1:
         raise ValueError("need index >= 1")
-    ptype = triangle_type(pres)
-    if ptype is None:
-        raise ValueError(
-            "low-index search supports extended triangle presentations only"
-        )
-    p, q, r = ptype
-    want_proper = proper
-    if nonorientable is not None:
-        # the quotient is non-orientable exactly when the subgroup is proper
-        want_proper = nonorientable if want_proper is None else want_proper
-        if proper is not None and nonorientable != proper:
-            return []
+    if max_count is not None and max_count < 1:
+        raise ValueError("need max_count >= 1, got %d" % max_count)
     search = _TriangleSearch(p, q, r, index, torsion_free)
     records: list[SubgroupRecord] = []
     seen_keys: set[tuple] = set()
     for perms in search.solutions():
-        rec = classify(
-            CosetTable(ngens=3, perms=standardize(perms)),
-            p, q, r,
-        )
+        rec = classify(standardize(perms), p, q, r)
         if torsion_free and not rec.torsion_free:
             continue
-        if want_proper is not None and rec.proper != want_proper:
+        if proper is not None and rec.proper != proper:
             continue
-        key = complexes.least_code(rec.table.perms)
+        key = complexes.least_code(rec.perms)
         if key in seen_keys:
             continue
         seen_keys.add(key)
@@ -564,8 +453,7 @@ def complex_to_subgroup(c: PolygonComplex) -> SubgroupRecord:
     rep = complexes.verify_extremal(c)
     if not rep.ok:
         raise ValueError("complex is not extremal: %s" % (rep.failures,))
-    table = CosetTable(ngens=3, perms=standardize(complexes.flag_action(c)))
-    rec = classify(table, 2, 3, rep.n)
+    rec = classify(standardize(complexes.flag_action(c)), 2, 3, rep.n)
     if not (rec.torsion_free and rec.proper and rec.genus == rep.g):
         raise InvariantError(
             "complex_to_subgroup: record of %r is not torsion-free proper of genus %d" % (c, rep.g)
@@ -590,16 +478,13 @@ def subgroup_to_complex(rec: SubgroupRecord) -> PolygonComplex:
         raise ValueError("complex reconstruction needs a (2, 3, N) record")
     if not (rec.torsion_free and rec.proper):
         raise ValueError("complex reconstruction needs a torsion-free proper record")
-    s0, s1, s2 = rec.table.perms
+    s0, s1, s2 = rec.perms
     m = rec.index
-    if m % (2 * N):
-        raise ValueError("index %d is not a multiple of 2N = %d" % (m, 2 * N))
 
     side_of: dict[int, tuple[int, int, int]] = {}  # flag -> (face, side, end)
     faces: list[list[tuple[int, int]]] = []
-    visited = [False] * m
     for start in range(m):
-        if visited[start]:
+        if start in side_of:
             continue
         sides: list[tuple[int, int]] = []
         a = start
@@ -607,7 +492,6 @@ def subgroup_to_complex(rec: SubgroupRecord) -> PolygonComplex:
             b = s0[a]
             side_of[a] = (len(faces), len(sides), 0)
             side_of[b] = (len(faces), len(sides), 1)
-            visited[a] = visited[b] = True
             sides.append((a, b))
             a = s2[b]
             if a == start:
@@ -656,16 +540,14 @@ def canonical_fuchsian(rec: SubgroupRecord) -> SubgroupRecord:
         raise ValueError("record is not proper: it has no smaller Fuchsian half")
     m = rec.index
     doubled = []
-    for perm in rec.table.perms:
+    for perm in rec.perms:
         new = [0] * (2 * m)
         for c in range(m):
             img = perm[c]
             new[2 * c] = 2 * img + 1
             new[2 * c + 1] = 2 * img
         doubled.append(new)
-    table = CosetTable(ngens=3, perms=standardize(doubled))
-    p, q, r = rec.params
-    return classify(table, p, q, r)
+    return classify(standardize(doubled), *rec.params)
 
 
 def induced_action(rec: SubgroupRecord) -> SubgroupRecord:
@@ -674,16 +556,15 @@ def induced_action(rec: SubgroupRecord) -> SubgroupRecord:
     (3, 3, n) is the index-2 subgroup <r2, r1, r0 r2 r0> of (2, 3, 2n), so K
     has 2m cosets there: point x is Kx and point m + x is Kx r0.  r0 swaps
     the two sheets; r1 commutes with r0 and acts by s2 on both; r2 acts by
-    s1 on the first sheet and by s3 = r0 r2 r0 on the second.
+    s1 on the first sheet and by s3 = r0 r2 r0 on the second.  classify
+    checks that the result is an action of (2, 3, 2n).
     """
     p, q, n = rec.params
     if (p, q) != (3, 3):
         raise ValueError("induced action needs a (3, 3, n) record")
-    s1, s2, s3 = rec.table.perms
+    s1, s2, s3 = rec.perms
     m = rec.index
     r0 = [m + x for x in range(m)] + list(range(m))
     r1 = list(s2) + [m + x for x in s2]
     r2 = list(s1) + [m + x for x in s3]
-    table = CosetTable(ngens=3, perms=standardize((r0, r1, r2)))
-    validate_table(triangle_presentation(2, 3, 2 * n), table)
-    return classify(table, 2, 3, 2 * n)
+    return classify(standardize((r0, r1, r2)), 2, 3, 2 * n)

@@ -107,9 +107,8 @@ def test_criterion_05_double_covers():
 def test_criterion_06_group_theoretic_route():
     start = time.time()
     for (p, q, r), index in [((2, 3, 12), 24), ((2, 3, 7), 84)]:
-        pres = trigroup.triangle_presentation(p, q, r)
         recs = trigroup.low_index_subgroups(
-            pres, index, torsion_free=True, proper=True, nonorientable=True, max_count=1
+            p, q, r, index, torsion_free=True, proper=True, max_count=1
         )
         assert recs, (p, q, r)
         rec = recs[0]
@@ -125,9 +124,8 @@ def test_criterion_06_group_theoretic_route():
 def test_criterion_07_dual_extremality():
     start = time.time()
     for (p, q, r), index, genus in [((3, 3, 9), 18, 4), ((3, 3, 7), 42, 6)]:
-        pres = trigroup.triangle_presentation(p, q, r)
         recs = trigroup.low_index_subgroups(
-            pres, index, torsion_free=True, proper=True, max_count=1
+            p, q, r, index, torsion_free=True, proper=True, max_count=1
         )
         assert recs and recs[0].genus == genus
 

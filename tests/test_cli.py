@@ -4,6 +4,7 @@ import pytest
 
 from extpack import catalog, cli
 from extpack import complexes as cx
+from extpack import trigroup as tg
 from extpack.errors import InvariantError, RewriteSearchError, UnknownCatalogEntryError
 
 
@@ -140,6 +141,75 @@ def test_group_round_trip(tmp_path, capsys):
     c = cx.parse(out)
     rep = cx.verify_extremal(c)
     assert (rep.k, rep.g, rep.n) == (1, 3, 12)
+
+
+def _x12_record():
+    return tg.complex_to_subgroup(catalog.load_entry("X12").complex).to_json_dict()
+
+
+def _generators(edit):
+    return lambda d: dict(d, generators=edit(d["generators"]))
+
+
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        (_generators(lambda g: [[24] + g[0][1:]] + g[1:]),
+         "generator 0 sends point 0 to 24, outside 0..23"),
+        (_generators(lambda g: [g[0], [0] * 24, g[2]]), "generator 1 is not a permutation"),
+        (_generators(lambda g: [g[0], g[1], [(x + 1) % 24 for x in range(24)]]),
+         "generator 2 is not an involution"),
+        (_generators(lambda g: g[:2]), "expected three generators (r0, r1, r2), got 2"),
+        (lambda d: {k: v for k, v in d.items() if k != "triangle"},
+         "subgroup record has no 'triangle' field"),
+        (_generators(lambda g: [p + [x + 24 for x in p] for p in g]),
+         "the action is not transitive"),
+        (lambda d: "generators: [[0]]", "subgroup record is not JSON"),
+        (lambda d: dict(d, triangle=[2, 3, 7]),
+         "rotation r2 r0 has a cycle of length 12, which does not divide 7"),
+    ],
+    ids=["out-of-range", "non-permutation", "non-involution", "two-generators",
+         "missing-key", "disconnected", "non-json", "wrong-triangle"],
+)
+def test_malformed_record_is_a_domain_error(tmp_path, capsys, change, message):
+    doc = change(_x12_record())
+    path = tmp_path / "bad.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    code, out, err = run(capsys, "from-group", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "{dir}"], ["from-group", "{dir}"], ["build", "--N", "7", "-o", "{dir}"]],
+    ids=["verify-input", "from-group-input", "build-output"],
+)
+def test_directory_path_is_a_domain_error(tmp_path, capsys, argv):
+    code, out, err = run(capsys, *[a.format(dir=tmp_path) for a in argv])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Is a directory" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["X7", "--n", "0"], ["X7", "--n", "-2"], ["X12", "--n", "0", "--voltages"] + ["0"] * 6],
+    ids=["search-0", "search-negative", "explicit-0"],
+)
+def test_cyclic_cover_degree_below_one(capsys, argv):
+    code, out, err = run(capsys, "cyclic-cover", *argv)
+    assert code == 2 and out == ""
+    assert err == "error: cover degree must be >= 1\n"
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_enumerate_max_count_below_one(capsys, count):
+    code, out, err = run(
+        capsys, "enumerate", "--p", "2", "--q", "3", "--r", "7", "--index", "28",
+        "--max-count", count,
+    )
+    assert code == 2 and out == ""
+    assert err == "error: need max_count >= 1, got %s\n" % count
 
 
 def test_render_command(tmp_path, capsys):

@@ -143,11 +143,11 @@ def test_mirroring_a_catalog_polygon_keeps_invariants_and_subgroup():
     for entry in catalog.load_all().values():
         c = entry.complex
         facts = presentation_facts(c)
-        key = cx.least_code(tg.complex_to_subgroup(c).table.perms)
+        key = cx.least_code(tg.complex_to_subgroup(c).perms)
         for p in range(c.num_polygons):
             m = mirrored(c, p)
             assert presentation_facts(m) == facts, (entry.name, p)
-            assert cx.least_code(tg.complex_to_subgroup(m).table.perms) == key, (entry.name, p)
+            assert cx.least_code(tg.complex_to_subgroup(m).perms) == key, (entry.name, p)
 
 
 @pytest.mark.xfail(

@@ -72,6 +72,14 @@ def test_cyclic_cover_degree_one_is_identity(seeds):
         assert covers.find_nonorientable_cyclic_cover(c, 1).polygons == c.polygons
 
 
+@pytest.mark.parametrize("n", [0, -2])
+def test_voltage_search_rejects_degree_below_one(seeds, n):
+    with pytest.raises(CoverError, match="cover degree must be >= 1"):
+        covers.find_voltage(seeds[7], n)
+    with pytest.raises(CoverError, match="cover degree must be >= 1"):
+        covers.find_nonorientable_cyclic_cover(seeds[7], n)
+
+
 @pytest.mark.parametrize(
     "n_base,deg,expect",
     [(12, 2, (2, 4, 12)), (7, 3, (18, 5, 7)), (9, 3, (6, 5, 9))],

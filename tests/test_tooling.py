@@ -1,8 +1,12 @@
+import ast
 import importlib
 import importlib.util
+import re
+import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "bench" / "spans.py"
 
 
 def test_span_targets_resolve():
@@ -18,3 +22,28 @@ def test_span_targets_resolve():
             owner = getattr(owner, part, None)
             assert owner is not None, "%s: extpack.%s has no %s" % (name, modname, path)
         assert callable(owner), name
+
+
+def test_library_imports_only_the_standard_library():
+    """The runtime has no dependencies: every import in the package is a
+    standard-library module or a module of the package itself."""
+    sources = sorted((ROOT / "src" / "extpack").glob("*.py"))
+    assert len(sources) >= 10
+    found = []
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                "%s:%d %s" % (path.name, node.lineno, name)
+                for name in names
+                if name.partition(".")[0] not in sys.stdlib_module_names
+            ]
+    assert not found, "non-standard imports in the library: %s" % ", ".join(found)
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.findall(r"(?m)^dependencies\s*=.*$", pyproject) == ["dependencies = []"]

@@ -1,3 +1,4 @@
+import json
 import random
 from collections import deque
 from fractions import Fraction
@@ -11,42 +12,90 @@ from extpack.errors import EnumerationCapError
 
 # ---------------------------------------------------------------------------
 # reference Todd-Coxeter enumeration: the general route to a coset table from
-# subgroup generators, against which the direct constructions are checked
+# subgroup generators, against which the direct constructions are checked.
+# Words are tuples of signed 1-based generator numbers (1, 2, 3 = r0, r1, r2).
+
+Word = tuple[int, ...]
 
 
-def schreier_generators(table: tg.CosetTable) -> list[tg.Word]:
+def triangle_relators(p: int, q: int, r: int) -> tuple[Word, ...]:
+    """Relators of the extended (p, q, r) triangle group."""
+    return ((1, 1), (2, 2), (3, 3), (1, 2) * p, (2, 3) * q, (3, 1) * r)
+
+
+def free_reduce(word: Word) -> Word:
+    out: list[int] = []
+    for x in word:
+        if out and out[-1] == -x:
+            out.pop()
+        else:
+            out.append(x)
+    return tuple(out)
+
+
+def inverse_perms(perms):
+    out = []
+    for perm in perms:
+        inv = [0] * len(perm)
+        for i, j in enumerate(perm):
+            inv[j] = i
+        out.append(tuple(inv))
+    return tuple(out)
+
+
+def apply_word(perms, c: int, word: Word) -> int:
+    inv = None
+    for x in word:
+        if x > 0:
+            c = perms[x - 1][c]
+        else:
+            if inv is None:
+                inv = inverse_perms(perms)
+            c = inv[-x - 1][c]
+    return c
+
+
+def check_relators(relators, perms) -> None:
+    """Every relator acts trivially and the action is transitive."""
+    for rel in relators:
+        for c in range(len(perms[0])):
+            assert apply_word(perms, c, rel) == c, "relator %s broken at coset %d" % (rel, c)
+    assert cx.two_color(perms)[0], "action is not transitive"
+
+
+def schreier_generators(perms) -> list[Word]:
     """Subgroup generators from a spanning tree of the coset graph."""
-    n = table.index
-    inv = table.inverse_perms()
-    path: list[tg.Word | None] = [None] * n
+    n = len(perms[0])
+    inv = inverse_perms(perms)
+    path: list[Word | None] = [None] * n
     path[0] = ()
     queue = deque([0])
     tree: set[tuple[int, int]] = set()
     while queue:
         c = queue.popleft()
-        for g in range(table.ngens):
-            for sign, perm in ((1, table.perms[g]), (-1, inv[g])):
+        for g in range(len(perms)):
+            for sign, perm in ((1, perms[g]), (-1, inv[g])):
                 d = perm[c]
                 if path[d] is None:
                     path[d] = path[c] + (sign * (g + 1),)
                     tree.add((c, sign * (g + 1)))
                     queue.append(d)
-    gens: list[tg.Word] = []
-    seen: set[tg.Word] = set()
+    gens: list[Word] = []
+    seen: set[Word] = set()
     for c in range(n):
-        for g in range(table.ngens):
+        for g in range(len(perms)):
             if (c, g + 1) in tree:
                 continue
-            d = table.perms[g][c]
+            d = perms[g][c]
             back = tuple(-x for x in reversed(path[d]))
-            w = tg._free_reduce(path[c] + (g + 1,) + back)
+            w = free_reduce(path[c] + (g + 1,) + back)
             if w and w not in seen:
                 seen.add(w)
                 gens.append(w)
     return gens
 
 
-def substitute(word: tg.Word, images: dict[int, tg.Word]) -> tg.Word:
+def substitute(word: Word, images: dict[int, Word]) -> Word:
     """Rewrite a word through generator images (for subgroup embeddings)."""
     out: list[int] = []
     for x in word:
@@ -55,27 +104,30 @@ def substitute(word: tg.Word, images: dict[int, tg.Word]) -> tg.Word:
             out.extend(img)
         else:
             out.extend(-y for y in reversed(img))
-    return tg._free_reduce(tuple(out))
+    return free_reduce(tuple(out))
 
 
 def coset_enumerate(
-    pres: tg.Presentation,
-    subgroup_words: tuple[tg.Word, ...] = (),
+    relators: tuple[Word, ...],
+    subgroup_words: tuple[Word, ...] = (),
     cap: int = 10**6,
-) -> tg.CosetTable:
-    """Enumerate the cosets of the subgroup generated by subgroup_words.
+):
+    """Enumerate the cosets of the subgroup generated by subgroup_words in
+    the three-generator group with the given relators; returns the
+    generators' actions, standardized.
 
     HLT-style scanning with on-the-fly filling; merged cosets are tracked
     through a union-find.  `cap` bounds the total number of coset rows ever
     allocated (live plus collapsed); exceeding it raises
     EnumerationCapError, a resource signal rather than a mathematical one.
     """
-    ncols = 2 * pres.ngens
+    ngens = 3
+    ncols = 2 * ngens
 
     def col_of(letter: int) -> int:
         return 2 * (abs(letter) - 1) + (0 if letter > 0 else 1)
 
-    rel_paths = [tuple(col_of(x) for x in rel) for rel in pres.relators]
+    rel_paths = [tuple(col_of(x) for x in rel) for rel in relators]
     sub_paths = [tuple(col_of(x) for x in w) for w in subgroup_words]
 
     rows: list[list[int]] = [[tg.UNDEF] * ncols]
@@ -142,49 +194,52 @@ def coset_enumerate(
     live = [c for c in range(len(rows)) if find(c) == c]
     renum = {c: i for i, c in enumerate(live)}
     perms = []
-    for g in range(pres.ngens):
+    for g in range(ngens):
         col = 2 * g
         perm = [renum[find(rows[c][col])] for c in live]
         perms.append(perm)
-    table = tg.CosetTable(
-        ngens=pres.ngens,
-        perms=tg.standardize(perms),
-        subgroup_words=tuple(tuple(w) for w in subgroup_words),
-    )
-    tg.validate_table(pres, table)
-    return table
-
-
-def test_triangle_presentation_shapes():
-    pres = tg.triangle_presentation(2, 3, 7)
-    assert pres.ngens == 3 and len(pres.relators) == 6
-    assert tg.triangle_type(pres) == (2, 3, 7)
-    with pytest.raises(ValueError):
-        tg.triangle_presentation(1, 3, 7)
+    perms = tg.standardize(perms)
+    check_relators(relators, perms)
+    for w in subgroup_words:
+        assert apply_word(perms, 0, w) == 0, "subgroup word %s does not stabilize coset 0" % (w,)
+    return perms
 
 
 def test_enumerate_finite_reflection_group():
     # the (2,3,3) reflection group is the full tetrahedral group of order 24
-    table = coset_enumerate(tg.triangle_presentation(2, 3, 3), (), cap=10**4)
-    assert table.index == 24
+    perms = coset_enumerate(triangle_relators(2, 3, 3), (), cap=10**4)
+    assert len(perms[0]) == 24
 
 
 def test_enumerate_orientation_subgroup():
-    pres = tg.triangle_presentation(2, 3, 7)
-    table = coset_enumerate(pres, ((1, 2), (2, 3)), cap=10**5)
-    assert table.index == 2
+    perms = coset_enumerate(triangle_relators(2, 3, 7), ((1, 2), (2, 3)), cap=10**5)
+    assert len(perms[0]) == 2
 
 
 def test_enumeration_cap_signals_infinite_group():
     with pytest.raises(EnumerationCapError):
-        coset_enumerate(tg.triangle_presentation(3, 3, 9), (), cap=4000)
+        coset_enumerate(triangle_relators(3, 3, 9), (), cap=4000)
 
 
 def test_low_index_subgroup_class_counts_in_s4():
     # ext(2,3,3) is S4; known subgroup conjugacy class counts by index
-    pres = tg.triangle_presentation(2, 3, 3)
     for index, classes in [(1, 1), (2, 1), (3, 1), (4, 1), (6, 3), (8, 1), (12, 2), (24, 1)]:
-        assert len(tg.low_index_subgroups(pres, index)) == classes
+        assert len(tg.low_index_subgroups(2, 3, 3, index)) == classes
+
+
+@pytest.mark.parametrize(
+    "args,kwargs,message",
+    [
+        ((1, 3, 7, 28), {}, "triangle parameters must be >= 2"),
+        ((2, 3, 7, 0), {}, "need index >= 1"),
+        ((2, 3, 7, 28), {"max_count": 0}, "need max_count >= 1"),
+        ((2, 3, 7, 28), {"max_count": -1}, "need max_count >= 1"),
+    ],
+    ids=["p-below-2", "index-0", "max-count-0", "max-count-negative"],
+)
+def test_low_index_rejects_bad_arguments(args, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        tg.low_index_subgroups(*args, **kwargs)
 
 
 def reference_table_key(perms):
@@ -224,10 +279,9 @@ def test_least_code_partitions_like_the_reference_key(pqr, index, torsion_free):
 
 
 def test_low_index_deterministic():
-    pres = tg.triangle_presentation(2, 3, 12)
-    a = tg.low_index_subgroups(pres, 24, torsion_free=True, proper=True)
-    b = tg.low_index_subgroups(pres, 24, torsion_free=True, proper=True)
-    assert [r.table.perms for r in a] == [r.table.perms for r in b]
+    a = tg.low_index_subgroups(2, 3, 12, 24, torsion_free=True, proper=True)
+    b = tg.low_index_subgroups(2, 3, 12, 24, torsion_free=True, proper=True)
+    assert [r.perms for r in a] == [r.perms for r in b]
     assert len(a) >= 1 and all(r.genus == 3 for r in a)
 
 
@@ -236,21 +290,20 @@ def test_low_index_deterministic():
     [((2, 3, 12), 24, 3), ((2, 3, 7), 84, 3), ((3, 3, 9), 18, 4), ((3, 3, 7), 42, 6)],
 )
 def test_low_index_finds_surface_records(pqr, index, genus):
-    pres = tg.triangle_presentation(*pqr)
-    recs = tg.low_index_subgroups(pres, index, torsion_free=True, proper=True, max_count=1)
+    recs = tg.low_index_subgroups(*pqr, index, torsion_free=True, proper=True, max_count=1)
     assert recs
     rec = recs[0]
     assert rec.torsion_free and rec.proper and not rec.quotient_orientable
     assert rec.genus == genus
-    tg.validate_table(pres, rec.table)
+    check_relators(triangle_relators(*pqr), rec.perms)
 
 
 def test_classify_whole_group_and_rotation_subgroup():
-    pres = tg.triangle_presentation(2, 3, 7)
-    whole = coset_enumerate(pres, ((1,), (2,), (3,)), cap=10**4)
+    rels = triangle_relators(2, 3, 7)
+    whole = coset_enumerate(rels, ((1,), (2,), (3,)), cap=10**4)
     rec = tg.classify(whole, 2, 3, 7)
     assert rec.index == 1 and not rec.torsion_free
-    plus = coset_enumerate(pres, ((1, 2), (2, 3)), cap=10**4)
+    plus = coset_enumerate(rels, ((1, 2), (2, 3)), cap=10**4)
     rec2 = tg.classify(plus, 2, 3, 7)
     assert rec2.index == 2 and not rec2.proper and not rec2.torsion_free
 
@@ -285,10 +338,9 @@ def test_x7_record_has_hurwitz_index(seeds):
 def test_schreier_round_trip(seeds):
     # re-enumerating the subgroup from its Schreier generators recovers the index
     rec = tg.complex_to_subgroup(seeds[7])
-    words = schreier_generators(rec.table)
-    pres = tg.triangle_presentation(2, 3, 7)
-    table = coset_enumerate(pres, tuple(words), cap=10**5)
-    assert table.index == 84
+    words = schreier_generators(rec.perms)
+    perms = coset_enumerate(triangle_relators(2, 3, 7), tuple(words), cap=10**5)
+    assert len(perms[0]) == 84
 
 
 def test_induced_action_matches_todd_coxeter():
@@ -298,16 +350,15 @@ def test_induced_action_matches_todd_coxeter():
     cases = [((3, 3, 9), 18, True), ((3, 3, 7), 14, False)]
     for pqr, index, torsion_free in cases:
         n = pqr[2]
-        big = tg.triangle_presentation(2, 3, 2 * n)
-        small = tg.triangle_presentation(*pqr)
-        recs = tg.low_index_subgroups(small, index, torsion_free=torsion_free)
+        big = triangle_relators(2, 3, 2 * n)
+        recs = tg.low_index_subgroups(*pqr, index, torsion_free=torsion_free)
         assert len(recs) == (41 if torsion_free else 24)
         for rec in recs:
-            words = tuple(substitute(w, images) for w in schreier_generators(rec.table))
+            words = tuple(substitute(w, images) for w in schreier_generators(rec.perms))
             reference = coset_enumerate(big, words, cap=10**5)
             induced = tg.induced_action(rec)
-            assert induced.table.perms == reference.perms
-    not_333 = tg.low_index_subgroups(tg.triangle_presentation(2, 3, 3), 4)[0]
+            assert induced.perms == reference
+    not_333 = tg.low_index_subgroups(2, 3, 3, 4)[0]
     with pytest.raises(ValueError):
         tg.induced_action(not_333)
 
@@ -326,7 +377,7 @@ def test_canonical_fuchsian(seeds):
 
 def test_subgroup_orbit_counts(seeds):
     rec = tg.complex_to_subgroup(seeds[12])
-    s0, s1, s2 = rec.table.perms
+    s0, s1, s2 = rec.perms
     m = rec.index
 
     def orbit_count(perms):
@@ -355,7 +406,7 @@ def test_subgroup_orbit_counts(seeds):
 
 def test_record_json_round_trip(seeds):
     rec = tg.complex_to_subgroup(seeds[9])
-    text = rec.to_json()
+    text = json.dumps(rec.to_json_dict())
     back = tg.record_from_json(text)
-    assert back.table.perms == rec.table.perms
+    assert back.perms == rec.perms
     assert back.genus == rec.genus and back.params == rec.params
