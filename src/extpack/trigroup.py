@@ -20,6 +20,7 @@ conversion directions live here.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 from . import complexes
@@ -208,9 +209,14 @@ class _TriangleSearch:
     Points are filled in a fixed scan order; after each tentative entry the
     alternating chains of both dihedral relators through the new edge are
     walked, rejecting overlong or short cycles and forcing the unique
-    closure of nearly-complete ones.  With the torsion-free filter, all
-    (r2 r0) orbits are prefilled as polygon blocks of size 2r and only the
-    edge-pairing involution r1 is searched.
+    closure of nearly-complete ones.
+
+    The generic search fills the table in BFS scan order from 0, trying
+    values in increasing order, and prunes by canonicity (_ties): it
+    completes each class once, as its least-code table, in code order.
+    With the torsion-free filter, all (r2 r0) orbits are prefilled as
+    polygon blocks of size 2r and only r1 is searched, not canonically.
+    nodes counts the entries tried, prunes the canonicity prunes.
     """
 
     def __init__(self, p: int, q: int, r: int, index: int, torsion_free: bool):
@@ -224,6 +230,8 @@ class _TriangleSearch:
             (2, 0): r, (0, 2): r,
         }
         self.count = 1
+        self.nodes = 0
+        self.prunes = 0
         self.block = blk = 2 * r
         self.impossible = torsion_free and index % blk != 0
         if torsion_free and not self.impossible:
@@ -331,6 +339,41 @@ class _TriangleSearch:
                 if a != b:
                     self.block_hits[b // self.block] -= 1
 
+    def _ties(self, live: list[int]) -> list[int] | None:
+        """The points of live whose BFS code ties with 0's (the table
+        itself) up to the first undecided entry on either side, or None if
+        one reads smaller: every completion keeps that prefix."""
+        t = self.t
+        m = self.m
+        out = []
+        for s in live:
+            order = [UNDEF] * m
+            order[s] = 0
+            seq = [s]
+            sign = 0
+            for i, x in enumerate(seq):
+                for col in t:
+                    want = col[i]
+                    y = col[x]
+                    if want == UNDEF or y == UNDEF:
+                        break
+                    o = order[y]
+                    if o < 0:
+                        o = order[y] = len(seq)
+                        seq.append(y)
+                    if o != want:
+                        sign = o - want
+                        break
+                else:
+                    continue
+                break
+            if sign < 0:
+                self.prunes += 1
+                return None
+            if sign == 0:
+                out.append(s)
+        return out
+
     # -- search drivers ---------------------------------------------------
 
     def solutions(self):
@@ -340,7 +383,7 @@ class _TriangleSearch:
         if self.tf:
             yield from self._search_prefilled(0)
         else:
-            yield from self._search_generic(0, 0)
+            yield from self._search_generic(0, 0, [])
 
     def _emit(self):
         return tuple(tuple(col) for col in self.t)
@@ -366,11 +409,13 @@ class _TriangleSearch:
             if hits[blk_d] == 0 and d != fresh:
                 continue
             mark = len(self.trail)
+            self.nodes += 1
             if self._assign(1, c, d):
                 yield from self._search_prefilled(c + 1)
             self._undo(mark)
 
-    def _search_generic(self, c: int, col: int):
+    def _search_generic(self, c: int, col: int, live: list[int]):
+        """live: the points whose codes still tie with 0's (_ties)."""
         m = self.m
         while True:
             if c == self.count:
@@ -387,15 +432,21 @@ class _TriangleSearch:
             if self.t[col][d] != UNDEF:
                 continue
             mark = len(self.trail)
+            self.nodes += 1
             if self._assign(col, c, d):
-                yield from self._search_generic(c, col)
+                ties = self._ties(live)
+                if ties is not None:
+                    yield from self._search_generic(c, col, ties)
             self._undo(mark)
         if self.count < m:
             d = self.count
             self.count += 1
             mark = len(self.trail)
+            self.nodes += 1
             if self._assign(col, c, d):
-                yield from self._search_generic(c, col)
+                ties = self._ties(live + [d])
+                if ties is not None:
+                    yield from self._search_generic(c, col, ties)
             self._undo(mark)
             self.count -= 1
 
@@ -417,8 +468,13 @@ def low_index_subgroups(
     itself); proper=True keeps the subgroups with a non-orientable
     quotient, proper=False those with an orientable one.  max_count
     (>= 1) stops the search after that many records, preserving the
-    deterministic DFS order; the default enumerates the complete list with
-    conjugates removed by their least code (complexes.least_code).
+    deterministic DFS order.
+
+    Without torsion_free, each record is its class's least-code table
+    (complexes.least_code), in code order.  With it, each record is the
+    first table found in its class, standardized; a table whose code from
+    0 is a code of a class seen before is dropped.  The counters go to
+    the "extpack.trigroup" logger at DEBUG.
     """
     _check_params(p, q, r)
     if index < 1:
@@ -427,21 +483,39 @@ def low_index_subgroups(
         raise ValueError("need max_count >= 1, got %d" % max_count)
     search = _TriangleSearch(p, q, r, index, torsion_free)
     records: list[SubgroupRecord] = []
-    seen_keys: set[tuple] = set()
+    seen_codes: set = set()
+    tables = 0
     for perms in search.solutions():
-        rec = classify(standardize(perms), p, q, r)
+        tables += 1
+        if torsion_free:
+            if _code_key(perms, 0) in seen_codes:
+                continue
+            perms = standardize(perms)
+            seen_codes.update(_code_key(perms, s) for s in range(index))
+        rec = classify(perms, p, q, r)
         if torsion_free and not rec.torsion_free:
             continue
         if proper is not None and rec.proper != proper:
             continue
-        key = complexes.least_code(rec.perms)
-        if key in seen_keys:
-            continue
-        seen_keys.add(key)
         records.append(rec)
         if max_count is not None and len(records) >= max_count:
             break
+    # unimported, logging could show no record; its import stays off the
+    # CLI's cold start
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger("extpack.trigroup").debug(
+            "low_index_subgroups(%d, %d, %d) at index %d: %d nodes, %d canonicity prunes,"
+            " %d complete tables, %d records",
+            p, q, r, index, search.nodes, search.prunes, tables, len(records),
+        )
     return records
+
+
+def _code_key(perms, start: int):
+    """bfs_code(perms, start), as bytes when every entry fits in one."""
+    code = complexes.bfs_code(perms, start)
+    return bytes(code) if len(perms[0]) <= 256 else code
 
 
 # ---------------------------------------------------------------------------

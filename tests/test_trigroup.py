@@ -1,5 +1,7 @@
 import json
+import logging
 import random
+import re
 from collections import deque
 from fractions import Fraction
 
@@ -242,6 +244,90 @@ def test_low_index_rejects_bad_arguments(args, kwargs, message):
         tg.low_index_subgroups(*args, **kwargs)
 
 
+class UnprunedSearch(tg._TriangleSearch):
+    """The low-index search without its canonicity test: every table in BFS
+    scan order is completed, each class many times."""
+
+    def _ties(self, live):
+        return []
+
+
+def reference_low_index(p, q, r, index, torsion_free=False, proper=None):
+    """The earlier low_index_subgroups: the unpruned search, every table
+    standardized and classified, conjugates removed by their least code."""
+    records, seen = [], set()
+    for perms in UnprunedSearch(p, q, r, index, torsion_free).solutions():
+        rec = tg.classify(tg.standardize(perms), p, q, r)
+        if torsion_free and not rec.torsion_free:
+            continue
+        if proper is not None and rec.proper != proper:
+            continue
+        key = cx.least_code(rec.perms)
+        if key not in seen:
+            seen.add(key)
+            records.append(rec)
+    return records
+
+
+GENERIC_CASES = [((2, 3, 12), 24, 300), ((2, 3, 7), 28, 13), ((3, 3, 7), 14, 24), ((2, 3, 8), 24, 75)] + [
+    ((2, 3, 3), index, classes)  # S4, as in the class-count test above
+    for index, classes in [(1, 1), (2, 1), (3, 1), (4, 1), (6, 3), (8, 1), (12, 2), (24, 1)]
+]
+
+
+@pytest.mark.parametrize(
+    "pqr,index,classes",
+    GENERIC_CASES,
+    ids=["%d,%d,%d@%d" % (pqr + (index,)) for pqr, index, _ in GENERIC_CASES],
+)
+def test_generic_search_matches_the_unpruned_search(pqr, index, classes):
+    recs = tg.low_index_subgroups(*pqr, index)
+    reference = reference_low_index(*pqr, index)
+    assert len(recs) == classes
+    codes = [cx.bfs_code(rec.perms, 0) for rec in recs]
+    assert codes == [cx.least_code(rec.perms) for rec in recs]
+    assert codes == sorted(set(codes))  # one per class, met in code order
+    # the first table the unpruned DFS meets in a class is its least-code one
+    assert [rec.perms for rec in recs] == [rec.perms for rec in reference]
+
+
+@pytest.mark.parametrize(
+    "pqr,index,proper",
+    [((2, 3, 8), 48, True), ((2, 3, 7), 84, True), ((3, 3, 9), 18, True), ((3, 3, 9), 18, None)],
+    ids=["2,3,8@48", "2,3,7@84", "3,3,9@18", "3,3,9@18-either"],
+)
+def test_torsion_free_records_match_the_least_code_dedupe(pqr, index, proper):
+    recs = tg.low_index_subgroups(*pqr, index, torsion_free=True, proper=proper)
+    reference = reference_low_index(*pqr, index, torsion_free=True, proper=proper)
+    assert recs and [rec.perms for rec in recs] == [rec.perms for rec in reference]
+    if proper is None:
+        assert {rec.proper for rec in recs} == {True, False}
+
+
+def _search_counters(caplog):
+    (record,) = [rec for rec in caplog.records if rec.name == "extpack.trigroup"]
+    text = record.getMessage()
+    found = re.search(
+        r"(\d+) nodes, (\d+) canonicity prunes, (\d+) complete tables, (\d+) records", text
+    )
+    assert found, text
+    return tuple(map(int, found.groups()))
+
+
+def test_search_counters_are_logged_at_debug(caplog):
+    tg.low_index_subgroups(2, 3, 7, 28)
+    assert not caplog.records  # silent by default
+    with caplog.at_level(logging.DEBUG, logger="extpack.trigroup"):
+        recs = tg.low_index_subgroups(2, 3, 7, 28)
+    nodes, prunes, tables, records = _search_counters(caplog)
+    assert prunes > 0 and tables == records == len(recs) == 13 and nodes > tables
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="extpack.trigroup"):
+        recs = tg.low_index_subgroups(2, 3, 8, 48, torsion_free=True, proper=True)
+    nodes, prunes, tables, records = _search_counters(caplog)
+    assert prunes == 0 and tables > records == len(recs) == 23
+
+
 def reference_table_key(perms):
     """The earlier isomorphism key: the least of the tables renumbered by a
     BFS from every point, compared column by column."""
@@ -261,7 +347,8 @@ def reference_table_key(perms):
 
 @pytest.mark.parametrize("pqr,index,torsion_free", [((2, 3, 8), 48, True), ((2, 3, 7), 28, False)])
 def test_least_code_partitions_like_the_reference_key(pqr, index, torsion_free):
-    sols = list(tg._TriangleSearch(*pqr, index, torsion_free).solutions())
+    sols = list(UnprunedSearch(*pqr, index, torsion_free).solutions())
+    assert len(sols) == {48: 458, 28: 252}[index]  # each class many times
     pairs = {(reference_table_key(perms), cx.least_code(perms)) for perms in sols}
     classes = len({ref for ref, _ in pairs})
     assert classes > 1
