@@ -437,86 +437,66 @@ def is_graftable(c: PolygonComplex) -> bool:
 # canonical form
 
 
-def _relabel_word(word, rot, mapping, next_label):
-    """Relabel one rotated polygon word, extending mapping for fresh labels."""
-    out = []
-    n = len(word)
-    fresh = []
-    for t in range(n):
-        v = word[(rot + t) % n]
-        a = abs(v)
-        if a not in mapping:
-            mapping[a] = (next_label, v < 0)
-            fresh.append(a)
-            next_label += 1
-        lab, flip = mapping[a]
-        neg = (v < 0) != flip
-        out.append(-lab if neg else lab)
-    return tuple(out), fresh, next_label
+def read_polygons(perms) -> tuple[tuple[int, ...], ...]:
+    """The polygon words of a flag action (t0, t1, t2), read flag by flag.
 
-
-def _assemble_min(c: PolygonComplex) -> tuple[tuple[int, ...], ...]:
-    """Greedy lexicographic reassembly over all (first polygon, rotation) roots."""
-    polys = c.polygons
-    k = len(polys)
-
-    # state: (mapping, next_label, remaining indices, words so far)
-    states = []
-    best_first = None
-    for p in range(k):
-        n = len(polys[p])
-        for r in range(n):
-            mapping: dict[int, tuple[int, bool]] = {}
-            word, _, nl = _relabel_word(polys[p], r, mapping, 1)
-            if best_first is None or word < best_first:
-                best_first = word
-                states = []
-            if word == best_first:
-                rem = frozenset(range(k)) - {p}
-                states.append((mapping, nl, rem, (word,)))
-
-    for _ in range(k - 1):
-        best_word = None
-        advanced = []
-        for mapping, nl, rem, words in states:
-            cand_best = None
-            for q in sorted(rem):
-                wq = polys[q]
-                for r in range(len(wq)):
-                    trial = dict(mapping)
-                    word, _, nl2 = _relabel_word(wq, r, trial, nl)
-                    if cand_best is None or word < cand_best[0]:
-                        cand_best = (word, q, trial, nl2)
-            word, q, trial, nl2 = cand_best
-            if best_word is None or word < best_word:
-                best_word = word
-                advanced = []
-            if word == best_word:
-                advanced.append((trial, nl2, rem - {q}, words + (word,)))
-        states = advanced
-
-    return min(st[3] for st in states)
+    Each flag x that is not yet on a polygon starts the next polygon, whose
+    sides are (a, t0 a) from a = x, stepping a <- t2 t0 a until a returns
+    to x.  Labels are numbered 1, 2, ... by first occurrence and positive
+    there; the partner of a side (a, b) with label v holds t1 a and t1 b,
+    and reads +v if its first flag is t1 b, -v if it is t1 a.  With the
+    sign rule of PolygonComplex, the words glue back to the given action,
+    up to renumbering of the flags.
+    """
+    t0, t1, t2 = perms
+    side_of = [-1] * len(t0)  # flag -> 2 * (its side's number) + its end
+    firsts: list[int] = []  # the first flag of every side
+    sizes: list[int] = []
+    for x in range(len(t0)):
+        if side_of[x] >= 0:
+            continue
+        a = x
+        before = len(firsts)
+        while True:
+            b = t0[a]
+            side_of[a] = 2 * len(firsts)
+            side_of[b] = 2 * len(firsts) + 1
+            firsts.append(a)
+            a = t2[b]
+            if a == x:
+                break
+        sizes.append(len(firsts) - before)
+    labels = [0] * len(firsts)
+    label = 0
+    for s, a in enumerate(firsts):
+        if labels[s]:
+            continue
+        label += 1
+        labels[s] = label
+        partner = side_of[t1[a]]
+        if partner >> 1 == s:
+            raise InvariantError("read_polygons: t1 glues side %d to itself" % s)
+        labels[partner >> 1] = label if partner & 1 else -label
+    words = []
+    at = 0
+    for n in sizes:
+        words.append(tuple(labels[at:at + n]))
+        at += n
+    return tuple(words)
 
 
 def canonicalize(c: PolygonComplex) -> PolygonComplex:
-    """Deterministic canonical form: labels 1..E in first-occurrence order
-    with positive first occurrences, polygons rotated and ordered to the
-    lexicographically least reassembly.
+    """The canonical form: c read off its least-code flag action.
 
-    The map is iterated to a fixed point (or the least member of a limit
-    cycle), which makes canonicalize idempotent by construction.  It is
-    stable under rotation and reordering of the input, not a full
-    isomorphism invariant.
+    least_code renumbers the flags so that t_j of new flag i is entry
+    3i + j of the code; read_polygons reads the words off that action.
+    Since least_code is the isomorphism key, so is the result: two
+    complexes have the same canonical form exactly when one is the other
+    relabeled, with polygons rotated, reordered or mirrored.
     """
-    seen: dict[tuple, int] = {}
-    traj: list[tuple[tuple[int, ...], ...]] = []
-    cur = c.polygons
-    while cur not in seen:
-        seen[cur] = len(traj)
-        traj.append(cur)
-        cur = _assemble_min(PolygonComplex(cur))
-    cycle = traj[seen[cur]:]
-    return PolygonComplex(min(cycle), name=c.name)
+    code = least_code(c._flags)
+    words = read_polygons((code[0::3], code[1::3], code[2::3]))
+    return PolygonComplex(words, name=c.name)
 
 
 # ---------------------------------------------------------------------------

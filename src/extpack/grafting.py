@@ -545,7 +545,8 @@ def build_primitive(N: int) -> PolygonComplex:
     variant family of that class; each graft adds one to the genus and the
     k*(N - N_base)/6 grafts end at the primitive pair (k_N, g_N).
     Intermediate complexes with imprimitive or non-uniform data are kept
-    internally but never returned.
+    internally but never returned.  The output is the graft chain's own
+    labeling, not the canonical form: cyclic covers are searched over it.
     """
     if N < 7:
         raise ValueError("need cell size N >= 7, got %r" % (N,))
@@ -555,5 +556,4 @@ def build_primitive(N: int) -> PolygonComplex:
 
     k = smallest_k(N)
     steps = k * (N - base_n) // 6
-    out = complexes.canonicalize(_chain(cls, steps))
-    return PolygonComplex(out.polygons, name="X%d" % N)
+    return PolygonComplex(_chain(cls, steps).polygons, name="X%d" % N)

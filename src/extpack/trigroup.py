@@ -464,9 +464,10 @@ def low_index_subgroups(
     """Subgroups of the extended (p, q, r) triangle group of exactly the
     given index, up to conjugacy, classified.
 
-    Filters restrict the output (and, for torsion_free, prune the search
-    itself); proper=True keeps the subgroups with a non-orientable
-    quotient, proper=False those with an orientable one.  max_count
+    torsion_free restricts the search itself, which then completes only
+    torsion-free tables (any other is an InvariantError); proper=True
+    keeps the subgroups with a non-orientable quotient, proper=False
+    those with an orientable one.  max_count
     (>= 1) stops the search after that many records, preserving the
     deterministic DFS order.
 
@@ -494,7 +495,10 @@ def low_index_subgroups(
             seen_codes.update(_code_key(perms, s) for s in range(index))
         rec = classify(perms, p, q, r)
         if torsion_free and not rec.torsion_free:
-            continue
+            raise InvariantError(
+                "low_index_subgroups: the torsion-free search of (%d, %d, %d) at index %d"
+                " completed table %d, %s, which has torsion" % (p, q, r, index, tables, perms)
+            )
         if proper is not None and rec.proper != proper:
             continue
         records.append(rec)
@@ -545,55 +549,21 @@ def subgroup_to_complex(rec: SubgroupRecord) -> PolygonComplex:
 
     Cosets are flags: polygons are the <r0, r2> orbits, edges the <r0, r1>
     orbits, and the pairing signs come from which end of the partner side
-    the edge reflection reaches.
+    the edge reflection reaches (complexes.read_polygons).  The words are
+    read in coset order; serialize writes the canonical form.
     """
     p, q, N = rec.params
     if (p, q) != (2, 3):
         raise ValueError("complex reconstruction needs a (2, 3, N) record")
     if not (rec.torsion_free and rec.proper):
         raise ValueError("complex reconstruction needs a torsion-free proper record")
-    s0, s1, s2 = rec.perms
-    m = rec.index
-
-    side_of: dict[int, tuple[int, int, int]] = {}  # flag -> (face, side, end)
-    faces: list[list[tuple[int, int]]] = []
-    for start in range(m):
-        if start in side_of:
-            continue
-        sides: list[tuple[int, int]] = []
-        a = start
-        while True:
-            b = s0[a]
-            side_of[a] = (len(faces), len(sides), 0)
-            side_of[b] = (len(faces), len(sides), 1)
-            sides.append((a, b))
-            a = s2[b]
-            if a == start:
-                break
-        if len(sides) != N:
+    words = complexes.read_polygons(rec.perms)
+    for f, word in enumerate(words):
+        if len(word) != N:
             raise InvariantError(
-                "subgroup_to_complex: the face through coset %d has %d sides, expected N = %d"
-                % (start, len(sides), N)
+                "subgroup_to_complex: face %d has %d sides, expected N = %d" % (f, len(word), N)
             )
-        faces.append(sides)
-
-    words: list[list[int]] = [[0] * N for _ in faces]
-    label = 0
-    for f, sides in enumerate(faces):
-        for i, (a, b) in enumerate(sides):
-            if words[f][i]:
-                continue
-            label += 1
-            words[f][i] = label
-            f2, i2, end = side_of[s1[a]]
-            if (f2, i2) == (f, i):
-                raise InvariantError(
-                    "subgroup_to_complex: r1 glues side %d of face %d to itself" % (i, f)
-                )
-            words[f2][i2] = label if end == 1 else -label
-    out = complexes.canonicalize(
-        PolygonComplex(tuple(tuple(w) for w in words))
-    )
+    out = PolygonComplex(words)
     check = complexes.verify_extremal(out)
     if not (check.ok and check.g == rec.genus and check.n == N):
         raise InvariantError(

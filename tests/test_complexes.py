@@ -5,6 +5,7 @@ from extpack import catalog, covers
 from extpack import complexes as cx
 from extpack import trigroup as tg
 from extpack.complexes import PolygonComplex
+from extpack.covers import realize_spec
 from extpack.errors import ComplexFormatError, InvalidComplexError
 
 
@@ -73,7 +74,8 @@ def test_parse_error_positions():
 
 
 def test_serialize_parse_round_trip():
-    for c in random_complexes(150, seed=7):
+    # the last case is a 4,200-flag cover
+    for c in random_complexes(150, seed=7) + [realize_spec(300, 52)]:
         text = cx.serialize(c)
         back = cx.parse(text)
         assert cx.serialize(back) == text
@@ -83,7 +85,18 @@ def test_serialize_parse_round_trip():
 
 def test_canonicalize_relabeling():
     c = PolygonComplex(((2, -2, 5, 5),))
-    assert cx.canonicalize(c).polygons == ((1, -1, 2, 2),)
+    assert cx.canonicalize(c).polygons == ((1, 2, -2, 1),)
+
+
+def test_canonical_equal_iff_least_code_equal():
+    # the small draws repeat classes, so both directions are exercised
+    sample = random_complexes(300, seed=23) + random_complexes(
+        300, seed=29, max_polygons=2, max_edges=4
+    )
+    pairs = {(cx.least_code(cx.flag_action(c)), cx.canonicalize(c).polygons) for c in sample}
+    keys = {key for key, _ in pairs}
+    forms = {form for _, form in pairs}
+    assert len(keys) == len(forms) == len(pairs) < len(sample)
 
 
 def test_canonicalize_idempotent_on_random_complexes():
@@ -129,6 +142,7 @@ def presentation_facts(c):
         (rep.ok, rep.k, rep.g, rep.n),
         cx.least_code(cx.flag_action(c)),
         len(cx.automorphisms(c)),
+        cx.canonicalize(c).polygons,
     )
 
 
@@ -148,17 +162,6 @@ def test_mirroring_a_catalog_polygon_keeps_invariants_and_subgroup():
             m = mirrored(c, p)
             assert presentation_facts(m) == facts, (entry.name, p)
             assert cx.least_code(tg.complex_to_subgroup(m).perms) == key, (entry.name, p)
-
-
-@pytest.mark.xfail(
-    strict=True,
-    reason="canonicalize is stable under rotation and reordering of polygons, not under mirroring",
-)
-def test_canonicalize_is_mirror_invariant():
-    c = catalog.load_entry("X7").complex
-    canon = cx.canonicalize(c)
-    for p in range(c.num_polygons):
-        assert cx.canonicalize(mirrored(c, p)) == canon, p
 
 
 def extends_to_automorphism(perms, f):

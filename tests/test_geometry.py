@@ -5,6 +5,7 @@ import math
 import mpmath
 import pytest
 
+from extpack import complexes as cx
 from extpack import geometry as geom
 from extpack.covers import realize_spec
 from extpack.feasibility import is_feasible, packing_radius_bound
@@ -128,23 +129,42 @@ def test_layouts_and_holonomy(seeds):
             assert abs(a - b) > 1e-6  # distinct polygon slots
 
 
-#: pairs that still miss criterion 9's bounds, with the measured residual
+def library_path(k, g):
+    return realize_spec(k, g)
+
+
+def cli_path(k, g):
+    # what `extpack realize | extpack render` lays out
+    return cx.parse(cx.serialize(realize_spec(k, g)))
+
+
+#: (path, k, g) that still miss criterion 9's bounds, with the measured error
 GRID_FAILURES = {
-    (2, 12): "angle error 1.6e-10 exceeds 1e-10",
-    (10, 12): "angle error 5.52e-10 exceeds 1e-10",
-    (12, 12): "realize: edge matching residual 2.98e-08 exceeds 1e-9",
-    (20, 12): "realize: edge matching residual 4.66e-09 exceeds 1e-9",
+    ("library", 2, 12): "angle error 1.61e-10 exceeds 1e-10",
+    ("library", 10, 12): "angle error 2.39e-10 exceeds 1e-10",
+    ("cli", 2, 12): "angle error 1.13e-10 exceeds 1e-10",
+    ("cli", 10, 12): "angle error 1.78e-10 exceeds 1e-10",
 }
 
 
-@pytest.mark.parametrize("k, g", [
-    pytest.param(k, g, marks=pytest.mark.xfail(strict=True, reason=GRID_FAILURES[k, g]))
-    if (k, g) in GRID_FAILURES else (k, g)
+def grid_case(path, k, g):
+    # the library path keeps the bare "k-g" ids
+    marks = ()
+    if (path, k, g) in GRID_FAILURES:
+        marks = pytest.mark.xfail(strict=True, reason=GRID_FAILURES[path, k, g])
+    ident = "%d-%d" % (k, g) if path == "library" else "%s-%d-%d" % (path, k, g)
+    return pytest.param(path, k, g, marks=marks, id=ident)
+
+
+@pytest.mark.parametrize("path, k, g", [
+    grid_case(path, k, g)
+    for path in ("library", "cli")
     for g in range(3, 13) for k in range(1, 6 * (g - 2) + 1) if is_feasible(k, g)
 ])
-def test_realize_grid(k, g):
+def test_realize_grid(path, k, g):
     # every feasible pair with g <= 12, at criterion 9's bounds
-    rep = geom.holonomy_check(geom.realize(realize_spec(k, g)))
+    c = {"library": library_path, "cli": cli_path}[path](k, g)
+    rep = geom.holonomy_check(geom.realize(c))
     assert rep.max_displacement < 1e-9
     assert rep.max_angle_error < 1e-10
 

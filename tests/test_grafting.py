@@ -187,6 +187,14 @@ def test_graft_pair_error_names_the_caps(seeds, monkeypatch, n):
     # site pair, the fallback at 40 per site, and the error says so
     base = seeds[n]
     search_rewrites = gr._iter_rewrites
+    # the fallback caps a site only if it has a first half at all
+    m = (sum(base.sizes) + 12) // base.num_polygons
+    max_insert = {p: m - sz for p, sz in enumerate(base.sizes)}
+    sites = gr.eligible_sites(base, gr.GraftVariant.EG3)
+    has_first_half = [
+        next(search_rewrites(base, site, None, max_insert, gr.RewriteSearch()), None) is not None
+        for site in sites
+    ]
 
     def first_halves_only(c, site, need, max_insert, search):
         found = None
@@ -205,9 +213,12 @@ def test_graft_pair_error_names_the_caps(seeds, monkeypatch, n):
         str(err.value),
     )
     assert match, str(err.value)
-    tried, rejected, ended, capped_pairs, pairs, capped_sites, sites = match.groups()
+    tried, rejected, ended, capped_pairs, pairs, capped_sites, num_sites = match.groups()
     assert int(tried) > int(rejected) > 0
     assert int(pairs) > 0 if n == 7 else int(pairs) == 0
-    assert ended == "the cap of 40 first halves per site" and capped_pairs == pairs
-    assert int(sites) == len(gr.eligible_sites(base, gr.GraftVariant.EG3))
-    assert 0 < int(capped_sites) <= int(sites)
+    assert capped_pairs == pairs
+    # the last site's scan sets the reason, whether or not it hits the cap
+    last = "the cap of 40 first halves per site" if has_first_half[-1] else "the corner slot tier"
+    assert ended == last
+    assert int(num_sites) == len(sites)
+    assert 0 < int(capped_sites) == sum(has_first_half)

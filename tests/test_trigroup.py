@@ -1,5 +1,6 @@
 import json
 import logging
+import pathlib
 import random
 import re
 from collections import deque
@@ -7,9 +8,10 @@ from fractions import Fraction
 
 import pytest
 
+from extpack import catalog
 from extpack import complexes as cx
 from extpack import trigroup as tg
-from extpack.errors import EnumerationCapError
+from extpack.errors import EnumerationCapError, InvariantError
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +246,15 @@ def test_low_index_rejects_bad_arguments(args, kwargs, message):
         tg.low_index_subgroups(*args, **kwargs)
 
 
+def test_torsion_free_search_rejects_a_table_with_torsion(monkeypatch):
+    # r0 fixes both points; the torsion-free search must never complete it
+    table = ((0, 1), (1, 0), (1, 0))
+    assert not tg.classify(table, 2, 3, 8).torsion_free
+    monkeypatch.setattr(tg._TriangleSearch, "solutions", lambda self: iter([table]))
+    with pytest.raises(InvariantError, match=r"completed table 1, \(\(0, 1\), .*which has torsion"):
+        tg.low_index_subgroups(2, 3, 8, 2, torsion_free=True)
+
+
 class UnprunedSearch(tg._TriangleSearch):
     """The low-index search without its canonicity test: every table in BFS
     scan order is completed, each class many times."""
@@ -405,17 +416,16 @@ def test_area_ratio_identities():
     assert mu(3, 3, 7) / mu(2, 3, 14) == 2
 
 
-def test_complex_to_subgroup_and_back(seeds):
-    for n, c in seeds.items():
+def test_complex_to_subgroup_and_back():
+    # the bridge both ways gives back the shipped file, name line aside
+    for name, entry in catalog.load_all().items():
+        c = entry.complex
         rec = tg.complex_to_subgroup(c)
-        rep = cx.verify_extremal(c)
-        assert rec.index == 2 * rep.k * n
-        assert rec.torsion_free and rec.proper and rec.genus == rep.g
+        assert rec.index == 2 * entry.k * entry.n
+        assert rec.torsion_free and rec.proper and rec.genus == entry.g
         back = tg.subgroup_to_complex(rec)
-        rep2 = cx.verify_extremal(back)
-        assert (rep2.k, rep2.g, rep2.n) == (rep.k, rep.g, rep.n)
-        cycles = sorted(len(v) for v in cx.vertex_cycles(back))
-        assert cycles == sorted(len(v) for v in cx.vertex_cycles(c))
+        shipped = (pathlib.Path(catalog.__file__).parent / "catalog" / ("%s.cmplx" % name)).read_text()
+        assert cx.serialize(back) == shipped.replace("name %s\n" % name, ""), name
 
 
 def test_x7_record_has_hurwitz_index(seeds):
