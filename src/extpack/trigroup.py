@@ -467,9 +467,8 @@ def low_index_subgroups(
     torsion_free restricts the search itself, which then completes only
     torsion-free tables (any other is an InvariantError); proper=True
     keeps the subgroups with a non-orientable quotient, proper=False
-    those with an orientable one.  max_count
-    (>= 1) stops the search after that many records, preserving the
-    deterministic DFS order.
+    those with an orientable one.  max_count (>= 1) stops the search
+    after that many records, preserving the deterministic DFS order.
 
     Without torsion_free, each record is its class's least-code table
     (complexes.least_code), in code order.  With it, each record is the
@@ -557,13 +556,7 @@ def subgroup_to_complex(rec: SubgroupRecord) -> PolygonComplex:
         raise ValueError("complex reconstruction needs a (2, 3, N) record")
     if not (rec.torsion_free and rec.proper):
         raise ValueError("complex reconstruction needs a torsion-free proper record")
-    words = complexes.read_polygons(rec.perms)
-    for f, word in enumerate(words):
-        if len(word) != N:
-            raise InvariantError(
-                "subgroup_to_complex: face %d has %d sides, expected N = %d" % (f, len(word), N)
-            )
-    out = PolygonComplex(words)
+    out = PolygonComplex(complexes.read_polygons(rec.perms))
     check = complexes.verify_extremal(out)
     if not (check.ok and check.g == rec.genus and check.n == N):
         raise InvariantError(
