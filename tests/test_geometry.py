@@ -129,15 +129,6 @@ def test_layouts_and_holonomy(seeds):
             assert abs(a - b) > 1e-6  # distinct polygon slots
 
 
-def library_path(k, g):
-    return realize_spec(k, g)
-
-
-def cli_path(k, g):
-    # what `extpack realize | extpack render` lays out
-    return cx.parse(cx.serialize(realize_spec(k, g)))
-
-
 #: (path, k, g) that still miss criterion 9's bounds, with the measured error
 GRID_FAILURES = {
     ("library", 2, 12): "angle error 1.61e-10 exceeds 1e-10",
@@ -163,7 +154,10 @@ def grid_case(path, k, g):
 ])
 def test_realize_grid(path, k, g):
     # every feasible pair with g <= 12, at criterion 9's bounds
-    c = {"library": library_path, "cli": cli_path}[path](k, g)
+    c = realize_spec(k, g)
+    if path == "cli":
+        # what `extpack realize | extpack render` lays out
+        c = cx.parse(cx.serialize(c))
     rep = geom.holonomy_check(geom.realize(c))
     assert rep.max_displacement < 1e-9
     assert rep.max_angle_error < 1e-10
