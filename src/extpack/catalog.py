@@ -93,7 +93,7 @@ def derive(name: str) -> PolygonComplex:
         c = grafting.build_primitive(n)
     else:
         c = _dual_extremal_complex(n)
-    c = PolygonComplex(complexes.canonicalize(c).polygons, name=name)
+    c = complexes._renamed(complexes.canonicalize(c), name)
     return _certify(name, c)
 
 
@@ -143,7 +143,7 @@ def load_entry(name: str) -> CatalogEntry:
     k, g, n, prov = EXPECTED[name]
     return CatalogEntry(
         name=name, k=k, g=g, n=n, provenance=prov,
-        complex=_certify(name, PolygonComplex(c.polygons, name=name)),
+        complex=_certify(name, complexes._renamed(c, name)),
     )
 
 

@@ -280,6 +280,8 @@ def _cmd_graft(args) -> int:
     c = _read_complex(args.file)
     variant = grafting.GraftVariant(args.variant)
     sites = grafting.eligible_sites(c, variant)
+    if not sites:
+        raise IneligibleSiteError("the complex has no %s site" % variant.value)
     if args.site is not None:
         if not 0 <= args.site < len(sites):
             raise IneligibleSiteError(

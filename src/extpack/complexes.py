@@ -123,6 +123,13 @@ class PolygonComplex:
         return "<PolygonComplex%s k=%d sides=%s>" % (tag, self.num_polygons, list(self.sizes))
 
 
+def _renamed(c: PolygonComplex, name: str | None) -> PolygonComplex:
+    """c under another name, sharing its words and its flag action."""
+    out = object.__new__(PolygonComplex)
+    out.__dict__.update(c.__dict__, name=name)
+    return out
+
+
 @dataclass(frozen=True)
 class VertexCycle:
     """Corners (polygon, position) around one surface vertex, in cyclic order."""
@@ -330,27 +337,37 @@ class CycleCrossings:
     crossings: tuple[tuple[int, int], ...]
 
 
-def vertex_cycles_with_crossings(c: PolygonComplex) -> list[CycleCrossings]:
-    t0 = c._flags[0]
-    corners = _corners(c)
-    # sides are numbered like the corners they leave
+def flag_sides(c: PolygonComplex) -> list[tuple[int, int]]:
+    """(label, direction) of the side each flag lies on.
+
+    The direction is +1 on the label's first side in scan order and -1 on
+    its second: the direction of CycleCrossings, and of a cyclic cover's
+    voltages.
+    """
+    # sides are numbered like the corners they leave: flag 2j lies on side
+    # j, and t0 takes flag 2j+1 to the leaving flag of its side
     labels = [abs(v) for word in c.polygons for v in word]
     first: dict[int, int] = {}
     for side, lab in enumerate(labels):
         first.setdefault(lab, side)
-    out = []
-    for cycle in _walk(c):
-        crossings = []
-        for f in cycle:
-            # the walk leaves the corner along the other flag's side
-            g = f ^ 1
-            side = (t0[g] if g & 1 else g) >> 1
-            lab = labels[side]
-            crossings.append((lab, 1 if first[lab] == side else -1))
-        out.append(CycleCrossings(
-            VertexCycle(tuple(corners[f >> 1] for f in cycle)), tuple(crossings)
-        ))
+    sides = [(lab, 1 if first[lab] == side else -1) for side, lab in enumerate(labels)]
+    out = sides * 2
+    out[0::2] = sides
+    out[1::2] = [sides[f >> 1] for f in c._flags[0][1::2]]
     return out
+
+
+def vertex_cycles_with_crossings(c: PolygonComplex) -> list[CycleCrossings]:
+    corners = _corners(c)
+    sides = flag_sides(c)
+    # the walk leaves each corner along the side of its other flag
+    return [
+        CycleCrossings(
+            VertexCycle(tuple([corners[f >> 1] for f in cycle])),
+            tuple([sides[f ^ 1] for f in cycle]),
+        )
+        for cycle in _walk(c)
+    ]
 
 
 def vertex_cycles(c: PolygonComplex) -> list[VertexCycle]:

@@ -1,15 +1,18 @@
 """Covering constructions: orientation double covers and cyclic covers.
 
-The orientation double cover takes two coherently oriented copies of every
-polygon (the second with its boundary word reversed) and lifts each
-pairing; an orientation-preserving pairing stays within a sheet, an
-orientation-reversing one swaps sheets, and every lifted pairing is then
-orientation preserving.  The cover of a k-extremal genus-g complex is an
-orientable 2k-extremal complex of genus g - 1.
+Every cover is a lift of the base's flag action (a permutation-voltage
+lift, Gross-Tucker 1987): n sheets of flags, on which t0 and t2 keep the
+sheet and t1 moves it by a shift fixed per flag.  One two_color pass over
+the lift says whether the cover is connected and whether it is orientable,
+and read_polygons reads its words off.
 
-Cyclic degree-n covers are driven by voltages: an integer residue per edge
-label.  Crossing an edge shifts the sheet by its voltage, so the vertex
-cycles survive (length three) exactly when the net voltage around every
+The orientation double cover changes sheet across exactly the
+orientation-reversing pairings.  The cover of a k-extremal genus-g complex
+is an orientable 2k-extremal complex of genus g - 1.
+
+A cyclic degree-n cover shifts by a voltage per edge label: + it across
+the label from its first side (in scan order), - it from its second.  Its
+vertex cycles keep length three exactly when the net voltage around every
 cycle vanishes.  `find_nonorientable_cyclic_cover` searches assignments
 drawn from the integer kernel of the cycle/edge crossing matrix, in a
 deterministic order, and returns the first connected non-orientable cover;
@@ -20,6 +23,7 @@ an orientation-reversing loop.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from math import gcd, lcm
 
@@ -49,35 +53,38 @@ class VoltageAssignment:
 
 
 # ---------------------------------------------------------------------------
-# orientation double cover
+# lifts of the flag action
+
+
+def _lift(c: PolygonComplex, n: int, shift: list[int]):
+    """The degree-n lift of c's flag action by the per-flag sheet shifts.
+
+    Flag f on sheet s is s*m + f, for the m flags of c.  t0 and t2 keep the
+    sheet; t1 sends sheet s to sheet s + shift[f] (mod n).  The shifts of f
+    and t1 f must cancel mod n, so that t1 stays an involution.
+    """
+    t0, t1, t2 = complexes.flag_action(c)
+    m = len(t0)
+    sheets = range(0, n * m, m)
+    return (
+        [f + off for off in sheets for f in t0],
+        [(off + d * m) % (n * m) + g for off in sheets for d, g in zip(shift, t1)],
+        [f + off for off in sheets for f in t2],
+    )
 
 
 def orientation_double_cover(c: PolygonComplex) -> PolygonComplex:
-    """Two-sheeted orientable cover of a non-orientable complex."""
+    """Two-sheeted orientable cover of a non-orientable complex.
+
+    It is the 2-sheet lift that changes sheet across exactly the
+    orientation-reversing pairings, the ones across which t1 keeps the
+    parity of a flag (t0 and t2 always change it).  So every involution of
+    the lift changes sheet + parity (mod 2), and the lift two-colors.
+    """
     if complexes.is_orientable(c):
         raise CoverError("complex is already orientable; it has no orientation double cover")
-    sizes = c.sizes
-    k = len(sizes)
-    # faces 0..k-1 are the + copies, k..2k-1 the reversed copies
-    words = [[0] * sizes[p] for p in range(k)] + [[0] * sizes[p] for p in range(k)]
-    label = 0
-    occ = complexes.occurrences(c)
-    for lab in sorted(occ):
-        (p, i, s1), (q, j, s2) = occ[lab]
-        ri = sizes[p] - 1 - i
-        rj = sizes[q] - 1 - j
-        if s1 == s2:
-            pairs = (((p, i), (q, j)), ((k + p, ri), (k + q, rj)))
-        else:
-            pairs = (((p, i), (k + q, rj)), ((k + p, ri), (q, j)))
-        for (fa, ia), (fb, ib) in pairs:
-            label += 1
-            words[fa][ia] = label
-            words[fb][ib] = label
-    out = PolygonComplex(
-        tuple(tuple(w) for w in words),
-        name=(c.name + "+") if c.name else None,
-    )
+    lift = _lift(c, 2, [(f ^ g ^ 1) & 1 for f, g in enumerate(complexes.flag_action(c)[1])])
+    out = PolygonComplex(complexes.read_polygons(lift), name=c.name + "+" if c.name else None)
     if not complexes.is_orientable(out):
         raise InvariantError("orientation_double_cover: the cover of %r is not orientable" % (c,))
     return out
@@ -127,9 +134,7 @@ def _integer_kernel(rows: list[list[int]], ncols: int) -> list[list[int]]:
             f = mat[i][col]
             if i != r and f:
                 row = [pv * a - f * b for a, b in zip(mat[i], prow)]
-                g = 0
-                for x in row:
-                    g = gcd(g, x)
+                g = gcd(*row)
                 mat[i] = [x // g for x in row] if g > 1 else row
         pivots.append(col)
         r += 1
@@ -144,66 +149,18 @@ def _integer_kernel(rows: list[list[int]], ncols: int) -> list[list[int]]:
         v[fc] = scale
         for rr, pc in enumerate(pivots):
             v[pc] = -mat[rr][fc] * (scale // mat[rr][pc])
-        g = 0
-        for x in v:
-            g = gcd(g, x)
+        g = gcd(*v)
         basis.append([x // g for x in v] if g > 1 else v)
     return basis
-
-
-def _cover_words(c: PolygonComplex, n: int, volt: dict[int, int]):
-    """Words of the degree-n cover: sheet copies of each polygon with the
-    pairing of label L shifted by volt[L] sheets."""
-    occ = complexes.occurrences(c)
-    nlabels = len(occ)
-    lab_index = {lab: t for t, lab in enumerate(sorted(occ))}
-    sizes = c.sizes
-    k = len(sizes)
-    words = [[0] * sizes[p] for _ in range(n) for p in range(k)]
-
-    def face(p, t):
-        return t * k + p
-
-    for lab, ((p, i, s1), (q, j, s2)) in occ.items():
-        v = volt[lab] % n
-        for t in range(n):
-            cover_lab = lab_index[lab] + 1 + nlabels * t
-            words[face(p, t)][i] = s1 * cover_lab
-            words[face(q, (t + v) % n)][j] = s2 * cover_lab
-    return words
-
-
-def _cover_components(c: PolygonComplex, n: int, volt: dict[int, int]) -> int:
-    """Components of the degree-n cover: gcd of n and the net voltages of
-    closed walks in the (connected) polygon graph of the base.
-
-    A spanning tree gives every polygon a potential; each edge then
-    contributes its voltage less the potential difference it spans.
-    """
-    adjacent: list[list[tuple[int, int]]] = [[] for _ in range(c.num_polygons)]
-    for lab, ((p, _, _), (q, _, _)) in complexes.occurrences(c).items():
-        adjacent[p].append((q, volt[lab]))
-        adjacent[q].append((p, -volt[lab]))
-    potential: list[int | None] = [None] * c.num_polygons
-    potential[0] = 0
-    stack = [0]
-    parts = n
-    while stack:
-        p = stack.pop()
-        for q, v in adjacent[p]:
-            if potential[q] is None:
-                potential[q] = potential[p] + v
-                stack.append(q)
-            else:
-                parts = gcd(parts, potential[p] + v - potential[q])
-    return parts
 
 
 def cyclic_cover(c: PolygonComplex, assignment: VoltageAssignment) -> PolygonComplex:
     """Degree-n cyclic cover of an extremal complex from explicit voltages.
 
-    Preconditions checked: the base certifies extremal, the net voltage
-    around every vertex cycle vanishes mod n, and the cover is connected.
+    The cover is the lift of the flag action by the voltages (see the
+    module docstring for the direction).  Preconditions checked: the base
+    certifies extremal, the net voltage around every vertex cycle vanishes
+    mod n, and the lift is connected.
     """
     rep = complexes.verify_extremal(c)
     if not rep.ok:
@@ -223,12 +180,10 @@ def cyclic_cover(c: PolygonComplex, assignment: VoltageAssignment) -> PolygonCom
                 "net voltage %d != 0 (mod %d) around the vertex cycle at corner %s"
                 % (s, n, tuple(anchor))
             )
-    parts = _cover_components(c, n, volt)
-    if parts > 1:
-        raise CoverError(
-            "voltages give a disconnected cover (%d components)" % parts
-        )
-    out = PolygonComplex(tuple(tuple(w) for w in _cover_words(c, n, volt)))
+    lift = _lift(c, n, [d * volt[lab] % n for lab, d in complexes.flag_sides(c)])
+    if not complexes.two_color(lift)[0]:
+        raise CoverError("voltages give a disconnected cover of degree %d" % n)
+    out = PolygonComplex(complexes.read_polygons(lift))
     sizes = complexes.vertex_class_sizes(out)
     if sizes[0] != 3 or sizes[-1] != 3:
         raise InvariantError(
@@ -244,7 +199,10 @@ def find_voltage(c: PolygonComplex, n: int) -> VoltageAssignment:
     Candidates are integer combinations of a kernel basis of the cycle
     crossing matrix (so cycle sums vanish exactly), scanned in order of
     increasing coefficient radius, up to MAX_VOLTAGE_RADIUS, and
-    lexicographic within a radius.
+    lexicographic within a radius.  A candidate is accepted when two_color
+    reads its lift connected and not bipartite.  The counters (kernel
+    dimension, candidates, rejects, radius) go to the "extpack.covers"
+    logger at DEBUG.
     """
     if n < 1:
         raise CoverError("cover degree must be >= 1")
@@ -254,35 +212,51 @@ def find_voltage(c: PolygonComplex, n: int) -> VoltageAssignment:
     labels, rows, _ = _cycle_matrix(c)
     if n == 1:
         return VoltageAssignment.from_dict(1, {lab: 0 for lab in labels})
+    sides = complexes.flag_sides(c)
     basis = _integer_kernel(rows, len(labels))
-    for radius in range(1, MAX_VOLTAGE_RADIUS + 1):
-        for combo in itertools.product(range(-radius, radius + 1), repeat=len(basis)):
-            if max(abs(x) for x in combo) != radius:
-                continue
-            vec = [0] * len(labels)
-            for coef, bv in zip(combo, basis):
-                if coef:
-                    for t, x in enumerate(bv):
-                        vec[t] += coef * x
-            volt = {lab: vec[t] % n for t, lab in enumerate(labels)}
-            if all(v == 0 for v in volt.values()):
-                continue
-            if _cover_components(c, n, volt) > 1:
-                continue
-            words = _cover_words(c, n, volt)
-            out = PolygonComplex(tuple(tuple(w) for w in words))
-            if complexes.is_orientable(out):
-                continue
-            return VoltageAssignment.from_dict(n, volt)
-    raise EnumerationCapError(
-        "voltage search exhausted (radius %d, kernel dim %d)" % (MAX_VOLTAGE_RADIUS, len(basis))
+    columns = list(zip(*basis))
+    combos = (
+        (radius, combo)
+        for radius in range(1, MAX_VOLTAGE_RADIUS + 1)
+        for combo in itertools.product(range(-radius, radius + 1), repeat=len(basis))
+        if max(map(abs, combo)) == radius
     )
+    found = None
+    tried = disconnected = orientable = radius = 0
+    for radius, combo in combos:
+        vec = [sum(a * b for a, b in zip(combo, col)) % n for col in columns]
+        if not any(vec):
+            continue
+        tried += 1
+        volt = dict(zip(labels, vec))
+        lift = _lift(c, n, [d * volt[lab] % n for lab, d in sides])
+        connected, bipartite = complexes.two_color(lift)
+        if not connected:
+            disconnected += 1
+        elif bipartite:
+            orientable += 1
+        else:
+            found = VoltageAssignment.from_dict(n, volt)
+            break
+    # unimported, logging could show no record: keep it off the cold start
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger("extpack.covers").debug(
+            "find_voltage(%r, %d): kernel dim %d, %d candidates, %d disconnected,"
+            " %d orientable, radius %d",
+            c, n, len(basis), tried, disconnected, orientable, radius,
+        )
+    if found is None:
+        raise EnumerationCapError(
+            "voltage search exhausted (radius %d, kernel dim %d)" % (MAX_VOLTAGE_RADIUS, len(basis))
+        )
+    return found
 
 
 def find_nonorientable_cyclic_cover(c: PolygonComplex, n: int) -> PolygonComplex:
-    """First (in voltage search order) connected non-orientable n-cover."""
+    """First (in voltage search order) connected non-orientable n-cover; c at n = 1."""
     if n == 1:
-        return PolygonComplex(c.polygons, name=c.name)
+        return c
     return cyclic_cover(c, find_voltage(c, n))
 
 
@@ -303,4 +277,4 @@ def realize_spec(k: int, g: int) -> PolygonComplex:
         raise InvariantError(
             "realize_spec: the complex for (k, g) = (%d, %d) certifies as %s" % (k, g, rep)
         )
-    return PolygonComplex(out.polygons, name="K%dG%d" % (k, g))
+    return complexes._renamed(out, "K%dG%d" % (k, g))

@@ -556,4 +556,4 @@ def build_primitive(N: int) -> PolygonComplex:
 
     k = smallest_k(N)
     steps = k * (N - base_n) // 6
-    return PolygonComplex(_chain(cls, steps).polygons, name="X%d" % N)
+    return complexes._renamed(_chain(cls, steps), "X%d" % N)

@@ -110,6 +110,13 @@ def test_graft_command(tmp_path, capsys):
     assert code == 0 and "(3, 4, 10)" in out
 
 
+@pytest.mark.parametrize("site", [[], ["--site", "0"]])
+def test_graft_without_a_site_of_the_variant_is_a_domain_error(capsys, site):
+    code, out, err = run(capsys, "graft", "X12", "--variant", "EG3", *site)
+    assert code == 2 and out == ""
+    assert err == "error: the complex has no EG3 site\n"
+
+
 def test_double_cover_command(tmp_path, capsys):
     code, out, _ = run(capsys, "double-cover", "X9")
     assert code == 0

@@ -83,6 +83,15 @@ def test_serialize_parse_round_trip():
         assert back == canon
 
 
+def test_renamed_complex_shares_its_flag_action(seeds):
+    c = seeds[9]
+    renamed = cx._renamed(c, "Y9")
+    assert renamed == c and renamed.polygons is c.polygons
+    assert renamed.name == "Y9" and c.name == "X9"
+    assert cx.flag_action(renamed) is cx.flag_action(c)
+    assert cx.is_orientable(renamed) == cx.is_orientable(c)
+
+
 def test_canonicalize_relabeling():
     c = PolygonComplex(((2, -2, 5, 5),))
     assert cx.canonicalize(c).polygons == ((1, 2, -2, 1),)

@@ -1,14 +1,78 @@
+import logging
 import random
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
 
 from conftest import random_complexes
+from extpack import catalog, covers
 from extpack import complexes as cx
-from extpack import covers
 from extpack.complexes import PolygonComplex
 from extpack.errors import CoverError, InfeasibleSpecError
+
+
+def reference_double_cover(c: PolygonComplex) -> PolygonComplex:
+    """The double cover written out word by word: faces 0..k-1 copy the
+    polygons, faces k..2k-1 copy them with reversed words, and each pairing
+    is lifted within the sheets when it preserves orientation and across
+    them when it reverses it."""
+    sizes = c.sizes
+    k = len(sizes)
+    words = [[0] * sizes[p] for p in range(k)] + [[0] * sizes[p] for p in range(k)]
+    label = 0
+    occ = cx.occurrences(c)
+    for lab in sorted(occ):
+        (p, i, s1), (q, j, s2) = occ[lab]
+        ri = sizes[p] - 1 - i
+        rj = sizes[q] - 1 - j
+        if s1 == s2:
+            pairs = (((p, i), (q, j)), ((k + p, ri), (k + q, rj)))
+        else:
+            pairs = (((p, i), (k + q, rj)), ((k + p, ri), (q, j)))
+        for (fa, ia), (fb, ib) in pairs:
+            label += 1
+            words[fa][ia] = label
+            words[fb][ib] = label
+    return PolygonComplex(tuple(tuple(w) for w in words))
+
+
+def reference_cyclic_cover(c: PolygonComplex, n: int, volt: dict[int, int]) -> PolygonComplex:
+    """The degree-n cover written out word by word: sheet copies of each
+    polygon, with the copy of label L's first occurrence on sheet t paired
+    to the copy of its second occurrence on sheet t + volt[L]."""
+    occ = cx.occurrences(c)
+    nlabels = len(occ)
+    lab_index = {lab: t for t, lab in enumerate(sorted(occ))}
+    sizes = c.sizes
+    k = len(sizes)
+    words = [[0] * sizes[p] for _ in range(n) for p in range(k)]
+    for lab, ((p, i, s1), (q, j, s2)) in occ.items():
+        v = volt[lab] % n
+        for t in range(n):
+            cover_lab = lab_index[lab] + 1 + nlabels * t
+            words[t * k + p][i] = s1 * cover_lab
+            words[(t + v) % n * k + q][j] = s2 * cover_lab
+    return PolygonComplex(tuple(tuple(w) for w in words))
+
+
+def test_double_cover_lift_matches_the_word_construction():
+    entries = [e.complex for e in catalog.load_all().values()]
+    sample = entries + [c for c in random_complexes(300, seed=41) if not cx.is_orientable(c)]
+    for c in sample:
+        lift = covers.orientation_double_cover(c)
+        assert cx.canonicalize(lift) == cx.canonicalize(reference_double_cover(c)), c
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_cyclic_cover_lift_matches_the_word_construction(n):
+    for entry in catalog.load_all().values():
+        c = entry.complex
+        va = covers.find_voltage(c, n)
+        lift = covers.cyclic_cover(c, va)
+        ref = reference_cyclic_cover(c, n, va.as_dict())
+        assert cx.canonicalize(lift) == cx.canonicalize(ref), (entry.name, va)
 
 
 def test_double_cover_classical():
@@ -69,7 +133,34 @@ def test_double_cover_doubles_chi_on_random_complexes():
 
 def test_cyclic_cover_degree_one_is_identity(seeds):
     for c in seeds.values():
-        assert covers.find_nonorientable_cyclic_cover(c, 1).polygons == c.polygons
+        assert covers.find_nonorientable_cyclic_cover(c, 1) is c
+
+
+def _voltage_counters(caplog):
+    (rec,) = [r for r in caplog.records if r.name == "extpack.covers"]
+    msg = rec.getMessage()
+    m = re.search(
+        r"kernel dim (\d+), (\d+) candidates, (\d+) disconnected, (\d+) orientable, radius (\d+)",
+        msg,
+    )
+    assert m, msg
+    return tuple(int(x) for x in m.groups())
+
+
+def test_search_counters_are_logged_at_debug(caplog):
+    from extpack.grafting import build_primitive
+
+    x23 = build_primitive(23)
+    covers.find_voltage(x23, 2)
+    assert not caplog.records  # silent by default
+    with caplog.at_level(logging.DEBUG, logger="extpack.covers"):
+        covers.find_voltage(x23, 2)
+    dim, tried, disconnected, orientable, radius = _voltage_counters(caplog)
+    assert dim > 0 and (tried, disconnected, orientable, radius) == (1, 0, 0, 1)
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="extpack.covers"):
+        covers.find_voltage(catalog.load_entry("D18").complex, 2)
+    assert _voltage_counters(caplog) == (3, 2, 0, 1, 1)  # one orientable cover rejected
 
 
 @pytest.mark.parametrize("n", [0, -2])
@@ -105,7 +196,7 @@ def test_cyclic_cover_precondition_errors(seeds):
     x12 = seeds[12]
     labels = sorted(cx.occurrences(x12))
     zero = covers.VoltageAssignment.from_dict(2, {lab: 0 for lab in labels})
-    with pytest.raises(CoverError, match="disconnected"):
+    with pytest.raises(CoverError, match="disconnected cover of degree 2"):
         covers.cyclic_cover(x12, zero)
     bad = covers.VoltageAssignment.from_dict(2, {lab: 1 for lab in labels})
     with pytest.raises(CoverError, match="net voltage"):
