@@ -180,6 +180,14 @@ def cyclic_cover(c: PolygonComplex, assignment: VoltageAssignment) -> PolygonCom
                 "net voltage %d != 0 (mod %d) around the vertex cycle at corner %s"
                 % (s, n, tuple(anchor))
             )
+    return _cover(c, assignment)
+
+
+def _cover(c: PolygonComplex, assignment: VoltageAssignment) -> PolygonComplex:
+    """The lift of c by voltages with no net voltage around any vertex
+    cycle; checked connected, and trivalent once built."""
+    n = assignment.modulus
+    volt = assignment.as_dict()
     lift = _lift(c, n, [d * volt[lab] % n for lab, d in complexes.flag_sides(c)])
     if not complexes.two_color(lift)[0]:
         raise CoverError("voltages give a disconnected cover of degree %d" % n)
@@ -254,10 +262,14 @@ def find_voltage(c: PolygonComplex, n: int) -> VoltageAssignment:
 
 
 def find_nonorientable_cyclic_cover(c: PolygonComplex, n: int) -> PolygonComplex:
-    """First (in voltage search order) connected non-orientable n-cover; c at n = 1."""
+    """First (in voltage search order) connected non-orientable n-cover; c at n = 1.
+
+    find_voltage checks the base once, and its voltages vanish around every
+    vertex cycle by construction, so the cover skips cyclic_cover's checks.
+    """
     if n == 1:
         return c
-    return cyclic_cover(c, find_voltage(c, n))
+    return _cover(c, find_voltage(c, n))
 
 
 def realize_spec(k: int, g: int) -> PolygonComplex:

@@ -28,7 +28,7 @@ class IneligibleSiteError(ValueError):
 
 
 class RewriteSearchError(RuntimeError):
-    """No valid rewrite exists in the bounded search space.
+    """No row of the wiring table grafts at the site.
 
     This signals a bug in the eligibility predicate rather than bad input.
     """

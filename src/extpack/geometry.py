@@ -14,7 +14,6 @@ arithmetic layers can be cross-checked exactly.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
 
@@ -146,25 +145,16 @@ def _geodesic_center(v: complex, u: complex) -> complex | None:
     return complex(cx, cy)
 
 
-def geodesic_tangent(v: complex, u: complex) -> complex:
-    """Unit tangent at v of the geodesic from v toward u."""
-    center = _geodesic_center(v, u)
-    if center is None:
-        t = u - v
-        return t / abs(t)
-    t = 1j * (v - center)
-    t /= abs(t)
-    if (t.conjugate() * (u - v)).real < 0:
-        t = -t
-    return t
-
-
 def corner_angle(v: complex, u: complex, w: complex) -> float:
-    """Angle at v between the geodesics toward u and toward w."""
-    t1 = geodesic_tangent(v, u)
-    t2 = geodesic_tangent(v, w)
-    c = (t1.conjugate() * t2).real
-    return math.acos(max(-1.0, min(1.0, c)))
+    """Angle at v between the geodesics toward u and toward w.
+
+    Measured in the chart of v: z -> (z - v) / (1 - conj(v) z) moves v to 0,
+    where geodesics through it are diameters, so the angle is the one
+    between the images of u and w.
+    """
+    a = (u - v) / (1.0 - v.conjugate() * u)
+    b = (w - v) / (1.0 - v.conjugate() * w)
+    return abs(cmath.phase(b / a))
 
 
 def triangle_area(a: complex, b: complex, c: complex) -> float:
@@ -271,28 +261,6 @@ class DiskLayout:
     vertices: tuple[tuple[complex, ...], ...]
     pairings: dict[int, Isometry]
     tree_labels: frozenset[int]
-
-    def to_json(self) -> str:
-        def cpx(z: complex):
-            return [float("%.17g" % z.real), float("%.17g" % z.imag)]
-
-        def iso(m: Isometry):
-            return {"a": cpx(m.a), "b": cpx(m.b), "reversing": m.reversing}
-
-        return json.dumps(
-            {
-                "format_version": 1,
-                "cell_size": self.cell.n,
-                "polygons": [[cpx(v) for v in poly] for poly in self.vertices],
-                "placements": [iso(g) for g in self.placements],
-                "pairings": {
-                    str(lab): dict(iso(g), tree=(lab in self.tree_labels))
-                    for lab, g in sorted(self.pairings.items())
-                },
-            },
-            indent=2,
-            sort_keys=True,
-        ) + "\n"
 
 
 def realize(c: PolygonComplex, tol: float = MATCH_TOL) -> DiskLayout:

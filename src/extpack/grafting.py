@@ -2,14 +2,14 @@
 complex by one while keeping every vertex trivalent.
 
 A graft inserts three new edge pairs (six new sides) at a chosen vertex
-cycle, keeping all old pairings.  The exact wiring is not hard-coded:
-`discover_rewrite` searches the bounded space of insertions at the
-site's corners and returns the first rewrite, in a fixed deterministic
-order, whose output is again trivalent, non-orientable and matches the
-requested polygon sizes.  Each candidate is checked by walking only the
-cycles through the corners it touches, on the base's flag action plus
-the flags of the new sides.  Any such rewrite changes (V, E, F) by
-(+2, +3, 0), so the genus goes up by exactly one.
+cycle, keeping all old pairings.  The wirings are the rows of WIRINGS,
+one table for all four variants: `discover_rewrite` returns the first
+row, in table order, whose side counts fit the requested polygon sizes
+and whose output is again trivalent and non-orientable.  Each row is
+checked by walking only the cycles through the corners it touches, on
+the base's flag action plus the flags of the new sides.  Any such
+rewrite changes (V, E, F) by (+2, +3, 0), so the genus goes up by
+exactly one.
 
 The four variants come in two alternating families.  EG1/EG2 act at a
 cycle seen as three separate boundary corners; EG3/EG4 act at a cycle two
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from . import complexes
@@ -107,121 +108,19 @@ def eligible_sites(c: PolygonComplex, variant: GraftVariant) -> list[GraftSite]:
     return sites
 
 
-def _compositions(total: int, parts: int):
-    """Weak compositions of total into parts, balanced ones first."""
-    if parts == 1:
-        yield (total,)
-        return
-    out = []
-    def rec(prefix, rest, left):
-        if left == 1:
-            out.append(prefix + (rest,))
-            return
-        for v in range(rest + 1):
-            rec(prefix + (v,), rest - v, left - 1)
-    rec((), total, parts)
-    out.sort(key=lambda t: (max(t) - min(t), t))
-    yield from out
-
-
-def _slot_distributions(c: PolygonComplex, slots, need, max_insert):
-    """Distributions of six new sides over the slots.
-
-    With `need` (per-polygon counts for a uniform target) the distribution
-    is constrained polygon by polygon; with `max_insert` (per-polygon caps
-    for the free half of a paired graft) compositions are filtered.
-    """
-    if need is not None:
-        by_poly: dict[int, list[int]] = {}
-        for s, (p, _) in enumerate(slots):
-            by_poly.setdefault(p, []).append(s)
-        if any(need.get(p, 0) > 0 and p not in by_poly for p in need):
-            return
-        groups = sorted(by_poly)
-        per_group = [
-            list(_compositions(need.get(p, 0), len(by_poly[p]))) for p in groups
-        ]
-        for combo in itertools.product(*per_group):
-            dist = [0] * len(slots)
-            for p, comp in zip(groups, combo):
-                for s, v in zip(by_poly[p], comp):
-                    dist[s] = v
-            yield tuple(dist)
-        return
-    for dist in _compositions(6, len(slots)):
-        if max_insert is not None:
-            sums: dict[int, int] = {}
-            for (p, _), v in zip(slots, dist):
-                sums[p] = sums.get(p, 0) + v
-            if any(v > max_insert.get(p, 0) for p, v in sums.items()):
-                continue
-        yield dist
-
-
-_PAIRINGS_6 = []
-
-
-def _pairings_of_six():
-    if _PAIRINGS_6:
-        return _PAIRINGS_6
-    def rec(free):
-        if not free:
-            yield ()
-            return
-        a = free[0]
-        for t in range(1, len(free)):
-            b = free[t]
-            rest = free[1:t] + free[t + 1:]
-            for m in rec(rest):
-                yield ((a, b),) + m
-    _PAIRINGS_6.extend(rec(tuple(range(6))))
-    return _PAIRINGS_6
-
-
-def _candidate_rewrites(c: PolygonComplex, slots, need, max_insert):
-    """Deterministic stream of rewrites: distribute six new sides over the
-    slots, then try each pairing of the six and each sign pattern."""
-    base = max(abs(v) for w in c.polygons for v in w)
-    nslots = len(slots)
-    for dist in _slot_distributions(c, slots, need, max_insert):
-        positions = []  # (slot index, rank within slot) for the 6 darts
-        for s, cnt in enumerate(dist):
-            positions.extend((s, t) for t in range(cnt))
-        for pairing in _pairings_of_six():
-            for signs in ((1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1),
-                          (-1, 1, 1), (-1, 1, -1), (-1, -1, 1), (-1, -1, -1)):
-                darts = [0] * 6
-                for lab_off, (a, b) in enumerate(pairing):
-                    darts[a] = base + 1 + lab_off
-                    darts[b] = signs[lab_off] * (base + 1 + lab_off)
-                seqs: list[list[int]] = [[] for _ in range(nslots)]
-                for (s, _), v in zip(positions, darts):
-                    seqs[s].append(v)
-                yield Rewrite(
-                    insertions=tuple(
-                        (slots[s][0], slots[s][1], tuple(seq))
-                        for s, seq in enumerate(seqs)
-                        if seq
-                    )
-                )
-
-
-class RewriteSearch:
-    """What a bounded rewrite search did, for the error that ends it.
-
-    tried counts candidate rewrites, rejected those the local check turned
-    down, and ended names the slot tier or cap that ended the last scan.
-    """
-
-    def __init__(self):
-        self.tried = 0
-        self.rejected = 0
-        self.ended = "no slot tier"
-
-    def __str__(self):
-        return "%d candidates tried, %d rejected by the local check, ended by %s" % (
-            self.tried, self.rejected, self.ended
-        )
+#: the local wirings of EG1-EG4, shared by all four variants: one word of
+#: new labels per site corner, in the order of the site's corners.  Label i
+#: stands for base + i, base being the complex's largest label, and is
+#: positive where it first occurs.  The rows are tried in this order.
+WIRINGS = (
+    ((1, 2), (-2, 3), (1, 3)),
+    ((1, 2), (3, 2), (1, -3)),
+    ((1, 2), (-2, 3), (-3, -1)),
+    ((1, 2), (3, 2), (3, -1)),
+    ((1,), (2,), (3, 1, -2, -3)),
+    ((1,), (2,), (3, -2, -1, -3)),
+    ((1,), (2, -1, 3, -2), (3,)),
+)
 
 
 def _trivalent_after(c: PolygonComplex, rw: Rewrite) -> bool:
@@ -276,29 +175,37 @@ def _trivalent_after(c: PolygonComplex, rw: Rewrite) -> bool:
     return True
 
 
-def _iter_rewrites(c: PolygonComplex, site: GraftSite, need, max_insert, search: RewriteSearch):
-    """Yield (rewrite, grafted complex) for every rewrite at the site meeting
-    all graft postconditions, in the fixed deterministic order of the
-    candidate stream.
+def _iter_rewrites(c: PolygonComplex, site: GraftSite, need, max_insert, tally: Counter):
+    """Yield (rewrite, grafted complex) for every row of WIRINGS that grafts
+    at the site and meets all graft postconditions, in table order.
 
-    Each candidate is checked on the site's cycles (_trivalent_after); the
-    grafted complex stays connected and non-orientable, because every old
-    pairing survives.  Only an accepted candidate is built, and then
-    checked in full: a disagreement is an InvariantError.
+    A row fits when its per-polygon side counts equal need (a uniform
+    target) or stay within max_insert (the free half of a paired graft).
+    Each fitting row is checked on the site's cycles (_trivalent_after);
+    the grafted complex stays connected and non-orientable, because every
+    old pairing survives.  Only an accepted row is built, and then checked
+    in full: a disagreement is an InvariantError.  tally counts the rows
+    that fit and those the local check rejected.
     """
-    if need is not None:
-        slot_polys = {p for p, _ in site.corners}
-        if any(v > 0 and p not in slot_polys for p, v in need.items()):
-            search.ended = "a target that grows a polygon away from the site"
-            return
     old_classes = complexes.vertex_class_sizes(c)
     if old_classes[0] != 3 or old_classes[-1] != 3 or complexes.is_orientable(c):
         raise NotExtremalError("complex is not graftable (trivalent + non-orientable)")
-    search.ended = "the corner slot tier"
-    for rw in _candidate_rewrites(c, list(site.corners), need, max_insert):
-        search.tried += 1
+    base = max(abs(v) for w in c.polygons for v in w)
+    for row in WIRINGS:
+        grow = Counter()
+        for (p, _), word in zip(site.corners, row):
+            grow[p] += len(word)
+        if need is not None and any(grow[p] != v for p, v in need.items()):
+            continue
+        if max_insert is not None and any(v > max_insert.get(p, 0) for p, v in grow.items()):
+            continue
+        tally["fit"] += 1
+        rw = Rewrite(tuple(
+            (p, pos, tuple(v + base if v > 0 else v - base for v in word))
+            for (p, pos), word in zip(site.corners, row)
+        ))
         if not _trivalent_after(c, rw):
-            search.rejected += 1
+            tally["rejected"] += 1
             continue
         out = apply_rewrite(c, rw)
         if not complexes.is_graftable(out):
@@ -313,6 +220,10 @@ def _iter_rewrites(c: PolygonComplex, site: GraftSite, need, max_insert, search:
                 % (rw.insertions, site.corners, len(new_classes) - len(old_classes))
             )
         yield rw, out
+
+
+#: what a search's RewriteSearchError reports, from its tally
+_TALLY = "%(fit)d wiring rows fit, the local check rejected %(rejected)d"
 
 
 def _resolve_constraints(c, target_sizes, max_size):
@@ -337,15 +248,16 @@ def discover_rewrite(
     target_sizes: tuple[int, ...] | None = None,
     max_size: int | None = None,
 ) -> Rewrite:
-    """Find the first rewrite at the site meeting all graft postconditions.
+    """The first rewrite of the wiring table at the site that meets all
+    graft postconditions.
 
-    The search space is bounded: six new sides at slots splitting the
-    site's corners, three new pairs, one sign each.  target_sizes, when given, must be
-    uniform and pins the polygon sizes of the result; max_size instead caps
-    every polygon (the free half of a paired graft).  Raises
-    RewriteSearchError when the space is exhausted, which signals a wrong
-    eligibility predicate rather than a user error; its message names the
-    candidates tried and how many the local check rejected.
+    Each row of WIRINGS inserts six new sides, three new pairs, at the
+    site's corners.  target_sizes, when given, must be uniform and pins the
+    polygon sizes of the result; max_size instead caps every polygon (the
+    free half of a paired graft).  Raises RewriteSearchError when no row
+    grafts, which signals a wrong eligibility predicate rather than a user
+    error; its message names how many rows fit the target and how many the
+    local check rejected.
     """
     return _graft_at(c, site, target_sizes, max_size)[0]
 
@@ -353,12 +265,12 @@ def discover_rewrite(
 def _graft_at(c, site, target_sizes, max_size) -> tuple[Rewrite, PolygonComplex]:
     """discover_rewrite's rewrite together with the grafted complex."""
     need, max_insert = _resolve_constraints(c, target_sizes, max_size)
-    search = RewriteSearch()
-    found = next(_iter_rewrites(c, site, need, max_insert, search), None)
+    tally = Counter()
+    found = next(_iter_rewrites(c, site, need, max_insert, tally), None)
     if found is None:
         raise RewriteSearchError(
             "no rewrite at cycle %s (target %s, cap %s): %s"
-            % (site.corners, target_sizes, max_size, search)
+            % (site.corners, target_sizes, max_size, _TALLY % tally)
         )
     return found
 
@@ -421,20 +333,20 @@ def apply_graft(
     return _graft_at(c, site, target_sizes, max_size)[1]
 
 
-def _graft_any_site(c, variant, target_sizes=None, max_size=None, search=None):
+def _graft_any_site(c, variant, target_sizes=None, max_size=None, tally=None):
     """Apply the variant at the first site admitting a valid rewrite.
 
-    The candidates are counted into search (a fresh RewriteSearch if None).
+    The rows are counted into tally (a fresh Counter if None).
     """
-    search = RewriteSearch() if search is None else search
+    tally = Counter() if tally is None else tally
     need, max_insert = _resolve_constraints(c, target_sizes, max_size)
     sites = eligible_sites(c, variant)
     for site in sites:
-        for _, out in _iter_rewrites(c, site, need, max_insert, search):
+        for _, out in _iter_rewrites(c, site, need, max_insert, tally):
             return out
     raise RewriteSearchError(
         "no %s rewrite at any of %d sites (target %s, cap %s): %s"
-        % (variant.value, len(sites), target_sizes, max_size, search)
+        % (variant.value, len(sites), target_sizes, max_size, _TALLY % tally)
     )
 
 
@@ -447,7 +359,8 @@ def _graft_pair(
     cover the complex, grow each side by two around its own site (the k = 6
     picture: three polygons per site).  Fallback: grow freely below the
     final size at one site and retry until the second graft can equalize
-    (the k = 2 picture).  Both searches are deterministic.
+    (the k = 2 picture).  Both scans are deterministic and finite: a site
+    has at most len(WIRINGS) first halves.
     """
     k = c.num_polygons
     total = sum(c.sizes) + 12
@@ -458,8 +371,7 @@ def _graft_pair(
     m = total // k
     final = tuple([m] * k)
     sites1 = eligible_sites(c, v1)
-    search = RewriteSearch()
-    pairs = capped_pairs = capped_sites = 0
+    tally = Counter()
 
     if k == 6:
         sites2 = eligible_sites(c, v2)
@@ -472,37 +384,23 @@ def _graft_pair(
                 polys2 = {p for p, _ in site2.corners}
                 if polys2 != set(range(k)) - polys1:
                     continue
-                pairs += 1
-                count = 0
-                for _, mid in _iter_rewrites(c, site1, need1, None, search):
+                for _, mid in _iter_rewrites(c, site1, need1, None, tally):
                     # site2's corners are untouched by the first half, so
                     # the cycle and its positions survive into mid
                     need2, _ = _resolve_constraints(mid, final, None)
-                    for _, fin in _iter_rewrites(mid, site2, need2, None, search):
+                    for _, fin in _iter_rewrites(mid, site2, need2, None, tally):
                         return mid, fin
-                    count += 1
-                    if count >= 8:
-                        search.ended = "the cap of 8 first halves per site pair"
-                        capped_pairs += 1
-                        break
 
     max_insert = {p: m - sz for p, sz in enumerate(c.sizes)}
     for site1 in sites1:
-        count = 0
-        for _, mid in _iter_rewrites(c, site1, None, max_insert, search):
+        for _, mid in _iter_rewrites(c, site1, None, max_insert, tally):
             try:
-                return mid, _graft_any_site(mid, v2, final, search=search)
+                return mid, _graft_any_site(mid, v2, final, tally=tally)
             except RewriteSearchError:
                 pass
-            count += 1
-            if count >= 40:
-                search.ended = "the cap of 40 first halves per site"
-                capped_sites += 1
-                break
     raise RewriteSearchError(
-        "no workable %s/%s pair: %s; the cap of 8 ended %d of %d site pairs, "
-        "the cap of 40 ended %d of %d sites"
-        % (v1.value, v2.value, search, capped_pairs, pairs, capped_sites, len(sites1))
+        "no workable %s/%s pair over %d sites: %s"
+        % (v1.value, v2.value, len(sites1), _TALLY % tally)
     )
 
 

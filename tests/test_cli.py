@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -108,6 +109,17 @@ def test_graft_command(tmp_path, capsys):
     path.write_text(out)
     code, out, _ = run(capsys, "verify", str(path))
     assert code == 0 and "(3, 4, 10)" in out
+
+
+@pytest.mark.parametrize("name, variant, digest", [
+    ("X8", "EG1", "6c6c477e58bb0bd6ab1bee3d0fd24d321094c61beb1637630e2d25a316df8812"),
+    ("X9", "EG3", "fd4c52ad586a2b6d6f207a24fd37826d16e5dcce07b3ddeb98475115d5e85da6"),
+])
+def test_graft_output_is_pinned(capsys, name, variant, digest):
+    # the sha256 of the stdout the exhaustive candidate search wrote
+    code, out, err = run(capsys, "graft", name, "--variant", variant)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("site", [[], ["--site", "0"]])

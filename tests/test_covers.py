@@ -1,6 +1,7 @@
 import logging
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -129,6 +130,35 @@ def test_double_cover_doubles_chi_on_random_complexes():
         assert dinv.euler_characteristic == 2 * inv.euler_characteristic
         assert dc.num_polygons == 2 * c.num_polygons
         assert dc.num_edges == 2 * c.num_edges
+
+
+def test_realize_spec_checks_the_base_once(monkeypatch):
+    # the degree-2 cover over X29: the voltage search checks the base and
+    # reads its cycle matrix, and the cover is built without doing so again
+    from extpack.grafting import build_primitive
+
+    build_primitive(29)  # the chain's own checks are not counted
+    calls = Counter()
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for name in ("verify_extremal", "vertex_cycles_with_crossings", "flag_sides"):
+        count(cx, name)
+    count(covers, "_cycle_matrix")
+    covers.realize_spec(12, 48)
+    assert calls == {
+        "verify_extremal": 2,  # the base, and the result
+        "_cycle_matrix": 1,
+        "vertex_cycles_with_crossings": 1,
+        "flag_sides": 3,  # the cycle walk, the search's lifts, the cover's lift
+    }
 
 
 def test_cyclic_cover_degree_one_is_identity(seeds):

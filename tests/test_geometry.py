@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import math
 
 import mpmath
@@ -129,26 +128,9 @@ def test_layouts_and_holonomy(seeds):
             assert abs(a - b) > 1e-6  # distinct polygon slots
 
 
-#: (path, k, g) that still miss criterion 9's bounds, with the measured error
-GRID_FAILURES = {
-    ("library", 2, 12): "angle error 1.61e-10 exceeds 1e-10",
-    ("library", 10, 12): "angle error 2.39e-10 exceeds 1e-10",
-    ("cli", 2, 12): "angle error 1.13e-10 exceeds 1e-10",
-    ("cli", 10, 12): "angle error 1.78e-10 exceeds 1e-10",
-}
-
-
-def grid_case(path, k, g):
-    # the library path keeps the bare "k-g" ids
-    marks = ()
-    if (path, k, g) in GRID_FAILURES:
-        marks = pytest.mark.xfail(strict=True, reason=GRID_FAILURES[path, k, g])
-    ident = "%d-%d" % (k, g) if path == "library" else "%s-%d-%d" % (path, k, g)
-    return pytest.param(path, k, g, marks=marks, id=ident)
-
-
+# the library path keeps the bare "k-g" ids
 @pytest.mark.parametrize("path, k, g", [
-    grid_case(path, k, g)
+    pytest.param(path, k, g, id="%d-%d" % (k, g) if path == "library" else "cli-%d-%d" % (k, g))
     for path in ("library", "cli")
     for g in range(3, 13) for k in range(1, 6 * (g - 2) + 1) if is_feasible(k, g)
 ])
@@ -176,15 +158,6 @@ def test_holonomy_detects_perturbation(seeds):
     label = sorted(set(lay.pairings) - lay.tree_labels)[0]
     bad = perturbed(lay, label, 1e-3)
     assert geom.holonomy_check(bad).max_displacement > 1e-4
-
-
-def test_layout_json(seeds):
-    lay = geom.realize(seeds[12])
-    data = json.loads(lay.to_json())
-    assert data["format_version"] == 1
-    assert data["cell_size"] == 12
-    assert len(data["polygons"]) == 1 and len(data["polygons"][0]) == 12
-    assert set(data["pairings"]) == {str(lab) for lab in lay.pairings}
 
 
 def test_render_svg(seeds):
