@@ -289,7 +289,7 @@ def _cmd_graft(args) -> int:
             )
         out = grafting.apply_graft(c, sites[args.site])
     else:
-        out = grafting._graft_any_site(c, variant, grafting.default_target_sizes(c))
+        out = grafting.graft_first_site(c, variant)
     _write(complexes.serialize(out), args.output)
     return 0
 
@@ -307,7 +307,7 @@ def _cmd_cyclic_cover(args) -> int:
     if args.voltages is None:
         out = covers.find_nonorientable_cyclic_cover(c, args.n)
     else:
-        labels = sorted(complexes.occurrences(c))
+        labels = sorted({lab for lab, _ in complexes.flag_sides(c)})
         if len(args.voltages) != len(labels):
             raise CoverError(
                 "need %d voltages (one per label), got %d" % (len(labels), len(args.voltages))

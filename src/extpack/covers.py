@@ -96,11 +96,13 @@ def orientation_double_cover(c: PolygonComplex) -> PolygonComplex:
 
 def _cycle_matrix(c: PolygonComplex):
     """Net crossing count of each edge label around each vertex cycle."""
-    labels = sorted(complexes.occurrences(c))
+    cycles = complexes.vertex_cycles_with_crossings(c)
+    # the crossings are flag_sides entries, and every label is crossed
+    labels = sorted({lab for data in cycles for lab, _ in data.crossings})
     col = {lab: t for t, lab in enumerate(labels)}
     rows = []
     anchors = []
-    for data in complexes.vertex_cycles_with_crossings(c):
+    for data in cycles:
         row = [0] * len(labels)
         for lab, direction in data.crossings:
             row[col[lab]] += direction

@@ -3,8 +3,11 @@ complex by one while keeping every vertex trivalent.
 
 A graft inserts three new edge pairs (six new sides) at a chosen vertex
 cycle, keeping all old pairings.  The wirings are the rows of WIRINGS,
-one table for all four variants: `discover_rewrite` returns the first
-row, in table order, whose side counts fit the requested polygon sizes
+one table for all four variants.  How many new sides each polygon may
+take is one policy, `graft_room`: exactly what makes the complex
+uniform when one graft can, else up to the size a second graft can
+equalize (the free half of a pair), else no limit.  `discover_rewrite`
+returns the first row, in table order, whose side counts fit that room
 and whose output is again trivalent and non-orientable.  Each row is
 checked by walking only the cycles through the corners it touches, on
 the base's flag action plus the flags of the new sides.  Any such
@@ -83,6 +86,11 @@ def apply_rewrite(c: PolygonComplex, rw: Rewrite) -> PolygonComplex:
     return PolygonComplex(tuple(tuple(w) for w in words), name=c.name)
 
 
+def _require_graftable(c: PolygonComplex) -> None:
+    if not complexes.is_graftable(c):
+        raise NotExtremalError("complex is not graftable (trivalent + non-orientable)")
+
+
 def eligible_sites(c: PolygonComplex, variant: GraftVariant) -> list[GraftSite]:
     """All vertex cycles where the variant may act, ordered by least corner.
 
@@ -90,8 +98,7 @@ def eligible_sites(c: PolygonComplex, variant: GraftVariant) -> list[GraftSite]:
     throughout (polygon sizes are allowed to differ between the two halves
     of a paired graft step).
     """
-    if not complexes.is_graftable(c):
-        raise NotExtremalError("complex is not graftable (trivalent + non-orientable)")
+    _require_graftable(c)
     sites = []
     for data in complexes.vertex_cycles_with_crossings(c):
         if variant.needs_shared_edge:
@@ -175,29 +182,62 @@ def _trivalent_after(c: PolygonComplex, rw: Rewrite) -> bool:
     return True
 
 
-def _iter_rewrites(c: PolygonComplex, site: GraftSite, need, max_insert, tally: Counter):
+#: the per-polygon growths one graft can make: a row's side counts summed
+#: over the corners that share a polygon, sorted, for every such sharing
+_GROWTHS = frozenset(
+    tuple(sorted(sum(len(w) for w, q in zip(row, owner) if q == p) for p in set(owner)))
+    for row in WIRINGS
+    for owner in itertools.product(range(3), repeat=3)
+)
+
+
+def graft_room(c: PolygonComplex) -> tuple[int, ...] | None:
+    """How many new sides each polygon may take in one graft: the size
+    policy of every graft.
+
+    When one graft can make the complex uniform, of size (sum + 6) / k, the
+    room is what each polygon lacks of that size.  It sums to 6, as every
+    row of WIRINGS does, so a row fits only by filling it exactly.
+    Otherwise, when (sum + 12) / k is whole, the room is what each polygon
+    lacks of that size: the free half of a pair whose second graft makes
+    the complex uniform (k = 2 and 6).  Otherwise None, no limit.
+    """
+    sizes = c.sizes
+    k = len(sizes)
+    total = sum(sizes)
+    if (total + 6) % k == 0:
+        room = tuple((total + 6) // k - s for s in sizes)
+        if tuple(sorted(v for v in room if v)) in _GROWTHS:
+            return room
+    if (total + 12) % k == 0:
+        return tuple((total + 12) // k - s for s in sizes)
+    return None
+
+
+def _iter_rewrites(c: PolygonComplex, site: GraftSite, room, tally: Counter):
     """Yield (rewrite, grafted complex) for every row of WIRINGS that grafts
     at the site and meets all graft postconditions, in table order.
 
-    A row fits when its per-polygon side counts equal need (a uniform
-    target) or stay within max_insert (the free half of a paired graft).
-    Each fitting row is checked on the site's cycles (_trivalent_after);
-    the grafted complex stays connected and non-orientable, because every
-    old pairing survives.  Only an accepted row is built, and then checked
-    in full: a disagreement is an InvariantError.  tally counts the rows
-    that fit and those the local check rejected.
+    c must be graftable; the callers check that once per search.  A row
+    fits when it grows no polygon beyond its room (None is no limit); a
+    site whose corners miss a polygon that an exact room still fills fits
+    no row and is skipped before any is tried.  Each fitting row is checked
+    on the site's cycles (_trivalent_after); the grafted complex stays
+    connected and non-orientable, because every old pairing survives.
+    Only an accepted row is built, and then checked in full: a
+    disagreement is an InvariantError.  tally counts the rows that fit and
+    those the local check rejected.
     """
-    old_classes = complexes.vertex_class_sizes(c)
-    if old_classes[0] != 3 or old_classes[-1] != 3 or complexes.is_orientable(c):
-        raise NotExtremalError("complex is not graftable (trivalent + non-orientable)")
+    if room is not None and sum(room) == 6:
+        polys = {p for p, _ in site.corners}
+        if any(v for p, v in enumerate(room) if p not in polys):
+            return
     base = max(abs(v) for w in c.polygons for v in w)
     for row in WIRINGS:
         grow = Counter()
         for (p, _), word in zip(site.corners, row):
             grow[p] += len(word)
-        if need is not None and any(grow[p] != v for p, v in need.items()):
-            continue
-        if max_insert is not None and any(v > max_insert.get(p, 0) for p, v in grow.items()):
+        if room is not None and any(v > room[p] for p, v in grow.items()):
             continue
         tally["fit"] += 1
         rw = Rewrite(tuple(
@@ -213,11 +253,12 @@ def _iter_rewrites(c: PolygonComplex, site: GraftSite, need, max_insert, tally: 
                 "graft: the local check accepts rewrite %s at %s, the full check rejects it"
                 % (rw.insertions, site.corners)
             )
-        new_classes = complexes.vertex_class_sizes(out)
-        if len(new_classes) != len(old_classes) + 2:
+        # c is trivalent, so it has one vertex per three corners
+        added = len(complexes.vertex_class_sizes(out)) - sum(c.sizes) // 3
+        if added != 2:
             raise InvariantError(
                 "graft: rewrite %s at %s changes the vertex count by %d, not 2"
-                % (rw.insertions, site.corners, len(new_classes) - len(old_classes))
+                % (rw.insertions, site.corners, added)
             )
         yield rw, out
 
@@ -226,53 +267,37 @@ def _iter_rewrites(c: PolygonComplex, site: GraftSite, need, max_insert, tally: 
 _TALLY = "%(fit)d wiring rows fit, the local check rejected %(rejected)d"
 
 
-def _resolve_constraints(c, target_sizes, max_size):
-    sizes = c.sizes
-    need = None
-    if target_sizes is not None:
-        if len(set(target_sizes)) != 1 or len(target_sizes) != len(sizes):
-            raise ValueError("target_sizes must be one size per polygon, all equal")
-        m = target_sizes[0]
-        need = {p: m - sz for p, sz in enumerate(sizes)}
-        if any(v < 0 for v in need.values()) or sum(need.values()) != 6:
-            raise RewriteSearchError("sizes %s cannot grow to %s" % (sizes, target_sizes))
-    max_insert = None
-    if max_size is not None and need is None:
-        max_insert = {p: max_size - sz for p, sz in enumerate(sizes)}
-    return need, max_insert
-
-
-def discover_rewrite(
-    c: PolygonComplex,
-    site: GraftSite,
-    target_sizes: tuple[int, ...] | None = None,
-    max_size: int | None = None,
-) -> Rewrite:
-    """The first rewrite of the wiring table at the site that meets all
-    graft postconditions.
+def discover_rewrite(c: PolygonComplex, site: GraftSite) -> Rewrite:
+    """The first rewrite of the wiring table at the site that fits the
+    room of graft_room and meets all graft postconditions.
 
     Each row of WIRINGS inserts six new sides, three new pairs, at the
-    site's corners.  target_sizes, when given, must be uniform and pins the
-    polygon sizes of the result; max_size instead caps every polygon (the
-    free half of a paired graft).  Raises RewriteSearchError when no row
-    grafts, which signals a wrong eligibility predicate rather than a user
-    error; its message names how many rows fit the target and how many the
-    local check rejected.
+    site's corners.  Raises IneligibleSiteError when no row fits the room
+    at the site, and RewriteSearchError when rows fit and the local check
+    rejects them all, which signals a wrong eligibility predicate rather
+    than a user error; its message names how many rows fit and how many
+    the local check rejected.
     """
-    return _graft_at(c, site, target_sizes, max_size)[0]
+    return _graft_at(c, site)[0]
 
 
-def _graft_at(c, site, target_sizes, max_size) -> tuple[Rewrite, PolygonComplex]:
+def _graft_at(c, site) -> tuple[Rewrite, PolygonComplex]:
     """discover_rewrite's rewrite together with the grafted complex."""
-    need, max_insert = _resolve_constraints(c, target_sizes, max_size)
+    _require_graftable(c)
+    room = graft_room(c)
     tally = Counter()
-    found = next(_iter_rewrites(c, site, need, max_insert, tally), None)
-    if found is None:
-        raise RewriteSearchError(
-            "no rewrite at cycle %s (target %s, cap %s): %s"
-            % (site.corners, target_sizes, max_size, _TALLY % tally)
+    found = next(_iter_rewrites(c, site, room, tally), None)
+    if found is not None:
+        return found
+    if not tally["fit"]:
+        raise IneligibleSiteError(
+            "cycle %s cannot take a graft: no wiring row fits the room %s of sizes %s"
+            % (site.corners, room, c.sizes)
         )
-    return found
+    raise RewriteSearchError(
+        "no rewrite at cycle %s (sizes %s, room %s): %s"
+        % (site.corners, c.sizes, room, _TALLY % tally)
+    )
 
 
 def has_complementary_pair(c: PolygonComplex) -> bool:
@@ -289,118 +314,72 @@ def has_complementary_pair(c: PolygonComplex) -> bool:
     return False
 
 
-def default_target_sizes(c: PolygonComplex) -> tuple[int, ...] | None:
-    """The natural size multiset after one graft.
-
-    Uniform complexes with k = 1 or 3 grow uniformly by 6/k in a single
-    graft.  For k = 2 and k = 6 a single corner-local graft cannot spread
-    the six new sides evenly, so grafts come in pairs: the first half is
-    unconstrained (None) and the second grows the complex back to uniform.
-    """
-    sizes = c.sizes
-    k = len(sizes)
-    if len(set(sizes)) == 1:
-        n = sizes[0]
-        if k in (1, 3):
-            return tuple([n + 6 // k] * k)
-        return None
-    total = sum(sizes) + 6
-    if total % k == 0:
-        return tuple([total // k] * k)
-    return None
-
-
-def apply_graft(
-    c: PolygonComplex,
-    site: GraftSite,
-    target_sizes: tuple[int, ...] | None = None,
-    max_size: int | None = None,
-) -> PolygonComplex:
+def apply_graft(c: PolygonComplex, site: GraftSite) -> PolygonComplex:
     """Perform one edge-grafting at the site; genus goes up by one.
 
-    Without an explicit target, uniform complexes with k = 1 or 3 polygons
-    grow uniformly; k = 2 and 6 grafts pair up (see default_target_sizes),
-    so a bare apply grows the complex freely within the paired bound.
+    The new sides fill the room of graft_room: uniform complexes with
+    k = 1 or 3 polygons grow uniformly, and k = 2 and 6 grow freely up to
+    the size a second graft can equalize.  Raises IneligibleSiteError when
+    the site is not one of eligible_sites or no wiring row fits the room
+    there.
     """
     if site not in eligible_sites(c, site.variant):
         raise IneligibleSiteError("site %s is not eligible for %s" % (site.corners, site.variant))
-    if target_sizes is None and max_size is None:
-        target_sizes = default_target_sizes(c)
-        if target_sizes is None:
-            total = sum(c.sizes) + 12
-            if total % c.num_polygons == 0:
-                max_size = total // c.num_polygons
-    return _graft_at(c, site, target_sizes, max_size)[1]
+    return _graft_at(c, site)[1]
 
 
-def _graft_any_site(c, variant, target_sizes=None, max_size=None, tally=None):
-    """Apply the variant at the first site admitting a valid rewrite.
+def _grafts(c: PolygonComplex, variant: GraftVariant, tally: Counter):
+    """Every complex one graft of the variant makes from c under graft_room:
+    site by site in eligible_sites order, row by row.  c must be graftable
+    (eligible_sites checks); the rows are counted into tally."""
+    room = graft_room(c)
+    for site in eligible_sites(c, variant):
+        for _, out in _iter_rewrites(c, site, room, tally):
+            yield out
 
-    The rows are counted into tally (a fresh Counter if None).
+
+def graft_first_site(c: PolygonComplex, variant: GraftVariant) -> PolygonComplex:
+    """Apply the variant at the first eligible site where a row grafts,
+    under the same room as apply_graft.
+
+    Raises IneligibleSiteError when no row fits the room at any site, and
+    RewriteSearchError when rows fit and the local check rejects them all.
     """
-    tally = Counter() if tally is None else tally
-    need, max_insert = _resolve_constraints(c, target_sizes, max_size)
-    sites = eligible_sites(c, variant)
-    for site in sites:
-        for _, out in _iter_rewrites(c, site, need, max_insert, tally):
-            return out
+    tally = Counter()
+    out = next(_grafts(c, variant, tally), None)
+    if out is not None:
+        return out
+    num_sites = len(eligible_sites(c, variant))
+    if not tally["fit"]:
+        raise IneligibleSiteError(
+            "no %s site of %d can take a graft: no wiring row fits the room %s of sizes %s"
+            % (variant.value, num_sites, graft_room(c), c.sizes)
+        )
     raise RewriteSearchError(
-        "no %s rewrite at any of %d sites (target %s, cap %s): %s"
-        % (variant.value, len(sites), target_sizes, max_size, _TALLY % tally)
+        "no %s rewrite at any of %d sites (sizes %s, room %s): %s"
+        % (variant.value, num_sites, c.sizes, graft_room(c), _TALLY % tally)
     )
 
 
 def _graft_pair(
     c: PolygonComplex, v1: GraftVariant, v2: GraftVariant
 ) -> tuple[PolygonComplex, PolygonComplex]:
-    """Two consecutive grafts ending uniform.
+    """Two consecutive grafts ending uniform, the k = 2 and 6 steps.
 
-    First strategy: pick two sites whose corner polygons are disjoint and
-    cover the complex, grow each side by two around its own site (the k = 6
-    picture: three polygons per site).  Fallback: grow freely below the
-    final size at one site and retry until the second graft can equalize
-    (the k = 2 picture).  Both scans are deterministic and finite: a site
-    has at most len(WIRINGS) first halves.
+    Both halves graft under graft_room: the first grows freely up to the
+    size the pair ends at, the second fills the room that leaves exactly.
+    The first halves are backtracked over, site by site and row by row,
+    until the second half makes the complex uniform.  The scan is
+    deterministic and finite: a site has at most len(WIRINGS) first halves.
     """
-    k = c.num_polygons
-    total = sum(c.sizes) + 12
-    if total % k:
-        raise InvariantError(
-            "graft pair: %d sides after two grafts do not split evenly over %r" % (total, c)
-        )
-    m = total // k
-    final = tuple([m] * k)
-    sites1 = eligible_sites(c, v1)
     tally = Counter()
-
-    if k == 6:
-        sites2 = eligible_sites(c, v2)
-        for site1 in sites1:
-            polys1 = {p for p, _ in site1.corners}
-            if len(polys1) != 3:
-                continue
-            need1 = {p: (2 if p in polys1 else 0) for p in range(k)}
-            for site2 in sites2:
-                polys2 = {p for p, _ in site2.corners}
-                if polys2 != set(range(k)) - polys1:
-                    continue
-                for _, mid in _iter_rewrites(c, site1, need1, None, tally):
-                    # site2's corners are untouched by the first half, so
-                    # the cycle and its positions survive into mid
-                    need2, _ = _resolve_constraints(mid, final, None)
-                    for _, fin in _iter_rewrites(mid, site2, need2, None, tally):
-                        return mid, fin
-
-    max_insert = {p: m - sz for p, sz in enumerate(c.sizes)}
-    for site1 in sites1:
-        for _, mid in _iter_rewrites(c, site1, None, max_insert, tally):
-            try:
-                return mid, _graft_any_site(mid, v2, final, tally=tally)
-            except RewriteSearchError:
-                pass
+    for mid in _grafts(c, v1, tally):
+        fin = next(_grafts(mid, v2, tally), None)
+        if fin is not None and len(set(fin.sizes)) == 1:
+            return mid, fin
     raise RewriteSearchError(
         "no workable %s/%s pair over %d sites: %s"
-        % (v1.value, v2.value, len(sites1), _TALLY % tally)
+        % (v1.value, v2.value, len(eligible_sites(c, v1)), _TALLY % tally)
     )
 
 
@@ -432,7 +411,7 @@ def _chain(cls: int, steps: int) -> PolygonComplex:
             chain.append(mid)
             chain.append(fin)
         else:
-            chain.append(_graft_any_site(cur, variant, default_target_sizes(cur)))
+            chain.append(graft_first_site(cur, variant))
     return chain[steps]
 
 

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from extpack import catalog, cli
+from extpack import catalog, cli, grafting
 from extpack import complexes as cx
 from extpack import trigroup as tg
 from extpack.errors import InvariantError, RewriteSearchError, UnknownCatalogEntryError
@@ -120,6 +120,35 @@ def test_graft_output_is_pinned(capsys, name, variant, digest):
     code, out, err = run(capsys, "graft", name, "--variant", variant)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name, sizes", [("X7", [9, 9, 9, 7, 7, 7]), ("X11", [13, 13, 13, 11, 11, 11])])
+def test_graft_forms_agree_on_k6(capsys, name, sizes):
+    # without --site the graft is the one at the first site that grafts,
+    # under the same room: the free half of a pair, at most 9 (13) sides
+    code, out, err = run(capsys, "graft", name, "--variant", "EG3")
+    assert (code, err) == (0, "")
+    assert sorted(cx.parse(out).sizes, reverse=True) == sizes
+    sites = grafting.eligible_sites(catalog.load_entry(name).complex, grafting.GraftVariant.EG3)
+    for site in range(len(sites)):
+        code, site_out, _ = run(capsys, "graft", name, "--variant", "EG3", "--site", str(site))
+        if code == 0:
+            break
+        assert code == 2
+    assert (code, site_out) == (0, out)
+
+
+def test_graft_at_a_site_that_cannot_take_one_is_a_domain_error(capsys):
+    # X8 grows by two sides per polygon; a site on two polygons cannot
+    c = catalog.load_entry("X8").complex
+    sites = grafting.eligible_sites(c, grafting.GraftVariant.EG1)
+    index = next(i for i, s in enumerate(sites) if len({p for p, _ in s.corners}) < 3)
+    code, out, err = run(capsys, "graft", "X8", "--variant", "EG1", "--site", str(index))
+    assert code == 2 and out == ""
+    assert err == (
+        "error: cycle %s cannot take a graft: no wiring row fits the room (2, 2, 2) "
+        "of sizes (8, 8, 8)\n" % (sites[index].corners,)
+    )
 
 
 @pytest.mark.parametrize("site", [[], ["--site", "0"]])

@@ -36,25 +36,25 @@ def test_eligible_sites_rejects_bad_input():
 
 
 def test_apply_graft_x8_to_x10(seeds):
-    out = gr._graft_any_site(seeds[8], gr.GraftVariant.EG1, gr.default_target_sizes(seeds[8]))
+    out = gr.graft_first_site(seeds[8], gr.GraftVariant.EG1)
     rep = cx.verify_extremal(out)
     assert (rep.k, rep.g, rep.n) == (3, 4, 10)
     # the paired variant has a site in the image
     assert gr.eligible_sites(out, gr.GraftVariant.EG2)
-    out2 = gr._graft_any_site(out, gr.GraftVariant.EG2, gr.default_target_sizes(out))
+    out2 = gr.graft_first_site(out, gr.GraftVariant.EG2)
     rep2 = cx.verify_extremal(out2)
     assert (rep2.k, rep2.g, rep2.n) == (3, 5, 12)
 
 
 def test_apply_graft_x12_to_18(seeds):
-    out = gr._graft_any_site(seeds[12], gr.GraftVariant.EG2, gr.default_target_sizes(seeds[12]))
+    out = gr.graft_first_site(seeds[12], gr.GraftVariant.EG2)
     rep = cx.verify_extremal(out)
     assert (rep.k, rep.g, rep.n) == (1, 4, 18)
 
 
 def test_graft_step_deltas(seeds):
     c = seeds[8]
-    out = gr._graft_any_site(c, gr.GraftVariant.EG1, gr.default_target_sizes(c))
+    out = gr.graft_first_site(c, gr.GraftVariant.EG1)
     before = cx.surface_invariants(c)
     after = cx.surface_invariants(out)
     assert after.edges == before.edges + 3
@@ -79,6 +79,53 @@ def test_pair_step_from_x7(seeds):
     assert cx.surface_invariants(mid).genus == 4
     rep = cx.verify_extremal(fin)
     assert (rep.k, rep.g, rep.n) == (6, 5, 9)
+
+
+def test_graft_room_is_the_one_size_policy(seeds):
+    # one graft grows by a row's side counts, summed over shared polygons
+    assert gr._GROWTHS == {(6,), (1, 5), (2, 4), (1, 1, 4), (2, 2, 2)}
+    assert gr.graft_room(seeds[12]) == (6,)
+    assert gr.graft_room(seeds[8]) == (2, 2, 2)
+    # no graft grows two polygons by three each, or six by one: the free
+    # half of a pair, up to the size two grafts reach
+    assert gr.graft_room(seeds[9]) == (6, 6)
+    assert gr.graft_room(seeds[7]) == (2,) * 6
+    five = cx.PolygonComplex(((1, 2), (-2, 3), (-3, 4), (-4, 5), (-5, -1)))
+    assert gr.graft_room(five) is None
+
+
+def test_paired_steps_graft_under_the_policy():
+    # every paired step of the k = 2 and 6 chains up to N = 121: the first
+    # half stays within the room of its base, the second fills the room of
+    # the mid exactly and ends uniform
+    for n in range(116, 122):
+        gr.build_primitive(n)
+    pairs = 0
+    for cls, (_, _, paired) in gr._SCHEDULES.items():
+        chain = gr._chains[cls] if paired else []
+        for cur, mid, fin in zip(chain[0::2], chain[1::2], chain[2::2]):
+            room = gr.graft_room(cur)
+            assert sum(room) == 12
+            assert all(b - a <= r for a, b, r in zip(cur.sizes, mid.sizes, room))
+            assert gr.graft_room(mid) == tuple(b - a for a, b in zip(mid.sizes, fin.sizes))
+            assert len(set(fin.sizes)) == 1
+            pairs += 1
+    assert pairs == 131
+
+
+def test_catalog_sites_graft_or_are_ineligible():
+    # apply_graft at every eligible site of every catalog entry either
+    # grafts or says the site cannot take a graft (a domain error)
+    verdicts = Counter()
+    for _, entry in sorted(catalog.load_all().items()):
+        for variant in gr.GraftVariant:
+            for site in gr.eligible_sites(entry.complex, variant):
+                try:
+                    gr.apply_graft(entry.complex, site)
+                    verdicts["grafts"] += 1
+                except IneligibleSiteError:
+                    verdicts["ineligible"] += 1
+    assert verdicts == {"grafts": 224, "ineligible": 108}
 
 
 def test_apply_graft_validates_site(seeds):
@@ -110,8 +157,8 @@ def test_build_primitive_rejects_small_n():
 
 def test_discover_rewrite_is_deterministic(seeds):
     site = gr.eligible_sites(seeds[12], gr.GraftVariant.EG2)[0]
-    rw1 = gr.discover_rewrite(seeds[12], site, gr.default_target_sizes(seeds[12]))
-    rw2 = gr.discover_rewrite(seeds[12], site, gr.default_target_sizes(seeds[12]))
+    rw1 = gr.discover_rewrite(seeds[12], site)
+    rw2 = gr.discover_rewrite(seeds[12], site)
     assert rw1 == rw2
     out = gr.apply_rewrite(seeds[12], rw1)
     assert sum(len(seq) for _, _, seq in rw1.insertions) == 6
@@ -213,12 +260,13 @@ def test_wiring_rows_are_candidates_of_the_stream():
 
 
 def default_constraints(c):
-    """The target and cap apply_graft grafts with when given neither."""
-    target = gr.default_target_sizes(c)
-    total = sum(c.sizes) + 12
-    if target is None and total % c.num_polygons == 0:
-        return None, total // c.num_polygons
-    return target, None
+    """The stream's per-polygon need (an exact room) or cap (any other
+    room) for the room apply_graft grafts with."""
+    room = gr.graft_room(c)
+    if room is None:
+        return None, None
+    room = dict(enumerate(room))
+    return (room, None) if sum(room.values()) == 6 else (None, room)
 
 
 def graft_test_complexes(max_n):
@@ -237,12 +285,8 @@ def graft_test_complexes(max_n):
     return out
 
 
-def reference_first_rewrite(c, site, target, cap):
+def reference_first_rewrite(c, site, need, max_insert):
     """The first rewrite of the stream that the local check accepts, or None."""
-    try:
-        need, max_insert = gr._resolve_constraints(c, target, cap)
-    except RewriteSearchError:
-        return None
     stream = reference_candidate_rewrites(c, list(site.corners), need, max_insert)
     return next((rw for rw in stream if gr._trivalent_after(c, rw)), None)
 
@@ -250,22 +294,22 @@ def reference_first_rewrite(c, site, target, cap):
 def compare_with_reference(max_n):
     """Check that the table's first accepted rewrite is the candidate
     stream's, at every eligible site of every variant with apply_graft's
-    default target, and count the sites that graft and those that do not."""
+    room, and count the sites that graft and those that do not."""
     verdicts = Counter()
     for c in graft_test_complexes(max_n):
         if not cx.is_graftable(c):
             continue
-        target, cap = default_constraints(c)
+        need, max_insert = default_constraints(c)
         expected = {}  # the stream's answer per cycle, shared by the variants
         for variant in gr.GraftVariant:
             for site in gr.eligible_sites(c, variant):
                 if site.cycle not in expected:
-                    expected[site.cycle] = reference_first_rewrite(c, site, target, cap)
+                    expected[site.cycle] = reference_first_rewrite(c, site, need, max_insert)
                 try:
-                    got = gr.discover_rewrite(c, site, target, cap)
-                except RewriteSearchError:
+                    got = gr.discover_rewrite(c, site)
+                except (IneligibleSiteError, RewriteSearchError):
                     got = None
-                assert got == expected[site.cycle], (c, site, target, cap)
+                assert got == expected[site.cycle], (c, site, need, max_insert)
                 verdicts[got is not None] += 1
     return verdicts
 
@@ -327,7 +371,6 @@ def test_local_check_matches_the_full_check():
 
 def test_rewrite_search_error_names_its_counts(seeds, monkeypatch):
     c = seeds[8]
-    target = gr.default_target_sizes(c)
     site = next(
         s for s in gr.eligible_sites(c, gr.GraftVariant.EG1)
         if len({p for p, _ in s.corners}) == 3
@@ -337,25 +380,25 @@ def test_rewrite_search_error_names_its_counts(seeds, monkeypatch):
     assert fit == 4
     monkeypatch.setattr(gr, "_trivalent_after", lambda c, rw: False)
     with pytest.raises(RewriteSearchError) as err:
-        gr.discover_rewrite(c, site, target)
+        gr.discover_rewrite(c, site)
     assert str(err.value) == (
-        "no rewrite at cycle %s (target %s, cap None): "
-        "%d wiring rows fit, the local check rejected %d" % (site.corners, target, fit, fit)
+        "no rewrite at cycle %s (sizes (8, 8, 8), room (2, 2, 2)): "
+        "%d wiring rows fit, the local check rejected %d" % (site.corners, fit, fit)
     )
 
 
 @pytest.mark.parametrize("n", [7, 9])
 def test_graft_pair_error_names_its_counts(seeds, monkeypatch, n):
     # every first half is found and no second half is: the error counts
-    # the rows that fit and those the local check rejected, over all the
-    # first-half scans of both strategies
+    # the rows that fit and those the local check rejected, over the
+    # first-half scan
     base = seeds[n]
     search_rewrites = gr._iter_rewrites
     first_halves = []
 
-    def first_halves_only(c, site, need, max_insert, tally):
+    def first_halves_only(c, site, room, tally):
         if c is base:
-            for found in search_rewrites(c, site, need, max_insert, tally):
+            for found in search_rewrites(c, site, room, tally):
                 first_halves.append(found)
                 yield None, cx.PolygonComplex(found[1].polygons)
 

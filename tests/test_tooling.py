@@ -47,3 +47,24 @@ def test_library_imports_only_the_standard_library():
     assert not found, "non-standard imports in the library: %s" % ", ".join(found)
     pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     assert re.findall(r"(?m)^dependencies\s*=.*$", pyproject) == ["dependencies = []"]
+
+
+def test_cli_reads_no_private_library_name():
+    """The CLI runs on the library's public names: it reads no
+    underscore-prefixed attribute of an extpack module."""
+    path = ROOT / "src" / "extpack" / "cli.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    modules = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in (None, "extpack")
+        for alias in node.names
+    }
+    assert "grafting" in modules
+    found = [
+        "cli.py:%d %s.%s" % (node.lineno, node.value.id, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+        and isinstance(node.value, ast.Name) and node.value.id in modules
+    ]
+    assert not found, "the CLI reads private library names: %s" % ", ".join(found)
