@@ -92,13 +92,15 @@ def derive(name: str) -> PolygonComplex:
 
         c = grafting.build_primitive(n)
     else:
-        c = _dual_extremal_complex(n)
+        c = _dual_extremal_complex(k, n)
     c = complexes._renamed(complexes.canonicalize(c), name)
     return _certify(name, c)
 
 
-def _dual_extremal_complex(two_n: int) -> PolygonComplex:
-    """Quotient complex of a surface subgroup of (3, 3, n) inside (2, 3, 2n).
+def _dual_extremal_complex(k: int, two_n: int) -> PolygonComplex:
+    """Quotient complex of a surface subgroup of (3, 3, n) inside (2, 3, 2n),
+    with k polygons: the subgroup has index 2k * 2n in (2, 3, 2n), as every
+    k-polygon complex of cell size 2n does, so k * 2n in (3, 3, n).
 
     The reflection group of the (pi/3, pi/3, pi/n) triangle sits with index
     two in the (pi/2, pi/3, pi/2n) one: halve the triangle along the mirror
@@ -108,12 +110,11 @@ def _dual_extremal_complex(two_n: int) -> PolygonComplex:
     (trigroup.induced_action).
     """
     n = two_n // 2
-    hurwitz_index = {9: 18, 7: 42}[n]
     recs = trigroup.low_index_subgroups(
-        3, 3, n, hurwitz_index, torsion_free=True, proper=True, max_count=1
+        3, 3, n, k * two_n, torsion_free=True, proper=True, max_count=1
     )
     if not recs:
-        raise RuntimeError("no surface subgroup at index %d in (3,3,%d)" % (hurwitz_index, n))
+        raise RuntimeError("no surface subgroup at index %d in (3,3,%d)" % (k * two_n, n))
     rec = recs[0]
     big_rec = trigroup.induced_action(rec)
     if not (big_rec.torsion_free and big_rec.proper and big_rec.genus == rec.genus):

@@ -28,9 +28,10 @@ class IneligibleSiteError(ValueError):
 
 
 class RewriteSearchError(RuntimeError):
-    """No row of the wiring table grafts at the site.
+    """A paired graft step found no first half whose second half ends
+    uniform; the message names the sites and the first halves tried.
 
-    This signals a bug in the eligibility predicate rather than bad input.
+    This signals a bug in the schedules rather than bad input.
     """
 
 

@@ -263,7 +263,7 @@ class DiskLayout:
     tree_labels: frozenset[int]
 
 
-def realize(c: PolygonComplex, tol: float = MATCH_TOL) -> DiskLayout:
+def realize(c: PolygonComplex) -> DiskLayout:
     """Draw a certified extremal complex in the unit disk.
 
     Polygon 0 is centered at the origin; the rest are transported across a
@@ -271,7 +271,7 @@ def realize(c: PolygonComplex, tol: float = MATCH_TOL) -> DiskLayout:
     0 and taking each polygon's edges in label order.  Every edge
     pairing gets the isometry carrying the drawn second occurrence onto the
     drawn first one, reversing exactly when the signs differ; paired edges
-    must land on each other within tol.
+    must land on each other within MATCH_TOL.
     """
     rep = complexes.verify_extremal(c)
     if not rep.ok:
@@ -339,9 +339,9 @@ def realize(c: PolygonComplex, tol: float = MATCH_TOL) -> DiskLayout:
             t1 = abs(g(verts[q][j]) - verts[p][i])
             t2 = abs(g(verts[q][(j + 1) % n]) - verts[p][(i + 1) % n])
         worst = max(worst, t1, t2, abs(g.det_magnitude() - 1.0))
-    if worst > tol:
+    if worst > MATCH_TOL:
         raise ArithmeticError(
-            "edge matching residual %.3g exceeds tolerance %.3g (layout bug)" % (worst, tol)
+            "edge matching residual %.3g exceeds tolerance %.3g (layout bug)" % (worst, MATCH_TOL)
         )
     return DiskLayout(
         complex=c,

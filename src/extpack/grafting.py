@@ -6,13 +6,12 @@ cycle, keeping all old pairings.  The wirings are the rows of WIRINGS,
 one table for all four variants.  How many new sides each polygon may
 take is one policy, `graft_room`: exactly what makes the complex
 uniform when one graft can, else up to the size a second graft can
-equalize (the free half of a pair), else no limit.  `discover_rewrite`
-returns the first row, in table order, whose side counts fit that room
-and whose output is again trivalent and non-orientable.  Each row is
-checked by walking only the cycles through the corners it touches, on
-the base's flag action plus the flags of the new sides.  Any such
-rewrite changes (V, E, F) by (+2, +3, 0), so the genus goes up by
-exactly one.
+equalize (the free half of a pair), else no limit.  Which rows leave
+every vertex trivalent depends only on the site's twist, which of its
+three crossings reverse orientation (`_TWIST_ROWS`).  `discover_rewrite`
+returns the first row of the twist, in table order, whose side counts
+fit the room; the grafted complex is checked in full.  Any such rewrite
+changes (V, E, F) by (+2, +3, 0), so the genus goes up by exactly one.
 
 The four variants come in two alternating families.  EG1/EG2 act at a
 cycle seen as three separate boundary corners; EG3/EG4 act at a cycle two
@@ -129,57 +128,28 @@ WIRINGS = (
     ((1,), (2, -1, 3, -2), (3,)),
 )
 
+#: the rows of WIRINGS (0-based) that graft at a site, by its twist.  A
+#: graft changes t2 only at the site's corners, and on their six flags t1
+#: is fixed by the twist, so every vertex cycle a row creates, and whether
+#: each has three corners, depends only on the row and the twist.
+_TWIST_ROWS = {
+    (0, 0): (2, 5),
+    (0, 1): (0, 6),
+    (1, 0): (3,),
+    (1, 1): (1, 4),
+}
 
-def _trivalent_after(c: PolygonComplex, rw: Rewrite) -> bool:
-    """Whether apply_rewrite(c, rw) is trivalent, for a graftable c.
 
-    Only cycles through a corner the rewrite creates or splits can change;
-    every other cycle is a cycle of c, which is trivalent.  The touched
-    cycles are walked like complexes._walk walks t1 . t2, on c's flag
-    action plus an overlay: each new side gets two flags numbered after
-    c's, a split corner keeps its old arriving flag at its first half and
-    its old leaving flag at its last half, and new labels glue by the
-    sign rule of PolygonComplex.  No old flag is renumbered, so c's t1
-    serves every old side as it is.
-    """
+def _twist(c: PolygonComplex, site: GraftSite) -> tuple[int, int]:
+    """Which of the site's three crossings are orientation-reversing
+    pairings, as the parities of the flags t1 reaches from the arriving
+    flag of the first corner and then from its partner at the second.  An
+    even number of the crossings reverse, so these two bits give all
+    three."""
     t1 = complexes.flag_action(c)[1]
-    m = len(t1)
-    first_corner = list(itertools.accumulate(map(len, c.polygons), initial=0))
-    cross = {}  # t1 on the new flags
-    turn = {}  # t2 where the rewrite changes it
-    unpaired = {}  # label -> (tail, head, positive) of its first new side
-    starts = []  # the leaving flag of every created or split corner
-    f = m
-    for p, pos, seq in rw.insertions:
-        j = first_corner[p] + pos
-        arriving = 2 * j + 1
-        for v in seq:
-            turn[arriving], turn[f] = f, arriving
-            starts.append(f)
-            tail, head = f, f + 1
-            first = unpaired.pop(abs(v), None)
-            if first is None:
-                unpaired[abs(v)] = (tail, head, v > 0)
-            else:
-                tail1, head1, positive = first
-                if positive == (v > 0):
-                    tail, head = head, tail
-                cross[tail1], cross[tail] = tail, tail1
-                cross[head1], cross[head] = head, head1
-            arriving = f + 1
-            f += 2
-        turn[arriving], turn[2 * j] = 2 * j, arriving
-        starts.append(2 * j)
-    for start in starts:
-        f = start
-        for length in (1, 2, 3):
-            g = turn.get(f, f ^ 1)
-            f = cross[g] if g >= m else t1[g]
-            if f == start:
-                break
-        if f != start or length != 3:
-            return False
-    return True
+    p, pos = site.corners[0]
+    f = t1[2 * (sum(c.sizes[:p]) + pos) + 1]
+    return f & 1, t1[f ^ 1] & 1
 
 
 #: the per-polygon growths one graft can make: a row's side counts summed
@@ -214,69 +184,51 @@ def graft_room(c: PolygonComplex) -> tuple[int, ...] | None:
     return None
 
 
-def _iter_rewrites(c: PolygonComplex, site: GraftSite, room, tally: Counter):
-    """Yield (rewrite, grafted complex) for every row of WIRINGS that grafts
-    at the site and meets all graft postconditions, in table order.
+def _iter_rewrites(c: PolygonComplex, site: GraftSite, room):
+    """Yield (rewrite, grafted complex) for every row of the site's twist
+    (_TWIST_ROWS) that fits the room, in table order.
 
     c must be graftable; the callers check that once per search.  A row
     fits when it grows no polygon beyond its room (None is no limit); a
     site whose corners miss a polygon that an exact room still fills fits
-    no row and is skipped before any is tried.  Each fitting row is checked
-    on the site's cycles (_trivalent_after); the grafted complex stays
+    no row and is skipped before any is tried.  The grafted complex stays
     connected and non-orientable, because every old pairing survives.
-    Only an accepted row is built, and then checked in full: a
-    disagreement is an InvariantError.  tally counts the rows that fit and
-    those the local check rejected.
+    Each row is built and checked in full: a row of the twist that is not
+    trivalent after all is an InvariantError.
     """
     if room is not None and sum(room) == 6:
         polys = {p for p, _ in site.corners}
         if any(v for p, v in enumerate(room) if p not in polys):
             return
     base = max(abs(v) for w in c.polygons for v in w)
-    for row in WIRINGS:
+    twist = _twist(c, site)
+    for r in _TWIST_ROWS[twist]:
+        row = WIRINGS[r]
         grow = Counter()
         for (p, _), word in zip(site.corners, row):
             grow[p] += len(word)
         if room is not None and any(v > room[p] for p, v in grow.items()):
             continue
-        tally["fit"] += 1
         rw = Rewrite(tuple(
             (p, pos, tuple(v + base if v > 0 else v - base for v in word))
             for (p, pos), word in zip(site.corners, row)
         ))
-        if not _trivalent_after(c, rw):
-            tally["rejected"] += 1
-            continue
         out = apply_rewrite(c, rw)
         if not complexes.is_graftable(out):
             raise InvariantError(
-                "graft: the local check accepts rewrite %s at %s, the full check rejects it"
-                % (rw.insertions, site.corners)
-            )
-        # c is trivalent, so it has one vertex per three corners
-        added = len(complexes.vertex_class_sizes(out)) - sum(c.sizes) // 3
-        if added != 2:
-            raise InvariantError(
-                "graft: rewrite %s at %s changes the vertex count by %d, not 2"
-                % (rw.insertions, site.corners, added)
+                "graft: the twist table accepts row %d at %s (twist %s), the full check rejects"
+                " rewrite %s" % (r, site.corners, twist, rw.insertions)
             )
         yield rw, out
 
 
-#: what a search's RewriteSearchError reports, from its tally
-_TALLY = "%(fit)d wiring rows fit, the local check rejected %(rejected)d"
-
-
 def discover_rewrite(c: PolygonComplex, site: GraftSite) -> Rewrite:
     """The first rewrite of the wiring table at the site that fits the
-    room of graft_room and meets all graft postconditions.
+    room of graft_room and grafts.
 
     Each row of WIRINGS inserts six new sides, three new pairs, at the
-    site's corners.  Raises IneligibleSiteError when no row fits the room
-    at the site, and RewriteSearchError when rows fit and the local check
-    rejects them all, which signals a wrong eligibility predicate rather
-    than a user error; its message names how many rows fit and how many
-    the local check rejected.
+    site's corners; the rows that graft are those of the site's twist.
+    Raises IneligibleSiteError when none of them fits the room.
     """
     return _graft_at(c, site)[0]
 
@@ -285,19 +237,13 @@ def _graft_at(c, site) -> tuple[Rewrite, PolygonComplex]:
     """discover_rewrite's rewrite together with the grafted complex."""
     _require_graftable(c)
     room = graft_room(c)
-    tally = Counter()
-    found = next(_iter_rewrites(c, site, room, tally), None)
-    if found is not None:
-        return found
-    if not tally["fit"]:
+    found = next(_iter_rewrites(c, site, room), None)
+    if found is None:
         raise IneligibleSiteError(
             "cycle %s cannot take a graft: no wiring row fits the room %s of sizes %s"
             % (site.corners, room, c.sizes)
         )
-    raise RewriteSearchError(
-        "no rewrite at cycle %s (sizes %s, room %s): %s"
-        % (site.corners, c.sizes, room, _TALLY % tally)
-    )
+    return found
 
 
 def has_complementary_pair(c: PolygonComplex) -> bool:
@@ -328,13 +274,13 @@ def apply_graft(c: PolygonComplex, site: GraftSite) -> PolygonComplex:
     return _graft_at(c, site)[1]
 
 
-def _grafts(c: PolygonComplex, variant: GraftVariant, tally: Counter):
+def _grafts(c: PolygonComplex, variant: GraftVariant):
     """Every complex one graft of the variant makes from c under graft_room:
     site by site in eligible_sites order, row by row.  c must be graftable
-    (eligible_sites checks); the rows are counted into tally."""
+    (eligible_sites checks)."""
     room = graft_room(c)
     for site in eligible_sites(c, variant):
-        for _, out in _iter_rewrites(c, site, room, tally):
+        for _, out in _iter_rewrites(c, site, room):
             yield out
 
 
@@ -342,23 +288,16 @@ def graft_first_site(c: PolygonComplex, variant: GraftVariant) -> PolygonComplex
     """Apply the variant at the first eligible site where a row grafts,
     under the same room as apply_graft.
 
-    Raises IneligibleSiteError when no row fits the room at any site, and
-    RewriteSearchError when rows fit and the local check rejects them all.
+    Raises IneligibleSiteError when no row of any site's twist fits the
+    room.
     """
-    tally = Counter()
-    out = next(_grafts(c, variant, tally), None)
-    if out is not None:
-        return out
-    num_sites = len(eligible_sites(c, variant))
-    if not tally["fit"]:
+    out = next(_grafts(c, variant), None)
+    if out is None:
         raise IneligibleSiteError(
             "no %s site of %d can take a graft: no wiring row fits the room %s of sizes %s"
-            % (variant.value, num_sites, graft_room(c), c.sizes)
+            % (variant.value, len(eligible_sites(c, variant)), graft_room(c), c.sizes)
         )
-    raise RewriteSearchError(
-        "no %s rewrite at any of %d sites (sizes %s, room %s): %s"
-        % (variant.value, num_sites, c.sizes, graft_room(c), _TALLY % tally)
-    )
+    return out
 
 
 def _graft_pair(
@@ -370,16 +309,19 @@ def _graft_pair(
     size the pair ends at, the second fills the room that leaves exactly.
     The first halves are backtracked over, site by site and row by row,
     until the second half makes the complex uniform.  The scan is
-    deterministic and finite: a site has at most len(WIRINGS) first halves.
+    deterministic and finite: a site has at most two first halves, the
+    rows of its twist.  Raises RewriteSearchError, naming the sites and
+    the first halves tried, when no first half works.
     """
-    tally = Counter()
-    for mid in _grafts(c, v1, tally):
-        fin = next(_grafts(mid, v2, tally), None)
+    tried = 0
+    for mid in _grafts(c, v1):
+        tried += 1
+        fin = next(_grafts(mid, v2), None)
         if fin is not None and len(set(fin.sizes)) == 1:
             return mid, fin
     raise RewriteSearchError(
-        "no workable %s/%s pair over %d sites: %s"
-        % (v1.value, v2.value, len(eligible_sites(c, v1)), _TALLY % tally)
+        "no workable %s/%s pair over %d sites: %d first halves tried"
+        % (v1.value, v2.value, len(eligible_sites(c, v1)), tried)
     )
 
 

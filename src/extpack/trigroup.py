@@ -242,8 +242,6 @@ class _TriangleSearch:
                     t0[base + s + 1] = base + s
                     t2[base + s + 1] = base + (s + 2) % blk
                     t2[base + (s + 2) % blk] = base + s + 1
-            self.block_hits = [0] * (index // blk)
-            self.block_hits[0] = 1  # block 0 is the root
 
     # -- assignment with propagation ------------------------------------
 
@@ -317,10 +315,6 @@ class _TriangleSearch:
             t[col][a] = b
             t[col][b] = a
             self.trail.append((col, a, b))
-            if self.tf and col == 1:
-                self.block_hits[a // self.block] += 1
-                if a != b:
-                    self.block_hits[b // self.block] += 1
             for other in range(3):
                 if other == col:
                     continue
@@ -334,10 +328,6 @@ class _TriangleSearch:
             col, a, b = self.trail.pop()
             t[col][a] = UNDEF
             t[col][b] = UNDEF
-            if self.tf and col == 1:
-                self.block_hits[a // self.block] -= 1
-                if a != b:
-                    self.block_hits[b // self.block] -= 1
 
     def _ties(self, live: list[int]) -> list[int] | None:
         """The points of live whose BFS code ties with 0's (the table
@@ -381,14 +371,18 @@ class _TriangleSearch:
         if self.impossible:
             return
         if self.tf:
-            yield from self._search_prefilled(0)
+            yield from self._search_prefilled(0, 1)
         else:
             yield from self._search_generic(0, 0, [])
 
     def _emit(self):
         return tuple(tuple(col) for col in self.t)
 
-    def _search_prefilled(self, c: int):
+    def _search_prefilled(self, c: int, opened: int):
+        """opened: the blocks t1 has entered, 0 to opened - 1.  The blocks
+        not entered are alike, so an entry may enter only the next one, at
+        its first point; propagation follows decided entries alone and
+        enters none, so blocks open in order."""
         m = self.m
         t1 = self.t[1]
         while c < m and t1[c] != UNDEF:
@@ -396,22 +390,14 @@ class _TriangleSearch:
         if c == m:
             yield self._emit()
             return
-        hits = self.block_hits
-        fresh = None
-        for blk in range(len(hits)):
-            if hits[blk] == 0:
-                fresh = blk * self.block
-                break
-        for d in range(c, m):
+        fresh = opened * self.block
+        for d in range(c, min(fresh + 1, m)):
             if t1[d] != UNDEF:
-                continue
-            blk_d = d // self.block
-            if hits[blk_d] == 0 and d != fresh:
                 continue
             mark = len(self.trail)
             self.nodes += 1
             if self._assign(1, c, d):
-                yield from self._search_prefilled(c + 1)
+                yield from self._search_prefilled(c + 1, opened + (d == fresh))
             self._undo(mark)
 
     def _search_generic(self, c: int, col: int, live: list[int]):

@@ -170,7 +170,7 @@ def test_criterion_08_uniqueness_predicate():
 def test_criterion_09_numeric_layer():
     start = time.time()
     for name in ("X7", "X12"):
-        layout = geometry.realize(catalog.load_entry(name).complex, tol=1e-9)
+        layout = geometry.realize(catalog.load_entry(name).complex)
         rep = geometry.holonomy_check(layout)
         assert rep.max_displacement < 1e-9, name
         assert rep.max_angle_error < 1e-10, name

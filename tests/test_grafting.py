@@ -11,7 +11,12 @@ from extpack import catalog
 from extpack import complexes as cx
 from extpack import grafting as gr
 from extpack import trigroup as tg
-from extpack.errors import IneligibleSiteError, NotExtremalError, RewriteSearchError
+from extpack.errors import (
+    IneligibleSiteError,
+    InvariantError,
+    NotExtremalError,
+    RewriteSearchError,
+)
 from extpack.feasibility import primitive_pair, smallest_k
 
 
@@ -244,13 +249,7 @@ def test_wiring_rows_are_candidates_of_the_stream():
     c = cx.PolygonComplex(((1, 2, 3), (-1, -2, -3)))
     slots = [(0, 1), (1, 0), (1, 2)]
     stream = list(reference_candidate_rewrites(c, slots, None, None))
-    rows = [
-        gr.Rewrite(tuple(
-            (p, i, tuple(v + 3 if v > 0 else v - 3 for v in word))
-            for (p, i), word in zip(slots, row)
-        ))
-        for row in gr.WIRINGS
-    ]
+    rows = [row_rewrite(c, slots, row) for row in gr.WIRINGS]
     assert [stream.index(rw) for rw in rows] == [74, 81, 103, 108, 1019, 1047, 1118]
     for row in gr.WIRINGS:
         labels = [v for word in row for v in word]
@@ -285,16 +284,88 @@ def graft_test_complexes(max_n):
     return out
 
 
+def reference_trivalent_after(c, rw):
+    """Whether apply_rewrite(c, rw) is trivalent, for a graftable c.
+
+    Only cycles through a corner the rewrite creates or splits can change;
+    every other cycle is a cycle of c, which is trivalent.  The touched
+    cycles are walked like complexes._walk walks t1 . t2, on c's flag
+    action plus an overlay: each new side gets two flags numbered after
+    c's, a split corner keeps its old arriving flag at its first half and
+    its old leaving flag at its last half, and new labels glue by the
+    sign rule of PolygonComplex.  No old flag is renumbered, so c's t1
+    serves every old side as it is.
+    """
+    t1 = cx.flag_action(c)[1]
+    m = len(t1)
+    first_corner = list(itertools.accumulate(map(len, c.polygons), initial=0))
+    cross = {}  # t1 on the new flags
+    turn = {}  # t2 where the rewrite changes it
+    unpaired = {}  # label -> (tail, head, positive) of its first new side
+    starts = []  # the leaving flag of every created or split corner
+    f = m
+    for p, pos, seq in rw.insertions:
+        j = first_corner[p] + pos
+        arriving = 2 * j + 1
+        for v in seq:
+            turn[arriving], turn[f] = f, arriving
+            starts.append(f)
+            tail, head = f, f + 1
+            first = unpaired.pop(abs(v), None)
+            if first is None:
+                unpaired[abs(v)] = (tail, head, v > 0)
+            else:
+                tail1, head1, positive = first
+                if positive == (v > 0):
+                    tail, head = head, tail
+                cross[tail1], cross[tail] = tail, tail1
+                cross[head1], cross[head] = head, head1
+            arriving = f + 1
+            f += 2
+        turn[arriving], turn[2 * j] = 2 * j, arriving
+        starts.append(2 * j)
+    for start in starts:
+        f = start
+        for length in (1, 2, 3):
+            g = turn.get(f, f ^ 1)
+            f = cross[g] if g >= m else t1[g]
+            if f == start:
+                break
+        if f != start or length != 3:
+            return False
+    return True
+
+
 def reference_first_rewrite(c, site, need, max_insert):
     """The first rewrite of the stream that the local check accepts, or None."""
     stream = reference_candidate_rewrites(c, list(site.corners), need, max_insert)
-    return next((rw for rw in stream if gr._trivalent_after(c, rw)), None)
+    return next((rw for rw in stream if reference_trivalent_after(c, rw)), None)
+
+
+def row_rewrite(c, corners, row):
+    """The rewrite a row of WIRINGS makes at the corners."""
+    base = max(abs(v) for w in c.polygons for v in w)
+    return gr.Rewrite(tuple(
+        (p, pos, tuple(v + base if v > 0 else v - base for v in word))
+        for (p, pos), word in zip(corners, row)
+    ))
+
+
+def row_fits(site, row, room):
+    """Whether the row grows no polygon of the site beyond its room."""
+    grow = Counter()
+    for (p, _), word in zip(site.corners, row):
+        grow[p] += len(word)
+    return room is None or all(v <= room[p] for p, v in grow.items())
 
 
 def compare_with_reference(max_n):
     """Check that the table's first accepted rewrite is the candidate
     stream's, at every eligible site of every variant with apply_graft's
-    room, and count the sites that graft and those that do not."""
+    room, and count the sites that graft and those that do not.  At each
+    site's cycle, also check every row of WIRINGS in full: it grafts
+    exactly when it is one of the rows of the site's twist ("rows" counts
+    these checks)."""
     verdicts = Counter()
     for c in graft_test_complexes(max_n):
         if not cx.is_graftable(c):
@@ -305,9 +376,14 @@ def compare_with_reference(max_n):
             for site in gr.eligible_sites(c, variant):
                 if site.cycle not in expected:
                     expected[site.cycle] = reference_first_rewrite(c, site, need, max_insert)
+                    twist_rows = gr._TWIST_ROWS[gr._twist(c, site)]
+                    for r, row in enumerate(gr.WIRINGS):
+                        out = gr.apply_rewrite(c, row_rewrite(c, site.corners, row))
+                        assert cx.is_graftable(out) == (r in twist_rows), (c, site, r)
+                        verdicts["rows"] += 1
                 try:
                     got = gr.discover_rewrite(c, site)
-                except (IneligibleSiteError, RewriteSearchError):
+                except IneligibleSiteError:
                     got = None
                 assert got == expected[site.cycle], (c, site, need, max_insert)
                 verdicts[got is not None] += 1
@@ -316,9 +392,11 @@ def compare_with_reference(max_n):
 
 def test_table_grafts_like_the_candidate_stream():
     # both verdicts occur: at many sites no row fits the target, most of
-    # them on the non-uniform mids of the k = 6 schedules
+    # them on the non-uniform mids of the k = 6 schedules.  The 2,520
+    # cycles, seven rows each, check the twist table in full
     verdicts = compare_with_reference(31)
     assert verdicts[True] > 1000 and verdicts[False] > 100, verdicts
+    assert verdicts["rows"] == 17640, verdicts
 
 
 def random_rewrites(c, slots, rng, count):
@@ -363,42 +441,58 @@ def test_local_check_matches_the_full_check():
                     itertools.islice(reference_candidate_rewrites(c, corner, need, None), 4, 82, 77),
                     random_rewrites(c, widened, rng, 1),
                 ):
-                    local = gr._trivalent_after(c, rw)
+                    local = reference_trivalent_after(c, rw)
                     assert local == cx.is_graftable(gr.apply_rewrite(c, rw)), (c, rw)
                     verdicts[local] += 1
     assert verdicts[True] > 300 and verdicts[False] > 4000
 
 
-def test_rewrite_search_error_names_its_counts(seeds, monkeypatch):
-    c = seeds[8]
-    site = next(
-        s for s in gr.eligible_sites(c, gr.GraftVariant.EG1)
-        if len({p for p, _ in s.corners}) == 3
-    )
-    # two new sides per polygon: the rows with two new sides per corner fit
-    fit = sum(1 for row in gr.WIRINGS if all(len(word) == 2 for word in row))
-    assert fit == 4
-    monkeypatch.setattr(gr, "_trivalent_after", lambda c, rw: False)
-    with pytest.raises(RewriteSearchError) as err:
+def test_a_site_where_no_row_of_its_twist_fits_is_ineligible():
+    # the fourth EG1 graft of X15 has sizes (20, 16) and the exact room
+    # (1, 5).  At its EG1 site 3, rows 4-6 fit the room, but the site's
+    # twist (1, 0) grafts by row 3 alone, which does not fit
+    x15 = catalog.load_entry("X15").complex
+    c = list(itertools.islice(gr._grafts(x15, gr.GraftVariant.EG1), 4))[-1]
+    room = gr.graft_room(c)
+    assert (c.sizes, room) == ((20, 16), (1, 5))
+    site = gr.eligible_sites(c, gr.GraftVariant.EG1)[3]
+    assert gr._twist(c, site) == (1, 0) and gr._TWIST_ROWS[1, 0] == (3,)
+    fit = [r for r, row in enumerate(gr.WIRINGS) if row_fits(site, row, room)]
+    assert fit == [4, 5, 6]
+    for r in fit:
+        rw = row_rewrite(c, site.corners, gr.WIRINGS[r])
+        assert not reference_trivalent_after(c, rw)
+        assert not cx.is_graftable(gr.apply_rewrite(c, rw))
+    with pytest.raises(IneligibleSiteError) as err:
         gr.discover_rewrite(c, site)
     assert str(err.value) == (
-        "no rewrite at cycle %s (sizes (8, 8, 8), room (2, 2, 2)): "
-        "%d wiring rows fit, the local check rejected %d" % (site.corners, fit, fit)
+        "cycle %s cannot take a graft: no wiring row fits the room (1, 5) of sizes (20, 16)"
+        % (site.corners,)
     )
+
+
+def test_the_full_check_stays_behind_the_twist_table(seeds, monkeypatch):
+    # a row the site's twist does not graft by is caught, not returned
+    c = seeds[12]
+    site = gr.eligible_sites(c, gr.GraftVariant.EG2)[0]
+    twist = gr._twist(c, site)
+    wrong = next(r for r in range(len(gr.WIRINGS)) if r not in gr._TWIST_ROWS[twist])
+    monkeypatch.setitem(gr._TWIST_ROWS, twist, (wrong,))
+    with pytest.raises(InvariantError, match="the full check rejects"):
+        gr.discover_rewrite(c, site)
 
 
 @pytest.mark.parametrize("n", [7, 9])
 def test_graft_pair_error_names_its_counts(seeds, monkeypatch, n):
-    # every first half is found and no second half is: the error counts
-    # the rows that fit and those the local check rejected, over the
-    # first-half scan
+    # every first half is found and no second half is: the error names
+    # the sites and the first halves tried
     base = seeds[n]
     search_rewrites = gr._iter_rewrites
     first_halves = []
 
-    def first_halves_only(c, site, room, tally):
+    def first_halves_only(c, site, room):
         if c is base:
-            for found in search_rewrites(c, site, room, tally):
+            for found in search_rewrites(c, site, room):
                 first_halves.append(found)
                 yield None, cx.PolygonComplex(found[1].polygons)
 
@@ -406,14 +500,13 @@ def test_graft_pair_error_names_its_counts(seeds, monkeypatch, n):
     with pytest.raises(RewriteSearchError) as err:
         gr._graft_pair(base, gr.GraftVariant.EG3, gr.GraftVariant.EG1)
     match = re.search(
-        r"^no workable EG3/EG1 pair over (\d+) sites: "
-        r"(\d+) wiring rows fit, the local check rejected (\d+)$",
+        r"^no workable EG3/EG1 pair over (\d+) sites: (\d+) first halves tried$",
         str(err.value),
     )
     assert match, str(err.value)
-    num_sites, fit, rejected = map(int, match.groups())
+    num_sites, tried = map(int, match.groups())
     assert num_sites == len(gr.eligible_sites(base, gr.GraftVariant.EG3))
-    assert rejected > 0 and fit - rejected == len(first_halves) > 0
+    assert tried == len(first_halves) > 0
 
 
 def test_build_primitive_output_is_pinned():
@@ -426,6 +519,6 @@ def test_build_primitive_output_is_pinned():
 
 
 if __name__ == "__main__":
-    # the reference comparison over longer chains:
-    # PYTHONPATH=src python tests/test_grafting.py 61
+    # the reference comparison and the twist table's check over longer
+    # chains: PYTHONPATH=src python tests/test_grafting.py 61
     print(dict(compare_with_reference(int(sys.argv[1]) if len(sys.argv) > 1 else 61)))
