@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import resources
 
-from . import complexes, trigroup
+from . import complexes
 from .complexes import PolygonComplex
 from .errors import InvariantError, UnknownCatalogEntryError
 
@@ -65,6 +65,8 @@ def derive(name: str) -> PolygonComplex:
         raise UnknownCatalogEntryError("unknown catalog entry %r" % (name,))
     k, g, n, _ = EXPECTED[name]
     if name in SEED_NAMES:
+        from . import trigroup
+
         if name == "X7":
             # the N = +-1 (mod 6) schedules pair grafts at two cycles whose
             # polygons split three against three; not every index-84 class
@@ -109,6 +111,8 @@ def _dual_extremal_complex(k: int, two_n: int) -> PolygonComplex:
     in (2, 3, 2n), and its action there is induced from the smaller one
     (trigroup.induced_action).
     """
+    from . import trigroup
+
     n = two_n // 2
     recs = trigroup.low_index_subgroups(
         3, 3, n, k * two_n, torsion_free=True, proper=True, max_count=1

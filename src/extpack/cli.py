@@ -7,16 +7,15 @@ any other lookup failure inside the library, reported without a
 traceback).  Complex files are read from a path, from the
 shipped catalog by name (X7, X12, ...), or from stdin when the argument is
 omitted or '-'; results go to stdout unless -o is given, so commands
-compose in pipelines.
+compose in pipelines.  Each command imports the library modules it runs
+inside its handler, so a cold run loads only those.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from . import catalog, complexes, covers, feasibility, geometry, grafting, trigroup
 from .errors import (
     ComplexFormatError,
     CoverError,
@@ -43,7 +42,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
-def _read_complex(spec: str | None) -> complexes.PolygonComplex:
+def _read_complex(spec: str | None):
+    from . import complexes
+
     if spec is None or spec == "-":
         return complexes.parse(sys.stdin.read())
     try:
@@ -51,6 +52,8 @@ def _read_complex(spec: str | None) -> complexes.PolygonComplex:
             return complexes.parse(fh.read())
     except FileNotFoundError:
         name = spec[:-6] if spec.endswith(".cmplx") else spec
+        from . import catalog
+
         if name in catalog.EXPECTED:
             return catalog.load_entry(name).complex
         raise
@@ -65,6 +68,8 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
+    import json
+
     _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
 
 
@@ -118,7 +123,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("graft", "apply one edge-grafting variant")
     p.add_argument("file", nargs="?", default=None)
-    p.add_argument("--variant", required=True, choices=[v.value for v in grafting.GraftVariant])
+    # the values of grafting.GraftVariant, spelt out so that building the
+    # parser does not import grafting
+    p.add_argument("--variant", required=True, choices=("EG1", "EG2", "EG3", "EG4"))
     p.add_argument("--site", type=int, default=None, help="site index (default: first workable)")
 
     p = add("double-cover", "orientation double cover of a non-orientable complex")
@@ -157,6 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_bound(args) -> int:
+    from . import feasibility
+
     params = feasibility.packing_radius_bound(args.k, args.g)
     if args.json:
         _emit_json(
@@ -189,6 +198,8 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_feasible(args) -> int:
+    from . import feasibility
+
     ok = feasibility.is_feasible(args.k, args.g)
     if args.json:
         _emit_json(
@@ -206,6 +217,8 @@ def _cmd_feasible(args) -> int:
 
 
 def _cmd_primitive(args) -> int:
+    from . import feasibility
+
     k, g = feasibility.primitive_pair(args.N)
     if args.json:
         _emit_json({"format_version": 1, "N": args.N, "k": k, "g": g}, args.output)
@@ -215,6 +228,8 @@ def _cmd_primitive(args) -> int:
 
 
 def _cmd_line(args) -> int:
+    from . import feasibility
+
     line = feasibility.line_ln(args.N, args.jmax)
     if args.json:
         _emit_json(
@@ -234,6 +249,8 @@ def _cmd_line(args) -> int:
 
 
 def _cmd_dual(args) -> int:
+    from . import feasibility
+
     pairs = sorted(sorted(p) for p in feasibility.dual_extremal_pairs(args.g))
     if args.json:
         _emit_json({"format_version": 1, "g": args.g, "pairs": pairs}, args.output)
@@ -244,6 +261,8 @@ def _cmd_dual(args) -> int:
 
 
 def _cmd_unique(args) -> int:
+    from . import feasibility
+
     u = feasibility.uniqueness_class(args.k, args.g)
     if args.json:
         _emit_json(
@@ -256,16 +275,22 @@ def _cmd_unique(args) -> int:
 
 
 def _cmd_build(args) -> int:
+    from . import complexes, grafting
+
     _write(complexes.serialize(grafting.build_primitive(args.N)), args.output)
     return 0
 
 
 def _cmd_realize(args) -> int:
+    from . import complexes, covers
+
     _write(complexes.serialize(covers.realize_spec(args.k, args.g)), args.output)
     return 0
 
 
 def _cmd_verify(args) -> int:
+    from . import complexes
+
     rep = complexes.verify_extremal(_read_complex(args.file))
     if args.json:
         _emit_json(rep.to_json_dict(), args.output)
@@ -277,6 +302,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_graft(args) -> int:
+    from . import complexes, grafting
+
     c = _read_complex(args.file)
     variant = grafting.GraftVariant(args.variant)
     sites = grafting.eligible_sites(c, variant)
@@ -295,6 +322,8 @@ def _cmd_graft(args) -> int:
 
 
 def _cmd_double_cover(args) -> int:
+    from . import complexes, covers
+
     _write(
         complexes.serialize(covers.orientation_double_cover(_read_complex(args.file))),
         args.output,
@@ -303,6 +332,8 @@ def _cmd_double_cover(args) -> int:
 
 
 def _cmd_cyclic_cover(args) -> int:
+    from . import complexes, covers
+
     c = _read_complex(args.file)
     if args.voltages is None:
         out = covers.find_nonorientable_cyclic_cover(c, args.n)
@@ -321,6 +352,8 @@ def _cmd_cyclic_cover(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from . import trigroup
+
     recs = trigroup.low_index_subgroups(
         args.p, args.q, args.r, args.index,
         torsion_free=args.torsion_free,
@@ -335,12 +368,16 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_to_group(args) -> int:
+    from . import trigroup
+
     rec = trigroup.complex_to_subgroup(_read_complex(args.file))
     _emit_json(rec.to_json_dict(), args.output)
     return 0
 
 
 def _cmd_from_group(args) -> int:
+    from . import complexes, trigroup
+
     with open(args.record, "r", encoding="utf-8") as fh:
         rec = trigroup.record_from_json(fh.read())
     _write(complexes.serialize(trigroup.subgroup_to_complex(rec)), args.output)
@@ -348,12 +385,16 @@ def _cmd_from_group(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from . import geometry
+
     layout = geometry.realize(_read_complex(args.file))
     _write(geometry.render_svg(layout), args.output)
     return 0
 
 
 def _cmd_catalog(args) -> int:
+    from . import catalog
+
     entries = catalog.load_all()
     if args.json:
         _emit_json(

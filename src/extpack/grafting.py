@@ -184,30 +184,44 @@ def graft_room(c: PolygonComplex) -> tuple[int, ...] | None:
     return None
 
 
+def _misses_room(site: GraftSite, room) -> bool:
+    """Whether the site's corners miss a polygon that an exact room, one
+    summing to 6 as every row does, still fills: then no row fits there."""
+    if room is None or sum(room) != 6:
+        return False
+    polys = {p for p, _ in site.corners}
+    return any(v for p, v in enumerate(room) if p not in polys)
+
+
+def _fits(site: GraftSite, row, room) -> bool:
+    """Whether the row grows no polygon beyond its room (None is no limit)."""
+    if room is None:
+        return True
+    grow = Counter()
+    for (p, _), word in zip(site.corners, row):
+        grow[p] += len(word)
+    return all(v <= room[p] for p, v in grow.items())
+
+
 def _iter_rewrites(c: PolygonComplex, site: GraftSite, room):
     """Yield (rewrite, grafted complex) for every row of the site's twist
     (_TWIST_ROWS) that fits the room, in table order.
 
     c must be graftable; the callers check that once per search.  A row
-    fits when it grows no polygon beyond its room (None is no limit); a
-    site whose corners miss a polygon that an exact room still fills fits
-    no row and is skipped before any is tried.  The grafted complex stays
+    fits when it grows no polygon beyond its room (_fits); a site whose
+    corners miss a polygon that an exact room still fills fits no row and
+    is skipped before any is tried (_misses_room).  The grafted complex stays
     connected and non-orientable, because every old pairing survives.
     Each row is built and checked in full: a row of the twist that is not
     trivalent after all is an InvariantError.
     """
-    if room is not None and sum(room) == 6:
-        polys = {p for p, _ in site.corners}
-        if any(v for p, v in enumerate(room) if p not in polys):
-            return
+    if _misses_room(site, room):
+        return
     base = max(abs(v) for w in c.polygons for v in w)
     twist = _twist(c, site)
     for r in _TWIST_ROWS[twist]:
         row = WIRINGS[r]
-        grow = Counter()
-        for (p, _), word in zip(site.corners, row):
-            grow[p] += len(word)
-        if room is not None and any(v > room[p] for p, v in grow.items()):
+        if not _fits(site, row, room):
             continue
         rw = Rewrite(tuple(
             (p, pos, tuple(v + base if v > 0 else v - base for v in word))
@@ -239,9 +253,13 @@ def _graft_at(c, site) -> tuple[Rewrite, PolygonComplex]:
     room = graft_room(c)
     found = next(_iter_rewrites(c, site, room), None)
     if found is None:
+        if not _misses_room(site, room) and any(_fits(site, row, room) for row in WIRINGS):
+            why = "no row of its twist %s fits" % (_twist(c, site),)
+        else:
+            why = "no wiring row fits"
         raise IneligibleSiteError(
-            "cycle %s cannot take a graft: no wiring row fits the room %s of sizes %s"
-            % (site.corners, room, c.sizes)
+            "cycle %s cannot take a graft: %s the room %s of sizes %s"
+            % (site.corners, why, room, c.sizes)
         )
     return found
 
@@ -266,7 +284,7 @@ def apply_graft(c: PolygonComplex, site: GraftSite) -> PolygonComplex:
     The new sides fill the room of graft_room: uniform complexes with
     k = 1 or 3 polygons grow uniformly, and k = 2 and 6 grow freely up to
     the size a second graft can equalize.  Raises IneligibleSiteError when
-    the site is not one of eligible_sites or no wiring row fits the room
+    the site is not one of eligible_sites or no row of its twist fits the room
     there.
     """
     if site not in eligible_sites(c, site.variant):

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 
 import pytest
@@ -49,6 +50,29 @@ def test_usage_error_exit_code(capsys):
         cli.main(["bound", "--k", "1"])
     assert exc.value.code == 1
     capsys.readouterr()
+
+
+def test_variant_choices_are_the_graft_variants():
+    # the parser spells the choices out so that it need not import grafting
+    (commands,) = [a for a in cli.build_parser()._actions if isinstance(a.choices, dict)]
+    (variant,) = [a for a in commands.choices["graft"]._actions if a.dest == "variant"]
+    assert list(variant.choices) == [v.value for v in grafting.GraftVariant]
+
+
+def test_unknown_variant_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["graft", "X8", "--variant", "EG9"])
+    assert exc.value.code == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (
+        "usage: extpack graft [-h] [-o OUTPUT] --variant {EG1,EG2,EG3,EG4}\n"
+        "                     [--site SITE]\n"
+        "                     [file]\n"
+        "extpack graft: error: argument --variant: invalid choice: 'EG9'"
+        " (choose from 'EG1', 'EG2', 'EG3', 'EG4')\n"
+    )
 
 
 def test_arith_commands(capsys):
@@ -304,7 +328,7 @@ def test_internal_errors_exit_4(monkeypatch, capsys, module, name, argv, error):
     def fail(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr(getattr(cli, module), name, fail)
+    monkeypatch.setattr(importlib.import_module("extpack." + module), name, fail)
     code, out, err = run(capsys, *argv)
     assert code == 4 and out == ""
     assert err == "internal error: %s\n" % error
@@ -319,7 +343,7 @@ def test_unknown_catalog_entry_is_a_domain_error(monkeypatch, capsys):
     def load_all():
         return {"X99": catalog.load_entry("X99")}
 
-    monkeypatch.setattr(cli.catalog, "load_all", load_all)
+    monkeypatch.setattr(catalog, "load_all", load_all)
     code, out, err = run(capsys, "catalog")
     assert code == 2 and out == ""
     assert err == "error: unknown catalog entry 'X99'\n"

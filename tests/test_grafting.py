@@ -466,8 +466,8 @@ def test_a_site_where_no_row_of_its_twist_fits_is_ineligible():
     with pytest.raises(IneligibleSiteError) as err:
         gr.discover_rewrite(c, site)
     assert str(err.value) == (
-        "cycle %s cannot take a graft: no wiring row fits the room (1, 5) of sizes (20, 16)"
-        % (site.corners,)
+        "cycle %s cannot take a graft: no row of its twist (1, 0) fits the room (1, 5)"
+        " of sizes (20, 16)" % (site.corners,)
     )
 
 
