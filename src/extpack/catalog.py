@@ -9,8 +9,8 @@ and D14 (3- and 24-extremal, genus 6) obtained from surface subgroups of
 the (3, 3, 9) and (3, 3, 7) reflection groups pushed through the index-2
 inclusions (3, 3, n) < (2, 3, 2n).
 
-Every entry is re-certified on load; a missing data file is derived on
-the fly from the same constructions.
+Every entry is read from its shipped data file and re-certified on load;
+derive and write_catalog regenerate the files from the constructions.
 """
 
 from __future__ import annotations
@@ -129,22 +129,12 @@ def _dual_extremal_complex(k: int, two_n: int) -> PolygonComplex:
     return trigroup.subgroup_to_complex(big_rec)
 
 
-def _load_file(name: str) -> PolygonComplex | None:
-    try:
-        path = resources.files(__package__) / "catalog" / ("%s.cmplx" % name)
-        text = path.read_text(encoding="utf-8")
-    except (FileNotFoundError, ModuleNotFoundError, OSError):
-        return None
-    return complexes.parse(text)
-
-
 def load_entry(name: str) -> CatalogEntry:
-    """Load (or derive) one catalog entry, re-certifying it."""
+    """Read one catalog entry from its shipped file, re-certifying it."""
     if name not in EXPECTED:
         raise UnknownCatalogEntryError("unknown catalog entry %r" % (name,))
-    c = _load_file(name)
-    if c is None:
-        c = derive(name)
+    path = resources.files(__package__) / "catalog" / ("%s.cmplx" % name)
+    c = complexes.parse(path.read_text(encoding="utf-8"))
     k, g, n, prov = EXPECTED[name]
     return CatalogEntry(
         name=name, k=k, g=g, n=n, provenance=prov,

@@ -2,12 +2,12 @@
 
 Exit codes: 0 success, 1 usage, 2 infeasible or malformed input, a failed
 certificate, or a file that cannot be read or written, 3 exhausted
-resource caps, 4 internal error (a failed library invariant or
-any other lookup failure inside the library, reported without a
-traceback).  Complex files are read from a path, from the
-shipped catalog by name (X7, X12, ...), or from stdin when the argument is
-omitted or '-'; results go to stdout unless -o is given, so commands
-compose in pipelines.  Each command imports the library modules it runs
+resource caps, 4 internal error (a failed library invariant, any other
+RuntimeError, or an arithmetic or lookup failure inside the library,
+reported without a traceback).  Complex files are read from a path, from
+the shipped catalog by name (X7, X12, ...), or from stdin when the
+argument is omitted or '-'; results go to stdout unless -o is given, so
+commands compose in pipelines.  Each command imports the library modules it runs
 inside its handler, so a cold run loads only those.
 """
 
@@ -16,18 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import (
-    ComplexFormatError,
-    CoverError,
-    EnumerationCapError,
-    InfeasibleSpecError,
-    IneligibleSiteError,
-    InvalidComplexError,
-    InvariantError,
-    NotExtremalError,
-    RewriteSearchError,
-    UnknownCatalogEntryError,
-)
+from .errors import CoverError, EnumerationCapError, IneligibleSiteError, UnknownCatalogEntryError
 
 USAGE_EXIT = 1
 DOMAIN_EXIT = 2
@@ -439,25 +428,19 @@ _HANDLERS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # exit codes by error family: the library's domain errors are ValueErrors
+    # but for UnknownCatalogEntryError, a KeyError caught before KeyError;
+    # EnumerationCapError, InvariantError and RewriteSearchError are
+    # RuntimeErrors, the first caught before the rest
     try:
         return _HANDLERS[args.command](args)
-    except (
-        InfeasibleSpecError,
-        IneligibleSiteError,
-        NotExtremalError,
-        CoverError,
-        ComplexFormatError,
-        InvalidComplexError,
-        OSError,
-        ValueError,
-        UnknownCatalogEntryError,
-    ) as err:
+    except (ValueError, OSError, UnknownCatalogEntryError) as err:
         print("error: %s" % err, file=sys.stderr)
         return DOMAIN_EXIT
     except EnumerationCapError as err:
         print("resource limit: %s" % err, file=sys.stderr)
         return RESOURCE_EXIT
-    except (InvariantError, RewriteSearchError, ArithmeticError, KeyError) as err:
+    except (RuntimeError, ArithmeticError, KeyError) as err:
         print("internal error: %s" % err, file=sys.stderr)
         return INTERNAL_EXIT
 

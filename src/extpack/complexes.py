@@ -23,7 +23,10 @@ polygons share one size N >= 7 and every vertex cycle has length exactly
 three (three angles of 2*pi/3 closing up to 2*pi).
 
 Every combinatorial fact here is read from the flag action (see
-flag_action), which a complex builds once, when it is created.
+flag_action), which a complex builds once, when it is created.  One walk
+of t1 t2 gives the vertex cycles; vertex_cycles records each as one
+VertexCycle, its corners with the edges crossed between them, which the
+grafts, the cyclic covers and the holonomy check all read.
 """
 
 from __future__ import annotations
@@ -132,9 +135,18 @@ def _renamed(c: PolygonComplex, name: str | None) -> PolygonComplex:
 
 @dataclass(frozen=True)
 class VertexCycle:
-    """Corners (polygon, position) around one surface vertex, in cyclic order."""
+    """Corners (polygon, position) around one surface vertex, in cyclic
+    order, and the edges crossed between consecutive corners.
+
+    crossing t sits between corners[t] and corners[t+1 (mod len)]; it is
+    (label, direction) with direction +1 when the crossing leaves the first
+    occurrence of the label (in scan order) and -1 when it leaves the
+    second.  The corners fix the cycle, so the crossings take no part in
+    equality or hashing.
+    """
 
     corners: tuple[tuple[int, int], ...]
+    crossings: tuple[tuple[int, int], ...] = field(default=(), compare=False)
 
     def __len__(self):
         return len(self.corners)
@@ -323,26 +335,12 @@ def vertex_class_sizes(c: PolygonComplex, cap: int | None = None) -> list[int] |
     return sorted(sizes)
 
 
-@dataclass(frozen=True)
-class CycleCrossings:
-    """A vertex cycle plus the edges crossed between consecutive corners.
-
-    crossing t sits between corners[t] and corners[t+1 (mod len)]; it is
-    (label, direction) with direction +1 when the crossing leaves the first
-    occurrence of the label (in scan order) and -1 when it leaves the
-    second.
-    """
-
-    cycle: VertexCycle
-    crossings: tuple[tuple[int, int], ...]
-
-
 def flag_sides(c: PolygonComplex) -> list[tuple[int, int]]:
     """(label, direction) of the side each flag lies on.
 
     The direction is +1 on the label's first side in scan order and -1 on
-    its second: the direction of CycleCrossings, and of a cyclic cover's
-    voltages.
+    its second: the direction of VertexCycle.crossings, and of a cyclic
+    cover's voltages.
     """
     # sides are numbered like the corners they leave: flag 2j lies on side
     # j, and t0 takes flag 2j+1 to the leaving flag of its side
@@ -357,22 +355,24 @@ def flag_sides(c: PolygonComplex) -> list[tuple[int, int]]:
     return out
 
 
-def vertex_cycles_with_crossings(c: PolygonComplex) -> list[CycleCrossings]:
+def vertex_cycles(c: PolygonComplex) -> list[VertexCycle]:
+    """All vertex cycles, by least corner, with their corners in cyclic
+    order around the vertex and the crossings between them."""
     corners = _corners(c)
     sides = flag_sides(c)
     # the walk leaves each corner along the side of its other flag
     return [
-        CycleCrossings(
-            VertexCycle(tuple([corners[f >> 1] for f in cycle])),
+        VertexCycle(
+            tuple([corners[f >> 1] for f in cycle]),
             tuple([sides[f ^ 1] for f in cycle]),
         )
         for cycle in _walk(c)
     ]
 
 
-def vertex_cycles(c: PolygonComplex) -> list[VertexCycle]:
-    """All vertex cycles with their corners in cyclic order around the vertex."""
-    return [data.cycle for data in vertex_cycles_with_crossings(c)]
+#: the same function; the library calls it under this name, which the
+#: benchmark tracer wraps
+vertex_cycles_with_crossings = vertex_cycles
 
 
 def is_orientable(c: PolygonComplex) -> bool:

@@ -27,7 +27,7 @@ import sys
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from . import complexes, feasibility, grafting
+from . import complexes
 from .complexes import PolygonComplex
 from .errors import CoverError, EnumerationCapError, InvariantError
 
@@ -98,16 +98,16 @@ def _cycle_matrix(c: PolygonComplex):
     """Net crossing count of each edge label around each vertex cycle."""
     cycles = complexes.vertex_cycles_with_crossings(c)
     # the crossings are flag_sides entries, and every label is crossed
-    labels = sorted({lab for data in cycles for lab, _ in data.crossings})
+    labels = sorted({lab for cycle in cycles for lab, _ in cycle.crossings})
     col = {lab: t for t, lab in enumerate(labels)}
     rows = []
     anchors = []
-    for data in cycles:
+    for cycle in cycles:
         row = [0] * len(labels)
-        for lab, direction in data.crossings:
+        for lab, direction in cycle.crossings:
             row[col[lab]] += direction
         rows.append(row)
-        anchors.append(data.cycle.corners[0])
+        anchors.append(cycle.corners[0])
     return labels, rows, anchors
 
 
@@ -281,6 +281,8 @@ def realize_spec(k: int, g: int) -> PolygonComplex:
     non-orientable cyclic cover of degree j = k/k_N (the position of (k, g)
     on the parameter line of N).
     """
+    from . import feasibility, grafting
+
     feasibility.require_feasible(k, g)
     n_sides = 6 + 6 * (g - 2) // k
     j = feasibility.cover_index(k, g)

@@ -366,11 +366,11 @@ def holonomy_check(layout: DiskLayout) -> HolonomyReport:
     c = layout.complex
     n = layout.cell.n
     worst = 0.0
-    for data in complexes.vertex_cycles_with_crossings(c):
-        p0, i0 = data.cycle.corners[0]
+    for cycle in complexes.vertex_cycles_with_crossings(c):
+        p0, i0 = cycle.corners[0]
         x0 = layout.vertices[p0][i0]
         hol = Isometry.identity()
-        for lab, direction in data.crossings:
+        for lab, direction in cycle.crossings:
             g = layout.pairings[lab]
             # crossing from the first occurrence into the second pulls the
             # next chart back through g, and conversely through its inverse

@@ -2,9 +2,11 @@
 complex by one while keeping every vertex trivalent.
 
 A graft inserts three new edge pairs (six new sides) at a chosen vertex
-cycle, keeping all old pairings.  The wirings are the rows of WIRINGS,
-one table for all four variants.  How many new sides each polygon may
-take is one policy, `graft_room`: exactly what makes the complex
+cycle, keeping all old pairings.  `eligible_sites` reads the sites and
+whether the complex is graftable (trivalent and non-orientable) off one
+walk of its vertex cycles.  The wirings are the rows of WIRINGS, one
+table for all four variants.  How many new sides each polygon may take
+is one policy, `graft_room`: exactly what makes the complex
 uniform when one graft can, else up to the size a second graft can
 equalize (the free half of a pair), else no limit.  Which rows leave
 every vertex trivalent depends only on the site's twist, which of its
@@ -85,9 +87,8 @@ def apply_rewrite(c: PolygonComplex, rw: Rewrite) -> PolygonComplex:
     return PolygonComplex(tuple(tuple(w) for w in words), name=c.name)
 
 
-def _require_graftable(c: PolygonComplex) -> None:
-    if not complexes.is_graftable(c):
-        raise NotExtremalError("complex is not graftable (trivalent + non-orientable)")
+#: the message of every graftability check
+_NOT_GRAFTABLE = "complex is not graftable (trivalent + non-orientable)"
 
 
 def eligible_sites(c: PolygonComplex, variant: GraftVariant) -> list[GraftSite]:
@@ -95,22 +96,21 @@ def eligible_sites(c: PolygonComplex, variant: GraftVariant) -> list[GraftSite]:
 
     The complex must be graftable: connected, non-orientable and trivalent
     throughout (polygon sizes are allowed to differ between the two halves
-    of a paired graft step).
+    of a paired graft step).  The cycles the sites are read from decide it.
     """
-    _require_graftable(c)
+    cycles = complexes.vertex_cycles_with_crossings(c)
+    if complexes.is_orientable(c) or any(len(cycle) != 3 for cycle in cycles):
+        raise NotExtremalError(_NOT_GRAFTABLE)
+    if not variant.needs_shared_edge:
+        return [GraftSite(variant=variant, cycle=cycle) for cycle in cycles]
     sites = []
-    for data in complexes.vertex_cycles_with_crossings(c):
-        if variant.needs_shared_edge:
-            # crossing t joins the polygons of corners t and t + 1
-            polys = [p for p, _ in data.cycle.corners]
-            shared = [lab for (lab, _), p, q in zip(data.crossings, polys, polys[1:] + polys[:1])
-                      if p != q]
-            if not shared:
-                continue
-            sites.append(GraftSite(variant=variant, cycle=data.cycle, shared_edge=shared[0]))
-        else:
-            sites.append(GraftSite(variant=variant, cycle=data.cycle))
-    sites.sort(key=lambda s: min(s.corners))
+    for cycle in cycles:
+        # crossing t joins the polygons of corners t and t + 1
+        polys = [p for p, _ in cycle.corners]
+        shared = [lab for (lab, _), p, q in zip(cycle.crossings, polys, polys[1:] + polys[:1])
+                  if p != q]
+        if shared:
+            sites.append(GraftSite(variant=variant, cycle=cycle, shared_edge=shared[0]))
     return sites
 
 
@@ -242,14 +242,17 @@ def discover_rewrite(c: PolygonComplex, site: GraftSite) -> Rewrite:
 
     Each row of WIRINGS inserts six new sides, three new pairs, at the
     site's corners; the rows that graft are those of the site's twist.
-    Raises IneligibleSiteError when none of them fits the room.
+    Raises NotExtremalError when c is not graftable and
+    IneligibleSiteError when none of the rows fits the room.
     """
+    if not complexes.is_graftable(c):
+        raise NotExtremalError(_NOT_GRAFTABLE)
     return _graft_at(c, site)[0]
 
 
 def _graft_at(c, site) -> tuple[Rewrite, PolygonComplex]:
-    """discover_rewrite's rewrite together with the grafted complex."""
-    _require_graftable(c)
+    """discover_rewrite's rewrite together with the grafted complex; c must
+    be graftable."""
     room = graft_room(c)
     found = next(_iter_rewrites(c, site, room), None)
     if found is None:

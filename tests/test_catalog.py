@@ -1,6 +1,9 @@
 import pathlib
+import types
 
-from extpack import catalog
+import pytest
+
+from extpack import catalog, cli
 from extpack import complexes as cx
 
 
@@ -36,3 +39,22 @@ def test_dual_fixtures():
     assert (d18.k, d18.g, d18.n) == (1, 4, 18)
     d14 = catalog.load_entry("D14")
     assert (d14.k, d14.g, d14.n) == (3, 6, 14)
+
+
+def test_a_missing_file_is_not_derived(monkeypatch, tmp_path, capsys):
+    (tmp_path / "catalog").mkdir()
+    # the package's files are an empty catalog directory
+    files = types.SimpleNamespace(files=lambda package: tmp_path)
+    monkeypatch.setattr(catalog, "resources", files)
+
+    def derive(name):
+        raise AssertionError("derive called for %s" % name)
+
+    monkeypatch.setattr(catalog, "derive", derive)
+    with pytest.raises(FileNotFoundError):
+        catalog.load_entry("X7")
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["verify", "X7"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.rstrip().endswith("X7.cmplx'")

@@ -322,6 +322,10 @@ def test_cyclic_cover_voltage_count_error(capsys):
         ("grafting", "build_primitive", ["build", "--N", "9"], RewriteSearchError("no rewrite")),
         ("trigroup", "complex_to_subgroup", ["to-group", "X12"], InvariantError("not proper")),
         ("catalog", "load_all", ["catalog"], KeyError(12)),
+        # a bare RuntimeError, as catalog.derive raises, and one of its kind
+        ("covers", "realize_spec", ["realize", "--k", "6", "--g", "3"],
+         RuntimeError("no schedule-compatible seed at index 84")),
+        ("geometry", "realize", ["render", "X12"], RecursionError("maximum recursion depth")),
     ],
 )
 def test_internal_errors_exit_4(monkeypatch, capsys, module, name, argv, error):

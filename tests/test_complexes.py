@@ -29,6 +29,22 @@ def test_vertex_cycles_classical():
     assert [len(v) for v in cx.vertex_cycles(PolygonComplex(((1, -1),)))] == [2]
 
 
+def test_a_vertex_cycle_is_fixed_by_its_corners(seeds):
+    # one record per vertex, by least corner; crossing t is an edge at both
+    # corners t and t + 1, and the crossings take no part in equality
+    assert cx.vertex_cycles is cx.vertex_cycles_with_crossings
+    for c in list(seeds.values()) + random_complexes(50):
+        cycles = cx.vertex_cycles(c)
+        assert [v.corners[0] for v in cycles] == sorted(min(v.corners) for v in cycles)
+        for v in cycles:
+            ends = [{abs(c.polygons[p][i - 1]), abs(c.polygons[p][i])} for p, i in v.corners]
+            assert len(v.crossings) == len(v)
+            for (lab, _), a, b in zip(v.crossings, ends, ends[1:] + ends[:1]):
+                assert lab in a & b, (c, v)
+            bare = cx.VertexCycle(v.corners)
+            assert bare.crossings == () and bare == v and hash(bare) == hash(v)
+
+
 def test_corner_conservation():
     for c in random_complexes(200):
         cycles = cx.vertex_cycles(c)

@@ -9,6 +9,7 @@ import pytest
 
 from extpack import catalog
 from extpack import complexes as cx
+from extpack import covers
 from extpack import grafting as gr
 from extpack import trigroup as tg
 from extpack.errors import (
@@ -97,6 +98,23 @@ def test_graft_room_is_the_one_size_policy(seeds):
     assert gr.graft_room(seeds[7]) == (2,) * 6
     five = cx.PolygonComplex(((1, 2), (-2, 3), (-3, 4), (-4, 5), (-5, -1)))
     assert gr.graft_room(five) is None
+
+
+@pytest.mark.parametrize("variant, sizes", [
+    ("EG1", (18, 12, 12, 12, 12)),
+    ("EG2", (18, 12, 12, 12, 12)),
+    ("EG3", (16, 14, 12, 12, 12)),
+    ("EG4", (16, 14, 12, 12, 12)),
+])
+def test_a_graft_with_no_room_limit(variant, sizes):
+    # five 12-gons: neither one graft nor a pair can end uniform, so no
+    # polygon's growth is limited and the first fitting row grafts
+    c = covers.realize_spec(5, 7)
+    assert gr.graft_room(c) is None
+    out = gr.graft_first_site(c, gr.GraftVariant(variant))
+    assert out.sizes == sizes
+    assert cx.is_graftable(out)
+    assert cx.surface_invariants(out).genus == 8
 
 
 def test_paired_steps_graft_under_the_policy():

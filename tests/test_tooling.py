@@ -56,6 +56,23 @@ def test_library_imports_only_the_standard_library():
     assert re.findall(r"(?m)^dependencies\s*=.*$", pyproject) == ["dependencies = []"]
 
 
+def test_library_has_no_assert_statements():
+    """The library states its checks as explicit raises: ``python -O``
+    strips every ``assert`` statement, and a check that can vanish is no
+    check."""
+    sources = sorted((ROOT / "src" / "extpack").glob("*.py"))
+    assert len(sources) >= 10
+    found = []
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            "%s:%d" % (path.name, node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)
+        ]
+    assert not found, "assert statements in the library: %s" % ", ".join(found)
+
+
 def test_cli_reads_no_private_library_name():
     """The CLI runs on the library's public names: it reads no
     underscore-prefixed attribute of an extpack module."""
@@ -85,6 +102,8 @@ COLD_COMMANDS = (
     (["enumerate", "--p", "2", "--q", "3", "--r", "7", "--index", "28"],
      {"geometry", "covers", "grafting", "feasibility", "catalog"}),
     (["verify", "X7"], {"trigroup", "geometry", "covers", "grafting"}),
+    (["double-cover", "X9"], {"grafting", "feasibility", "trigroup", "geometry"}),
+    (["cyclic-cover", "X12", "--n", "2"], {"grafting", "feasibility", "trigroup", "geometry"}),
 )
 
 LOADED = (
