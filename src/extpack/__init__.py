@@ -5,7 +5,7 @@ edge-identified polygons in `complexes`; the genus-raising edge-grafting
 rewrites in `grafting`; orientation double covers and cyclic covers in
 `covers`; subgroups of the extended (p, q, r) triangle groups, held as
 the coset actions of the three reflections, their low-index search and
-the subgroup/complex bridge in `trigroup`; the numeric unit-disk layer in
+the subgroup/complex bridge in `trigroup`; the exact unit-disk layouts in
 `geometry`; and the shipped certified examples in `catalog`.
 
 The names below resolve lazily (PEP 562): ``import extpack`` loads no
@@ -55,7 +55,6 @@ _EXPORTS = {
     ),
     "geometry": (
         "DiskLayout",
-        "Isometry",
         "NgonGeometry",
         "boroczky_equality_check",
         "equilateral_angle",
@@ -63,7 +62,6 @@ _EXPORTS = {
         "realize",
         "regular_ngon",
         "render_svg",
-        "rotation_pi_about",
     ),
     "grafting": (
         "GraftSite",

@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import CoverError, EnumerationCapError, IneligibleSiteError, UnknownCatalogEntryError
+from .errors import CoverError, EnumerationCapError, UnknownCatalogEntryError
 
 USAGE_EXIT = 1
 DOMAIN_EXIT = 2
@@ -295,17 +295,10 @@ def _cmd_graft(args) -> int:
 
     c = _read_complex(args.file)
     variant = grafting.GraftVariant(args.variant)
-    sites = grafting.eligible_sites(c, variant)
-    if not sites:
-        raise IneligibleSiteError("the complex has no %s site" % variant.value)
-    if args.site is not None:
-        if not 0 <= args.site < len(sites):
-            raise IneligibleSiteError(
-                "site index %d out of range (0..%d)" % (args.site, len(sites) - 1)
-            )
-        out = grafting.apply_graft(c, sites[args.site])
-    else:
+    if args.site is None:
         out = grafting.graft_first_site(c, variant)
+    else:
+        out = grafting.graft_nth_site(c, variant, args.site)
     _write(complexes.serialize(out), args.output)
     return 0
 

@@ -1,9 +1,14 @@
-"""Numeric hyperbolic layer in the unit disk: regular cells, disk
-realizations of extremal complexes, holonomy verification and SVG output.
+"""Hyperbolic layer in the unit disk: regular cells, exact layouts of
+extremal complexes, holonomy checks and SVG output.
 
-Isometries are stored as SU(1,1)-style matrices [[a, b], [conj b, conj a]]
-with |a|^2 - |b|^2 = 1, acting as fractional linear maps, plus a reversing
-flag that conjugates the argument first (orientation-reversing maps).
+A complex is a (2,3,N) flag action (complexes.flag_action), and a flag is
+a chamber of its cell's barycentric subdivision, the triangle with angles
+pi/N at the centre, pi/3 at a corner and pi/2 at a side's midpoint; t0, t1
+and t2 are the reflections in its sides.  So a layout places every cell by
+a word in three reflections, which Vinberg's representation makes an exact
+3x3 matrix over Z[lambda], lambda = 2 cos(pi/N), reduced by lambda's
+minimal polynomial (from the cyclotomic polynomial Phi_2N).  Floats only
+draw: exact vectors reach the disk through fixed point.
 
 The extremal Dirichlet cells are regular N-gons with interior angle
 2*pi/3; their trigonometry pins cosh(inradius) = 1/(2 sin(pi/N)), which is
@@ -14,6 +19,8 @@ arithmetic layers can be cross-checked exactly.
 from __future__ import annotations
 
 import cmath
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -21,115 +28,199 @@ from . import complexes
 from .complexes import PolygonComplex
 from .errors import InvariantError, NotExtremalError
 
-MATCH_TOL = 1e-9
 #: width and height of a rendered SVG, in pixels
 SVG_SIZE = 640
 
 
 # ---------------------------------------------------------------------------
-# isometries
+# the (2,3,N) reflection group over Z[lambda]
+
+#: a row-major 3 x m matrix over Z[lambda], m = 3 (or 1, a vector); an entry
+#: holds the integer coefficients of 1, lambda, lambda^2, ...
+Matrix = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class Isometry:
-    """Unit-disk isometry z -> (a z' + b) / (conj(b) z' + conj(a)) where
-    z' is conj(z) when `reversing` is set."""
+@functools.lru_cache(maxsize=None)
+def _cyclotomic(n: int) -> tuple[int, ...]:
+    """Phi_n, lowest coefficient first: x^n - 1 divided exactly by the
+    monic Phi_m of n's proper divisors m."""
+    poly = [-1] + [0] * (n - 1) + [1]
+    for m in range(1, n):
+        if n % m == 0:
+            den = _cyclotomic(m)
+            quot = []
+            for i in reversed(range(len(poly) - len(den) + 1)):
+                quot.append(poly[i + len(den) - 1])
+                for j, b in enumerate(den):
+                    poly[i + j] -= quot[-1] * b
+            poly = quot[::-1]
+    return tuple(poly)
 
-    a: complex
-    b: complex
-    reversing: bool = False
 
-    def __post_init__(self):
-        det = abs(self.a) ** 2 - abs(self.b) ** 2
-        if not det > 0:
-            raise ArithmeticError("not a disk automorphism: |a|^2 - |b|^2 = %g" % det)
-        s = math.sqrt(det)
-        object.__setattr__(self, "a", self.a / s)
-        object.__setattr__(self, "b", self.b / s)
+def _min_poly(n: int) -> list[int]:
+    """psi, the minimal polynomial of lambda = 2 cos(pi/n), lowest
+    coefficient first: Phi_2n(x) = x^m psi(x + 1/x) with m = phi(2n)/2
+    (Watkins and Zeitlin, Amer. Math. Monthly 100, 1993), folded by
+    x^j + x^-j = D_j(y), D_0 = 2, D_1 = y, D_j+1 = y D_j - D_j-1."""
+    phi = _cyclotomic(2 * n)
+    m = len(phi) // 2
+    psi, prev, cur = [phi[m]], [2], [0, 1]
+    for j in range(1, m + 1):
+        psi = [a + phi[m + j] * b for a, b in itertools.zip_longest(psi, cur, fillvalue=0)]
+        prev, cur = cur, [a - b for a, b in itertools.zip_longest([0] + cur, prev, fillvalue=0)]
+    return psi
 
-    def __call__(self, z: complex) -> complex:
-        if self.reversing:
-            z = z.conjugate()
-        return (self.a * z + self.b) / (self.b.conjugate() * z + self.a.conjugate())
 
-    def compose(self, other: "Isometry") -> "Isometry":
-        """self after other: (self . other)(z) = self(other(z))."""
-        a2, b2 = other.a, other.b
-        if self.reversing:
-            a2, b2 = a2.conjugate(), b2.conjugate()
-        return Isometry(
-            a=self.a * a2 + self.b * b2.conjugate(),
-            b=self.a * b2 + self.b * a2.conjugate(),
-            reversing=self.reversing != other.reversing,
-        )
+@functools.lru_cache(maxsize=None)
+def _lambda(n: int, bits: int) -> int:
+    """lambda 2^bits by integer Newton steps on psi from the float
+    2 cos(pi/n); psi changing sign within two units certifies it."""
+    psi = _min_poly(n)
+    deriv = [j * c for j, c in enumerate(psi)][1:]
 
-    def inverse(self) -> "Isometry":
-        if not self.reversing:
-            return Isometry(self.a.conjugate(), -self.b, False)
-        return Isometry(self.a, -self.b.conjugate(), True)
+    def value(poly, a):  # poly(a / 2^bits) 2^(bits deg poly), exactly, by Horner
+        h = 0
+        for j, c in enumerate(reversed(poly)):
+            h = h * a + (c << bits * j)
+        return h
 
-    def det_magnitude(self) -> float:
-        return abs(abs(self.a) ** 2 - abs(self.b) ** 2)
+    a = round(2.0 * math.cos(math.pi / n) * 2**52) << (bits - 52)
+    for _ in range(bits):
+        step = value(psi, a) // value(deriv, a)
+        a -= step
+        if abs(step) <= 1:
+            break
+    if value(psi, a - 2) * value(psi, a + 2) >= 0:
+        raise InvariantError("psi has no root within 2^-%d of 2 cos(pi/%d)" % (bits - 1, n))
+    return a
 
-    @staticmethod
-    def identity() -> "Isometry":
-        return Isometry(1.0 + 0j, 0j, False)
 
-    @staticmethod
-    def rotation(theta: float) -> "Isometry":
-        return Isometry(cmath.exp(0.5j * theta), 0j, False)
+class _Group:
+    """t0, t1 and t2 of the (2,3,n) triangle group as exact matrices, with
+    the chambers, corners and centre of the centered cell."""
 
-    @staticmethod
-    def translate_to(p: complex) -> "Isometry":
-        """Maps 0 to p."""
-        if abs(p) >= 1:
-            raise ValueError("point outside the open unit disk")
-        return Isometry(1.0 + 0j, p, False)
+    def __init__(self, n: int):
+        self.n = n
+        self.psi = _min_poly(n)
+        d = self.d = len(self.psi) - 1
+
+        def ring(a, b=0):  # a + b lambda
+            return (a, b) + (0,) * (d - 2)
+
+        # t_i(v) = v - (A v)_i e_i, where A = 2 (-cos(pi/m_ij)) with m01 = 2,
+        # m12 = 3 and m02 = n is [[2, 0, -lambda], [0, 2, -1], [-lambda, -1, 2]]
+        rows = ((ring(-1), ring(0), ring(0, 1)), (ring(0), ring(-1), ring(1)),
+                (ring(0, 1), ring(1), ring(-1)))
+        self.identity = tuple(ring(int(r == s)) for r in range(3) for s in range(3))
+        t = self.reflections = [tuple(rows[i][s] if r == i else self.identity[3 * r + s]
+                                      for r in range(3) for s in range(3)) for i in range(3)]
+        for relation, i, j, order in (("t0^2", 0, 0, 1), ("t1^2", 1, 1, 1), ("t2^2", 2, 2, 1),
+                                      ("(t0 t1)^2", 0, 1, 2), ("(t1 t2)^3", 1, 2, 3)):
+            self._require(relation, self.product([self.mul(t[i], t[j])] * order))
+        # chamber 2j leaves corner j, 2j + 1 arrives at it (complexes.flag_action)
+        rotation = self.mul(t[0], t[2])
+        self.chambers = [self.identity, t[2]]
+        for _ in range(n - 1):
+            self.chambers.append(self.mul(self.chambers[-2], rotation))
+            self.chambers.append(self.mul(self.chambers[-1], t[2]))
+        self._require("(t2 t0)^%d" % n, self.mul(self.chambers[-2], rotation))
+        # chamber 0's corner is orthogonal to e1 and e2, the centre to e0
+        # and e2: columns of A's adjugate
+        corner = (ring(3), ring(0, 1), ring(0, 2))
+        self.corners = [self.mul(self.chambers[2 * j], corner) for j in range(n)]
+        self.centre = (ring(0, 1), (4, 0, -1) + (0,) * (d - 3), ring(2))
+
+    def _require(self, relation: str, power: Matrix) -> None:
+        if power != self.identity:
+            raise InvariantError("relation %s fails in the (2,3,%d) reflection group" % (relation, self.n))
+
+    def mul(self, a: Matrix, b: Matrix) -> Matrix:
+        """a b, over nonzero coefficients only, so sparse factors are cheap."""
+        if a is self.identity:
+            return b
+        d, m = self.d, len(b) // 3
+        sa = [[(s, c) for s, c in enumerate(x) if c] for x in a]
+        sb = [[(s, c) for s, c in enumerate(x) if c] for x in b]
+        out = []
+        for i in (0, 3, 6):
+            for j in range(m):
+                acc = [0] * (2 * d - 1)
+                for xs, ys in zip(sa[i:i + 3], sb[j::m]):
+                    for s, c in xs:
+                        for t, v in ys:
+                            acc[s + t] += c * v
+                # lambda^top = lambda^(top - d) (lambda^d - psi(lambda)), of lower degree
+                for top in range(2 * d - 2, d - 1, -1):
+                    if acc[top]:
+                        acc[top - d:top] = [u - acc[top] * p for u, p in zip(acc[top - d:top], self.psi)]
+                out.append(tuple(acc[:d]))
+        return tuple(out)
+
+    def product(self, factors) -> Matrix:
+        return functools.reduce(self.mul, factors, self.identity)
+
+    def draw(self, placements: list[Matrix]) -> list[list[complex]]:
+        """The corners and the centre of each placed cell in the unit disk.
+
+        With sigma = 2 sin(pi/n) and tau^2 = lambda^2 - 3, the vector x has
+        X = (lambda x1 - sigma^2 x0) / 2 sigma, Y = (lambda x0 + x1 - 2 x2) / 2
+        and T = tau x1 / sigma on the hyperboloid of norm -3 tau^2 (corners)
+        or -sigma^2 tau^2 (centres), and z = (X + iY) / (T + sqrt(-norm)).
+        The sums run in fixed point, with guard bits for the coefficients'
+        size, and each coordinate is rounded to float once.
+        """
+        size = max(abs(c) for g in placements for x in g for c in x).bit_length()
+        bits = (size + self.d + 191) // 64 * 64
+        lam = _lambda(self.n, bits)
+        powers = [1 << bits]
+        for _ in range(self.d - 1):
+            powers.append(powers[-1] * lam >> bits)
+
+        def fixed(v):
+            return [sum(c * p for c, p in zip(x, powers)) for x in v]
+
+        sigma = math.isqrt((4 << 2 * bits) - lam * lam)
+        tau = math.isqrt(lam * lam - (3 << 2 * bits))
+        sigma2 = sigma * sigma >> bits
+        lift = [math.isqrt(3 * sigma * sigma)] * self.n + [sigma2]  # sigma sqrt(-norm) / tau
+        base = [fixed(v) for v in self.corners + [self.centre]]
+        out = []
+        for g in placements:
+            m = fixed(g)
+            out.append([])
+            for v, k in zip(base, lift):
+                x0, x1, x2 = (sum(a * b for a, b in zip(m[r:r + 3], v)) >> bits for r in (0, 3, 6))
+                den = 2 * tau * (x1 + k)
+                out[-1].append(complex((lam * x1 - sigma2 * x0) / den,
+                                       sigma * ((lam * x0 >> bits) + x1 - 2 * x2) / den))
+        return out
+
+
+@functools.lru_cache(maxsize=8)
+def _group(n: int) -> _Group:
+    """The (2,3,n) reflection group, its relations checked as it is built;
+    a few are kept, since a large n holds megabytes of chambers."""
+    return _Group(n)
+
+
+@functools.lru_cache(maxsize=4096)
+def _crossing(n: int, f: int, h: int) -> Matrix:
+    """H_f t1 H_h^-1, which carries chamber h of the centered cell onto the
+    chamber across chamber f's side; H_h^-1 is H_h for a reflection (odd h)
+    and the opposite rotation for even h."""
+    group = _group(n)
+    inverse = group.chambers[h if h & 1 else -h % (2 * n)]
+    return group.mul(group.mul(group.chambers[f], group.reflections[1]), inverse)
+
+
+# ---------------------------------------------------------------------------
+# geodesics and angles
 
 
 def disk_distance(z: complex, w: complex) -> float:
     num = 2.0 * abs(z - w) ** 2
     den = (1.0 - abs(z) ** 2) * (1.0 - abs(w) ** 2)
     return math.acosh(1.0 + num / den)
-
-
-def _frame(z1: complex, z2: complex) -> Isometry:
-    """Maps z1 to 0 and z2 onto the positive real axis."""
-    move = Isometry(1.0 + 0j, -z1, False)
-    w = move(z2)
-    return Isometry.rotation(-cmath.phase(w)).compose(move)
-
-
-def two_point_isometry(
-    z1: complex, z2: complex, w1: complex, w2: complex, reversing: bool
-) -> Isometry:
-    """The unique isometry of the given orientation type with z1 -> w1 and
-    z2 -> w2; requires d(z1, z2) = d(w1, w2)."""
-    if abs(disk_distance(z1, z2) - disk_distance(w1, w2)) > 1e-9:
-        raise ValueError("point pairs are not isometric")
-    fa = _frame(z1, z2)
-    fb = _frame(w1, w2)
-    if reversing:
-        fa = Isometry(fa.a.conjugate(), fa.b.conjugate(), True)
-    out = fb.inverse().compose(fa)
-    miss = max(abs(out(z1) - w1), abs(out(z2) - w2))
-    if not miss < 1e-9:
-        raise InvariantError(
-            "two_point_isometry: the image of %r misses %r by %.3g" % ((z1, z2), (w1, w2), miss)
-        )
-    return out
-
-
-def rotation_pi_about(p: complex) -> Isometry:
-    """The elliptic involution fixing p."""
-    if abs(p) >= 1:
-        raise ValueError("point outside the open unit disk")
-    t = Isometry.translate_to(p)
-    return t.compose(Isometry.rotation(math.pi)).compose(t.inverse())
-
-
-# ---------------------------------------------------------------------------
-# geodesics and angles
 
 
 def _geodesic_center(v: complex, u: complex) -> complex | None:
@@ -248,106 +339,74 @@ def boroczky_equality_check(n: int) -> float:
 
 @dataclass(frozen=True)
 class DiskLayout:
-    """A drawn fundamental region: one placement isometry per polygon (over
-    a common centered cell) and one side-pairing isometry per edge label.
+    """A drawn fundamental region: an exact placement per polygon (of the
+    centered cell) and an exact side pairing per edge label, elements of
+    the (2,3,N) reflection group, with the drawn corners and centres.
 
     Tree labels are the shared edges along which adjacent polygons were
-    drawn together; their pairing isometry is the identity.
+    drawn together; their pairing is the identity.
     """
 
     complex: PolygonComplex
     cell: NgonGeometry
-    placements: tuple[Isometry, ...]
+    placements: tuple[Matrix, ...]
     vertices: tuple[tuple[complex, ...], ...]
-    pairings: dict[int, Isometry]
+    centres: tuple[complex, ...]
+    pairings: dict[int, Matrix]
     tree_labels: frozenset[int]
 
 
 def realize(c: PolygonComplex) -> DiskLayout:
     """Draw a certified extremal complex in the unit disk.
 
-    Polygon 0 is centered at the origin; the rest are transported across a
-    breadth-first spanning tree of inter-polygon edges, grown from polygon
-    0 and taking each polygon's edges in label order.  Every edge
-    pairing gets the isometry carrying the drawn second occurrence onto the
-    drawn first one, reversing exactly when the signs differ; paired edges
-    must land on each other within MATCH_TOL.
+    Polygon 0 is centered at the origin with corner 0 on the positive real
+    axis; the rest are placed along a breadth-first spanning tree of
+    inter-polygon edges, grown from polygon 0 and taking each polygon's
+    edges in label order.  Crossing from flag f of polygon p to h = t1(f)
+    of polygon q places q at g_q = g_p H_f t1 H_h^-1, H_x being the chamber
+    of flag x in the centered cell.  A label's pairing g_p H_f t1 H_h^-1
+    g_q^-1, f on its first side, carries the drawn second side onto the
+    first.
     """
     rep = complexes.verify_extremal(c)
     if not rep.ok:
         raise NotExtremalError("cannot realize a non-extremal complex: %s" % (rep.failures,))
     n = rep.n
-    geo = regular_ngon(n)
-    base = geo.vertices
-    occ = complexes.occurrences(c)
-
-    def gamma(lab: int) -> Isometry:
-        """Base-coordinate gluing: maps the cell across side j onto the
-        neighbor slot across side i (occurrence order of lab)."""
-        (p, i, s1), (q, j, s2) = occ[lab]
-        if s1 == s2:
-            return two_point_isometry(
-                base[j], base[(j + 1) % n], base[(i + 1) % n], base[i], False
-            )
-        return two_point_isometry(
-            base[j], base[(j + 1) % n], base[i], base[(i + 1) % n], True
-        )
-
-    k = c.num_polygons
-    # a BFS tree from polygon 0, so every polygon is drawn as few gluings
-    # from the origin as the dual graph allows
-    shared: list[list[int]] = [[] for _ in range(k)]
-    for lab in sorted(occ):
-        (p, _, _), (q, _, _) = occ[lab]
-        if p != q:
-            shared[p].append(lab)
-            shared[q].append(lab)
-    placements: list[Isometry | None] = [None] * k
-    placements[0] = Isometry.identity()
+    m = 2 * n  # flags per polygon
+    group = _group(n)
+    t1 = complexes.flag_action(c)[1]
+    sides = complexes.flag_sides(c)
+    # each label's first side, by its leaving flag (flag 2j lies on side j)
+    first = {sides[f][0]: f for f in range(0, len(sides), 2) if sides[f][1] == 1}
+    placements: list[Matrix | None] = [group.identity] + [None] * (c.num_polygons - 1)
+    inverses = placements[:]
     tree: set[int] = set()
     queue = [0]
     for x in queue:
-        for lab in shared[x]:
-            (p, _, _), (q, _, _) = occ[lab]
-            if placements[q] is None:
-                placements[q] = placements[p].compose(gamma(lab))
-                queue.append(q)
-            elif placements[p] is None:
-                placements[p] = placements[q].compose(gamma(lab).inverse())
-                queue.append(p)
-            else:
+        # the labels x shares with other polygons, in order
+        for lab in sorted({sides[f][0] for f in range(x * m, x * m + m, 2) if t1[f] // m != x}):
+            f, h = first[lab], t1[first[lab]]
+            if placements[f // m] is None:
+                f, h = h, f
+            elif placements[h // m] is not None:
                 continue
+            # the polygon of f is placed and that of h is not
+            placements[h // m] = group.mul(placements[f // m], _crossing(n, f % m, h % m))
+            inverses[h // m] = group.mul(_crossing(n, h % m, f % m), inverses[f // m])
+            queue.append(h // m)
             tree.add(lab)
-    if len(queue) < k:
-        raise NotExtremalError("complex is disconnected")  # unreachable for valid input
-
-    verts = tuple(
-        tuple(placements[p](v) for v in base) for p in range(k)
-    )
-    pairings: dict[int, Isometry] = {}
-    worst = 0.0
-    for lab in sorted(occ):
-        (p, i, s1), (q, j, s2) = occ[lab]
-        g = placements[p].compose(gamma(lab)).compose(placements[q].inverse())
-        pairings[lab] = g
-        # the drawn pairing must carry the second occurrence's edge onto the
-        # first one's, endpoint by endpoint
-        if s1 == s2:
-            t1 = abs(g(verts[q][j]) - verts[p][(i + 1) % n])
-            t2 = abs(g(verts[q][(j + 1) % n]) - verts[p][i])
-        else:
-            t1 = abs(g(verts[q][j]) - verts[p][i])
-            t2 = abs(g(verts[q][(j + 1) % n]) - verts[p][(i + 1) % n])
-        worst = max(worst, t1, t2, abs(g.det_magnitude() - 1.0))
-    if worst > MATCH_TOL:
-        raise ArithmeticError(
-            "edge matching residual %.3g exceeds tolerance %.3g (layout bug)" % (worst, MATCH_TOL)
-        )
+    pairings = {
+        lab: group.identity if lab in tree else group.product(
+            [placements[f // m], _crossing(n, f % m, t1[f] % m), inverses[t1[f] // m]])
+        for lab, f in sorted(first.items())
+    }
+    drawn = group.draw(placements)
     return DiskLayout(
         complex=c,
-        cell=geo,
+        cell=regular_ngon(n),
         placements=tuple(placements),
-        vertices=verts,
+        vertices=tuple(tuple(points[:n]) for points in drawn),
+        centres=tuple(points[n] for points in drawn),
         pairings=pairings,
         tree_labels=frozenset(tree),
     )
@@ -360,28 +419,41 @@ class HolonomyReport:
 
 
 def holonomy_check(layout: DiskLayout) -> HolonomyReport:
-    """Compose the pairing isometries around every vertex cycle and measure
-    how far the corner point moves; also check all drawn corner angles
-    against 2*pi/3."""
-    c = layout.complex
-    n = layout.cell.n
+    """Check that the pairings around every vertex cycle compose to the
+    identity, exactly, and measure the drawing: max_displacement is the
+    largest gap between the two drawn copies of a corner across a tree
+    label, and max_angle_error the largest miss of a drawn corner angle
+    from 2*pi/3.  Raises InvariantError naming a cycle whose holonomy is
+    not the identity, and its labels.
+    """
+    group = _group(layout.cell.n)
     worst = 0.0
-    for cycle in complexes.vertex_cycles_with_crossings(c):
-        p0, i0 = cycle.corners[0]
-        x0 = layout.vertices[p0][i0]
-        hol = Isometry.identity()
-        for lab, direction in cycle.crossings:
-            g = layout.pairings[lab]
-            # crossing from the first occurrence into the second pulls the
-            # next chart back through g, and conversely through its inverse
-            hol = hol.compose(g if direction == 1 else g.inverse())
-        worst = max(worst, abs(hol(x0) - x0))
-    angle_err = 0.0
-    target = 2.0 * math.pi / 3.0
-    for poly in layout.vertices:
-        for i in range(n):
-            ang = corner_angle(poly[i], poly[i - 1], poly[(i + 1) % n])
-            angle_err = max(angle_err, abs(ang - target))
+    for cycle in complexes.vertex_cycles_with_crossings(layout.complex):
+        # crossing out of a label's first side pulls the next chart back
+        # through its pairing, out of its second through the inverse; begun
+        # after its -1 crossings, a cycle of three reads P N^-1, so P = N
+        word = cycle.crossings
+        start = next((t for t, (_, way) in enumerate(word) if way == 1 and word[t - 1][1] == -1), 0)
+        word = word[start:] + word[:start]
+        ahead = group.product(layout.pairings[lab] for lab, way in word if way == 1)
+        back = group.product(layout.pairings[lab] for lab, way in reversed(word) if way == -1)
+        if ahead != back:
+            raise InvariantError(
+                "holonomy: the pairings around the vertex cycle at corners %s (labels %s)"
+                " do not compose to the identity"
+                % (cycle.corners, tuple(lab for lab, _ in cycle.crossings))
+            )
+        # crossing t joins corners t and t + 1, drawn at one point across a tree label
+        following = cycle.corners[1:] + cycle.corners[:1]
+        for (lab, _), (p, i), (q, j) in zip(cycle.crossings, cycle.corners, following):
+            if lab in layout.tree_labels:
+                worst = max(worst, abs(layout.vertices[p][i] - layout.vertices[q][j]))
+    n = layout.cell.n
+    angle_err = max(
+        abs(corner_angle(poly[i], poly[i - 1], poly[(i + 1) % n]) - 2.0 * math.pi / 3.0)
+        for poly in layout.vertices
+        for i in range(n)
+    )
     return HolonomyReport(max_displacement=worst, max_angle_error=angle_err)
 
 
@@ -433,7 +505,7 @@ def render_svg(layout: DiskLayout) -> str:
     ]
     for p, poly in enumerate(layout.vertices):
         word = layout.complex.polygons[p]
-        centre = layout.placements[p](0j)
+        centre = layout.centres[p]
         for i in range(n):
             v, u = poly[i], poly[(i + 1) % n]
             lines.append(

@@ -295,30 +295,50 @@ def apply_graft(c: PolygonComplex, site: GraftSite) -> PolygonComplex:
     return _graft_at(c, site)[1]
 
 
-def _grafts(c: PolygonComplex, variant: GraftVariant):
-    """Every complex one graft of the variant makes from c under graft_room:
-    site by site in eligible_sites order, row by row.  c must be graftable
-    (eligible_sites checks)."""
+def _grafts(c: PolygonComplex, sites: list[GraftSite]):
+    """Every complex one graft makes from c under graft_room: site by site,
+    row by row.  The sites are c's eligible_sites of one variant."""
     room = graft_room(c)
-    for site in eligible_sites(c, variant):
+    for site in sites:
         for _, out in _iter_rewrites(c, site, room):
             yield out
+
+
+def _sites(c: PolygonComplex, variant: GraftVariant) -> list[GraftSite]:
+    sites = eligible_sites(c, variant)
+    if not sites:
+        raise IneligibleSiteError("the complex has no %s site" % variant.value)
+    return sites
 
 
 def graft_first_site(c: PolygonComplex, variant: GraftVariant) -> PolygonComplex:
     """Apply the variant at the first eligible site where a row grafts,
     under the same room as apply_graft.
 
-    Raises IneligibleSiteError when no row of any site's twist fits the
-    room.
+    Raises IneligibleSiteError when the complex has no site of the variant
+    or no row of any site's twist fits the room.
     """
-    out = next(_grafts(c, variant), None)
+    sites = _sites(c, variant)
+    out = next(_grafts(c, sites), None)
     if out is None:
         raise IneligibleSiteError(
             "no %s site of %d can take a graft: no wiring row fits the room %s of sizes %s"
-            % (variant.value, len(eligible_sites(c, variant)), graft_room(c), c.sizes)
+            % (variant.value, len(sites), graft_room(c), c.sizes)
         )
     return out
+
+
+def graft_nth_site(c: PolygonComplex, variant: GraftVariant, index: int) -> PolygonComplex:
+    """Apply the variant at site `index` of eligible_sites, which walks the
+    vertex cycles once and so stands for apply_graft's check.
+
+    Raises IneligibleSiteError when the complex has no site of the variant,
+    the index is out of range, or no row of the site's twist fits the room.
+    """
+    sites = _sites(c, variant)
+    if not 0 <= index < len(sites):
+        raise IneligibleSiteError("site index %d out of range (0..%d)" % (index, len(sites) - 1))
+    return _graft_at(c, sites[index])[1]
 
 
 def _graft_pair(
@@ -334,15 +354,16 @@ def _graft_pair(
     rows of its twist.  Raises RewriteSearchError, naming the sites and
     the first halves tried, when no first half works.
     """
+    sites = eligible_sites(c, v1)
     tried = 0
-    for mid in _grafts(c, v1):
+    for mid in _grafts(c, sites):
         tried += 1
-        fin = next(_grafts(mid, v2), None)
+        fin = next(_grafts(mid, eligible_sites(mid, v2)), None)
         if fin is not None and len(set(fin.sizes)) == 1:
             return mid, fin
     raise RewriteSearchError(
         "no workable %s/%s pair over %d sites: %d first halves tried"
-        % (v1.value, v2.value, len(eligible_sites(c, v1)), tried)
+        % (v1.value, v2.value, len(sites), tried)
     )
 
 

@@ -182,6 +182,15 @@ def test_graft_without_a_site_of_the_variant_is_a_domain_error(capsys, site):
     assert err == "error: the complex has no EG3 site\n"
 
 
+@pytest.mark.parametrize("site, exit_code", [([], 0), (["--site", "0"], 2)])
+def test_graft_walks_the_vertex_cycles_once(monkeypatch, capsys, site, exit_code):
+    walk = cx.vertex_cycles_with_crossings
+    walked = []
+    monkeypatch.setattr(cx, "vertex_cycles_with_crossings", lambda c: walked.append(c) or walk(c))
+    assert run(capsys, "graft", "X8", "--variant", "EG1", *site)[0] == exit_code
+    assert len(walked) == 1
+
+
 def test_double_cover_command(tmp_path, capsys):
     code, out, _ = run(capsys, "double-cover", "X9")
     assert code == 0
@@ -301,6 +310,35 @@ def test_realize_render_pipeline(tmp_path, capsys):
     code, out, _ = run(capsys, "render", str(path))
     assert code == 0
     assert out.count('class="edge"') == 16 * 9
+
+
+#: the sha256 of `render` on each catalog entry and on the construct specs;
+#: the exact layouts draw the bytes that the float layouts drew before them
+RENDER_DIGESTS = {
+    "X7": "15591605535fdd5543d616a470b030a52a45282b30f537728e303a679c2f4255",
+    "X8": "bc78091c3572ac3c4879fb2c7c8f76b831b72a85ca61dcdf73e09f767a99da5b",
+    "X9": "e752a7c89d78c796256fcbf4a1e07982cfb1266455c6f3e59335c67e38d9c5dc",
+    "X10": "a8773d7a8e846de2ee54f6c612881e460c22128dabda9a71befee3dafbf9dca9",
+    "X11": "81e6cc55f902bffc73ea916b154c07eed427f7c1014c53231f404152503c6d79",
+    "X12": "96900f1c34091a57e4637825aabe3a999ae808a6354d9365df392257a7d95596",
+    "X15": "978e9176f673042834369416e4fcc5612f236ba5bdbe47645da334ddb5dbede8",
+    "D18": "cb763d65865ccd422ff31bc67d0b23131d0d5e5b9e108d81d35205030644c5a5",
+    "D14": "51dc24704412ff6450c2d02f984b01486d9bca6bed7c65c5b3a9c55755aef841",
+    "24,10": "1c7b6fbdfe5026f62be39ea8eb2908d5eecc20666cc3d3f4ff597ad3e14f90af",
+    "9,20": "7dacfa3b6f2f1ed9287e349bbc7a10c397376a8c240dcbe2ca87d487250dfae6",
+    "10,22": "0ea92679245ca04d6740f9861045f7069386a4c695b31b81492647983cb0e638",
+}
+
+
+@pytest.mark.parametrize("spec, digest", RENDER_DIGESTS.items(), ids=list(RENDER_DIGESTS))
+def test_render_output_is_pinned(tmp_path, capsys, spec, digest):
+    if "," in spec:
+        k, g = spec.split(",")
+        spec = str(tmp_path / "spec.cmplx")
+        assert run(capsys, "realize", "--k", k, "--g", g, "-o", spec)[0] == 0
+    code, out, err = run(capsys, "render", spec)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_catalog_command(capsys):

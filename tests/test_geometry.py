@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import math
+import re
 
 import mpmath
 import pytest
@@ -7,49 +9,41 @@ import pytest
 from extpack import complexes as cx
 from extpack import geometry as geom
 from extpack.covers import realize_spec
+from extpack.errors import InvariantError
 from extpack.feasibility import is_feasible, packing_radius_bound
-from extpack.geometry import Isometry
 
 
-def test_isometry_algebra():
-    g = Isometry(1.2 + 0.1j, 0.3 - 0.2j, False)
-    h = Isometry(1.05 + 0j, 0.2 + 0.1j, True)
-    z = 0.37 - 0.21j
-    assert abs(g.compose(h)(z) - g(h(z))) < 1e-12
-    assert abs(h.compose(g)(z) - h(g(z))) < 1e-12
-    for m in (g, h, g.compose(h)):
-        assert abs(m.det_magnitude() - 1.0) < 1e-12
-        assert abs(m.inverse()(m(z)) - z) < 1e-12
+@pytest.mark.parametrize("n", range(7, 122))
+def test_exact_reflection_group(n):
+    # psi has degree phi(2n)/2 and changes sign within 1e-50 of mpmath's
+    # 2 cos(pi/n); the fixed-point lambda agrees to 50 digits
+    psi = geom._min_poly(n)
+    assert psi[-1] == 1
+    assert len(psi) - 1 == sum(1 for j in range(1, 2 * n) if math.gcd(j, 2 * n) == 1) // 2
+    with mpmath.workdps(120):
+        lam, eps = 2 * mpmath.cos(mpmath.pi / n), mpmath.mpf(10) ** -50
+        assert mpmath.polyval(psi[::-1], lam - eps) * mpmath.polyval(psi[::-1], lam + eps) < 0
+        assert abs(mpmath.mpf(geom._lambda(n, 200)) / 2**200 - lam) < eps
+    group = geom._group(n)
+    t0, t1, t2 = group.reflections
+    for g, order in ((group.mul(t0, t1), 2), (group.mul(t1, t2), 3), (group.mul(t2, t0), n)):
+        assert group.product([g] * order) == group.identity
+        assert group.product([g] * (order - 1)) != group.identity
 
 
-@pytest.mark.parametrize("a", [1 + 0j, complex(math.nan, 0)])
-def test_degenerate_isometry_is_a_numeric_failure(a):
-    with pytest.raises(ArithmeticError, match="not a disk automorphism"):
-        Isometry(a, 1 + 0j)
+def times(group, x, y):
+    """x y in Z[lambda]: the first entry of the scalar matrix x times (y, 0, 0)."""
+    zero = (0,) * group.d
+    return group.mul((x, zero, zero, zero, x, zero, zero, zero, x), (y, zero, zero))[0]
 
 
-def test_rotation_pi_about():
-    r0 = geom.rotation_pi_about(0j)
-    assert abs(r0(0.25 + 0.1j) + (0.25 + 0.1j)) < 1e-14
-    assert not r0.reversing
-    p = 0.129 + 0.422j
-    inv = geom.rotation_pi_about(p)
-    assert abs(inv(p) - p) < 1e-12
-    z = -0.4 + 0.2j
-    assert abs(inv(inv(z)) - z) < 1e-12
-
-
-def test_two_point_isometry_orientation_types():
-    z1, z2 = 0.1 + 0.2j, -0.3 + 0.05j
-    w1 = geom.rotation_pi_about(0.2j)(z1)
-    w2 = geom.rotation_pi_about(0.2j)(z2)
-    keep = geom.two_point_isometry(z1, z2, w1, w2, False)
-    flip = geom.two_point_isometry(z1, z2, w1, w2, True)
-    assert not keep.reversing and flip.reversing
-    probe = 0.4 - 0.1j
-    d = geom.disk_distance(z1, probe)
-    assert abs(geom.disk_distance(w1, keep(probe)) - d) < 1e-10
-    assert abs(geom.disk_distance(w1, flip(probe)) - d) < 1e-10
+def determinant(group, m):
+    total = [0] * group.d
+    for (a, b, c), sign in (((0, 4, 8), 1), ((1, 5, 6), 1), ((2, 3, 7), 1),
+                            ((2, 4, 6), -1), ((0, 5, 7), -1), ((1, 3, 8), -1)):
+        term = times(group, times(group, m[a], m[b]), m[c])
+        total = [u + sign * v for u, v in zip(total, term)]
+    return total[0] if not any(total[1:]) else None
 
 
 def oracle_cosh_inradius(n):
@@ -114,28 +108,49 @@ def test_layouts_and_holonomy(seeds):
         rep = geom.holonomy_check(lay)
         assert rep.max_displacement < 1e-9
         assert rep.max_angle_error < 1e-10
-        for g in lay.pairings.values():
-            assert abs(g.det_magnitude() - 1.0) < 1e-12
+        # every element is exactly orientation preserving or reversing, and
+        # a pairing reverses exactly when it glues head to head
+        group = geom._group(n)
+        dets = [determinant(group, g) for g in lay.placements]
+        assert set(dets) <= {1, -1}
+        occ = cx.occurrences(seeds[n])
+        for label, g in lay.pairings.items():
+            (p, _, s1), (q, _, s2) = occ[label]
+            assert determinant(group, g) == (1 if label in lay.tree_labels else s1 * s2 * dets[p] * dets[q])
     x12_lay = geom.realize(seeds[12])
     assert len(x12_lay.pairings) == 6
     assert not x12_lay.tree_labels  # single polygon: every pairing is a boundary pairing
     x7_lay = geom.realize(seeds[7])
     assert len(x7_lay.pairings) == 21
     assert len(x7_lay.tree_labels) == 5  # spanning tree of 6 polygons
-    centres = [g(0j) for g in x7_lay.placements]
-    for i, a in enumerate(centres):
-        for b in centres[i + 1:]:
+    for i, a in enumerate(x7_lay.centres):
+        for b in x7_lay.centres[i + 1:]:
             assert abs(a - b) > 1e-6  # distinct polygon slots
+
+
+def test_drawn_cells_are_the_regular_cell(seeds):
+    # polygon 0 is the centered cell, and every drawn side has its length
+    lay = geom.realize(seeds[7])
+    assert abs(lay.centres[0]) < 1e-15
+    assert max(abs(a - b) for a, b in zip(lay.vertices[0], lay.cell.vertices)) < 1e-15
+    for poly in lay.vertices:
+        for v, u in zip(poly, poly[1:] + poly[:1]):
+            assert abs(geom.disk_distance(v, u) - lay.cell.side_length) < 1e-12
+
+
+#: the big covers, whose layouts float isometries could not close
+BIG_COVERS = ((12, 36), (12, 40), (12, 48), (60, 32), (300, 52))
 
 
 # the library path keeps the bare "k-g" ids
 @pytest.mark.parametrize("path, k, g", [
     pytest.param(path, k, g, id="%d-%d" % (k, g) if path == "library" else "cli-%d-%d" % (k, g))
     for path in ("library", "cli")
-    for g in range(3, 13) for k in range(1, 6 * (g - 2) + 1) if is_feasible(k, g)
+    for k, g in [(k, g) for g in range(3, 21) for k in range(1, 6 * (g - 2) + 1) if is_feasible(k, g)]
+    + list(BIG_COVERS)
 ])
 def test_realize_grid(path, k, g):
-    # every feasible pair with g <= 12, at criterion 9's bounds
+    # every feasible pair with g <= 20 and the big covers, at criterion 9's bounds
     c = realize_spec(k, g)
     if path == "cli":
         # what `extpack realize | extpack render` lays out
@@ -145,19 +160,17 @@ def test_realize_grid(path, k, g):
     assert rep.max_angle_error < 1e-10
 
 
-def perturbed(layout: geom.DiskLayout, label: int, eps: float) -> geom.DiskLayout:
-    """Copy of the layout with one pairing matrix entry nudged."""
-    g = layout.pairings[label]
-    pairings = dict(layout.pairings)
-    pairings[label] = Isometry(g.a + eps, g.b, g.reversing)
-    return dataclasses.replace(layout, pairings=pairings)
-
-
 def test_holonomy_detects_perturbation(seeds):
-    lay = geom.realize(seeds[12])
-    label = sorted(set(lay.pairings) - lay.tree_labels)[0]
-    bad = perturbed(lay, label, 1e-3)
-    assert geom.holonomy_check(bad).max_displacement > 1e-4
+    # another label's pairing in place of one non-tree pairing breaks the
+    # identity around the vertex cycles of that label, and the check names it
+    lay = geom.realize(seeds[7])
+    label, other = sorted(set(lay.pairings) - lay.tree_labels)[:2]
+    assert lay.pairings[label] != lay.pairings[other]
+    bad = dataclasses.replace(lay, pairings={**lay.pairings, label: lay.pairings[other]})
+    with pytest.raises(InvariantError, match="do not compose to the identity") as err:
+        geom.holonomy_check(bad)
+    labels = re.search(r"\(labels (\([^)]*\))\)", str(err.value)).group(1)
+    assert label in ast.literal_eval(labels)
 
 
 def test_render_svg(seeds):

@@ -470,7 +470,7 @@ def test_a_site_where_no_row_of_its_twist_fits_is_ineligible():
     # (1, 5).  At its EG1 site 3, rows 4-6 fit the room, but the site's
     # twist (1, 0) grafts by row 3 alone, which does not fit
     x15 = catalog.load_entry("X15").complex
-    c = list(itertools.islice(gr._grafts(x15, gr.GraftVariant.EG1), 4))[-1]
+    c = list(itertools.islice(gr._grafts(x15, gr.eligible_sites(x15, gr.GraftVariant.EG1)), 4))[-1]
     room = gr.graft_room(c)
     assert (c.sizes, room) == ((20, 16), (1, 5))
     site = gr.eligible_sites(c, gr.GraftVariant.EG1)[3]

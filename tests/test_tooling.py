@@ -132,6 +132,15 @@ def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv, unused):
     assert not {"extpack." + name for name in unused} & set(modules), modules
 
 
+def test_a_cold_render_loads_neither_decimal_nor_fractions(tmp_path):
+    # the exact geometry is integer arithmetic on tuples
+    code, modules = _loaded(
+        tmp_path, LOADED.replace("m.startswith('extpack')", "m in ('decimal', 'fractions')"),
+        json.dumps(["render", "X7"]),
+    )
+    assert (code, modules) == (0, [])
+
+
 def test_importing_the_package_loads_no_submodule(tmp_path):
     # a submodule is still reached as an attribute, loaded on first use
     bare, after = _loaded(
@@ -163,9 +172,8 @@ PUBLIC_NAMES = {
         "line_ln", "packing_radius_bound", "primitive_pair", "uniqueness_class", "universal_k",
     ),
     "geometry": (
-        "DiskLayout", "Isometry", "NgonGeometry", "boroczky_equality_check",
-        "equilateral_angle", "holonomy_check", "realize", "regular_ngon", "render_svg",
-        "rotation_pi_about",
+        "DiskLayout", "NgonGeometry", "boroczky_equality_check", "equilateral_angle",
+        "holonomy_check", "realize", "regular_ngon", "render_svg",
     ),
     "grafting": (
         "GraftSite", "GraftVariant", "apply_graft", "build_primitive", "discover_rewrite",
