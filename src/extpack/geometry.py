@@ -217,12 +217,6 @@ def _crossing(n: int, f: int, h: int) -> Matrix:
 # geodesics and angles
 
 
-def disk_distance(z: complex, w: complex) -> float:
-    num = 2.0 * abs(z - w) ** 2
-    den = (1.0 - abs(z) ** 2) * (1.0 - abs(w) ** 2)
-    return math.acosh(1.0 + num / den)
-
-
 def _geodesic_center(v: complex, u: complex) -> complex | None:
     """Center of the circle through v, u orthogonal to the unit circle, or
     None when the geodesic is a diameter."""
@@ -246,11 +240,6 @@ def corner_angle(v: complex, u: complex, w: complex) -> float:
     a = (u - v) / (1.0 - v.conjugate() * u)
     b = (w - v) / (1.0 - v.conjugate() * w)
     return abs(cmath.phase(b / a))
-
-
-def triangle_area(a: complex, b: complex, c: complex) -> float:
-    """Hyperbolic area via the angle deficit."""
-    return math.pi - corner_angle(a, b, c) - corner_angle(b, a, c) - corner_angle(c, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -294,15 +283,6 @@ def regular_ngon(n: int) -> NgonGeometry:
         side_length=2.0 * math.acosh(cosh_half_s),
         vertices=verts,
     )
-
-
-def polygon_area(geo: NgonGeometry) -> float:
-    """Numeric area from the central triangulation (Gauss-Bonnet check)."""
-    total = 0.0
-    n = geo.n
-    for t in range(n):
-        total += triangle_area(0j, geo.vertices[t], geo.vertices[(t + 1) % n])
-    return total
 
 
 def equilateral_angle(r: float) -> float:

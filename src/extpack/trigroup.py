@@ -206,10 +206,15 @@ class _TriangleSearch:
     """Backtracking search over transitive actions of an extended triangle
     group in which every generator is an involution.
 
-    Points are filled in a fixed scan order; after each tentative entry the
-    alternating chains of both dihedral relators through the new edge are
-    walked, rejecting overlong or short cycles and forcing the unique
-    closure of nearly-complete ones.
+    Points are filled in a fixed scan order.  _assign enters each tentative
+    entry c <-> d of a column i and propagates it, in one flat loop: for
+    each other column j, with L the order of (ri rj), it walks the
+    alternating i/j chain through c <-> d from d, then from c.  A closed
+    chain needs exactly 2L edges under the torsion-free filter, else 2L'
+    for a divisor L' of L; a path with one reflection end (a fixed point)
+    may have at most L points, and with two ends a number dividing L; an
+    open path of 2L or more edges fails, and one of 2L - 1 forces the
+    entry closing it, queued LIFO.
 
     The generic search fills the table in BFS scan order from 0, trying
     values in increasing order, and prunes by canonicity (_ties): it
@@ -224,11 +229,8 @@ class _TriangleSearch:
         self.tf = torsion_free
         self.t = [[UNDEF] * index for _ in range(3)]
         self.trail: list[tuple[int, int, int]] = []
-        self.pair_of = {
-            (0, 1): p, (1, 0): p,
-            (1, 2): q, (2, 1): q,
-            (2, 0): r, (0, 2): r,
-        }
+        # per column i, the other columns j with the order of (ri rj)
+        self.rel = (((1, p), (2, r)), ((0, p), (2, q)), ((0, r), (1, q)))
         self.count = 1
         self.nodes = 0
         self.prunes = 0
@@ -245,81 +247,76 @@ class _TriangleSearch:
 
     # -- assignment with propagation ------------------------------------
 
-    def _analyze(self, i: int, j: int, c: int, d: int, queue) -> bool:
-        L = self.pair_of[(i, j)]
-        if c == d:
-            # loop: one reflection end of the chain
-            end, col, hops, looped = self._walk(i, j, c, j, None)
-            if looped:
-                n_points = hops + 1
-                return L % n_points == 0
-            return hops <= L - 1
-        # walk from d; stopping at c with expected column i means the chain
-        # closes through the new edge
-        end_d, col_d, hops_d, loop_d = self._walk(i, j, d, j, (c, i))
-        if end_d is None:  # closed cycle
-            edges = hops_d + 1
-            if self.tf:
-                return edges == 2 * L
-            return edges % 2 == 0 and L % (edges // 2) == 0
-        end_c, col_c, hops_c, loop_c = self._walk(i, j, c, j, None)
-        edges = hops_c + hops_d + 1
-        if loop_c and loop_d:
-            return L % (edges + 1) == 0
-        if loop_c or loop_d:
-            return edges <= L - 1
-        if edges >= 2 * L:
-            return False
-        if edges == 2 * L - 1:
-            if col_c != col_d:
-                return False
-            queue.append((col_c, end_c, end_d))
-        return True
-
-    def _walk(self, i, j, start, first, stop):
-        """Follow the alternating i/j chain from start (first hop `first`).
-
-        Returns (end, missing_col, hops, looped); end is None when the walk
-        reached the stop edge, i.e. the chain closes into a cycle.
-        """
-        t = self.t
-        cur = start
-        col = first
-        hops = 0
-        while True:
-            if stop is not None and cur == stop[0] and col == stop[1]:
-                return None, None, hops, False
-            nxt = t[col][cur]
-            if nxt == UNDEF:
-                return cur, col, hops, False
-            if nxt == cur:
-                return cur, col, hops, True
-            cur = nxt
-            hops += 1
-            col = i if col == j else j
-
     def _assign(self, col: int, a: int, b: int) -> bool:
+        """Enter a <-> b in column col and everything it forces, or fail;
+        the walks take a j hop and an i hop a turn."""
         t = self.t
+        tf = self.tf
+        rel = self.rel
+        trail = self.trail
         queue = [(col, a, b)]
         while queue:
-            col, a, b = queue.pop()
-            cur = t[col][a]
-            if cur != UNDEF:
-                if cur != b:
+            i, c, d = queue.pop()
+            ti = t[i]
+            x = ti[c]
+            if x != UNDEF:
+                if x != d:
                     return False
                 continue
-            if t[col][b] != UNDEF:
+            if ti[d] != UNDEF or (c == d and tf):
                 return False
-            if self.tf and a == b:
-                return False
-            t[col][a] = b
-            t[col][b] = a
-            self.trail.append((col, a, b))
-            for other in range(3):
-                if other == col:
+            ti[c] = d
+            ti[d] = c
+            trail.append((i, c, d))
+            for j, L in rel[i]:
+                tj = t[j]
+                # y ends as the entry read last, at end_d: UNDEF, end_d
+                # itself (a reflection end) or c (the chain closed)
+                end_d, hops_d = d, 0
+                while True:
+                    y = tj[end_d]
+                    if y == UNDEF or y == end_d or y == c:
+                        break
+                    z = ti[y]
+                    if z == UNDEF or z == y:
+                        end_d, hops_d, y = y, hops_d + 1, z
+                        break
+                    end_d, hops_d = z, hops_d + 2
+                loop_d = y == end_d
+                if y == c and not loop_d:
+                    # closed after a j hop: (ri rj) has a cycle of length half
+                    half = hops_d // 2 + 1
+                    if half != L if tf else L % half:
+                        return False
                     continue
-                if not self._analyze(col, other, a, b, queue):
-                    return False
+                if c == d:
+                    # c is a reflection end; the path has hops_d + 1 points
+                    loop_c, edges = True, hops_d
+                else:
+                    end_c, hops_c = c, 0
+                    while True:
+                        y = tj[end_c]
+                        if y == UNDEF or y == end_c:
+                            break
+                        z = ti[y]
+                        if z == UNDEF or z == y:
+                            end_c, hops_c, y = y, hops_c + 1, z
+                            break
+                        end_c, hops_c = z, hops_c + 2
+                    loop_c = y == end_c
+                    edges = hops_c + hops_d + 1
+                if loop_c or loop_d:
+                    if loop_c and loop_d:
+                        if L % (edges + 1):
+                            return False
+                    elif edges >= L:
+                        return False
+                elif edges >= 2 * L - 1:
+                    if edges >= 2 * L:
+                        return False
+                    # both ends miss the same column: the hop counts share
+                    # their parity
+                    queue.append((i if hops_c & 1 else j, end_c, end_d))
         return True
 
     def _undo(self, mark: int) -> None:

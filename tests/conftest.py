@@ -1,8 +1,10 @@
+import math
 import random
 
 import pytest
 
 from extpack import catalog
+from extpack.geometry import corner_angle
 from extpack.complexes import PolygonComplex
 from extpack.errors import InvalidComplexError
 
@@ -36,3 +38,22 @@ def random_complexes(count, seed=20240817, max_polygons=3, max_edges=7):
         except InvalidComplexError:
             continue  # disconnected draw; try again
     return out
+
+
+def disk_distance(z: complex, w: complex) -> float:
+    """Hyperbolic distance between two points of the unit disk."""
+    num = 2.0 * abs(z - w) ** 2
+    den = (1.0 - abs(z) ** 2) * (1.0 - abs(w) ** 2)
+    return math.acosh(1.0 + num / den)
+
+
+def triangle_area(a: complex, b: complex, c: complex) -> float:
+    """Hyperbolic area via the angle deficit."""
+    return math.pi - corner_angle(a, b, c) - corner_angle(b, a, c) - corner_angle(c, a, b)
+
+
+def polygon_area(geo) -> float:
+    """Numeric area of a regular_ngon cell from its central triangulation
+    (the Gauss-Bonnet check)."""
+    n = geo.n
+    return sum(triangle_area(0j, geo.vertices[t], geo.vertices[(t + 1) % n]) for t in range(n))

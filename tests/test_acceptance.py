@@ -8,6 +8,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from conftest import polygon_area
 from extpack import catalog
 from extpack import complexes as cx
 from extpack import covers, feasibility, geometry, grafting, trigroup
@@ -177,7 +178,7 @@ def test_criterion_09_numeric_layer():
     for n in range(7, 31):
         assert geometry.boroczky_equality_check(n) < 1e-12, n
         geo = geometry.regular_ngon(n)
-        assert abs(geometry.polygon_area(geo) - math.pi * (n - 6) / 3) < 1e-9, n
+        assert abs(polygon_area(geo) - math.pi * (n - 6) / 3) < 1e-9, n
     _report(9, "layout residuals, density equality and cell areas in tolerance",
             time.time() - start, 5)
 

@@ -341,6 +341,32 @@ def test_render_output_is_pinned(tmp_path, capsys, spec, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+#: the sha256 of `enumerate` on the groups benchmark's menu; torsion-free
+#: searches run with --proper
+ENUMERATE_DIGESTS = {
+    (2, 3, 7, 84, True): "41d2ec4121394792cb7e06963923848c66456bd37763b58f7d64902b12678054",
+    (2, 3, 8, 48, True): "8b84bf67c75c1bfc457ee7e1ea6b2d963d30e5643a9a8e35b126178202df5c23",
+    (2, 3, 9, 36, True): "cc39559906af99fb3ea577ac685d56b20012ca4d60f9e527a1f0aed9e8531669",
+    (2, 3, 12, 24, True): "3f3280fbfbb6071695a600a2c5406897312facc58a09f3a2b75256c07314b236",
+    (3, 3, 9, 18, True): "a0cf25c1d943283c5900fe51625684a51a682eb71e9a30bc07e4d030e91289e3",
+    (2, 3, 12, 24, False): "35ee7435dafc35abac27a0412488951619c57e9c4e0eb56e63f89e4d8ccb678d",
+    (2, 3, 7, 28, False): "00e4571ba40320cf21755033c6fb47547113f7090cc9cef1b0b12bff1165c5e3",
+}
+
+
+@pytest.mark.parametrize(
+    "search, digest",
+    ENUMERATE_DIGESTS.items(),
+    ids=["%d,%d,%d@%d%s" % (p, q, r, index, "-tf" if tf else "") for p, q, r, index, tf in ENUMERATE_DIGESTS],
+)
+def test_enumerate_output_is_pinned(capsys, search, digest):
+    p, q, r, index, tf = search
+    argv = ["enumerate", "--p", str(p), "--q", str(q), "--r", str(r), "--index", str(index)]
+    code, out, err = run(capsys, *argv, *(["--torsion-free", "--proper"] if tf else []))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_catalog_command(capsys):
     code, out, _ = run(capsys, "catalog", "--json")
     assert code == 0

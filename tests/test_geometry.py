@@ -6,6 +6,7 @@ import re
 import mpmath
 import pytest
 
+from conftest import disk_distance, polygon_area
 from extpack import complexes as cx
 from extpack import geometry as geom
 from extpack.covers import realize_spec
@@ -82,7 +83,7 @@ def test_bound_equals_inradius_when_feasible():
 def test_gauss_bonnet_area():
     for n in (7, 9, 12, 24):
         geo = geom.regular_ngon(n)
-        assert abs(geom.polygon_area(geo) - math.pi * (n - 6) / 3) < 1e-9
+        assert abs(polygon_area(geo) - math.pi * (n - 6) / 3) < 1e-9
 
 
 def test_equilateral_angle():
@@ -135,7 +136,7 @@ def test_drawn_cells_are_the_regular_cell(seeds):
     assert max(abs(a - b) for a, b in zip(lay.vertices[0], lay.cell.vertices)) < 1e-15
     for poly in lay.vertices:
         for v, u in zip(poly, poly[1:] + poly[:1]):
-            assert abs(geom.disk_distance(v, u) - lay.cell.side_length) < 1e-12
+            assert abs(disk_distance(v, u) - lay.cell.side_length) < 1e-12
 
 
 #: the big covers, whose layouts float isometries could not close

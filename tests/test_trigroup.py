@@ -507,3 +507,129 @@ def test_record_json_round_trip(seeds):
     back = tg.record_from_json(text)
     assert back.perms == rec.perms
     assert back.genus == rec.genus and back.params == rec.params
+
+
+class WalkSearch(tg._TriangleSearch):
+    """The earlier propagation: each chain walked by a method call that
+    returns a 4-tuple, each relator order read from a dict."""
+
+    def __init__(self, p, q, r, index, torsion_free):
+        super().__init__(p, q, r, index, torsion_free)
+        self.pair_of = {(0, 1): p, (1, 0): p, (1, 2): q, (2, 1): q, (2, 0): r, (0, 2): r}
+
+    def _analyze(self, i, j, c, d, queue):
+        L = self.pair_of[(i, j)]
+        if c == d:
+            # loop: one reflection end of the chain
+            end, col, hops, looped = self._walk(i, j, c, j, None)
+            if looped:
+                return L % (hops + 1) == 0
+            return hops <= L - 1
+        # walk from d; stopping at c with expected column i means the chain
+        # closes through the new edge
+        end_d, col_d, hops_d, loop_d = self._walk(i, j, d, j, (c, i))
+        if end_d is None:  # closed cycle
+            edges = hops_d + 1
+            if self.tf:
+                return edges == 2 * L
+            return edges % 2 == 0 and L % (edges // 2) == 0
+        end_c, col_c, hops_c, loop_c = self._walk(i, j, c, j, None)
+        edges = hops_c + hops_d + 1
+        if loop_c and loop_d:
+            return L % (edges + 1) == 0
+        if loop_c or loop_d:
+            return edges <= L - 1
+        if edges >= 2 * L:
+            return False
+        if edges == 2 * L - 1:
+            if col_c != col_d:
+                return False
+            queue.append((col_c, end_c, end_d))
+        return True
+
+    def _walk(self, i, j, start, first, stop):
+        t = self.t
+        cur = start
+        col = first
+        hops = 0
+        while True:
+            if stop is not None and cur == stop[0] and col == stop[1]:
+                return None, None, hops, False
+            nxt = t[col][cur]
+            if nxt == tg.UNDEF:
+                return cur, col, hops, False
+            if nxt == cur:
+                return cur, col, hops, True
+            cur = nxt
+            hops += 1
+            col = i if col == j else j
+
+    def _assign(self, col, a, b):
+        t = self.t
+        queue = [(col, a, b)]
+        while queue:
+            col, a, b = queue.pop()
+            cur = t[col][a]
+            if cur != tg.UNDEF:
+                if cur != b:
+                    return False
+                continue
+            if t[col][b] != tg.UNDEF:
+                return False
+            if self.tf and a == b:
+                return False
+            t[col][a] = b
+            t[col][b] = a
+            self.trail.append((col, a, b))
+            for other in range(3):
+                if other != col and not self._analyze(col, other, a, b, queue):
+                    return False
+        return True
+
+
+#: the groups benchmark's enumerate menu (torsion-free searches are proper),
+#: with the search's (nodes, prunes, tables, records)
+MENU_COUNTERS = {
+    ((2, 3, 7), 84, True): (57800, 0, 532, 12),
+    ((2, 3, 8), 48, True): (12501, 0, 458, 23),
+    ((2, 3, 9), 36, True): (5100, 0, 90, 4),
+    ((2, 3, 12), 24, True): (2208, 0, 128, 11),
+    ((3, 3, 9), 18, True): (6138, 0, 564, 37),
+    ((2, 3, 12), 24, False): (30487, 1289, 300, 300),
+    ((2, 3, 7), 28, False): (5153, 233, 13, 13),
+}
+MENU_IDS = ["%d,%d,%d@%d%s" % (pqr + (index, "-tf" if tf else "")) for pqr, index, tf in MENU_COUNTERS]
+
+
+@pytest.mark.parametrize("search, counters", MENU_COUNTERS.items(), ids=MENU_IDS)
+def test_menu_search_counters_are_pinned(caplog, search, counters):
+    pqr, index, tf = search
+    with caplog.at_level(logging.DEBUG, logger="extpack.trigroup"):
+        tg.low_index_subgroups(*pqr, index, torsion_free=tf, proper=True if tf else None)
+    assert _search_counters(caplog) == counters
+
+
+@pytest.mark.parametrize(
+    "pqr, index, tf",
+    list(MENU_COUNTERS) + [(pqr, index, False) for pqr, index, _ in GENERIC_CASES],
+    ids=MENU_IDS + ["%d,%d,%d@%d" % (pqr + (index,)) for pqr, index, _ in GENERIC_CASES],
+)
+def test_flat_propagation_walks_like_the_chain_walker(pqr, index, tf):
+    # the S4 cases and (2,3,8)@24 reach reflection ends, which the
+    # torsion-free menu never does
+    flat, walk = tg._TriangleSearch(*pqr, index, tf), WalkSearch(*pqr, index, tf)
+    tables = list(flat.solutions())
+    assert tables and tables == list(walk.solutions())
+    assert (flat.nodes, flat.prunes) == (walk.nodes, walk.prunes)
+
+
+def test_flat_propagation_finds_the_first_337_record_as_the_chain_walker(caplog, monkeypatch):
+    def first_record():
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="extpack.trigroup"):
+            recs = tg.low_index_subgroups(3, 3, 7, 42, torsion_free=True, proper=True, max_count=1)
+        return [rec.perms for rec in recs], _search_counters(caplog)
+
+    flat = first_record()
+    monkeypatch.setattr(tg, "_TriangleSearch", WalkSearch)
+    assert first_record() == flat and len(flat[0]) == 1
