@@ -22,11 +22,12 @@ complex is certified extremal when it is connected, non-orientable, all
 polygons share one size N >= 7 and every vertex cycle has length exactly
 three (three angles of 2*pi/3 closing up to 2*pi).
 
-Every combinatorial fact here is read from the flag action (see
-flag_action), which a complex builds once, when it is created.  One walk
-of t1 t2 gives the vertex cycles; vertex_cycles records each as one
-VertexCycle, its corners with the edges crossed between them, which the
-grafts, the cyclic covers and the holonomy check all read.
+A complex builds its flag action (see flag_action) once, when it is
+created; the same pass decides connectivity and orientability on the
+polygon graph, and every other combinatorial fact is read from the
+action.  One walk of t1 t2 gives the vertex cycles; vertex_cycles records
+each as one VertexCycle, its corners with the edges crossed between them,
+which the grafts, the cyclic covers and the holonomy check all read.
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ class PolygonComplex:
 
     The name is presentation metadata and does not take part in equality.
     Creating a complex validates its labels and builds its flag action in
-    one pass; the action is kept outside the dataclass fields.
+    one pass, which also decides connectivity and orientability on the
+    polygon graph; the action is kept outside the dataclass fields.
     """
 
     polygons: tuple[tuple[int, ...], ...]
@@ -65,10 +67,14 @@ class PolygonComplex:
         m = 2 * sum(map(len, polys))
         t0 = [0] * m
         t1 = [0] * m
-        seen: dict[int, tuple[int, int, bool] | None] = {}
+        seen: dict[int, tuple[int, int, bool, int] | None] = {}
         bad = []
+        # links[p]: (q, flipped) per pairing of polygon p with a polygon q
+        # != p; a flipped pairing inside one polygon is not orientable
+        links: list[list[tuple[int, bool]]] = [[] for _ in polys]
+        orientable = True
         corner = 0
-        for word in polys:
+        for p, word in enumerate(polys):
             n = len(word)
             if n < 1:
                 raise InvalidComplexError("empty polygon")
@@ -81,18 +87,24 @@ class PolygonComplex:
                 t0[end] = start
                 a = abs(v)
                 if a not in seen:
-                    seen[a] = (start, end, v > 0)
+                    seen[a] = (start, end, v > 0, p)
                     continue
                 first = seen[a]
                 if first is None:
                     bad.append(a)
                     continue
                 seen[a] = None
-                start1, end1, positive = first
-                if positive == (v > 0):
+                start1, end1, positive, p1 = first
+                flipped = positive != (v > 0)
+                if not flipped:
                     start, end = end, start
                 t1[start1], t1[start] = start, start1
                 t1[end1], t1[end] = end, end1
+                if p1 != p:
+                    links[p1].append((p, flipped))
+                    links[p].append((p1, flipped))
+                elif flipped:
+                    orientable = False
             corner += n
         bad.extend(a for a, first in seen.items() if first is not None)
         if bad:
@@ -102,12 +114,22 @@ class PolygonComplex:
         t2 = [0] * m
         t2[0::2] = range(1, m, 2)
         t2[1::2] = range(0, m, 2)
-        flags = (tuple(t0), tuple(t1), tuple(t2))
-        transitive, bipartite = two_color(flags)
-        if not transitive:
+        # color the polygon graph, a flipped link changing the color; it is
+        # the flag action's two-coloring with p's color on p's leaving flags
+        color = [0] + [-1] * (len(polys) - 1)
+        queue = [0]
+        for p in queue:
+            cp = color[p]
+            for q, flipped in links[p]:
+                if color[q] < 0:
+                    color[q] = cp ^ flipped
+                    queue.append(q)
+                elif color[q] != cp ^ flipped:
+                    orientable = False
+        if len(queue) < len(polys):
             raise InvalidComplexError("complex is disconnected")
-        object.__setattr__(self, "_flags", flags)
-        object.__setattr__(self, "_orientable", bipartite)
+        object.__setattr__(self, "_flags", (tuple(t0), tuple(t1), tuple(t2)))
+        object.__setattr__(self, "_orientable", orientable)
 
     @property
     def num_polygons(self) -> int:
@@ -186,7 +208,7 @@ class ExtremalityReport:
 
 
 # ---------------------------------------------------------------------------
-# combinatorial structure, all read from the flag action
+# combinatorial structure, read from flag actions
 
 
 def two_color(perms) -> tuple[bool, bool]:
@@ -194,8 +216,8 @@ def two_color(perms) -> tuple[bool, bool]:
 
     Returns (transitive, bipartite): whether every point is reached, and
     whether no permutation maps a point to one of its own color.  For a
-    complex's flag action these are connectivity and orientability; for a
-    subgroup's coset action bipartite means the subgroup avoids every
+    lifted flag action these are connectivity and orientability; for a
+    subgroup's coset table bipartite means the subgroup avoids every
     orientation-reversing word.
     """
     color = [-1] * len(perms[0])
@@ -303,13 +325,15 @@ def _corners(c: PolygonComplex) -> list[tuple[int, int]]:
     return [(p, i) for p, word in enumerate(c.polygons) for i in range(len(word))]
 
 
-def _walk(c: PolygonComplex):
+def _walk(c: PolygonComplex, cap: int | None = None):
     """Yield each vertex cycle as the flags that t1 . t2 visits.
 
     Cycles come in the order of their least corner and start at its
-    leaving flag; the walk meets each corner of a cycle once.
+    leaving flag; the walk meets each corner of a cycle once.  The first
+    cycle to pass cap corners is cut at cap + 1 flags and ends the walk.
     """
     t1 = c._flags[1]
+    cap = len(t1) if cap is None else cap
     seen = bytearray(len(t1) >> 1)
     for start in range(0, len(t1), 2):
         if seen[start >> 1]:
@@ -320,19 +344,20 @@ def _walk(c: PolygonComplex):
             cycle.append(f)
             seen[f >> 1] = 1
             f = t1[f ^ 1]
-            if f == start:
+            if f == start or len(cycle) > cap:
                 break
         yield cycle
+        if len(cycle) > cap:
+            return
 
 
 def vertex_class_sizes(c: PolygonComplex, cap: int | None = None) -> list[int] | None:
-    """Sizes of the corner classes; returns None early if any exceeds cap."""
-    sizes = []
-    for cycle in _walk(c):
-        if cap and len(cycle) > cap:
-            return None
-        sizes.append(len(cycle))
-    return sorted(sizes)
+    """Sorted sizes of the corner classes, or None as soon as one passes
+    cap (>= 1): the walk stops there."""
+    if cap is not None and cap < 1:
+        raise ValueError("need cap >= 1, got %r" % (cap,))
+    sizes = sorted([len(cycle) for cycle in _walk(c, cap)])
+    return None if cap is not None and sizes[-1] > cap else sizes
 
 
 def flag_sides(c: PolygonComplex) -> list[tuple[int, int]]:
@@ -376,7 +401,7 @@ vertex_cycles_with_crossings = vertex_cycles
 
 
 def is_orientable(c: PolygonComplex) -> bool:
-    """Whether the flag action two-colors (decided when c is created)."""
+    """Whether the polygon graph two-colors (decided when c is created)."""
     return c._orientable
 
 

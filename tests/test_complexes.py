@@ -1,7 +1,10 @@
+import hashlib
+import random
+
 import pytest
 
 from conftest import random_complexes
-from extpack import catalog, covers
+from extpack import catalog, covers, grafting
 from extpack import complexes as cx
 from extpack import trigroup as tg
 from extpack.complexes import PolygonComplex
@@ -66,6 +69,119 @@ def test_validation_errors():
     # a zero label is reported before any unpaired one
     with pytest.raises(InvalidComplexError, match="nonzero integers, got 0"):
         PolygonComplex(((1, 1, 1, 0),))
+
+
+def reference_flags(words):
+    """The flag action as flag_action describes it, built with no check,
+    so that a disconnected draw has one too."""
+    base = [0]
+    for w in words:
+        base.append(base[-1] + len(w))
+    m = 2 * base[-1]
+    t0, t1 = [0] * m, [0] * m
+    occ = {}
+    for p, w in enumerate(words):
+        for i, v in enumerate(w):
+            start, end = 2 * (base[p] + i), 2 * (base[p] + (i + 1) % len(w)) + 1
+            t0[start], t0[end] = end, start
+            occ.setdefault(abs(v), []).append((start, end, v > 0))
+    for (s1, e1, pos1), (s2, e2, pos2) in occ.values():
+        if pos1 == pos2:  # equal signs glue head to tail
+            s2, e2 = e2, s2
+        t1[s1], t1[s2] = s2, s1
+        t1[e1], t1[e2] = e2, e1
+    return tuple(t0), tuple(t1), tuple(f ^ 1 for f in range(m))
+
+
+def gluing(rng, sizes):
+    """Polygons of the given sizes with their sides paired at random and
+    each pairing's signs drawn at random (connected or not)."""
+    slots = [(p, i) for p, n in enumerate(sizes) for i in range(n)]
+    rng.shuffle(slots)
+    words = [[0] * n for n in sizes]
+    for lab in range(1, len(slots) // 2 + 1):
+        (p, i), (q, j) = slots[2 * lab - 2], slots[2 * lab - 1]
+        words[p][i] = lab
+        words[q][j] = lab if rng.random() < 0.5 else -lab
+    return tuple(tuple(w) for w in words)
+
+
+def test_polygon_graph_coloring_agrees_with_two_color():
+    # connectivity and orientability come from the polygon graph; the flag
+    # action's two-coloring must read the same on every draw
+    rng = random.Random(18)
+    draws = [c.polygons for c in random_complexes(300, seed=181)]
+    draws += [gluing(rng, [n]) for n in (10, 12, 14) for _ in range(100)]
+    for _ in range(600):
+        sizes = [rng.randint(1, 6) for _ in range(rng.randint(2, 4))]
+        sizes[-1] += sum(sizes) % 2
+        draws.append(gluing(rng, sizes))
+    draws += [
+        ((1, -1, 2), (2, 3, 3)),  # the only flipped label, inside polygon 0
+        ((1, 2), (-2, 3), (-3, -1)),  # an odd flipped cycle of three polygons
+        ((1, 2), (-2, 3), (-3, 1)),  # an even one
+    ]
+    seen = set()
+    for words in draws:
+        flags = reference_flags(words)
+        transitive, bipartite = cx.two_color(flags)
+        if not transitive:
+            with pytest.raises(InvalidComplexError, match="complex is disconnected"):
+                PolygonComplex(words)
+            seen.add("disconnected")
+            continue
+        c = PolygonComplex(words)
+        assert cx.flag_action(c) == flags, words
+        assert cx.is_orientable(c) == cx.two_color(cx.flag_action(c))[1] == bipartite, words
+        seen.add((c.num_polygons > 1, bipartite))
+    assert seen == {"disconnected", (False, False), (False, True), (True, False), (True, True)}
+    assert not cx.is_orientable(PolygonComplex(draws[-3]))
+    assert not cx.is_orientable(PolygonComplex(draws[-2]))
+    assert cx.is_orientable(PolygonComplex(draws[-1]))
+
+
+def test_creating_a_complex_does_not_two_color_its_flags(monkeypatch, seeds):
+    def refuse(perms):
+        raise AssertionError("two_color called")
+
+    monkeypatch.setattr(cx, "two_color", refuse)
+    assert len(random_complexes(100, seed=182)) == 100
+    for c in seeds.values():
+        assert PolygonComplex(c.polygons) == c
+    with pytest.raises(InvalidComplexError, match="complex is disconnected"):
+        PolygonComplex(((1, 1), (2, 2)))
+
+
+def test_capped_walk_stops_at_the_first_cycle_past_the_cap():
+    for c in random_complexes(300, seed=183):
+        full = list(cx._walk(c))
+        sizes = sorted(map(len, full))
+        assert cx.vertex_class_sizes(c) == sizes
+        for cap in range(1, sizes[-1] + 2):
+            assert cx.vertex_class_sizes(c, cap) == (sizes if sizes[-1] <= cap else None)
+            # the full walk up to the first cycle past cap, cut at cap + 1 flags
+            cut = next((t for t, cycle in enumerate(full) if len(cycle) > cap), None)
+            want = full if cut is None else full[:cut] + [full[cut][:cap + 1]]
+            assert list(cx._walk(c, cap)) == want, (c, cap)
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_vertex_class_sizes_needs_a_positive_cap(cap):
+    with pytest.raises(ValueError, match="need cap >= 1, got %d" % cap):
+        cx.vertex_class_sizes(PolygonComplex(((1, 2, -1, 2),)), cap)
+
+
+def test_certificate_and_cycles_are_pinned():
+    # verify_extremal, surface_invariants and vertex_cycles (corners and
+    # crossings) on the catalog and on build_primitive(7..43), hashed as
+    # they read before the capped walk and the polygon-graph coloring
+    sample = [e.complex for e in catalog.load_all().values()]
+    sample += [grafting.build_primitive(n) for n in range(7, 44)]
+    h = hashlib.sha256()
+    for c in sample:
+        cycles = [(v.corners, v.crossings) for v in cx.vertex_cycles(c)]
+        h.update(repr((cx.verify_extremal(c), cx.surface_invariants(c), cycles)).encode())
+    assert h.hexdigest() == "1d70833e9d08a74c99c0fc9db3299f8ff399e093913c6ebd7187e926861c21e5"
 
 
 def test_parse_examples():
