@@ -106,8 +106,8 @@ class PolygonComplex:
                 elif flipped:
                     orientable = False
             corner += n
-        bad.extend(a for a, first in seen.items() if first is not None)
-        if bad:
+        if bad or 4 * len(seen) != m:  # a label not seen exactly twice
+            bad.extend(a for a, first in seen.items() if first is not None)
             raise InvalidComplexError(
                 "unpaired label %s: every label must occur exactly twice" % (min(bad),)
             )
