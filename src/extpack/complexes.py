@@ -22,17 +22,20 @@ complex is certified extremal when it is connected, non-orientable, all
 polygons share one size N >= 7 and every vertex cycle has length exactly
 three (three angles of 2*pi/3 closing up to 2*pi).
 
-A complex builds its flag action (see flag_action) once, when it is
-created; the same pass decides connectivity and orientability on the
-polygon graph, and every other combinatorial fact is read from the
-action.  One walk of t1 t2 gives the vertex cycles; vertex_cycles records
-each as one VertexCycle, its corners with the edges crossed between them,
-which the grafts, the cyclic covers and the holonomy check all read.
+A complex stores one involution of its flag action (see flag_action),
+the edge crossing t1, written when it is created by the pass that also
+decides connectivity and orientability on the polygon graph; t0 and t2
+follow from the polygon sizes and are built on first use.  One walk of
+t1 t2 gives the vertex cycles; vertex_cycles records each as one
+VertexCycle, its corners with the edges crossed between them, which the
+grafts, the cyclic covers and the holonomy check all read.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 
 from .errors import ComplexFormatError, InvalidComplexError, InvariantError
 
@@ -48,53 +51,49 @@ class PolygonComplex:
     """An edge-identified collection of polygons forming a closed surface.
 
     The name is presentation metadata and does not take part in equality.
-    Creating a complex validates its labels and builds its flag action in
-    one pass, which also decides connectivity and orientability on the
-    polygon graph; the action is kept outside the dataclass fields.
+    Creating a complex validates its labels and writes t1, outside the
+    dataclass fields, in one pass that also decides connectivity and
+    orientability on the polygon graph; flag_action derives t0 and t2.
     """
 
     polygons: tuple[tuple[int, ...], ...]
     name: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        polys = tuple(tuple(w) for w in self.polygons)
+        polys = tuple(map(tuple, self.polygons))
         object.__setattr__(self, "polygons", polys)
         if not polys:
             raise InvalidComplexError("complex needs at least one polygon")
-        # one pass validates the labels and builds the flag action (see
-        # flag_action for the numbering): seen maps a label to its first
-        # side's flags until the second occurrence pairs it, then to None
-        m = 2 * sum(map(len, polys))
-        t0 = [0] * m
-        t1 = [0] * m
-        seen: dict[int, tuple[int, int, bool, int] | None] = {}
-        bad = []
-        # links[p]: (q, flipped) per pairing of polygon p with a polygon q
-        # != p; a flipped pairing inside one polygon is not orientable
+        # a C-level check of all labels; a fault runs the ordered scan to word it
+        flat = list(chain.from_iterable(polys))
+        if not all(polys) or set(map(type, flat)) != {int} or 0 in flat:
+            for word in polys:
+                if not word:
+                    raise InvalidComplexError("empty polygon")
+                for v in word:
+                    if not isinstance(v, int) or v == 0:
+                        raise InvalidComplexError("labels must be nonzero integers, got %r" % (v,))
+        # one pass pairs the sides and writes t1 (see flag_action): seen maps
+        # a label to its first side's leaving flag, end flag, sign, polygon
+        m = 2 * len(flat)
+        t1 = [-1] * m
+        seen: dict[int, tuple[int, int, bool, int]] = {}
+        # links[p]: (q, flipped) per pairing of polygon p with a polygon q != p
         links: list[list[tuple[int, bool]]] = [[] for _ in polys]
         orientable = True
-        corner = 0
+        side = 0
         for p, word in enumerate(polys):
-            n = len(word)
-            if n < 1:
-                raise InvalidComplexError("empty polygon")
-            for i, v in enumerate(word):
-                if not isinstance(v, int) or v == 0:
-                    raise InvalidComplexError("labels must be nonzero integers, got %r" % (v,))
-                start = 2 * (corner + i)
-                end = 2 * (corner + (i + 1) % n) + 1
-                t0[start] = end
-                t0[end] = start
+            # the polygon's last side ends at flag 2 side + 1, at its first corner
+            wrap, last = 2 * side + 1, side + len(word) - 1
+            for v in word:
+                start = 2 * side
+                end = start + 3 if side != last else wrap
+                side += 1
                 a = abs(v)
                 if a not in seen:
                     seen[a] = (start, end, v > 0, p)
                     continue
-                first = seen[a]
-                if first is None:
-                    bad.append(a)
-                    continue
-                seen[a] = None
-                start1, end1, positive, p1 = first
+                start1, end1, positive, p1 = seen[a]
                 flipped = positive != (v > 0)
                 if not flipped:
                     start, end = end, start
@@ -105,15 +104,10 @@ class PolygonComplex:
                     links[p].append((p1, flipped))
                 elif flipped:
                     orientable = False
-            corner += n
-        if bad or 4 * len(seen) != m:  # a label not seen exactly twice
-            bad.extend(a for a, first in seen.items() if first is not None)
-            raise InvalidComplexError(
-                "unpaired label %s: every label must occur exactly twice" % (min(bad),)
-            )
-        t2 = [0] * m
-        t2[0::2] = range(1, m, 2)
-        t2[1::2] = range(0, m, 2)
+        # 2 * labels = sides and no flag left at -1: each label seen exactly twice
+        if 4 * len(seen) != m or -1 in t1:
+            bad = min(a for a, n in Counter(map(abs, flat)).items() if n != 2)
+            raise InvalidComplexError("unpaired label %s: every label must occur exactly twice" % bad)
         # color the polygon graph, a flipped link changing the color; it is
         # the flag action's two-coloring with p's color on p's leaving flags
         color = [0] + [-1] * (len(polys) - 1)
@@ -128,7 +122,7 @@ class PolygonComplex:
                     orientable = False
         if len(queue) < len(polys):
             raise InvalidComplexError("complex is disconnected")
-        object.__setattr__(self, "_flags", (tuple(t0), tuple(t1), tuple(t2)))
+        object.__setattr__(self, "_t1", tuple(t1))
         object.__setattr__(self, "_orientable", orientable)
 
     @property
@@ -149,7 +143,8 @@ class PolygonComplex:
 
 
 def _renamed(c: PolygonComplex, name: str | None) -> PolygonComplex:
-    """c under another name, sharing its words and its flag action."""
+    """c under another name, sharing its words and flag action (built now if need be)."""
+    flag_action(c)
     out = object.__new__(PolygonComplex)
     out.__dict__.update(c.__dict__, name=name)
     return out
@@ -292,7 +287,7 @@ def automorphisms(c: PolygonComplex) -> list[int]:
     with flag 0 (the identity) and is increasing; the group acts freely on
     the flags, so its order, the length of the list, divides their number.
     """
-    perms = c._flags
+    perms = flag_action(c)
     ref = bfs_code(perms, 0)
     return [f for f in range(len(perms[0])) if bfs_code(perms, f, ref) == ref]
 
@@ -305,10 +300,23 @@ def flag_action(c: PolygonComplex) -> tuple[tuple[int, ...], tuple[int, ...], tu
     corner j and flag 2*j+1 on the side arriving at it.  So the corner of
     flag f is f >> 1, and t2, which swaps the two flags of a corner within
     its polygon, is f ^ 1.  t0 exchanges the two flags of a side, and t1
-    crosses the edge pairing (respecting the sign convention).  The action
-    is built once, when the complex is created.
+    crosses the edge pairing (respecting the sign convention).  Only t1 is
+    stored at creation; t0 and t2 are built here on first use, and kept.
     """
-    return c._flags
+    flags = getattr(c, "_flags", None)
+    if flags is None:
+        # t0 swaps a side's flags 2j and 2j + 3; the last side of a polygon
+        # with corners b .. e - 1 ends at flag 2b + 1, not 2e + 1
+        m = len(c._t1)
+        t0, t2 = [0] * m, [0] * m
+        t0[0::2], t0[1::2] = range(3, m + 3, 2), range(-2, m - 2, 2)
+        t2[0::2], t2[1::2] = range(1, m, 2), range(0, m, 2)
+        ends = list(accumulate(map(len, c.polygons)))
+        for b, e in zip([0] + ends, ends):
+            t0[2 * e - 2], t0[2 * b + 1] = 2 * b + 1, 2 * e - 2
+        flags = (tuple(t0), c._t1, tuple(t2))
+        object.__setattr__(c, "_flags", flags)
+    return flags
 
 
 def occurrences(c: PolygonComplex) -> dict[int, tuple[tuple[int, int, int], tuple[int, int, int]]]:
@@ -332,7 +340,7 @@ def _walk(c: PolygonComplex, cap: int | None = None):
     leaving flag; the walk meets each corner of a cycle once.  The first
     cycle to pass cap corners is cut at cap + 1 flags and ends the walk.
     """
-    t1 = c._flags[1]
+    t1 = c._t1
     cap = len(t1) if cap is None else cap
     seen = bytearray(len(t1) >> 1)
     for start in range(0, len(t1), 2):
@@ -370,13 +378,11 @@ def flag_sides(c: PolygonComplex) -> list[tuple[int, int]]:
     # sides are numbered like the corners they leave: flag 2j lies on side
     # j, and t0 takes flag 2j+1 to the leaving flag of its side
     labels = [abs(v) for word in c.polygons for v in word]
-    first: dict[int, int] = {}
-    for side, lab in enumerate(labels):
-        first.setdefault(lab, side)
+    first = {lab: side for side, lab in reversed(list(enumerate(labels)))}
     sides = [(lab, 1 if first[lab] == side else -1) for side, lab in enumerate(labels)]
     out = sides * 2
     out[0::2] = sides
-    out[1::2] = [sides[f >> 1] for f in c._flags[0][1::2]]
+    out[1::2] = [sides[f >> 1] for f in flag_action(c)[0][1::2]]
     return out
 
 
@@ -470,9 +476,7 @@ def verify_extremal(c: PolygonComplex) -> ExtremalityReport:
 def is_graftable(c: PolygonComplex) -> bool:
     """Connected, non-orientable, every vertex trivalent (sizes may differ)."""
     sizes = vertex_class_sizes(c, cap=3)
-    if sizes is None or sizes[0] != 3:
-        return False
-    return not is_orientable(c)
+    return sizes is not None and sizes[0] == 3 and not is_orientable(c)
 
 
 # ---------------------------------------------------------------------------
@@ -519,12 +523,8 @@ def read_polygons(perms) -> tuple[tuple[int, ...], ...]:
         if partner >> 1 == s:
             raise InvariantError("read_polygons: t1 glues side %d to itself" % s)
         labels[partner >> 1] = label if partner & 1 else -label
-    words = []
-    at = 0
-    for n in sizes:
-        words.append(tuple(labels[at:at + n]))
-        at += n
-    return tuple(words)
+    ends = list(accumulate(sizes))
+    return tuple(tuple(labels[e - n:e]) for n, e in zip(sizes, ends))
 
 
 def canonicalize(c: PolygonComplex) -> PolygonComplex:
@@ -536,7 +536,7 @@ def canonicalize(c: PolygonComplex) -> PolygonComplex:
     complexes have the same canonical form exactly when one is the other
     relabeled, with polygons rotated, reordered or mirrored.
     """
-    code = least_code(c._flags)
+    code = least_code(flag_action(c))
     words = read_polygons((code[0::3], code[1::3], code[2::3]))
     return PolygonComplex(words, name=c.name)
 

@@ -54,21 +54,48 @@ def test_corner_conservation():
         assert sum(len(v) for v in cycles) == sum(c.sizes) == 2 * c.num_edges
 
 
+UNPAIRED = "unpaired label %d: every label must occur exactly twice"
+NONZERO = "labels must be nonzero integers, got %s"
+
+#: malformed inputs and the exact message of each, in the order of the
+#: checks: no polygon, then an empty polygon or a bad label (whichever the
+#: scan meets first), then the smallest label not seen exactly twice, then
+#: connectivity
+VALIDATION_CASES = [
+    ((), "complex needs at least one polygon"),
+    (((1, 1), (), (2, 0, 2)), "empty polygon"),  # empty before a zero label
+    (((1, 0, 1), ()), NONZERO % 0),  # empty after a zero label
+    (((),), "empty polygon"),
+    (((1, 1.0),), NONZERO % 1.0),
+    (((1, "1"),), NONZERO % "'1'"),
+    (((1, None, 1),), NONZERO % None),
+    (((True, False),), NONZERO % False),
+    (((1, 1, 2),), UNPAIRED % 2),  # seen once
+    (((1, 1, 1),), UNPAIRED % 1),  # seen three times
+    (((2, 2, 2, 2, 1, 1),), UNPAIRED % 2),  # seen four times
+    (((3, 3, 3, 1),), UNPAIRED % 1),  # the smallest bad label, once beats thrice
+    (((5, 5, 5, 5, 3, 3, 4),), UNPAIRED % 4),  # and once beats four times
+    (((1, 2, 0),), NONZERO % 0),  # a zero label after an unpaired one
+    (((1, 2), (0,)), NONZERO % 0),
+    (((1, 1), (2, 3)), UNPAIRED % 2),  # unpaired before disconnected
+    (((1, 1), (2, 2)), "complex is disconnected"),
+    (((1, -1), (2, 2), (3, -3)), "complex is disconnected"),
+]
+
+
 def test_validation_errors():
-    with pytest.raises(InvalidComplexError, match="unpaired label 2"):
-        PolygonComplex(((1, 1, 2),))
-    with pytest.raises(InvalidComplexError):
-        PolygonComplex(((1, 0, 1),))
-    with pytest.raises(InvalidComplexError, match="disconnected"):
-        PolygonComplex(((1, 1), (2, 2)))
-    with pytest.raises(InvalidComplexError):
-        PolygonComplex(((1, 1, 1),))
-    # the smallest bad label is reported, whether seen once or three times
-    with pytest.raises(InvalidComplexError, match="unpaired label 1"):
-        PolygonComplex(((3, 3, 3, 1),))
-    # a zero label is reported before any unpaired one
-    with pytest.raises(InvalidComplexError, match="nonzero integers, got 0"):
-        PolygonComplex(((1, 1, 1, 0),))
+    for words, message in VALIDATION_CASES:
+        with pytest.raises(InvalidComplexError) as err:
+            PolygonComplex(words)
+        assert str(err.value) == message, words
+
+
+def test_bool_labels_are_accepted_as_integers():
+    # bool is an int subclass: True is label 1, as it always was
+    c = PolygonComplex(((True, 1),))
+    assert c.polygons == ((True, 1),)
+    assert cx.flag_action(c) == cx.flag_action(PolygonComplex(((1, 1),)))
+    assert cx.surface_invariants(c) == cx.surface_invariants(PolygonComplex(((1, 1),)))
 
 
 def reference_flags(words):
@@ -150,6 +177,33 @@ def test_creating_a_complex_does_not_two_color_its_flags(monkeypatch, seeds):
         assert PolygonComplex(c.polygons) == c
     with pytest.raises(InvalidComplexError, match="complex is disconnected"):
         PolygonComplex(((1, 1), (2, 2)))
+
+
+def test_the_certificate_never_builds_t0_or_t2(monkeypatch, seeds):
+    # a complex stores t1 alone; the census path (creation, the capped and
+    # uncapped walks, orientability) must not derive the rest of the action
+    def refuse(c):
+        raise AssertionError("flag_action called")
+
+    monkeypatch.setattr(cx, "flag_action", refuse)
+    sample = random_complexes(200, seed=191) + [PolygonComplex(c.polygons) for c in seeds.values()]
+    for c in sample:
+        cx.vertex_class_sizes(c, cap=3)
+        cx.vertex_class_sizes(c)
+        cx.verify_extremal(c)
+        cx.surface_invariants(c)
+        cx.is_orientable(c)
+        assert "_flags" not in vars(c), c
+
+
+def test_derived_flag_action_matches_the_reference():
+    sample = random_complexes(300, seed=192)
+    sample += [e.complex for e in catalog.load_all().values()]
+    sample += [grafting.build_primitive(n) for n in range(7, 44)]
+    for c in sample:
+        action = cx.flag_action(c)
+        assert action == reference_flags(c.polygons), c
+        assert cx.flag_action(c) is action  # built once, then kept
 
 
 def test_capped_walk_stops_at_the_first_cycle_past_the_cap():

@@ -94,6 +94,35 @@ def test_cli_reads_no_private_library_name():
     assert not found, "the CLI reads private library names: %s" % ", ".join(found)
 
 
+def test_only_complexes_reads_a_complex_s_private_fields():
+    """A complex's stored action (its t1, the derived triple and the
+    orientability bit) is private to complexes: every other library module
+    reads it through flag_action and is_orientable."""
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "src" / "extpack").glob("*.py"))}
+    owner = ast.parse(sources.pop("complexes.py"))
+    # the fields are the underscore names complexes sets with object.__setattr__
+    fields = {
+        node.args[1].value
+        for node in ast.walk(owner)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "__setattr__" and len(node.args) == 3
+        and isinstance(node.args[1], ast.Constant) and node.args[1].value.startswith("_")
+    }
+    assert fields == {"_t1", "_flags", "_orientable"}
+    found = [
+        "%s:%d %s" % (name, node.lineno, field)
+        for name, text in sources.items()
+        for node in ast.walk(ast.parse(text, filename=name))
+        for field in [
+            node.attr if isinstance(node, ast.Attribute)
+            else node.value if isinstance(node, ast.Constant) else None
+        ]
+        if field in fields
+    ]
+    assert not found, "modules read a complex's private fields: %s" % ", ".join(found)
+
+
 #: what each cold command may not load; run in a fresh interpreter, since
 #: this process has imported the whole package already
 COLD_COMMANDS = (
