@@ -91,7 +91,7 @@ def test_validation_errors():
 
 
 def test_bool_labels_are_accepted_as_integers():
-    # bool is an int subclass: True is label 1, as it always was
+    # bool is an int subclass, so True is label 1
     c = PolygonComplex(((True, 1),))
     assert c.polygons == ((True, 1),)
     assert cx.flag_action(c) == cx.flag_action(PolygonComplex(((1, 1),)))
