@@ -220,8 +220,11 @@ class _TriangleSearch:
     values in increasing order, and prunes by canonicity (_ties): it
     completes each class once, as its least-code table, in code order.
     With the torsion-free filter, all (r2 r0) orbits are prefilled as
-    polygon blocks of size 2r and only r1 is searched, not canonically.
-    nodes counts the entries tried, prunes the canonicity prunes.
+    polygon blocks of size 2r and r1 alone is searched, in the same order,
+    so tables come in block order (lexicographic in r1, in the block-BFS
+    numbering from 0); _least_first prunes a table that reads a lower
+    first entry from another flag.  nodes counts the entries tried,
+    prunes the canonicity prunes.
     """
 
     def __init__(self, p: int, q: int, r: int, index: int, torsion_free: bool):
@@ -393,9 +396,19 @@ class _TriangleSearch:
                 continue
             mark = len(self.trail)
             self.nodes += 1
-            if self._assign(1, c, d):
+            if self._assign(1, c, d) and self._least_first(mark):
                 yield from self._search_prefilled(c + 1, opened + (d == fresh))
             self._undo(mark)
+
+    def _least_first(self, mark: int) -> bool:
+        """False, counting a prune, if a flag decided since mark reads a
+        first block-order entry (_first) below t1[0], 0's own."""
+        t1, blk = self.t[1], self.block
+        for _, c, d in self.trail[mark:]:
+            if _first(c, d, blk) < t1[0] or _first(d, c, blk) < t1[0]:
+                self.prunes += 1
+                return False
+        return True
 
     def _search_generic(self, c: int, col: int, live: list[int]):
         """live: the points whose codes still tie with 0's (_ties)."""
@@ -455,9 +468,10 @@ def low_index_subgroups(
 
     Without torsion_free, each record is its class's least-code table
     (complexes.least_code), in code order.  With it, each record is the
-    first table found in its class, standardized; a table whose code from
-    0 is a code of a class seen before is dropped.  The counters go to
-    the "extpack.trigroup" logger at DEBUG.
+    first table found in its class, its least in block order, standardized;
+    later tables of the class are its renumberings from the flags that tie
+    with 0 on the first entry (_first), whose codes are kept to drop them.
+    The counters go to the "extpack.trigroup" logger at DEBUG.
     """
     _check_params(p, q, r)
     if index < 1:
@@ -473,8 +487,9 @@ def low_index_subgroups(
         if torsion_free:
             if _code_key(perms, 0) in seen_codes:
                 continue
+            t1, blk = perms[1], 2 * r
+            seen_codes.update(_code_key(perms, f) for f in range(index) if _first(f, t1[f], blk) == t1[0])
             perms = standardize(perms)
-            seen_codes.update(_code_key(perms, s) for s in range(index))
         rec = classify(perms, p, q, r)
         if torsion_free and not rec.torsion_free:
             raise InvariantError(
@@ -496,6 +511,12 @@ def low_index_subgroups(
             p, q, r, index, search.nodes, search.prunes, tables, len(records),
         )
     return records
+
+
+def _first(f: int, y: int, blk: int) -> int:
+    """The first t1 entry of the block-order code from flag f, t1[f] = y:
+    y's place on the walk f, t0 f, t2 t0 f, ... round f's block, else blk."""
+    return (y - f if f % 2 == 0 else f - y) % blk if f // blk == y // blk else blk
 
 
 def _code_key(perms, start: int):

@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import json
+import logging
 
 import pytest
 
@@ -365,6 +366,18 @@ def test_enumerate_output_is_pinned(capsys, search, digest):
     code, out, err = run(capsys, *argv, *(["--torsion-free", "--proper"] if tf else []))
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_enumerate_2_3_12_at_48_is_pinned(capsys, caplog):
+    # off the benchmark's menu: 283 classes, which the search once completed
+    # 9,195 times (238,572 nodes, no prunes)
+    argv = ["enumerate", "--p", "2", "--q", "3", "--r", "12", "--index", "48", "--torsion-free", "--proper"]
+    with caplog.at_level(logging.DEBUG, logger="extpack.trigroup"):
+        code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == "bbdc3e8e575316ab4ba4e3886d92e3f8cdcddb73c247d5ad7419c1869ef7c3b0"
+    (line,) = [rec.getMessage() for rec in caplog.records if rec.name == "extpack.trigroup"]
+    assert line.endswith(": 18951 nodes, 919 canonicity prunes, 619 complete tables, 283 records")
 
 
 def test_catalog_command(capsys):

@@ -256,11 +256,14 @@ def test_torsion_free_search_rejects_a_table_with_torsion(monkeypatch):
 
 
 class UnprunedSearch(tg._TriangleSearch):
-    """The low-index search without its canonicity test: every table in BFS
+    """The low-index search without its canonicity tests: every table in
     scan order is completed, each class many times."""
 
     def _ties(self, live):
         return []
+
+    def _least_first(self, mark):
+        return True
 
 
 def reference_low_index(p, q, r, index, torsion_free=False, proper=None):
@@ -315,6 +318,56 @@ def test_torsion_free_records_match_the_least_code_dedupe(pqr, index, proper):
         assert {rec.proper for rec in recs} == {True, False}
 
 
+#: torsion-free types at small indices; those below the least index of a
+#: surface have no record, but their searches still run and prune
+TF_GRID = [
+    ((2, 3, 7), 84), ((2, 3, 8), 48), ((2, 3, 9), 36), ((2, 3, 10), 40), ((2, 3, 11), 44),
+    ((2, 3, 12), 24), ((3, 3, 4), 24), ((3, 3, 5), 30), ((3, 3, 6), 24), ((3, 3, 7), 28),
+    ((3, 3, 8), 16), ((3, 3, 9), 18), ((2, 4, 5), 40),
+]
+TF_GRID_IDS = ["%d,%d,%d@%d" % (pqr + (index,)) for pqr, index in TF_GRID]
+
+
+@pytest.mark.parametrize("pqr,index", TF_GRID, ids=TF_GRID_IDS)
+def test_pruned_torsion_free_records_match_the_reference(pqr, index):
+    reference = reference_low_index(*pqr, index, torsion_free=True)
+    for proper in (None, True, False):
+        want = [rec.perms for rec in reference if proper in (None, rec.proper)]
+        for max_count in (None, 1):
+            recs = tg.low_index_subgroups(*pqr, index, torsion_free=True, proper=proper, max_count=max_count)
+            assert [rec.perms for rec in recs] == want[:max_count]
+
+
+def first_entry(t, f):
+    """The first t1 entry of the block-order code from flag f: the place of
+    t1[f] on the walk f, t0 f, t2 t0 f, ... round f's block, else the block
+    size."""
+    walk = [f]
+    while len(walk) == 1 or walk[-1] != f:
+        walk.append(t[0 if len(walk) % 2 else 2][walk[-1]])
+    walk.pop()
+    return walk.index(t[1][f]) if t[1][f] in walk else len(walk)
+
+
+@pytest.mark.parametrize(
+    "pqr,index",
+    [((2, 3, 7), 84), ((2, 3, 12), 24), ((3, 3, 6), 24), ((3, 3, 9), 18), ((2, 4, 5), 40)],
+    ids=["2,3,7@84", "2,3,12@24", "3,3,6@24", "3,3,9@18", "2,4,5@40"],
+)
+def test_first_entry_prune_keeps_the_least_tables(pqr, index):
+    unpruned = list(UnprunedSearch(*pqr, index, True).solutions())
+    pruned = list(tg._TriangleSearch(*pqr, index, True).solutions())
+    # exactly the tables whose t1[0] is the least first entry, in order: an
+    # in-order subsequence of the unpruned tables
+    least = [t for t in unpruned if t[1][0] == min(first_entry(t, f) for f in range(index))]
+    assert len(pruned) < len(unpruned) and pruned == least
+    # the first table of every class comes first in block order, so it stays
+    firsts = {}
+    for t in unpruned:
+        firsts.setdefault(cx.least_code(t), t)
+    assert set(firsts.values()) <= set(pruned)
+
+
 def _search_counters(caplog):
     (record,) = [rec for rec in caplog.records if rec.name == "extpack.trigroup"]
     text = record.getMessage()
@@ -336,7 +389,7 @@ def test_search_counters_are_logged_at_debug(caplog):
     with caplog.at_level(logging.DEBUG, logger="extpack.trigroup"):
         recs = tg.low_index_subgroups(2, 3, 8, 48, torsion_free=True, proper=True)
     nodes, prunes, tables, records = _search_counters(caplog)
-    assert prunes == 0 and tables > records == len(recs) == 23
+    assert prunes > 0 and tables > records == len(recs) == 23
 
 
 def reference_table_key(perms):
@@ -590,11 +643,11 @@ class WalkSearch(tg._TriangleSearch):
 #: the groups benchmark's enumerate menu (torsion-free searches are proper),
 #: with the search's (nodes, prunes, tables, records)
 MENU_COUNTERS = {
-    ((2, 3, 7), 84, True): (57800, 0, 532, 12),
-    ((2, 3, 8), 48, True): (12501, 0, 458, 23),
-    ((2, 3, 9), 36, True): (5100, 0, 90, 4),
-    ((2, 3, 12), 24, True): (2208, 0, 128, 11),
-    ((3, 3, 9), 18, True): (6138, 0, 564, 37),
+    ((2, 3, 7), 84, True): (21779, 384, 70, 12),
+    ((2, 3, 8), 48, True): (2133, 130, 49, 23),
+    ((2, 3, 9), 36, True): (670, 51, 5, 4),
+    ((2, 3, 12), 24, True): (584, 80, 15, 11),
+    ((3, 3, 9), 18, True): (1344, 165, 71, 37),
     ((2, 3, 12), 24, False): (30487, 1289, 300, 300),
     ((2, 3, 7), 28, False): (5153, 233, 13, 13),
 }
