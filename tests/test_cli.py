@@ -369,8 +369,8 @@ def test_enumerate_output_is_pinned(capsys, search, digest):
 
 
 def test_enumerate_2_3_12_at_48_is_pinned(capsys, caplog):
-    # off the benchmark's menu: 283 classes, which the search once completed
-    # 9,195 times (238,572 nodes, no prunes)
+    # off the benchmark's menu: 283 classes, each met about 2 times by the
+    # pruned search (32 by the unpruned one, whose output the digest is)
     argv = ["enumerate", "--p", "2", "--q", "3", "--r", "12", "--index", "48", "--torsion-free", "--proper"]
     with caplog.at_level(logging.DEBUG, logger="extpack.trigroup"):
         code, out, err = run(capsys, *argv)
