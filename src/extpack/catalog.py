@@ -3,11 +3,13 @@
 The four seeds X7, X8, X9, X12 realize the primitive pairs (6,3), (3,3),
 (2,3), (1,3); they are found by the torsion-free proper low-index search
 in the matching (2, 3, N) extended triangle group and frozen as data
-files.  Derived entries: X10/X11/X15 from the grafting schedules, and the
-two dual-extremal surfaces D18 (simultaneously 1- and 4-extremal, genus 4)
-and D14 (3- and 24-extremal, genus 6) obtained from surface subgroups of
-the (3, 3, 9) and (3, 3, 7) reflection groups pushed through the index-2
-inclusions (3, 3, n) < (2, 3, 2n).
+files.  Derived entries: X10/X11/X15 from the grafting schedules, and
+D18 (simultaneously 1- and 4-extremal, genus 4) and D14 (genus 6),
+obtained from surface subgroups of the (3, 3, 9) and (3, 3, 7) reflection
+groups pushed through the index-2 inclusions (3, 3, n) < (2, 3, 2n).
+D14 is certified as (k, g, N) = (3, 6, 14).  Its 24-extremal side is an
+area count only: 24 heptagons have the area 8*pi of its 3 fourteen-gons,
+but ext(3, 3, 7) does not lie in ext(2, 3, 7), and nothing here builds it.
 
 Every entry is read from its shipped data file and re-certified on load;
 derive and write_catalog regenerate the files from the constructions.
@@ -15,10 +17,10 @@ derive and write_catalog regenerate the files from the constructions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import resources
 
 from . import complexes
+from ._record import Record
 from .complexes import PolygonComplex
 from .errors import InvariantError, UnknownCatalogEntryError
 
@@ -38,8 +40,7 @@ EXPECTED = {
 SEED_NAMES = ("X7", "X8", "X9", "X12")
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Record):
     name: str
     k: int
     g: int
@@ -136,10 +137,7 @@ def load_entry(name: str) -> CatalogEntry:
     path = resources.files(__package__) / "catalog" / ("%s.cmplx" % name)
     c = complexes.parse(path.read_text(encoding="utf-8"))
     k, g, n, prov = EXPECTED[name]
-    return CatalogEntry(
-        name=name, k=k, g=g, n=n, provenance=prov,
-        complex=_certify(name, complexes._renamed(c, name)),
-    )
+    return CatalogEntry(name, k, g, n, prov, _certify(name, complexes._renamed(c, name)))
 
 
 def load_all() -> dict[str, CatalogEntry]:

@@ -34,9 +34,9 @@ grafts, the cyclic covers and the holonomy check all read.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import accumulate, chain
 
+from ._record import Record
 from .errors import ComplexFormatError, InvalidComplexError, InvariantError
 
 FORMAT_HEADER = "# extpack complex format v1"
@@ -46,18 +46,23 @@ FORMAT_HEADER = "# extpack complex format v1"
 # data model
 
 
-@dataclass(frozen=True)
-class PolygonComplex:
+class PolygonComplex(Record):
     """An edge-identified collection of polygons forming a closed surface.
 
     The name is presentation metadata and does not take part in equality.
     Creating a complex validates its labels and writes t1, outside the
-    dataclass fields, in one pass that also decides connectivity and
+    record fields, in one pass that also decides connectivity and
     orientability on the polygon graph; flag_action derives t0 and t2.
     """
 
     polygons: tuple[tuple[int, ...], ...]
-    name: str | None = field(default=None, compare=False)
+    name: str | None = None
+    _uncompared = ("name",)
+
+    def __init__(self, polygons, name=None):
+        object.__setattr__(self, "polygons", polygons)
+        object.__setattr__(self, "name", name)
+        self.__post_init__()
 
     def __post_init__(self):
         polys = tuple(map(tuple, self.polygons))
@@ -150,8 +155,7 @@ def _renamed(c: PolygonComplex, name: str | None) -> PolygonComplex:
     return out
 
 
-@dataclass(frozen=True)
-class VertexCycle:
+class VertexCycle(Record):
     """Corners (polygon, position) around one surface vertex, in cyclic
     order, and the edges crossed between consecutive corners.
 
@@ -163,14 +167,14 @@ class VertexCycle:
     """
 
     corners: tuple[tuple[int, int], ...]
-    crossings: tuple[tuple[int, int], ...] = field(default=(), compare=False)
+    crossings: tuple[tuple[int, int], ...] = ()
+    _uncompared = ("crossings",)
 
     def __len__(self):
         return len(self.corners)
 
 
-@dataclass(frozen=True)
-class SurfaceInvariants:
+class SurfaceInvariants(Record):
     vertices: int
     edges: int
     faces: int
@@ -179,15 +183,14 @@ class SurfaceInvariants:
     genus: int
 
 
-@dataclass(frozen=True)
-class ExtremalityReport:
+class ExtremalityReport(Record):
     ok: bool
     k: int | None
     g: int | None
     n: int | None
     chi: int
     orientable: bool
-    failures: tuple[str, ...] = field(default_factory=tuple)
+    failures: tuple[str, ...] = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -468,9 +471,7 @@ def verify_extremal(c: PolygonComplex) -> ExtremalityReport:
             raise InvariantError(
                 "verify_extremal: kN = 6g + 6k - 12 fails for (k, g, N) = (%d, %d, %d)" % (k, g, nn)
             )
-    return ExtremalityReport(
-        ok=ok, k=k, g=g, n=nn, chi=chi, orientable=orientable, failures=tuple(failures)
-    )
+    return ExtremalityReport(ok, k, g, nn, chi, orientable, tuple(failures))
 
 
 def is_graftable(c: PolygonComplex) -> bool:

@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import itertools
 import sys
-from dataclasses import dataclass
 from math import gcd, lcm
 
 from . import complexes
+from ._record import Record
 from .complexes import PolygonComplex
 from .errors import CoverError, EnumerationCapError, InvariantError
 
@@ -35,8 +35,7 @@ from .errors import CoverError, EnumerationCapError, InvariantError
 MAX_VOLTAGE_RADIUS = 4
 
 
-@dataclass(frozen=True)
-class VoltageAssignment:
+class VoltageAssignment(Record):
     """Sheet-shift residues, one per edge label, for a degree-n cyclic cover."""
 
     modulus: int

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from ._record import Record
 from .errors import InfeasibleSpecError
 
 #: Cell sizes N for which the rotation subgroup of the (2, 3, N) triangle
@@ -30,8 +30,7 @@ def _check_domain(k: int, g: int) -> None:
         raise ValueError("need non-orientable genus g >= 3, got g=%r" % (g,))
 
 
-@dataclass(frozen=True)
-class ExtremalParams:
+class ExtremalParams(Record):
     """Radius bound data for a (k, g) packing spec.
 
     cell_size is the exact rational N = (6g+6k-12)/k; sides and index are
@@ -53,8 +52,7 @@ class Uniqueness(enum.Enum):
     POSSIBLY_MULTIPLE = "possibly-multiple"
 
 
-@dataclass(frozen=True)
-class GenusProgression:
+class GenusProgression(Record):
     """Congruence class g = residue (mod modulus) of genera admitting k discs."""
 
     k: int
@@ -62,8 +60,7 @@ class GenusProgression:
     residue: int
 
 
-@dataclass(frozen=True)
-class LineLN:
+class LineLN(Record):
     """The parameter line of a fixed cell size N: all (k, g) with kN = 6g+6k-12."""
 
     cell_size: int

@@ -22,9 +22,9 @@ import cmath
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 from . import complexes
+from ._record import Record
 from .complexes import PolygonComplex
 from .errors import InvariantError, NotExtremalError
 
@@ -246,8 +246,7 @@ def corner_angle(v: complex, u: complex, w: complex) -> float:
 # regular cells
 
 
-@dataclass(frozen=True)
-class NgonGeometry:
+class NgonGeometry(Record):
     """A regular hyperbolic N-gon with interior angle 2*pi/3, centered at
     the origin with one vertex on the positive real axis."""
 
@@ -317,8 +316,7 @@ def boroczky_equality_check(n: int) -> float:
 # disk layout
 
 
-@dataclass(frozen=True)
-class DiskLayout:
+class DiskLayout(Record):
     """A drawn fundamental region: an exact placement per polygon (of the
     centered cell) and an exact side pairing per edge label, elements of
     the (2,3,N) reflection group, with the drawn corners and centres.
@@ -392,8 +390,7 @@ def realize(c: PolygonComplex) -> DiskLayout:
     )
 
 
-@dataclass(frozen=True)
-class HolonomyReport:
+class HolonomyReport(Record):
     max_displacement: float
     max_angle_error: float
 

@@ -30,9 +30,9 @@ from __future__ import annotations
 import enum
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 
 from . import complexes
+from ._record import Record
 from .complexes import PolygonComplex, VertexCycle
 from .errors import IneligibleSiteError, InvariantError, NotExtremalError, RewriteSearchError
 
@@ -48,8 +48,7 @@ class GraftVariant(enum.Enum):
         return self in (GraftVariant.EG3, GraftVariant.EG4)
 
 
-@dataclass(frozen=True)
-class GraftSite:
+class GraftSite(Record):
     """A vertex cycle at which a variant may be applied.
 
     shared_edge is the label of an inter-polygon edge flanked by two of the
@@ -60,13 +59,17 @@ class GraftSite:
     cycle: VertexCycle
     shared_edge: int | None = None
 
+    def __init__(self, variant, cycle, shared_edge=None):
+        object.__setattr__(self, "variant", variant)
+        object.__setattr__(self, "cycle", cycle)
+        object.__setattr__(self, "shared_edge", shared_edge)
+
     @property
     def corners(self):
         return self.cycle.corners
 
 
-@dataclass(frozen=True)
-class Rewrite:
+class Rewrite(Record):
     """An explicit graft: sequences of new signed labels inserted at slots.
 
     insertions are (polygon, position, labels) triples; inserting at

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
 
 from . import complexes
+from ._record import Record
 from .complexes import PolygonComplex
 from .errors import InvariantError
 
@@ -43,8 +43,7 @@ def standardize(perms) -> Perms:
 # classification
 
 
-@dataclass(frozen=True)
-class SubgroupRecord:
+class SubgroupRecord(Record):
     """A finite-index subgroup of an extended triangle group, classified.
 
     perms are the actions of r0, r1, r2 on the cosets; the quotient surface
@@ -189,13 +188,7 @@ def classify(perms, p: int, q: int, r: int) -> SubgroupRecord:
         if num % den:
             raise ValueError("classification inconsistency: genus has fraction %d/%d" % (num % den, den))
         genus = (2 if proper else 1) + num // den
-    return SubgroupRecord(
-        perms=perms,
-        params=(p, q, r),
-        torsion_free=torsion_free,
-        proper=proper,
-        genus=genus,
-    )
+    return SubgroupRecord(perms, (p, q, r), torsion_free, proper, genus)
 
 
 # ---------------------------------------------------------------------------
