@@ -10,9 +10,10 @@ class Record:
     a field's default, and _uncompared names the fields left out of == and
     hash.  __post_init__ runs after the fields are set, looked up through
     the class.  A call with one positional argument per field skips the
-    binding of keywords and defaults; a class built in a hot loop without
-    such calls defines its own __init__, which sets its fields with
-    object.__setattr__ as this one does.
+    binding of keywords and defaults.  The fields are written to the
+    instance dict, whose reads are a little slower than CPython's inline
+    attribute storage: a class built in a hot loop and read often sets
+    them with object.__setattr__ in its own __init__.
     """
 
     _uncompared = ()
@@ -31,8 +32,7 @@ class Record:
                 raise TypeError("%s() takes %s; got %d positional and %s" % (
                     cls.__qualname__, ", ".join(fields), len(args), ", ".join(kwargs) or "no keywords"))
             args = [values[f] for f in fields]
-        for f, v in zip(fields, args):
-            object.__setattr__(self, f, v)
+        self.__dict__.update(zip(fields, args))
         self.__post_init__()
 
     def __post_init__(self):

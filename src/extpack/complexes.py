@@ -170,6 +170,10 @@ class VertexCycle(Record):
     crossings: tuple[tuple[int, int], ...] = ()
     _uncompared = ("crossings",)
 
+    def __init__(self, corners, crossings=()):
+        object.__setattr__(self, "corners", corners)
+        object.__setattr__(self, "crossings", crossings)
+
     def __len__(self):
         return len(self.corners)
 

@@ -133,9 +133,11 @@ def test_criterion_07_dual_extremality():
     def mu(p, q, r):
         return 1 - Fraction(1, p) - Fraction(1, q) - Fraction(1, r)
 
-    # index chains: a surface k2-extremal for k2 = 2g-4 (resp. 6g-12) sits at
-    # index 2*k2*9 (resp. 2*k2*7) in the (2,3,.) group, which the area ratio
-    # converts to (g-2)*9 in (3,3,9), resp. (3g-6)*7/2 in (3,3,7)
+    # area ratios: a surface k2-extremal for k2 = 2g-4 (resp. 6g-12) sits at
+    # index 2*k2*9 (resp. 2*k2*7) in the (2,3,.) group; a (3,3,.) triangle
+    # has 4 (resp. 8) times the area of a (2,3,.) one, so the same area is
+    # index (g-2)*9 in (3,3,9), resp. (3g-6)*7/2 in (3,3,7). Only the areas
+    # agree: ext(3,3,7) does not lie in ext(2,3,7)
     assert mu(3, 3, 9) / mu(2, 3, 9) == 4
     assert mu(3, 3, 7) / mu(2, 3, 7) == 8
     g = 4

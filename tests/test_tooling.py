@@ -56,6 +56,25 @@ def test_library_imports_only_the_standard_library():
     assert re.findall(r"(?m)^dependencies\s*=.*$", pyproject) == ["dependencies = []"]
 
 
+def test_library_does_not_import_dataclasses():
+    """Records derive from extpack._record.Record: importing dataclasses
+    also loads inspect, ast, dis and tokenize, which no command needs."""
+    sources = sorted((ROOT / "src" / "extpack").glob("*.py"))
+    assert len(sources) >= 10
+    found = []
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += ["%s:%d" % (path.name, node.lineno) for name in names if name == "dataclasses"]
+    assert not found, "dataclasses imported in the library: %s" % ", ".join(found)
+
+
 def test_library_has_no_assert_statements():
     """The library states its checks as explicit raises: ``python -O``
     strips every ``assert`` statement, and a check that can vanish is no
@@ -166,6 +185,27 @@ def test_a_cold_render_loads_neither_decimal_nor_fractions(tmp_path):
     code, modules = _loaded(
         tmp_path, LOADED.replace("m.startswith('extpack')", "m in ('decimal', 'fractions')"),
         json.dumps(["render", "X7"]),
+    )
+    assert (code, modules) == (0, [])
+
+
+#: a cold run of each kind of command; every one of them creates records
+RECORD_COMMANDS = (
+    ["bound", "--k", "1", "--g", "3"],
+    ["enumerate", "--p", "2", "--q", "3", "--r", "7", "--index", "28"],
+    ["verify", "X7"],
+    ["build", "--N", "13"],
+    ["realize", "--k", "6", "--g", "3"],
+    ["render", "X7"],
+    ["to-group", "X9"],
+)
+
+
+@pytest.mark.parametrize("argv", RECORD_COMMANDS, ids=[argv[0] for argv in RECORD_COMMANDS])
+def test_a_cold_command_loads_neither_dataclasses_nor_inspect(tmp_path, argv):
+    code, modules = _loaded(
+        tmp_path, LOADED.replace("m.startswith('extpack')", "m in ('dataclasses', 'inspect')"),
+        json.dumps(argv),
     )
     assert (code, modules) == (0, [])
 
