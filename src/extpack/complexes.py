@@ -239,18 +239,20 @@ def two_color(perms) -> tuple[bool, bool]:
     return len(queue) == len(color), bipartite
 
 
-def bfs_code(perms, start: int, bound: tuple[int, ...] | None = None) -> tuple[int, ...] | None:
+def bfs_code(perms, start: int) -> tuple[int, ...]:
     """The action renumbered by a BFS from start, read point by point.
 
     Points are numbered in the order the BFS first reaches them, scanning
     the permutations in order; entry k*i + j of the code (k = len(perms))
     is the number of perms[j] applied to point number i.  Two pointed
     transitive actions are isomorphic exactly when their codes are equal.
-    With a bound, returns None as soon as a prefix of the code reads
-    greater than the bound's (Weinberg's 1966 code for maps, with the
-    early abort of a least-code search).
     """
-    order = [-1] * len(perms[0])
+    return tuple(_read(perms, start, [-1] * len(perms[0]))[0])
+
+
+def _read(perms, start: int, order: list[int]) -> tuple[list[int], list[int]]:
+    """bfs_code's code, as a list, and the points in BFS order; order is -1
+    at every point on entry, and numbers the points reached on return."""
     order[start] = 0
     seq = [start]
     code = []
@@ -261,12 +263,8 @@ def bfs_code(perms, start: int, bound: tuple[int, ...] | None = None) -> tuple[i
             if o < 0:
                 o = order[y] = len(seq)
                 seq.append(y)
-            if bound is not None and o != bound[len(code)]:
-                if o > bound[len(code)]:
-                    return None
-                bound = None
             code.append(o)
-    return tuple(code)
+    return code, seq
 
 
 def least_code(perms) -> tuple[int, ...]:
@@ -275,28 +273,79 @@ def least_code(perms) -> tuple[int, ...]:
     It is the isomorphism key: equal for two actions exactly when they are
     isomorphic, so for two complexes' flag actions exactly when one is the
     other relabeled, with polygons rotated, reordered or mirrored, and for
-    two coset tables exactly when the subgroups are conjugate.
+    two coset tables exactly when the subgroups are conjugate.  A start is
+    read only while it ties the best code (Weinberg's 1966 code for maps,
+    with the early abort of a least-code search).  Two starts that tie in
+    full give an automorphism, and a start that the automorphisms found
+    take to a start read before is skipped (McKay 1981).  An intransitive
+    action raises ValueError.
     """
-    best = bfs_code(perms, 0)
-    for start in range(1, len(perms[0])):
-        code = bfs_code(perms, start, best)
-        if code is not None:
-            best = code
-    return best
+    return _least(perms)[0]
 
 
 def automorphisms(c: PolygonComplex) -> list[int]:
     """The automorphism group of c, as the images of flag 0.
 
     An automorphism of the flag action commutes with t0, t1 and t2, so it
-    is fixed by where it sends flag 0, and flag f is such an image exactly
-    when the BFS code from f equals the code from flag 0.  The list starts
-    with flag 0 (the identity) and is increasing; the group acts freely on
-    the flags, so its order, the length of the list, divides their number.
+    is fixed by where it sends flag 0.  The group acts freely on the flags,
+    so the ties of least_code's pass generate it, and its order, the length
+    of the list, divides their number.  The list starts with flag 0 (the
+    identity) and is increasing.
     """
-    perms = flag_action(c)
-    ref = bfs_code(perms, 0)
-    return [f for f in range(len(perms[0])) if bfs_code(perms, f, ref) == ref]
+    return _least(flag_action(c))[1]
+
+
+def _least(perms) -> tuple[tuple[int, ...], list[int]]:
+    """least_code's pass on one order buffer: the least code, and point 0's
+    orbit under the automorphisms that its ties give."""
+    n = len(perms[0])
+    order = [-1] * n
+    best, best_seq = _read(perms, 0, order)
+    if len(best_seq) < n:
+        raise ValueError("least_code: intransitive action, point 0 reaches %d of %d points" % (len(best_seq), n))
+    for y in best_seq:
+        order[y] = -1
+    parent = None  # from the first full tie: a union-find of the points, rooted at least points
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for start in range(1, n):
+        # a class rooted below start holds a start already read, with the same code
+        if parent is not None and find(start) < start:
+            continue
+        order[start] = 0
+        seq = [start]
+        i = 0
+        for x in seq:
+            for perm in perms:
+                y = perm[x]
+                o = order[y]
+                if o < 0:
+                    o = order[y] = len(seq)
+                    seq.append(y)
+                if o != best[i]:
+                    break
+                i += 1
+            else:
+                continue
+            break
+        for y in seq:
+            order[y] = -1
+        if i == len(best):
+            # best_seq[j] -> seq[j] is an automorphism: join its cycles
+            parent = parent or list(range(n))
+            for a, b in zip(best_seq, seq):
+                a, b = find(a), find(b)
+                if a != b:
+                    parent[max(a, b)] = min(a, b)
+        elif o < best[i]:
+            best, best_seq = _read(perms, start, order)
+            for y in best_seq:
+                order[y] = -1
+    return tuple(best), [0] if parent is None else [f for f in range(n) if find(f) == 0]
 
 
 def flag_action(c: PolygonComplex) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:

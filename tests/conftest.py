@@ -5,7 +5,7 @@ import pytest
 
 from extpack import catalog
 from extpack.geometry import corner_angle
-from extpack.complexes import PolygonComplex
+from extpack.complexes import PolygonComplex, flag_action
 from extpack.errors import InvalidComplexError
 
 
@@ -38,6 +38,48 @@ def random_complexes(count, seed=20240817, max_polygons=3, max_edges=7):
         except InvalidComplexError:
             continue  # disconnected draw; try again
     return out
+
+
+def reference_bfs_code(perms, start, bound=None):
+    """bfs_code with the early abort least_code had before its orbit
+    pruning: None as soon as a prefix of the code reads greater than the
+    bound's."""
+    order = [-1] * len(perms[0])
+    order[start] = 0
+    seq = [start]
+    code = []
+    for x in seq:
+        for perm in perms:
+            y = perm[x]
+            o = order[y]
+            if o < 0:
+                o = order[y] = len(seq)
+                seq.append(y)
+            if bound is not None and o != bound[len(code)]:
+                if o > bound[len(code)]:
+                    return None
+                bound = None
+            code.append(o)
+    return tuple(code)
+
+
+def reference_least_code(perms):
+    """The least BFS code, every start read up to its first greater entry
+    (the reference for least_code)."""
+    best = reference_bfs_code(perms, 0)
+    for start in range(1, len(perms[0])):
+        code = reference_bfs_code(perms, start, best)
+        if code is not None:
+            best = code
+    return best
+
+
+def reference_automorphisms(c):
+    """The flags whose BFS code equals flag 0's, each read on its own (the
+    reference for automorphisms)."""
+    perms = flag_action(c)
+    ref = reference_bfs_code(perms, 0)
+    return [f for f in range(len(perms[0])) if reference_bfs_code(perms, f, ref) == ref]
 
 
 def disk_distance(z: complex, w: complex) -> float:

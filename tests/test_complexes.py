@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import random_complexes
+from conftest import random_complexes, reference_automorphisms, reference_bfs_code, reference_least_code
 from extpack import catalog, covers, grafting
 from extpack import complexes as cx
 from extpack import trigroup as tg
@@ -390,6 +390,87 @@ def test_automorphisms_against_the_extension_reference():
 def test_deck_group_divides_the_automorphism_group(seeds, n):
     cover = covers.find_nonorientable_cyclic_cover(seeds[9], n)
     assert len(cx.automorphisms(cover)) % n == 0
+
+
+def assert_like_the_references(c):
+    perms = cx.flag_action(c)
+    assert cx.least_code(perms) == reference_least_code(perms), c
+    assert cx.automorphisms(c) == reference_automorphisms(c), c
+
+
+def test_least_code_and_automorphisms_match_the_references_on_random_complexes():
+    sample = random_complexes(400, seed=31) + random_complexes(200, seed=37, max_polygons=5, max_edges=12)
+    for c in sample:
+        assert_like_the_references(c)
+
+
+def test_least_code_and_automorphisms_match_the_references_on_double_covers():
+    sample = [e.complex for e in catalog.load_all().values()] + random_complexes(100, seed=41)
+    for c in sample:
+        assert_like_the_references(c)
+        if not cx.is_orientable(c):
+            assert_like_the_references(covers.orientation_double_cover(c))
+
+
+@pytest.mark.parametrize("build, arg", [
+    pytest.param(build, arg, id="%s-%s" % (build, arg))
+    for build, args in (
+        ("realize", [(24, 10), (9, 20), (10, 22), (12, 36), (12, 40), (12, 48)]),
+        ("primitive", [37, 41, 43]),
+    )
+    for arg in args
+])
+def test_least_code_and_automorphisms_match_the_references_on_the_construct_menu(build, arg):
+    assert_like_the_references(realize_spec(*arg) if build == "realize" else grafting.build_primitive(arg))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_least_code_and_automorphisms_match_the_references_on_cyclic_covers(seeds, n):
+    assert_like_the_references(covers.find_nonorientable_cyclic_cover(seeds[9], n))
+
+
+@pytest.mark.parametrize("pqr, index", [((2, 3, 7), 28), ((2, 3, 12), 24)])
+def test_least_code_matches_the_reference_on_coset_tables(pqr, index):
+    recs = tg.low_index_subgroups(*pqr, index)
+    assert recs
+    for rec in recs:
+        assert cx.least_code(rec.perms) == reference_least_code(rec.perms), rec
+
+
+def test_least_code_with_no_automorphism():
+    c = PolygonComplex(((3, -3, 2, 1, -2, 1),))
+    assert reference_automorphisms(c) == [0]
+    assert_like_the_references(c)
+
+
+def test_least_code_with_two_automorphisms_and_a_late_tie():
+    # the least code is read from flags 1 and 11 only: the one tie comes
+    # at the last start
+    c = PolygonComplex(((2,), (-1, 2, 3, 1), (-3,)))
+    perms = cx.flag_action(c)
+    least = reference_least_code(perms)
+    assert [f for f in range(12) if reference_bfs_code(perms, f) == least] == [1, 11]
+    assert reference_automorphisms(c) == [0, 10]
+    assert_like_the_references(c)
+
+
+def test_least_code_when_the_best_changes_after_a_tie():
+    # flag 1 ties flag 0 in full, which joins the first orbit; then flag 2
+    # reads lower and becomes the best
+    c = PolygonComplex(((2, 2, 1, 1),))
+    perms = cx.flag_action(c)
+    codes = [reference_bfs_code(perms, f) for f in range(3)]
+    assert codes[0] == codes[1] > codes[2]
+    assert len(reference_automorphisms(c)) == 4
+    assert_like_the_references(c)
+
+
+def test_least_code_rejects_an_intransitive_action():
+    # two components, {0, 1} and {2, 3, 4, 5}: the pass must not key the first alone
+    t0 = t2 = (1, 0, 3, 2, 5, 4)
+    t1 = (0, 1, 4, 5, 2, 3)
+    with pytest.raises(ValueError, match="intransitive action, point 0 reaches 2 of 6 points"):
+        cx.least_code((t0, t1, t2))
 
 
 def test_verify_extremal_failures():

@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import random
 import re
@@ -265,6 +266,19 @@ def test_realize_spec_genus_arithmetic():
         gN = primitive_pair(rep.n)[1]
         assert g == 2 + j * (gN - 2)
 
+
+
+def test_realize_output_is_pinned():
+    # sha256 of serialize(realize_spec(k, g)) over test_realize_grid's pairs,
+    # every feasible pair with g <= 20 and then the big covers, joined in order
+    from extpack.feasibility import is_feasible
+
+    pairs = [(k, g) for g in range(3, 21) for k in range(1, 6 * (g - 2) + 1) if is_feasible(k, g)]
+    pairs += [(12, 36), (12, 40), (12, 48), (60, 32), (300, 52)]
+    text = "".join(cx.serialize(covers.realize_spec(k, g)) for k, g in pairs)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "23a09a5b81816e77df3bd9fbd3ba841d5564c501c1222072de1a0b4acf49d191"
+    )
 
 def reference_integer_kernel(rows, ncols):
     """The nullspace basis by exact rational Gauss-Jordan elimination."""
