@@ -386,16 +386,17 @@ def test_automorphisms_against_the_extension_reference():
         assert auts == [f for f in range(len(perms[0])) if extends_to_automorphism(perms, f)], c
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_deck_group_divides_the_automorphism_group(seeds, n):
-    cover = covers.find_nonorientable_cyclic_cover(seeds[9], n)
-    assert len(cx.automorphisms(cover)) % n == 0
-
-
 def assert_like_the_references(c):
     perms = cx.flag_action(c)
     assert cx.least_code(perms) == reference_least_code(perms), c
     assert cx.automorphisms(c) == reference_automorphisms(c), c
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_deck_group_divides_the_automorphism_group(seeds, n):
+    cover = covers.find_nonorientable_cyclic_cover(seeds[9], n)
+    assert len(cx.automorphisms(cover)) % n == 0
+    assert_like_the_references(cover)
 
 
 def test_least_code_and_automorphisms_match_the_references_on_random_complexes():
@@ -422,11 +423,6 @@ def test_least_code_and_automorphisms_match_the_references_on_double_covers():
 ])
 def test_least_code_and_automorphisms_match_the_references_on_the_construct_menu(build, arg):
     assert_like_the_references(realize_spec(*arg) if build == "realize" else grafting.build_primitive(arg))
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_least_code_and_automorphisms_match_the_references_on_cyclic_covers(seeds, n):
-    assert_like_the_references(covers.find_nonorientable_cyclic_cover(seeds[9], n))
 
 
 @pytest.mark.parametrize("pqr, index", [((2, 3, 7), 28), ((2, 3, 12), 24)])
