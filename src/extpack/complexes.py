@@ -300,11 +300,7 @@ def _least(perms) -> tuple[tuple[int, ...], list[int]]:
     orbit under the automorphisms that its ties give."""
     n = len(perms[0])
     order = [-1] * n
-    best, best_seq = _read(perms, 0, order)
-    if len(best_seq) < n:
-        raise ValueError("least_code: intransitive action, point 0 reaches %d of %d points" % (len(best_seq), n))
-    for y in best_seq:
-        order[y] = -1
+    best = [n] * (len(perms) * n)  # above every code, so start 0 reads lower
     parent = None  # from the first full tie: a union-find of the points, rooted at least points
 
     def find(x):
@@ -312,7 +308,7 @@ def _least(perms) -> tuple[tuple[int, ...], list[int]]:
             parent[x] = x = parent[parent[x]]
         return x
 
-    for start in range(1, n):
+    for start in range(n):
         # a class rooted below start holds a start already read, with the same code
         if parent is not None and find(start) < start:
             continue
@@ -343,6 +339,8 @@ def _least(perms) -> tuple[tuple[int, ...], list[int]]:
                     parent[max(a, b)] = min(a, b)
         elif o < best[i]:
             best, best_seq = _read(perms, start, order)
+            if len(best_seq) < n:
+                raise ValueError("least_code: intransitive action, point 0 reaches %d of %d points" % (len(best_seq), n))
             for y in best_seq:
                 order[y] = -1
     return tuple(best), [0] if parent is None else [f for f in range(n) if find(f) == 0]
