@@ -267,7 +267,6 @@ def test_realize_spec_genus_arithmetic():
         assert g == 2 + j * (gN - 2)
 
 
-
 def test_realize_output_is_pinned():
     # sha256 of serialize(realize_spec(k, g)) over test_realize_grid's pairs,
     # every feasible pair with g <= 20 and then the big covers, joined in order
@@ -279,6 +278,7 @@ def test_realize_output_is_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "23a09a5b81816e77df3bd9fbd3ba841d5564c501c1222072de1a0b4acf49d191"
     )
+
 
 def reference_integer_kernel(rows, ncols):
     """The nullspace basis by exact rational Gauss-Jordan elimination."""
