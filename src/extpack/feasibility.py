@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import math
-from fractions import Fraction
 from math import gcd
 
 from ._record import Record
@@ -83,6 +82,10 @@ def packing_radius_bound(k: int, g: int) -> ExtremalParams:
         raise ValueError(
             "the radius bound for k=%d, g=%d is out of double-precision range" % (k, g)
         ) from None
+    # imported here, its one use: fractions also loads decimal and numbers,
+    # which no other command needs
+    from fractions import Fraction
+
     cell = Fraction(denom, k)
     integral = cell.denominator == 1
     return ExtremalParams(

@@ -181,12 +181,20 @@ def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv, unused):
 
 
 def test_a_cold_render_loads_neither_decimal_nor_fractions(tmp_path):
-    # the exact geometry is integer arithmetic on tuples
-    code, modules = _loaded(
-        tmp_path, LOADED.replace("m.startswith('extpack')", "m in ('decimal', 'fractions')"),
-        json.dumps(["render", "X7"]),
-    )
-    assert (code, modules) == (0, [])
+    # the exact geometry is integer arithmetic on tuples, and feasibility
+    # imports fractions inside the radius bound, which only bound reads
+    for argv, loaded in (
+        (["render", "X7"], []),
+        (["realize", "--k", "24", "--g", "10"], []),
+        (["build", "--N", "41"], []),
+        (["verify", "X7"], []),
+        (["bound", "--k", "1", "--g", "3"], ["decimal", "fractions"]),
+    ):
+        code, modules = _loaded(
+            tmp_path, LOADED.replace("m.startswith('extpack')", "m in ('decimal', 'fractions')"),
+            json.dumps(argv),
+        )
+        assert (code, modules) == (0, loaded), argv
 
 
 #: a cold run of each kind of command; every one of them creates records
