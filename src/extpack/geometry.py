@@ -22,6 +22,7 @@ import cmath
 import functools
 import itertools
 import math
+from collections.abc import Mapping
 
 from . import complexes
 from ._record import Record
@@ -322,7 +323,9 @@ class DiskLayout(Record):
     the (2,3,N) reflection group, with the drawn corners and centres.
 
     Tree labels are the shared edges along which adjacent polygons were
-    drawn together; their pairing is the identity.
+    drawn together; their pairing is the identity.  The pairings are a
+    read-only mapping by label, in label order, and realize's mapping
+    computes each on first read: drawing reads none of them.
     """
 
     complex: PolygonComplex
@@ -330,8 +333,57 @@ class DiskLayout(Record):
     placements: tuple[Matrix, ...]
     vertices: tuple[tuple[complex, ...], ...]
     centres: tuple[complex, ...]
-    pairings: dict[int, Matrix]
+    pairings: Mapping[int, Matrix]
     tree_labels: frozenset[int]
+
+
+class _Pairings(Mapping):
+    """A layout's side pairings, each computed on first read and kept.
+
+    first maps each label to the flag on its first side, in label order,
+    and links maps each polygon but 0 to the flags (f, h) of the tree edge
+    that placed it, f in its parent; the placement inverses a pairing needs
+    are rebuilt along those links and kept too.
+    """
+
+    def __init__(self, group, t1, first, placements, links, tree):
+        self._group, self._t1_flags, self._first, self._links, self._tree = group, t1, first, links, tree
+        self._placements = placements
+        self._inverses = {0: group.identity}
+        self._done = {}
+
+    def __getitem__(self, lab):
+        if lab not in self._done:
+            self._done[lab] = self._pairing(lab)
+        return self._done[lab]
+
+    def __iter__(self):
+        return iter(self._first)
+
+    def __len__(self):
+        return len(self._first)
+
+    def _pairing(self, lab):
+        """g_p H_f t1 H_h^-1 g_q^-1, f on the label's first side and h =
+        t1(f); the identity on a tree label."""
+        group, f = self._group, self._first[lab]
+        if lab in self._tree:
+            return group.identity
+        h, m = self._t1_flags[f], 2 * group.n
+        return group.product([self._placements[f // m], _crossing(group.n, f % m, h % m), self._inverse(h // m)])
+
+    def _inverse(self, q):
+        """g_q^-1 = H_h t1 H_f^-1 g_p^-1, p the parent of q along its link
+        (f, h), from the nearest ancestor whose inverse is kept."""
+        group, m, path = self._group, 2 * self._group.n, []
+        while q not in self._inverses:
+            path.append(q)
+            q = self._links[q][0] // m
+        for p in reversed(path):
+            f, h = self._links[p]
+            self._inverses[p] = group.mul(_crossing(group.n, h % m, f % m), self._inverses[q])
+            q = p
+        return self._inverses[q]
 
 
 def realize(c: PolygonComplex) -> DiskLayout:
@@ -344,7 +396,7 @@ def realize(c: PolygonComplex) -> DiskLayout:
     of polygon q places q at g_q = g_p H_f t1 H_h^-1, H_x being the chamber
     of flag x in the centered cell.  A label's pairing g_p H_f t1 H_h^-1
     g_q^-1, f on its first side, carries the drawn second side onto the
-    first.
+    first; the layout computes it on first read (_Pairings).
     """
     rep = complexes.verify_extremal(c)
     if not rep.ok:
@@ -354,10 +406,10 @@ def realize(c: PolygonComplex) -> DiskLayout:
     group = _group(n)
     t1 = complexes.flag_action(c)[1]
     sides = complexes.flag_sides(c)
-    # each label's first side, by its leaving flag (flag 2j lies on side j)
-    first = {sides[f][0]: f for f in range(0, len(sides), 2) if sides[f][1] == 1}
+    # each label's first side, by its leaving flag (flag 2j lies on side j), in label order
+    first = dict(sorted((sides[f][0], f) for f in range(0, len(sides), 2) if sides[f][1] == 1))
     placements: list[Matrix | None] = [group.identity] + [None] * (c.num_polygons - 1)
-    inverses = placements[:]
+    links: list[tuple[int, int] | None] = placements[:]
     tree: set[int] = set()
     queue = [0]
     for x in queue:
@@ -370,14 +422,9 @@ def realize(c: PolygonComplex) -> DiskLayout:
                 continue
             # the polygon of f is placed and that of h is not
             placements[h // m] = group.mul(placements[f // m], _crossing(n, f % m, h % m))
-            inverses[h // m] = group.mul(_crossing(n, h % m, f % m), inverses[f // m])
+            links[h // m] = (f, h)
             queue.append(h // m)
             tree.add(lab)
-    pairings = {
-        lab: group.identity if lab in tree else group.product(
-            [placements[f // m], _crossing(n, f % m, t1[f] % m), inverses[t1[f] // m]])
-        for lab, f in sorted(first.items())
-    }
     drawn = group.draw(placements)
     return DiskLayout(
         complex=c,
@@ -385,7 +432,7 @@ def realize(c: PolygonComplex) -> DiskLayout:
         placements=tuple(placements),
         vertices=tuple(tuple(points[:n]) for points in drawn),
         centres=tuple(points[n] for points in drawn),
-        pairings=pairings,
+        pairings=_Pairings(group, t1, first, placements, links, tree),
         tree_labels=frozenset(tree),
     )
 

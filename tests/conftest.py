@@ -4,8 +4,9 @@ import random
 import pytest
 
 from extpack import catalog
+from extpack import geometry
 from extpack.geometry import corner_angle
-from extpack.complexes import PolygonComplex, flag_action
+from extpack.complexes import PolygonComplex, flag_action, flag_sides
 from extpack.errors import InvalidComplexError
 
 
@@ -80,6 +81,39 @@ def reference_automorphisms(c):
     perms = flag_action(c)
     ref = reference_bfs_code(perms, 0)
     return [f for f in range(len(perms[0])) if reference_bfs_code(perms, f, ref) == ref]
+
+
+def reference_pairings(c):
+    """Every side pairing of realize's layout of c, by label in label order,
+    computed eagerly along the same spanning tree, as realize did before
+    its layouts computed each pairing on first read (the reference for
+    DiskLayout.pairings)."""
+    n = len(c.polygons[0])
+    m = 2 * n
+    group = geometry._group(n)
+    t1 = flag_action(c)[1]
+    sides = flag_sides(c)
+    first = {sides[f][0]: f for f in range(0, len(sides), 2) if sides[f][1] == 1}
+    placements = [group.identity] + [None] * (c.num_polygons - 1)
+    inverses = placements[:]
+    tree = set()
+    queue = [0]
+    for x in queue:
+        for lab in sorted({sides[f][0] for f in range(x * m, x * m + m, 2) if t1[f] // m != x}):
+            f, h = first[lab], t1[first[lab]]
+            if placements[f // m] is None:
+                f, h = h, f
+            elif placements[h // m] is not None:
+                continue
+            placements[h // m] = group.mul(placements[f // m], geometry._crossing(n, f % m, h % m))
+            inverses[h // m] = group.mul(geometry._crossing(n, h % m, f % m), inverses[f // m])
+            queue.append(h // m)
+            tree.add(lab)
+    return {
+        lab: group.identity if lab in tree else group.product(
+            [placements[f // m], geometry._crossing(n, f % m, t1[f] % m), inverses[t1[f] // m]])
+        for lab, f in sorted(first.items())
+    }
 
 
 def disk_distance(z: complex, w: complex) -> float:

@@ -5,10 +5,12 @@ import re
 import mpmath
 import pytest
 
-from conftest import disk_distance, polygon_area
+from conftest import disk_distance, polygon_area, reference_pairings
+from extpack import catalog
 from extpack import complexes as cx
 from extpack import geometry as geom
 from extpack.covers import realize_spec
+from extpack.grafting import build_primitive
 from extpack.errors import InvariantError
 from extpack.feasibility import is_feasible, packing_radius_bound
 
@@ -158,6 +160,50 @@ def test_realize_grid(path, k, g):
     rep = geom.holonomy_check(geom.realize(c))
     assert rep.max_displacement < 1e-9
     assert rep.max_angle_error < 1e-10
+
+
+#: the construct benchmark's menu: realize, verify and render of three big
+#: covers over a small cell, builds by grafting, and covers found by the
+#: voltage search
+CONSTRUCT_SPECS = ((24, 10), (9, 20), (10, 22), 37, 41, 43, (12, 36), (12, 40), (12, 48))
+
+
+@pytest.mark.parametrize("spec", list(catalog.EXPECTED) + list(CONSTRUCT_SPECS + BIG_COVERS[3:]), ids=str)
+def test_pairings_are_the_eager_pairings(spec):
+    # each pairing, computed on first read, is the matrix the eager loop
+    # gives, and the labels come in the same order
+    if isinstance(spec, str):
+        c = catalog.load_entry(spec).complex
+    else:
+        c = build_primitive(spec) if isinstance(spec, int) else realize_spec(*spec)
+    lay = geom.realize(c)
+    want = reference_pairings(c)
+    assert list(lay.pairings) == list(want) and len(lay.pairings) == len(want)
+    assert dict(lay.pairings) == want
+    assert lay.pairings == want and lay == geom.realize(c)
+    with pytest.raises(TypeError):
+        lay.pairings[next(iter(want))] = None
+    with pytest.raises(KeyError):
+        lay.pairings[max(want) + 1]
+
+
+@pytest.mark.parametrize("spec", ["X7", (24, 10)], ids=str)
+def test_drawing_reads_no_pairing(monkeypatch, spec):
+    # realize and render_svg draw from the placements alone; the holonomy
+    # check then reads every pairing of the same layout
+    c = catalog.load_entry(spec).complex if isinstance(spec, str) else realize_spec(*spec)
+
+    def unread(self, lab):
+        raise AssertionError("pairing %d read while drawing" % lab)
+
+    monkeypatch.setattr(geom._Pairings, "_pairing", unread)
+    lay = geom.realize(c)
+    svg = geom.render_svg(lay)
+    monkeypatch.undo()
+    assert svg == geom.render_svg(geom.realize(c))
+    rep = geom.holonomy_check(lay)
+    assert rep.max_displacement < 1e-9 and rep.max_angle_error < 1e-10
+    assert dict(lay.pairings) == reference_pairings(c)
 
 
 def test_holonomy_detects_perturbation(seeds):
