@@ -99,22 +99,34 @@ def eligible_sites(c: PolygonComplex, variant: GraftVariant) -> list[GraftSite]:
 
     The complex must be graftable: connected, non-orientable and trivalent
     throughout (polygon sizes are allowed to differ between the two halves
-    of a paired graft step).  The cycles the sites are read from decide it.
+    of a paired graft step).  The sites are those _iter_sites yields.
     """
-    cycles = complexes.vertex_cycles_with_crossings(c)
-    if complexes.is_orientable(c) or any(len(cycle) != 3 for cycle in cycles):
+    return list(_iter_sites(c, variant))
+
+
+def _iter_sites(c: PolygonComplex, variant: GraftVariant):
+    """Yield eligible_sites one at a time, so a caller that stops at the
+    first site that grafts builds no VertexCycle or GraftSite past it.
+
+    Graftability is checked first, by one capped walk; the cycles are then
+    walked lazily, and a cycle's VertexCycle is built only when it is a
+    site of the variant the caller reaches.
+    """
+    if not complexes.is_graftable(c):
         raise NotExtremalError(_NOT_GRAFTABLE)
-    if not variant.needs_shared_edge:
-        return [GraftSite(variant=variant, cycle=cycle) for cycle in cycles]
-    sites = []
-    for cycle in cycles:
+    corners = complexes._corners(c)
+    sides = complexes.flag_sides(c)
+    for flags in complexes._walk(c):
+        # the walk leaves each corner along the side of its other flag, and
         # crossing t joins the polygons of corners t and t + 1
-        polys = [p for p, _ in cycle.corners]
-        shared = [lab for (lab, _), p, q in zip(cycle.crossings, polys, polys[1:] + polys[:1])
-                  if p != q]
-        if shared:
-            sites.append(GraftSite(variant=variant, cycle=cycle, shared_edge=shared[0]))
-    return sites
+        shared = None
+        if variant.needs_shared_edge:
+            shared = next((sides[f ^ 1][0] for f, e in zip(flags, flags[1:] + flags[:1])
+                           if corners[f >> 1][0] != corners[e >> 1][0]), None)
+            if shared is None:
+                continue
+        cycle = VertexCycle(tuple([corners[f >> 1] for f in flags]), tuple([sides[f ^ 1] for f in flags]))
+        yield GraftSite(variant, cycle, shared)
 
 
 #: the local wirings of EG1-EG4, shared by all four variants: one word of
@@ -293,14 +305,15 @@ def apply_graft(c: PolygonComplex, site: GraftSite) -> PolygonComplex:
     the site is not one of eligible_sites or no row of its twist fits the room
     there.
     """
-    if site not in eligible_sites(c, site.variant):
+    if site not in _iter_sites(c, site.variant):
         raise IneligibleSiteError("site %s is not eligible for %s" % (site.corners, site.variant))
     return _graft_at(c, site)[1]
 
 
-def _grafts(c: PolygonComplex, sites: list[GraftSite]):
+def _grafts(c: PolygonComplex, sites):
     """Every complex one graft makes from c under graft_room: site by site,
-    row by row.  The sites are c's eligible_sites of one variant."""
+    row by row.  The sites are c's eligible sites of one variant, read as
+    far as the caller reads the grafts."""
     room = graft_room(c)
     for site in sites:
         for _, out in _iter_rewrites(c, site, room):
@@ -319,14 +332,14 @@ def graft_first_site(c: PolygonComplex, variant: GraftVariant) -> PolygonComplex
     under the same room as apply_graft.
 
     Raises IneligibleSiteError when the complex has no site of the variant
-    or no row of any site's twist fits the room.
+    or no row of any site's twist fits the room.  The sites are counted for
+    that message only.
     """
-    sites = _sites(c, variant)
-    out = next(_grafts(c, sites), None)
+    out = next(_grafts(c, _iter_sites(c, variant)), None)
     if out is None:
         raise IneligibleSiteError(
             "no %s site of %d can take a graft: no wiring row fits the room %s of sizes %s"
-            % (variant.value, len(sites), graft_room(c), c.sizes)
+            % (variant.value, len(_sites(c, variant)), graft_room(c), c.sizes)
         )
     return out
 
@@ -357,16 +370,15 @@ def _graft_pair(
     rows of its twist.  Raises RewriteSearchError, naming the sites and
     the first halves tried, when no first half works.
     """
-    sites = eligible_sites(c, v1)
     tried = 0
-    for mid in _grafts(c, sites):
+    for mid in _grafts(c, _iter_sites(c, v1)):
         tried += 1
-        fin = next(_grafts(mid, eligible_sites(mid, v2)), None)
+        fin = next(_grafts(mid, _iter_sites(mid, v2)), None)
         if fin is not None and len(set(fin.sizes)) == 1:
             return mid, fin
     raise RewriteSearchError(
         "no workable %s/%s pair over %d sites: %d first halves tried"
-        % (v1.value, v2.value, len(sites), tried)
+        % (v1.value, v2.value, len(eligible_sites(c, v1)), tried)
     )
 
 

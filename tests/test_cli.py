@@ -185,11 +185,23 @@ def test_graft_without_a_site_of_the_variant_is_a_domain_error(capsys, site):
 
 @pytest.mark.parametrize("site, exit_code", [([], 0), (["--site", "0"], 2)])
 def test_graft_walks_the_vertex_cycles_once(monkeypatch, capsys, site, exit_code):
-    walk = cx.vertex_cycles_with_crossings
-    walked = []
-    monkeypatch.setattr(cx, "vertex_cycles_with_crossings", lambda c: walked.append(c) or walk(c))
+    # without --site the graft reads X8's EG1 sites only up to the first that
+    # grafts, building a VertexCycle per site read; with --site every cycle
+    # is built once, in order, to index the sites
+    c = catalog.load_entry("X8").complex
+    cycles = [cycle.corners for cycle in cx.vertex_cycles(c)]
+    sites = grafting.eligible_sites(c, grafting.GraftVariant.EG1)
+    read = next(i for i in range(len(sites)) if run(capsys, "graft", "X8", "--variant", "EG1",
+                                                  "--site", str(i))[0] == 0) + 1
+    built = []
+    init = cx.VertexCycle.__init__
+    monkeypatch.setattr(cx.VertexCycle, "__init__", lambda self, *args: built.append(args[0]) or init(self, *args))
     assert run(capsys, "graft", "X8", "--variant", "EG1", *site)[0] == exit_code
-    assert len(walked) == 1
+    if site:
+        assert built == cycles
+    else:
+        assert 0 < len(built) <= read < len(cycles)
+        assert built == cycles[:len(built)]
 
 
 def test_double_cover_command(tmp_path, capsys):

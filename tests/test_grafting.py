@@ -178,6 +178,20 @@ def test_build_primitive_rejects_small_n():
         gr.build_primitive(6)
 
 
+def test_build_primitive_reads_sites_one_at_a_time(monkeypatch):
+    # each graft builds the VertexCycles of the sites it reads up to the
+    # first that grafts: 544 for N = 41 from an empty chain, where building
+    # every site of every complex took 1,598
+    built = []
+    init = cx.VertexCycle.__init__
+    monkeypatch.setattr(cx.VertexCycle, "__init__", lambda self, *args: built.append(args[0]) or init(self, *args))
+    monkeypatch.setattr(gr, "_chains", {})
+    c = gr.build_primitive(41)
+    assert 0 < len(built) <= 800
+    monkeypatch.undo()
+    assert c == gr.build_primitive(41) and cx.verify_extremal(c).ok
+
+
 def test_discover_rewrite_is_deterministic(seeds):
     site = gr.eligible_sites(seeds[12], gr.GraftVariant.EG2)[0]
     rw1 = gr.discover_rewrite(seeds[12], site)
