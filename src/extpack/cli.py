@@ -48,25 +48,41 @@ def _read_complex(spec: str | None):
         raise
 
 
-def _write(text: str, out: str | None) -> None:
+def _write(text, out: str | None) -> None:
+    """Write text, a string or an iterable of strings, to the file out, or
+    to stdout when out is None or '-'."""
+    texts = [text] if isinstance(text, str) else text
     if out is None or out == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(texts)
     else:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(texts)
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
+    import itertools
     import json
 
-    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
+    # written in batches of 1024 encoder chunks: joining a large payload's
+    # chunks at once, as json.dumps does, holds all of them in memory
+    chunks = itertools.chain(json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload), "\n")
+    _write(iter(lambda: "".join(itertools.islice(chunks, 1024)), ""), out)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _parser(None)
+
+
+def _parser(only: str | None) -> argparse.ArgumentParser:
+    """build_parser's parser, with the subcommand only alone when only is
+    not None: a command run needs no other subcommand's parser."""
     top = _Parser(prog="extpack", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
+    unbuilt = argparse.Namespace(add_argument=lambda *args, **kwargs: None)
 
     def add(name, help_text):
+        if only not in (None, name):
+            return unbuilt
         p = sub.add_parser(name, help=help_text)
         p.add_argument("-o", "--output", default=None, help="output file (default stdout)")
         return p
@@ -420,7 +436,14 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args, extra = None, ()
+    if argv and argv[0] in _HANDLERS:
+        args, extra = _parser(argv[0]).parse_known_args(argv)
+    # no command, or arguments its parser leaves: the full parser gives the
+    # usage line, the message and the exit code
+    if args is None or extra:
+        args = build_parser().parse_args(argv)
     # exit codes by error family: the library's domain errors are ValueErrors
     # but for UnknownCatalogEntryError, a KeyError caught before KeyError;
     # EnumerationCapError, InvariantError and RewriteSearchError are

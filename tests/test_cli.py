@@ -204,6 +204,69 @@ def test_graft_walks_the_vertex_cycles_once(monkeypatch, capsys, site, exit_code
         assert built == cycles[:len(built)]
 
 
+#: per command: a valid argv, one missing a required option and one with a
+#: malformed int (None where the command has no such option)
+PARSE_TABLE = {
+    "bound": (["--k", "1", "--g", "3", "--json"], ["--k", "1"], ["--k", "1", "--g", "x"]),
+    "feasible": (["--k", "4", "--g", "3"], ["--g", "3"], ["--k", "4.0", "--g", "3"]),
+    "primitive": (["--N", "7", "--json"], ["--json"], ["--N", "7.5"]),
+    "line": (["--N", "7", "--jmax", "2"], ["--jmax", "2"], ["--N", "7", "--jmax", "two"]),
+    "dual": (["--g", "4", "-o", "-"], [], ["--g", "four"]),
+    "unique": (["--k", "2", "--g", "5"], ["--k", "2"], ["--k", "", "--g", "5"]),
+    "build": (["--N", "13", "-o", "x.cmplx"], ["-o", "x.cmplx"], ["--N", "1e3"]),
+    "realize": (["--k", "6", "--g", "3"], ["--k", "6"], ["--k", "6", "--g", "0x3"]),
+    "verify": (["X7", "--json"], None, None),
+    "graft": (["X8", "--variant", "EG1", "--site", "2"], ["X8", "--site", "2"],
+              ["X8", "--variant", "EG1", "--site", "x"]),
+    "double-cover": (["X9"], None, None),
+    "cyclic-cover": (["X12", "--n", "2", "--voltages", "1", "0"], ["X12"],
+                     ["X12", "--n", "2", "--voltages", "1", "z"]),
+    "enumerate": (["--p", "2", "--q", "3", "--r", "7", "--index", "28", "--torsion-free", "--max-count", "3"],
+                  ["--p", "2", "--q", "3", "--r", "7"], ["--p", "2", "--q", "3", "--r", "7", "--index", "2 8"]),
+    "to-group": (["X9", "-o", "-"], None, None),
+    "from-group": (["rec.json"], [], None),
+    "render": (["-", "--output", "x.svg"], None, None),
+    "catalog": (["--json"], None, None),
+}
+
+PARSE_CASES = [[], ["-h"], ["--help"], ["nope"], ["--json"], ["bound", "nope"]] + [
+    [command, *argv]
+    for command, (valid, missing, bad_int) in PARSE_TABLE.items()
+    for argv in (valid, ["-h"], missing, bad_int, valid + ["extra"], valid + ["--no-such-option"])
+    if argv is not None
+]
+
+
+def test_the_parse_table_covers_every_command():
+    assert list(PARSE_TABLE) == list(cli._HANDLERS)
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=[" ".join(argv) or "(none)" for argv in PARSE_CASES])
+def test_main_parses_like_the_full_parser(monkeypatch, capsys, argv):
+    # a command's own parser gives the namespace of build_parser, and every
+    # usage line, help text, message and exit code through it
+    def outcome(parse):
+        try:
+            got = parse(argv)
+        except SystemExit as stop:
+            got = stop.code
+        out = capsys.readouterr()
+        return got, out.out, out.err
+
+    want = outcome(lambda argv: vars(cli.build_parser().parse_args(argv)))
+    parsed, full = [], []
+    for command in cli._HANDLERS:
+        monkeypatch.setitem(cli._HANDLERS, command, lambda args: parsed.append(vars(args)) or 0)
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: full.append(1) or build())
+    got = outcome(lambda argv: cli.main(argv) == 0 and parsed.pop())
+    assert got == want
+    # the full parser is built only when no command is named or the
+    # command's parser leaves arguments over, which the full one reports
+    named = bool(argv) and argv[0] in PARSE_TABLE
+    assert bool(full) == (not named or "error: unrecognized arguments: " in want[2])
+
+
 def test_double_cover_command(tmp_path, capsys):
     code, out, _ = run(capsys, "double-cover", "X9")
     assert code == 0
