@@ -65,7 +65,8 @@ def _emit_json(payload: dict, out: str | None) -> None:
 
     # written in batches of 1024 encoder chunks: joining a large payload's
     # chunks at once, as json.dumps does, holds all of them in memory
-    chunks = itertools.chain(json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload), "\n")
+    encoder = json.JSONEncoder(indent=2, sort_keys=True)
+    chunks = itertools.chain(encoder.iterencode(payload), "\n")
     _write(iter(lambda: "".join(itertools.islice(chunks, 1024)), ""), out)
 
 

@@ -347,8 +347,8 @@ class _Pairings(Mapping):
     """
 
     def __init__(self, group, t1, first, placements, links, tree):
-        self._group, self._t1_flags, self._first, self._links, self._tree = group, t1, first, links, tree
-        self._placements = placements
+        self._group, self._t1_flags, self._first = group, t1, first
+        self._placements, self._links, self._tree = placements, links, tree
         self._inverses = {0: group.identity}
         self._done = {}
 
@@ -370,7 +370,8 @@ class _Pairings(Mapping):
         if lab in self._tree:
             return group.identity
         h, m = self._t1_flags[f], 2 * group.n
-        return group.product([self._placements[f // m], _crossing(group.n, f % m, h % m), self._inverse(h // m)])
+        crossing = _crossing(group.n, f % m, h % m)
+        return group.product([self._placements[f // m], crossing, self._inverse(h // m)])
 
     def _inverse(self, q):
         """g_q^-1 = H_h t1 H_f^-1 g_p^-1, p the parent of q along its link
@@ -406,10 +407,11 @@ def realize(c: PolygonComplex) -> DiskLayout:
     group = _group(n)
     t1 = complexes.flag_action(c)[1]
     sides = complexes.flag_sides(c)
-    # each label's first side, by its leaving flag (flag 2j lies on side j), in label order
+    # each label's first side, by its leaving flag (flag 2j lies on side j),
+    # in label order
     first = dict(sorted((sides[f][0], f) for f in range(0, len(sides), 2) if sides[f][1] == 1))
     placements: list[Matrix | None] = [group.identity] + [None] * (c.num_polygons - 1)
-    links: list[tuple[int, int] | None] = placements[:]
+    links: list[tuple[int, int] | None] = [None] * c.num_polygons
     tree: set[int] = set()
     queue = [0]
     for x in queue:

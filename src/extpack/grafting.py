@@ -125,7 +125,8 @@ def _iter_sites(c: PolygonComplex, variant: GraftVariant):
                            if corners[f >> 1][0] != corners[e >> 1][0]), None)
             if shared is None:
                 continue
-        cycle = VertexCycle(tuple([corners[f >> 1] for f in flags]), tuple([sides[f ^ 1] for f in flags]))
+        cycle = VertexCycle(tuple([corners[f >> 1] for f in flags]),
+                            tuple([sides[f ^ 1] for f in flags]))
         yield GraftSite(variant, cycle, shared)
 
 
