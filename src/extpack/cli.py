@@ -75,8 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parser(only: str | None) -> argparse.ArgumentParser:
-    """build_parser's parser, with the subcommand only alone when only is
-    not None: a command run needs no other subcommand's parser."""
+    """build_parser's parser, holding the subcommand only alone unless only
+    is None: a command's run needs no other subcommand's parser."""
     top = _Parser(prog="extpack", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
     unbuilt = argparse.Namespace(add_argument=lambda *args, **kwargs: None)
@@ -438,12 +438,10 @@ _HANDLERS = {
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args, extra = None, ()
-    if argv and argv[0] in _HANDLERS:
-        args, extra = _parser(argv[0]).parse_known_args(argv)
-    # no command, or arguments its parser leaves: the full parser gives the
-    # usage line, the message and the exit code
-    if args is None or extra:
+    # the named command's parser alone; what it leaves over, the full parser
+    # reports with its own usage line, message and exit code
+    args, extra = _parser(argv[0] if argv and argv[0] in _HANDLERS else None).parse_known_args(argv)
+    if extra:
         args = build_parser().parse_args(argv)
     # exit codes by error family: the library's domain errors are ValueErrors
     # but for UnknownCatalogEntryError, a KeyError caught before KeyError;

@@ -254,17 +254,18 @@ def test_main_parses_like_the_full_parser(monkeypatch, capsys, argv):
         return got, out.out, out.err
 
     want = outcome(lambda argv: vars(cli.build_parser().parse_args(argv)))
-    parsed, full = [], []
+    parsed, built = [], []
     for command in cli._HANDLERS:
         monkeypatch.setitem(cli._HANDLERS, command, lambda args: parsed.append(vars(args)) or 0)
-    build = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda: full.append(1) or build())
+    parser = cli._parser
+    monkeypatch.setattr(cli, "_parser", lambda only: built.append(only) or parser(only))
     got = outcome(lambda argv: cli.main(argv) == 0 and parsed.pop())
     assert got == want
-    # the full parser is built only when no command is named or the
-    # command's parser leaves arguments over, which the full one reports
+    # a named command's parser holds that command alone, and the full parser
+    # is built again only for arguments left over, which it reports
     named = bool(argv) and argv[0] in PARSE_TABLE
-    assert bool(full) == (not named or "error: unrecognized arguments: " in want[2])
+    assert built[0] == (argv[0] if named else None)
+    assert built[1:] == ([None] if "error: unrecognized arguments: " in want[2] else [])
 
 
 def test_double_cover_command(tmp_path, capsys):
