@@ -2,6 +2,8 @@ import hashlib
 import importlib
 import json
 import logging
+import os
+import sys
 
 import pytest
 
@@ -266,6 +268,423 @@ def test_main_parses_like_the_full_parser(monkeypatch, capsys, argv):
     named = bool(argv) and argv[0] in PARSE_TABLE
     assert built[0] == (argv[0] if named else None)
     assert built[1:] == ([None] if "error: unrecognized arguments: " in want[2] else [])
+
+
+HUGE = "1" + "0" * 320
+
+#: the pinned runs besides PARSE_CASES: a valid run of every command, with
+#: and without --json where it has it, and the error paths
+RUN_CASES = [
+    ["bound", "--k", "1", "--g", "3"],
+    ["bound", "--k", "4", "--g", "3"],
+    ["bound", "--k", "4", "--g", "3", "--json"],
+    ["bound", "--k", "1", "--g", HUGE],
+    ["feasible", "--k", "4", "--g", "4"],
+    ["feasible", "--k", "4", "--g", "4", "--json"],
+    ["feasible", "--k", "4", "--g", "3", "--json"],
+    ["primitive", "--N", "7"],
+    ["line", "--N", "7", "--json"],
+    ["dual", "--g", "4", "--json"],
+    ["dual", "--g", "3"],
+    ["unique", "--k", "2", "--g", "5", "--json"],
+    ["build", "--N", "13"],
+    ["realize", "--k", "6", "--g", "3", "-o", "out.cmplx"],
+    ["realize", "--k", "4", "--g", "3"],
+    ["verify", "X7"],
+    ["verify", "torus.cmplx"],
+    ["verify", "torus.cmplx", "--json"],
+    ["verify", "nope.cmplx"],
+    ["graft", "X8", "--variant", "EG1"],
+    ["graft", "X8", "--variant", "EG1", "--site", "99"],
+    ["graft", "X12", "--variant", "EG3"],
+    ["double-cover", "X9", "--output", "-"],
+    ["cyclic-cover", "X12", "--n", "2"],
+    ["cyclic-cover", "X12", "--n", "2", "--voltages", "1", "0", "1", "0", "1", "0"],
+    ["enumerate", "--p", "2", "--q", "3", "--r", "7", "--index", "28", "--max-count", "0"],
+    ["to-group", "X12", "-o", "x12-out.json"],
+    ["from-group", "x12.json"],
+    ["render", "X7"],
+    ["catalog"],
+]
+
+PIN_CASES = PARSE_CASES + RUN_CASES
+
+
+#: per PIN_CASES argv, joined by spaces: the exit code, the sha256 of what
+#: main wrote (_pinned_outcome) and the exact stderr
+CLI_PINS = {
+    "": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "usage: extpack [-h]\n"
+        "               {bound,feasible,primitive,line,dual,unique,build,realize,verify,graft,double-cover,cyclic-cover,enumerate,to-group,from-group,render,catalog}\n"
+        "               ...\n"
+        "extpack: error: the following arguments are required: command\n"),
+    "-h": (0, "41483ed7d73de89ef16cd3c022c8ef15679218559e038e3941de00558b55eeb8", ""),
+    "--help": (0, "41483ed7d73de89ef16cd3c022c8ef15679218559e038e3941de00558b55eeb8", ""),
+    "nope": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "usage: extpack [-h]\n"
+        "               {bound,feasible,primitive,line,dual,unique,build,realize,verify,graft,double-cover,cyclic-cover,enumerate,to-group,from-group,render,catalog}\n"
+        "               ...\n"
+        "extpack: error: argument command: invalid choice: 'nope' (choose from 'bound', 'feasible', 'primitive', 'line', 'dual', 'unique', 'build', 'realize', 'verify', 'graft', 'double-cover', 'cyclic-cover', 'enumerate', 'to-group', 'from-group', 'render', 'catalog')\n"),
+    "--json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "usage: extpack [-h]\n"
+        "               {bound,feasible,primitive,line,dual,unique,build,realize,verify,graft,double-cover,cyclic-cover,enumerate,to-group,from-group,render,catalog}\n"
+        "               ...\n"
+        "extpack: error: the following arguments are required: command\n"),
+    "bound nope": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "usage: extpack bound [-h] [-o OUTPUT] --k K --g G [--json]\n"
+        "extpack bound: error: the following arguments are required: --k, --g\n"),
+    "bound --k 1 --g 3 --json": (0, "2ddd389a2cc844bc93b8203bd61f375e2bf7017a945c25f0ddf1b52889125441", ""),
+    "bound -h": (0, "0ee50d5c06051cb57005661e72c66e58e4fcf3b4dd42d6940947c5a7446da938", ""),
+    "bound --k 1": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "usage: extpack bound [-h] [-o OUTPUT] --k K --g G [--json]\n"
+        "extpack bound: error: the following arguments are required: --g\n"),
+    "bound --k 1 --g x": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "usage: extpack bound [-h] [-o OUTPUT] --k K --g G [--json]\n"
+        "extpack bound: error: argument --g: invalid int value: 'x'\n"),
+    "bound --k 1 --g 3 --json extra": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "usage: extpack [-h]\n"
+        "               {bound,feasible,primitive,line,dual,unique,build,realize,verify,graft,double-cover,cyclic-cover,enumerate,to-group,from-group,render,catalog}\n"
+        "               ...\n"
+        "extpack: error: unrecognized arguments: extra\n"),
+    "bound --k 1 --g 3 --json --no-such-option": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "usage: extpack [-h]\n"
+        "               {bound,feasible,primitive,line,dual,unique,build,realize,verify,graft,double-cover,cyclic-cover,enumerate,to-group,from-group,render,catalog}\n"
+        "               ...\n"
+        "extpack: error: unrecognized arguments: --no-such-option\n"),
+    "feasible --k 4 --g 3": (2, "3fb3739791ea2f54c1404c9fe5254f2e3c560eece56f1501c9b4f1460c28b661", ""),
+    "feasible -h": (0, "061558989ab41eecd4a3fb433efd858f8334232caab97b859021a17d93829d32", ""),
+    "feasible --g 3": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "usage: extpack feasible [-h] [-o OUTPUT] --k K --g G [--json]\n"
+        "extpack feasible: error: the following arguments are required: --k\n"),
+    "feasible --k 4.0 --g 3": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "usage: extpack feasible [-h] [-o OUTPUT] --k K --g G [--json]\n"
+        "extpack feasible: error: argument --k: invalid int value: '4.0'\n"),
+    "feasible --k 4 --g 3 extra": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "usage: extpack [-h]\n"
+        "               {bound,feasible,primitive,line,dual,unique,build,realize,verify,graft,double-cover,cyclic-cover,enumerate,to-group,from-group,render,catalog}\n"
+        "               ...\n"
+        "extpack: error: unrecognized arguments: extra\n"),
+    "feasible --k 4 --g 3 --no-such-option": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "usage: extpack [-h]\n"
+        "               {bound,feasible,primitive,line,dual,unique,build,realize,verify,graft,double-cover,cyclic-cover,enumerate,to-group,from-group,render,catalog}\n"
+        "               ...\n"
+        "extpack: error: unrecognized arguments: --no-such-option\n"),
+    "primitive --N 7 --json": (0, "ee6aaec65ce184421c71b407d07fa135703bf328208238fdb03097247ed08f82", ""),
+    "primitive -h": (0, "b9daf3bdddd170e07c8aad7fe95137f491ae054d811c12f339e9eb5c1ce029f3", ""),
+    "primitive --json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "usage: extpack primitive [-h] [-o OUTPUT] --N N [--json]\n"
+        "extpack primitive: error: the following arguments are required: --N\n"),
+    "primitive --N 7.5": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "usage: extpack primitive [-h] [-o OUTPUT] --N N [--json]\n"
+        "extpack primitive: error: argument --N: invalid int value: '7.5'\n"),
+    "primitive --N 7 --json extra": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "usage: extpack [-h]\n"
+        "               {bound,feasible,primitive,line,dual,unique,build,realize,verify,graft,double-cover,cyclic-cover,enumerate,to-group,from-group,render,catalog}\n"
+        "               ...\n"
+        "extpack: error: unrecognized arguments: extra\n"),
+    "primitive --N 7 --json --no-such-option": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "usage: extpack [-h]\n"
+        "               {bound,feasible,primitive,line,dual,unique,build,realize,verify,graft,double-cover,cyclic-cover,enumerate,to-group,from-group,render,catalog}\n"
+        "               ...\n"
+        "extpack: error: unrecognized arguments: --no-such-option\n"),
+    "line --N 7 --jmax 2": (0, "83e6edb2648864c3fd30057709c17132f0573428858efea05a8607cb9dbc0011", ""),
+    "line -h": (0, "bc61be173defd973ac4177d516271f0aa97cb0c44c6b47dcb4a54fca654fe822", ""),
+    "line --jmax 2": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "usage: extpack line [-h] [-o OUTPUT] --N N [--jmax JMAX] [--json]\n"
+        "extpack line: error: the following arguments are required: --N\n"),
+    "line --N 7 --jmax two": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "usage: extpack line [-h] [-o OUTPUT] --N N [--jmax JMAX] [--json]\n"
+        "extpack line: error: argument --jmax: invalid int value: 'two'\n"),
+    "line --N 7 --jmax 2 extra": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "usage: extpack [-h]\n"
+        "               {bound,feasible,primitive,line,dual,unique,build,realize,verify,graft,double-cover,cyclic-cover,enumerate,to-group,from-group,render,catalog}\n"
+        "               ...\n"
+        "extpack: error: unrecognized arguments: extra\n"),
+    "line --N 7 --jmax 2 --no-such-option": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "usage: extpack [-h]\n"
+        "               {bound,feasible,primitive,line,dual,unique,build,realize,verify,graft,double-cover,cyclic-cover,enumerate,to-group,from-group,render,catalog}\n"
+        "               ...\n"
+        "extpack: error: unrecognized arguments: --no-such-option\n"),
+    "dual --g 4 -o -": (0, "ffd9bb7d8d6426bd35fe600c78a8f3fd528fee7873d47315c76793be2e55990e", ""),
+    "dual -h": (0, "442d2d3ed1482450b40bf1725e91432b6b92a0350d6241762d7ec8099f78abbe", ""),
+    "dual": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "usage: extpack dual [-h] [-o OUTPUT] --g G [--json]\n"
+        "extpack dual: error: the following arguments are required: --g\n"),
+    "dual --g four": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "usage: extpack dual [-h] [-o OUTPUT] --g G [--json]\n"
+        "extpack dual: error: argument --g: invalid int value: 'four'\n"),
+    "dual --g 4 -o - extra": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "usage: extpack [-h]\n"
+        "               {bound,feasible,primitive,line,dual,unique,build,realize,verify,graft,double-cover,cyclic-cover,enumerate,to-group,from-group,render,catalog}\n"
+        "               ...\n"
+        "extpack: error: unrecognized arguments: extra\n"),
+    "dual --g 4 -o - --no-such-option": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "usage: extpack [-h]\n"
+        "               {bound,feasible,primitive,line,dual,unique,build,realize,verify,graft,double-cover,cyclic-cover,enumerate,to-group,from-group,render,catalog}\n"
+        "               ...\n"
+        "extpack: error: unrecognized arguments: --no-such-option\n"),
+    "unique --k 2 --g 5": (0, "282393bfbf7f394be8f0f0d4c59e26b2acd4fa698b5d13a62c6e95431ac10a3b", ""),
+    "unique -h": (0, "819671725e03846ca91ea04d0a97ad98983426719a628692e7a3a3ebd38daf97", ""),
+    "unique --k 2": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "usage: extpack unique [-h] [-o OUTPUT] --k K --g G [--json]\n"
+        "extpack unique: error: the following arguments are required: --g\n"),
+    "unique --k  --g 5": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "usage: extpack unique [-h] [-o OUTPUT] --k K --g G [--json]\n"
+        "extpack unique: error: argument --k: invalid int value: ''\n"),
+    "unique --k 2 --g 5 extra": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "usage: extpack [-h]\n"
+        "               {bound,feasible,primitive,line,dual,unique,build,realize,verify,graft,double-cover,cyclic-cover,enumerate,to-group,from-group,render,catalog}\n"
+        "               ...\n"
+        "extpack: error: unrecognized arguments: extra\n"),
+    "unique --k 2 --g 5 --no-such-option": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "usage: extpack [-h]\n"
+        "               {bound,feasible,primitive,line,dual,unique,build,realize,verify,graft,double-cover,cyclic-cover,enumerate,to-group,from-group,render,catalog}\n"
+        "               ...\n"
+        "extpack: error: unrecognized arguments: --no-such-option\n"),
+    "build --N 13 -o x.cmplx": (0, "fa30a07a074fdd953680ac2e61e80014075c59c608f627790f4dc348fdd9de7d", ""),
+    "build -h": (0, "dfb5913f11af069d90b4f44398a545c35f576333437758783bdf93ee2b8fef44", ""),
+    "build -o x.cmplx": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "usage: extpack build [-h] [-o OUTPUT] --N N\n"
+        "extpack build: error: the following arguments are required: --N\n"),
+    "build --N 1e3": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "usage: extpack build [-h] [-o OUTPUT] --N N\n"
+        "extpack build: error: argument --N: invalid int value: '1e3'\n"),
+    "build --N 13 -o x.cmplx extra": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "usage: extpack [-h]\n"
+        "               {bound,feasible,primitive,line,dual,unique,build,realize,verify,graft,double-cover,cyclic-cover,enumerate,to-group,from-group,render,catalog}\n"
+        "               ...\n"
+        "extpack: error: unrecognized arguments: extra\n"),
+    "build --N 13 -o x.cmplx --no-such-option": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "usage: extpack [-h]\n"
+        "               {bound,feasible,primitive,line,dual,unique,build,realize,verify,graft,double-cover,cyclic-cover,enumerate,to-group,from-group,render,catalog}\n"
+        "               ...\n"
+        "extpack: error: unrecognized arguments: --no-such-option\n"),
+    "realize --k 6 --g 3": (0, "5807a4d31e813a49001702b06ae6baa7666e30cd7fb5aaa35fb1d46eb503ea24", ""),
+    "realize -h": (0, "ca3e7dfb17d0e8544173b2061ee445957b65a9e33e9bb271782f4db46c1ed224", ""),
+    "realize --k 6": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "usage: extpack realize [-h] [-o OUTPUT] --k K --g G\n"
+        "extpack realize: error: the following arguments are required: --g\n"),
+    "realize --k 6 --g 0x3": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "usage: extpack realize [-h] [-o OUTPUT] --k K --g G\n"
+        "extpack realize: error: argument --g: invalid int value: '0x3'\n"),
+    "realize --k 6 --g 3 extra": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "usage: extpack [-h]\n"
+        "               {bound,feasible,primitive,line,dual,unique,build,realize,verify,graft,double-cover,cyclic-cover,enumerate,to-group,from-group,render,catalog}\n"
+        "               ...\n"
+        "extpack: error: unrecognized arguments: extra\n"),
+    "realize --k 6 --g 3 --no-such-option": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "usage: extpack [-h]\n"
+        "               {bound,feasible,primitive,line,dual,unique,build,realize,verify,graft,double-cover,cyclic-cover,enumerate,to-group,from-group,render,catalog}\n"
+        "               ...\n"
+        "extpack: error: unrecognized arguments: --no-such-option\n"),
+    "verify X7 --json": (0, "4b29bdaf087b1db0abb3bbed54d504758c318bab5f87f9f9ae75d2443e2eca01", ""),
+    "verify -h": (0, "d6085be73e7b061419dd7edae5f22bb897857d97e45e84fafa54130871152fe0", ""),
+    "verify X7 --json extra": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "usage: extpack [-h]\n"
+        "               {bound,feasible,primitive,line,dual,unique,build,realize,verify,graft,double-cover,cyclic-cover,enumerate,to-group,from-group,render,catalog}\n"
+        "               ...\n"
+        "extpack: error: unrecognized arguments: extra\n"),
+    "verify X7 --json --no-such-option": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "usage: extpack [-h]\n"
+        "               {bound,feasible,primitive,line,dual,unique,build,realize,verify,graft,double-cover,cyclic-cover,enumerate,to-group,from-group,render,catalog}\n"
+        "               ...\n"
+        "extpack: error: unrecognized arguments: --no-such-option\n"),
+    "graft X8 --variant EG1 --site 2": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "error: cycle ((0, 3), (1, 1), (1, 4)) cannot take a graft: no wiring row fits the room (2, 2, 2) of sizes (8, 8, 8)\n"),
+    "graft -h": (0, "7c59f5db154d90d86141b2e37d7db7681cb4be24a37b5b75a0b459b674a45c97", ""),
+    "graft X8 --site 2": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "usage: extpack graft [-h] [-o OUTPUT] --variant {EG1,EG2,EG3,EG4}\n"
+        "                     [--site SITE]\n"
+        "                     [file]\n"
+        "extpack graft: error: the following arguments are required: --variant\n"),
+    "graft X8 --variant EG1 --site x": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "usage: extpack graft [-h] [-o OUTPUT] --variant {EG1,EG2,EG3,EG4}\n"
+        "                     [--site SITE]\n"
+        "                     [file]\n"
+        "extpack graft: error: argument --site: invalid int value: 'x'\n"),
+    "graft X8 --variant EG1 --site 2 extra": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "usage: extpack [-h]\n"
+        "               {bound,feasible,primitive,line,dual,unique,build,realize,verify,graft,double-cover,cyclic-cover,enumerate,to-group,from-group,render,catalog}\n"
+        "               ...\n"
+        "extpack: error: unrecognized arguments: extra\n"),
+    "graft X8 --variant EG1 --site 2 --no-such-option": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "usage: extpack [-h]\n"
+        "               {bound,feasible,primitive,line,dual,unique,build,realize,verify,graft,double-cover,cyclic-cover,enumerate,to-group,from-group,render,catalog}\n"
+        "               ...\n"
+        "extpack: error: unrecognized arguments: --no-such-option\n"),
+    "double-cover X9": (0, "12dfe5ce72186a3f99dfe758ea8f94a6740966018ddff2013aca4242c7aad521", ""),
+    "double-cover -h": (0, "0015021261745b67e7e2a11450f0d61c3b1f955c652923a3066feede1bda5af7", ""),
+    "double-cover X9 extra": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "usage: extpack [-h]\n"
+        "               {bound,feasible,primitive,line,dual,unique,build,realize,verify,graft,double-cover,cyclic-cover,enumerate,to-group,from-group,render,catalog}\n"
+        "               ...\n"
+        "extpack: error: unrecognized arguments: extra\n"),
+    "double-cover X9 --no-such-option": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "usage: extpack [-h]\n"
+        "               {bound,feasible,primitive,line,dual,unique,build,realize,verify,graft,double-cover,cyclic-cover,enumerate,to-group,from-group,render,catalog}\n"
+        "               ...\n"
+        "extpack: error: unrecognized arguments: --no-such-option\n"),
+    "cyclic-cover X12 --n 2 --voltages 1 0": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "error: need 6 voltages (one per label), got 2\n"),
+    "cyclic-cover -h": (0, "d9ed5501516e44cc3fed8758d3a3fb8e769cf270573727262365aefe57f41383", ""),
+    "cyclic-cover X12": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "usage: extpack cyclic-cover [-h] [-o OUTPUT] --n N [--voltages [VOLTAGES ...]]\n"
+        "                            [file]\n"
+        "extpack cyclic-cover: error: the following arguments are required: --n\n"),
+    "cyclic-cover X12 --n 2 --voltages 1 z": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "usage: extpack cyclic-cover [-h] [-o OUTPUT] --n N [--voltages [VOLTAGES ...]]\n"
+        "                            [file]\n"
+        "extpack cyclic-cover: error: argument --voltages: invalid int value: 'z'\n"),
+    "cyclic-cover X12 --n 2 --voltages 1 0 extra": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "usage: extpack cyclic-cover [-h] [-o OUTPUT] --n N [--voltages [VOLTAGES ...]]\n"
+        "                            [file]\n"
+        "extpack cyclic-cover: error: argument --voltages: invalid int value: 'extra'\n"),
+    "cyclic-cover X12 --n 2 --voltages 1 0 --no-such-option": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "usage: extpack [-h]\n"
+        "               {bound,feasible,primitive,line,dual,unique,build,realize,verify,graft,double-cover,cyclic-cover,enumerate,to-group,from-group,render,catalog}\n"
+        "               ...\n"
+        "extpack: error: unrecognized arguments: --no-such-option\n"),
+    "enumerate --p 2 --q 3 --r 7 --index 28 --torsion-free --max-count 3": (0, "8a09b591889069e4636a4646250f1f1b6e5d0269158459188e99588c7da82108", ""),
+    "enumerate -h": (0, "18ebd1aa19355163a86a38a3257fbeafc578254c9dc0cad4ad7e09932fcd98fa", ""),
+    "enumerate --p 2 --q 3 --r 7": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "usage: extpack enumerate [-h] [-o OUTPUT] --p P --q Q --r R --index INDEX\n"
+        "                         [--torsion-free] [--proper] [--max-count MAX_COUNT]\n"
+        "extpack enumerate: error: the following arguments are required: --index\n"),
+    "enumerate --p 2 --q 3 --r 7 --index 2 8": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "usage: extpack enumerate [-h] [-o OUTPUT] --p P --q Q --r R --index INDEX\n"
+        "                         [--torsion-free] [--proper] [--max-count MAX_COUNT]\n"
+        "extpack enumerate: error: argument --index: invalid int value: '2 8'\n"),
+    "enumerate --p 2 --q 3 --r 7 --index 28 --torsion-free --max-count 3 extra": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "usage: extpack [-h]\n"
+        "               {bound,feasible,primitive,line,dual,unique,build,realize,verify,graft,double-cover,cyclic-cover,enumerate,to-group,from-group,render,catalog}\n"
+        "               ...\n"
+        "extpack: error: unrecognized arguments: extra\n"),
+    "enumerate --p 2 --q 3 --r 7 --index 28 --torsion-free --max-count 3 --no-such-option": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "usage: extpack [-h]\n"
+        "               {bound,feasible,primitive,line,dual,unique,build,realize,verify,graft,double-cover,cyclic-cover,enumerate,to-group,from-group,render,catalog}\n"
+        "               ...\n"
+        "extpack: error: unrecognized arguments: --no-such-option\n"),
+    "to-group X9 -o -": (0, "e2af194ee01a2810b94f892c8dfe019144d9ad9bef8eac87a8684adc6d5600ff", ""),
+    "to-group -h": (0, "4ae966126870ed13352f4c285a153bf480b99c64c17a595a650983ea3dfe28d0", ""),
+    "to-group X9 -o - extra": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "usage: extpack [-h]\n"
+        "               {bound,feasible,primitive,line,dual,unique,build,realize,verify,graft,double-cover,cyclic-cover,enumerate,to-group,from-group,render,catalog}\n"
+        "               ...\n"
+        "extpack: error: unrecognized arguments: extra\n"),
+    "to-group X9 -o - --no-such-option": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "usage: extpack [-h]\n"
+        "               {bound,feasible,primitive,line,dual,unique,build,realize,verify,graft,double-cover,cyclic-cover,enumerate,to-group,from-group,render,catalog}\n"
+        "               ...\n"
+        "extpack: error: unrecognized arguments: --no-such-option\n"),
+    "from-group rec.json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "error: [Errno 2] No such file or directory: 'rec.json'\n"),
+    "from-group -h": (0, "6be38520dfcf06c21e1443fd533464be5f25cf4f06d83b068fc8028d2fe1a165", ""),
+    "from-group": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "usage: extpack from-group [-h] [-o OUTPUT] record\n"
+        "extpack from-group: error: the following arguments are required: record\n"),
+    "from-group rec.json extra": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "usage: extpack [-h]\n"
+        "               {bound,feasible,primitive,line,dual,unique,build,realize,verify,graft,double-cover,cyclic-cover,enumerate,to-group,from-group,render,catalog}\n"
+        "               ...\n"
+        "extpack: error: unrecognized arguments: extra\n"),
+    "from-group rec.json --no-such-option": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "usage: extpack [-h]\n"
+        "               {bound,feasible,primitive,line,dual,unique,build,realize,verify,graft,double-cover,cyclic-cover,enumerate,to-group,from-group,render,catalog}\n"
+        "               ...\n"
+        "extpack: error: unrecognized arguments: --no-such-option\n"),
+    "render - --output x.svg": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "error: no polygon lines found\n"),
+    "render -h": (0, "7f402cc14b7130ea0d71214fd2b6b5367570669fc6aea1c2df5b8f6e6b3c760f", ""),
+    "render - --output x.svg extra": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "usage: extpack [-h]\n"
+        "               {bound,feasible,primitive,line,dual,unique,build,realize,verify,graft,double-cover,cyclic-cover,enumerate,to-group,from-group,render,catalog}\n"
+        "               ...\n"
+        "extpack: error: unrecognized arguments: extra\n"),
+    "render - --output x.svg --no-such-option": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "usage: extpack [-h]\n"
+        "               {bound,feasible,primitive,line,dual,unique,build,realize,verify,graft,double-cover,cyclic-cover,enumerate,to-group,from-group,render,catalog}\n"
+        "               ...\n"
+        "extpack: error: unrecognized arguments: --no-such-option\n"),
+    "catalog --json": (0, "9e4774310b57c703fa1fc3acb2120d410452dc477975704944a1cf27cb2cf1bf", ""),
+    "catalog -h": (0, "aaec08a7d90bf9a60b317837e8612eabfba8e5a4099c8d34675a742bee7a0b24", ""),
+    "catalog --json extra": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "usage: extpack [-h]\n"
+        "               {bound,feasible,primitive,line,dual,unique,build,realize,verify,graft,double-cover,cyclic-cover,enumerate,to-group,from-group,render,catalog}\n"
+        "               ...\n"
+        "extpack: error: unrecognized arguments: extra\n"),
+    "catalog --json --no-such-option": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "usage: extpack [-h]\n"
+        "               {bound,feasible,primitive,line,dual,unique,build,realize,verify,graft,double-cover,cyclic-cover,enumerate,to-group,from-group,render,catalog}\n"
+        "               ...\n"
+        "extpack: error: unrecognized arguments: --no-such-option\n"),
+    "bound --k 1 --g 3": (0, "b9c9d6a252e1cae2cc669c6fa2ace436ffa153279ba8d50ee5c150e8614d3693", ""),
+    "bound --k 4 --g 3": (0, "27864c85aa5014f7792d764cc12adf4410449c703e66a96f5b7e5254beb41159", ""),
+    "bound --k 4 --g 3 --json": (0, "ce4860ee07b9e8d4dd15a7b9ba5e1c9d7cf8083e26d66803d80a368d47dd14db", ""),
+    "bound --k 1 --g " + HUGE + "": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "error: the radius bound for k=1, g=" + HUGE + " is out of double-precision range\n"),
+    "feasible --k 4 --g 4": (0, "289e17de829a53307227c339a806c0223caabb8b8f44538c6189b28004eb1939", ""),
+    "feasible --k 4 --g 4 --json": (0, "d60c42633f3a7d97c739616a208787756ddf92885f2979e3761c882a00e48608", ""),
+    "feasible --k 4 --g 3 --json": (2, "3645784cd273bc2fc9faeab06768cbcd79dc00a96c7a1641b7e78def2808b86b", ""),
+    "primitive --N 7": (0, "0a9ac599f22406ee1d96955f9602dfe5145104ab9baeea63c1a8ddab7b40418b", ""),
+    "line --N 7 --json": (0, "7071ee41204e05da9823e29f14872c0285723649a50d5c83baa86599803f9987", ""),
+    "dual --g 4 --json": (0, "e2dabac6bf9eb56b366a92dc60fd92f9c299ddc730369a9e50d54f093e4db7d2", ""),
+    "dual --g 3": (0, "9bd27b90a63d8f3934dbe832d0a9acd5a3f63fd0a2bb6c0c9dda185699569300", ""),
+    "unique --k 2 --g 5 --json": (0, "fa9239f3ee1ac570b97698bc0d87f27c66606107180428f72cdbae3c7cf26bc0", ""),
+    "build --N 13": (0, "55e152822656fa2ee654f246f3159f68835a59059201b8fb1129ff403d55ad7e", ""),
+    "realize --k 6 --g 3 -o out.cmplx": (0, "e643ad19504696b51b08071fef728faaf4a5d2066a116ba3cfdae5b2f1b6ee63", ""),
+    "realize --k 4 --g 3": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "error: infeasible: k=4 does not divide 6(g-2)=6\n"),
+    "verify X7": (0, "6ed6823f56ecf346273ffb9452cc0ff688605da9baaa93ae77c2d10644980234", ""),
+    "verify torus.cmplx": (2, "618d79e7ef2893d7f91d264ab88e8b0b791fe4447b7cac9e3d546e2fa22c4977", ""),
+    "verify torus.cmplx --json": (2, "fa349ec3551b45d2cf435213b1168f0b14889433f1b83c40fbeeb50d62676a3d", ""),
+    "verify nope.cmplx": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "error: [Errno 2] No such file or directory: 'nope.cmplx'\n"),
+    "graft X8 --variant EG1": (0, "6c6c477e58bb0bd6ab1bee3d0fd24d321094c61beb1637630e2d25a316df8812", ""),
+    "graft X8 --variant EG1 --site 99": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "error: site index 99 out of range (0..7)\n"),
+    "graft X12 --variant EG3": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "error: the complex has no EG3 site\n"),
+    "double-cover X9 --output -": (0, "12dfe5ce72186a3f99dfe758ea8f94a6740966018ddff2013aca4242c7aad521", ""),
+    "cyclic-cover X12 --n 2": (0, "b84da7ff9494faba63ba796a7358512230cf425012412d6a726797fec78a2f84", ""),
+    "cyclic-cover X12 --n 2 --voltages 1 0 1 0 1 0": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "error: net voltage 1 != 0 (mod 2) around the vertex cycle at corner (0, 2)\n"),
+    "enumerate --p 2 --q 3 --r 7 --index 28 --max-count 0": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "error: need max_count >= 1, got 0\n"),
+    "to-group X12 -o x12-out.json": (0, "cc78c419b03f9dde37ff9ee983a745d1d62d46ea2a88cdfa0c7f144ce70b08ac", ""),
+    "from-group x12.json": (0, "9bb8b364b971f1bb8d4c1fa3360ca15b5676be5f4ba11d4bbc84da2e9e429dc1", ""),
+    "render X7": (0, "15591605535fdd5543d616a470b030a52a45282b30f537728e303a679c2f4255", ""),
+    "catalog": (0, "e7e0ae78ae11b2f24c8abe3cf2a54d5bf9207faaf1c1e8321057b95885db84ad", ""),
+}
+
+
+def _pinned_outcome(monkeypatch, capsys, tmp_path, argv):
+    """main's exit code, the sha256 of what it wrote and its stderr, with
+    COLUMNS=80, stdin at /dev/null and two input files in the working
+    directory.  The digest covers stdout, then each file the run created,
+    by name."""
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "torus.cmplx").write_text("polygon 1 2 1 2\n")
+    (tmp_path / "x12.json").write_text(json.dumps(_x12_record()))
+    inputs = set(os.listdir(tmp_path))
+    with open(os.devnull, encoding="utf-8") as null:
+        monkeypatch.setattr(sys, "stdin", null)
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as stop:
+            code = stop.code
+    out, err = capsys.readouterr()
+    digest = hashlib.sha256(out.encode())
+    for name in sorted(set(os.listdir(tmp_path)) - inputs):
+        digest.update(name.encode() + b"\0" + (tmp_path / name).read_bytes())
+    return code, digest.hexdigest(), err
+
+
+@pytest.mark.parametrize("argv", PIN_CASES, ids=[" ".join(argv) or "(none)" for argv in PIN_CASES])
+def test_cli_output_is_pinned(monkeypatch, capsys, tmp_path, argv):
+    # every usage line, help text, message, exit code and output byte, as
+    # computed before the commands were declared in one table
+    assert _pinned_outcome(monkeypatch, capsys, tmp_path, argv) == CLI_PINS[" ".join(argv)]
 
 
 def test_double_cover_command(tmp_path, capsys):
