@@ -2,9 +2,11 @@
 complex by one while keeping every vertex trivalent.
 
 A graft inserts three new edge pairs (six new sides) at a chosen vertex
-cycle, keeping all old pairings.  `eligible_sites` reads the sites and
-whether the complex is graftable (trivalent and non-orientable) off one
-walk of its vertex cycles.  The wirings are the rows of WIRINGS, one
+cycle, keeping all old pairings.  `eligible_sites` checks that the
+complex is graftable (trivalent and non-orientable) with one capped walk,
+then reads the sites off a second walk of its vertex cycles, built one at
+a time.  Each complex of a graft chain is checked once, when it is
+grafted.  The wirings are the rows of WIRINGS, one
 table for all four variants.  How many new sides each polygon may take
 is one policy, `graft_room`: exactly what makes the complex
 uniform when one graft can, else up to the size a second graft can
@@ -94,6 +96,14 @@ def apply_rewrite(c: PolygonComplex, rw: Rewrite) -> PolygonComplex:
 _NOT_GRAFTABLE = "complex is not graftable (trivalent + non-orientable)"
 
 
+def _graftable(c: PolygonComplex) -> PolygonComplex:
+    """c, once one capped walk has found it graftable; NotExtremalError
+    otherwise.  The public entry points check their argument with it."""
+    if not complexes.is_graftable(c):
+        raise NotExtremalError(_NOT_GRAFTABLE)
+    return c
+
+
 def eligible_sites(c: PolygonComplex, variant: GraftVariant) -> list[GraftSite]:
     """All vertex cycles where the variant may act, ordered by least corner.
 
@@ -101,19 +111,17 @@ def eligible_sites(c: PolygonComplex, variant: GraftVariant) -> list[GraftSite]:
     throughout (polygon sizes are allowed to differ between the two halves
     of a paired graft step).  The sites are those _iter_sites yields.
     """
-    return list(_iter_sites(c, variant))
+    return list(_iter_sites(_graftable(c), variant))
 
 
 def _iter_sites(c: PolygonComplex, variant: GraftVariant):
     """Yield eligible_sites one at a time, so a caller that stops at the
     first site that grafts builds no VertexCycle or GraftSite past it.
 
-    Graftability is checked first, by one capped walk; the cycles are then
+    c must be graftable: it is not checked again here.  The cycles are
     walked lazily, and a cycle's VertexCycle is built only when it is a
     site of the variant the caller reaches.
     """
-    if not complexes.is_graftable(c):
-        raise NotExtremalError(_NOT_GRAFTABLE)
     corners = complexes._corners(c)
     sides = complexes.flag_sides(c)
     for flags in complexes._walk(c):
@@ -261,9 +269,7 @@ def discover_rewrite(c: PolygonComplex, site: GraftSite) -> Rewrite:
     Raises NotExtremalError when c is not graftable and
     IneligibleSiteError when none of the rows fits the room.
     """
-    if not complexes.is_graftable(c):
-        raise NotExtremalError(_NOT_GRAFTABLE)
-    return _graft_at(c, site)[0]
+    return _graft_at(_graftable(c), site)[0]
 
 
 def _graft_at(c, site) -> tuple[Rewrite, PolygonComplex]:
@@ -272,7 +278,7 @@ def _graft_at(c, site) -> tuple[Rewrite, PolygonComplex]:
     room = graft_room(c)
     found = next(_iter_rewrites(c, site, room), None)
     if found is None:
-        if not _misses_room(site, room) and any(_fits(site, row, room) for row in WIRINGS):
+        if any(_fits(site, row, room) for row in WIRINGS):
             why = "no row of its twist %s fits" % (_twist(c, site),)
         else:
             why = "no wiring row fits"
@@ -306,7 +312,7 @@ def apply_graft(c: PolygonComplex, site: GraftSite) -> PolygonComplex:
     the site is not one of eligible_sites or no row of its twist fits the room
     there.
     """
-    if site not in _iter_sites(c, site.variant):
+    if site not in _iter_sites(_graftable(c), site.variant):
         raise IneligibleSiteError("site %s is not eligible for %s" % (site.corners, site.variant))
     return _graft_at(c, site)[1]
 
@@ -336,6 +342,11 @@ def graft_first_site(c: PolygonComplex, variant: GraftVariant) -> PolygonComplex
     or no row of any site's twist fits the room.  The sites are counted for
     that message only.
     """
+    return _first_graft(_graftable(c), variant)
+
+
+def _first_graft(c: PolygonComplex, variant: GraftVariant) -> PolygonComplex:
+    """graft_first_site on a graftable c, which is not checked again."""
     out = next(_grafts(c, _iter_sites(c, variant)), None)
     if out is None:
         raise IneligibleSiteError(
@@ -361,7 +372,7 @@ def graft_nth_site(c: PolygonComplex, variant: GraftVariant, index: int) -> Poly
 def _graft_pair(
     c: PolygonComplex, v1: GraftVariant, v2: GraftVariant
 ) -> tuple[PolygonComplex, PolygonComplex]:
-    """Two consecutive grafts ending uniform, the k = 2 and 6 steps.
+    """Two consecutive grafts ending uniform, the k = 2 and 6 steps, from a graftable c.
 
     Both halves graft under graft_room: the first grows freely up to the
     size the pair ends at, the second fills the room that leaves exactly.
@@ -401,7 +412,10 @@ def _chain(cls: int, steps: int) -> PolygonComplex:
     from . import catalog
 
     base_n, variants, paired = _SCHEDULES[cls]
-    chain = _chains.setdefault(cls, [catalog.seed_complex(base_n)])
+    if cls not in _chains:
+        _chains[cls] = [_graftable(catalog.seed_complex(base_n))]
+    # every later complex was checked when it was grafted (_iter_rewrites)
+    chain = _chains[cls]
     while len(chain) <= steps:
         step = len(chain)  # 1-based step number being produced
         cur = chain[-1]
@@ -411,7 +425,7 @@ def _chain(cls: int, steps: int) -> PolygonComplex:
             chain.append(mid)
             chain.append(fin)
         else:
-            chain.append(graft_first_site(cur, variant))
+            chain.append(_first_graft(cur, variant))
     return chain[steps]
 
 

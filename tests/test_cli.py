@@ -240,7 +240,20 @@ PARSE_CASES = [[], ["-h"], ["--help"], ["nope"], ["--json"], ["bound", "nope"]] 
 
 
 def test_the_parse_table_covers_every_command():
-    assert list(PARSE_TABLE) == list(cli._HANDLERS)
+    assert list(PARSE_TABLE) == list(cli._COMMANDS)
+
+
+def _subcommands(parser):
+    (commands,) = [a for a in parser._actions if isinstance(a.choices, dict)]
+    return list(commands.choices)
+
+
+def test_each_command_is_declared_once():
+    # _parser(name) builds that command's subparser alone, and the full
+    # parser lists the commands in the order of the table
+    for name in cli._COMMANDS:
+        assert _subcommands(cli._parser(name)) == [name]
+    assert _subcommands(cli.build_parser()) == list(cli._COMMANDS)
 
 
 @pytest.mark.parametrize("argv", PARSE_CASES, ids=[" ".join(argv) or "(none)" for argv in PARSE_CASES])
@@ -256,13 +269,17 @@ def test_main_parses_like_the_full_parser(monkeypatch, capsys, argv):
         return got, out.out, out.err
 
     want = outcome(lambda argv: vars(cli.build_parser().parse_args(argv)))
-    parsed, built = [], []
-    for command in cli._HANDLERS:
-        monkeypatch.setitem(cli._HANDLERS, command, lambda args: parsed.append(vars(args)) or 0)
+    parsed, built, written = [], [], []
+    for command, (help_text, _, arguments) in cli._COMMANDS.items():
+        stub = lambda args: parsed.append(vars(args)) or (0, None, "")
+        monkeypatch.setitem(cli._COMMANDS, command, (help_text, stub, arguments))
+    monkeypatch.setattr(cli, "_write", lambda texts, out: written.append(out))
     parser = cli._parser
     monkeypatch.setattr(cli, "_parser", lambda only: built.append(only) or parser(only))
     got = outcome(lambda argv: cli.main(argv) == 0 and parsed.pop())
     assert got == want
+    # main writes once, to -o or stdout, for each run that parses
+    assert written == ([want[0]["output"]] if isinstance(want[0], dict) else [])
     # a named command's parser holds that command alone, and the full parser
     # is built again only for arguments left over, which it reports
     named = bool(argv) and argv[0] in PARSE_TABLE

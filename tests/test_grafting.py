@@ -41,6 +41,19 @@ def test_eligible_sites_rejects_bad_input():
         gr.eligible_sites(torus, gr.GraftVariant.EG1)
 
 
+def test_every_entry_point_checks_its_complex(seeds):
+    torus = cx.PolygonComplex(((1, 2, 1, 2),))
+    site = gr.eligible_sites(seeds[8], gr.GraftVariant.EG1)[0]
+    for call in (
+        lambda: gr.graft_first_site(torus, gr.GraftVariant.EG1),
+        lambda: gr.graft_nth_site(torus, gr.GraftVariant.EG1, 0),
+        lambda: gr.apply_graft(torus, site),
+        lambda: gr.discover_rewrite(torus, site),
+    ):
+        with pytest.raises(NotExtremalError, match="not graftable"):
+            call()
+
+
 def test_apply_graft_x8_to_x10(seeds):
     out = gr.graft_first_site(seeds[8], gr.GraftVariant.EG1)
     rep = cx.verify_extremal(out)
@@ -188,6 +201,21 @@ def test_build_primitive_reads_sites_one_at_a_time(monkeypatch):
     monkeypatch.setattr(gr, "_chains", {})
     c = gr.build_primitive(41)
     assert 0 < len(built) <= 800
+    monkeypatch.undo()
+    assert c == gr.build_primitive(41) and cx.verify_extremal(c).ok
+
+
+def test_build_primitive_checks_each_complex_once(monkeypatch):
+    # the seed is checked when the chain starts and every later complex
+    # when it is grafted: 35 checks for the 35 complexes of N = 41, where
+    # checking again at each next graft's sites took 68
+    checked = []
+    is_graftable = cx.is_graftable
+    monkeypatch.setattr(cx, "is_graftable", lambda c: checked.append(c) or is_graftable(c))
+    monkeypatch.setattr(gr, "_chains", {})
+    c = gr.build_primitive(41)
+    assert 0 < len(checked) <= 35
+    assert len(checked) == len({id(x) for x in checked})
     monkeypatch.undo()
     assert c == gr.build_primitive(41) and cx.verify_extremal(c).ok
 

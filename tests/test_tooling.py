@@ -113,6 +113,20 @@ def test_cli_reads_no_private_library_name():
     assert not found, "the CLI reads private library names: %s" % ", ".join(found)
 
 
+def test_the_cli_declares_its_commands_once():
+    """cli.py builds every subparser from one table, _COMMANDS: a second
+    add_parser call would be a second list of the commands."""
+    path = ROOT / "src" / "extpack" / "cli.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    calls = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "add_parser"
+    ]
+    assert len(calls) == 1, "add_parser is called at cli.py lines %s" % calls
+
+
 def test_only_complexes_reads_a_complex_s_private_fields():
     """A complex's stored action (its t1, the derived triple and the
     orientability bit) is private to complexes: every other library module
