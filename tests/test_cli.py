@@ -270,8 +270,8 @@ def test_main_parses_like_the_full_parser(monkeypatch, capsys, argv):
 
     want = outcome(lambda argv: vars(cli.build_parser().parse_args(argv)))
     parsed, built, written = [], [], []
+    stub = lambda args: parsed.append(vars(args)) or (0, None, "")
     for command, (help_text, _, arguments) in cli._COMMANDS.items():
-        stub = lambda args: parsed.append(vars(args)) or (0, None, "")
         monkeypatch.setitem(cli._COMMANDS, command, (help_text, stub, arguments))
     monkeypatch.setattr(cli, "_write", lambda texts, out: written.append(out))
     parser = cli._parser
