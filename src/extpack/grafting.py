@@ -114,17 +114,21 @@ def eligible_sites(c: PolygonComplex, variant: GraftVariant) -> list[GraftSite]:
     return list(_iter_sites(_graftable(c), variant))
 
 
-def _iter_sites(c: PolygonComplex, variant: GraftVariant):
+def _iter_sites(c: PolygonComplex, variant: GraftVariant, room=None):
     """Yield eligible_sites one at a time, so a caller that stops at the
     first site that grafts builds no VertexCycle or GraftSite past it.
 
     c must be graftable: it is not checked again here.  The cycles are
     walked lazily, and a cycle's VertexCycle is built only when it is a
-    site of the variant the caller reaches.
+    site of the variant the caller reaches.  Given the room of graft_room,
+    the graft chain's own, a cycle whose corners miss a polygon that an
+    exact room still fills (_misses_room) is passed over: no row fits there.
     """
     corners = complexes._corners(c)
     sides = complexes.flag_sides(c)
     for flags in complexes._walk(c):
+        if room is not None and _misses_room({corners[f >> 1][0] for f in flags}, room):
+            continue
         # the walk leaves each corner along the side of its other flag, and
         # crossing t joins the polygons of corners t and t + 1
         shared = None
@@ -208,12 +212,12 @@ def graft_room(c: PolygonComplex) -> tuple[int, ...] | None:
     return None
 
 
-def _misses_room(site: GraftSite, room) -> bool:
-    """Whether the site's corners miss a polygon that an exact room, one
-    summing to 6 as every row does, still fills: then no row fits there."""
+def _misses_room(polys, room) -> bool:
+    """Whether a site whose corners lie in the polygons polys misses a
+    polygon that an exact room, one summing to 6 as every row does, still
+    fills: then no row fits there."""
     if room is None or sum(room) != 6:
         return False
-    polys = {p for p, _ in site.corners}
     return any(v for p, v in enumerate(room) if p not in polys)
 
 
@@ -239,7 +243,7 @@ def _iter_rewrites(c: PolygonComplex, site: GraftSite, room):
     Each row is built and checked in full: a row of the twist that is not
     trivalent after all is an InvariantError.
     """
-    if _misses_room(site, room):
+    if _misses_room({p for p, _ in site.corners}, room):
         return
     base = max(abs(v) for w in c.polygons for v in w)
     twist = _twist(c, site)
@@ -342,12 +346,20 @@ def graft_first_site(c: PolygonComplex, variant: GraftVariant) -> PolygonComplex
     or no row of any site's twist fits the room.  The sites are counted for
     that message only.
     """
-    return _first_graft(_graftable(c), variant)
+    c = _graftable(c)
+    return _first_graft(c, variant, _iter_sites(c, variant))
 
 
-def _first_graft(c: PolygonComplex, variant: GraftVariant) -> PolygonComplex:
-    """graft_first_site on a graftable c, which is not checked again."""
-    out = next(_grafts(c, _iter_sites(c, variant)), None)
+def _room_sites(c: PolygonComplex, variant: GraftVariant):
+    """The sites of the variant that c's room leaves (_iter_sites): the
+    graft chain's, which builds no site that cannot graft."""
+    return _iter_sites(c, variant, graft_room(c))
+
+
+def _first_graft(c: PolygonComplex, variant: GraftVariant, sites) -> PolygonComplex:
+    """graft_first_site on a graftable c, which is not checked again, over
+    c's sites of the variant: all of them, or those its room leaves."""
+    out = next(_grafts(c, sites), None)
     if out is None:
         raise IneligibleSiteError(
             "no %s site of %d can take a graft: no wiring row fits the room %s of sizes %s"
@@ -383,9 +395,9 @@ def _graft_pair(
     the first halves tried, when no first half works.
     """
     tried = 0
-    for mid in _grafts(c, _iter_sites(c, v1)):
+    for mid in _grafts(c, _room_sites(c, v1)):
         tried += 1
-        fin = next(_grafts(mid, _iter_sites(mid, v2)), None)
+        fin = next(_grafts(mid, _room_sites(mid, v2)), None)
         if fin is not None and len(set(fin.sizes)) == 1:
             return mid, fin
     raise RewriteSearchError(
@@ -425,7 +437,7 @@ def _chain(cls: int, steps: int) -> PolygonComplex:
             chain.append(mid)
             chain.append(fin)
         else:
-            chain.append(_first_graft(cur, variant))
+            chain.append(_first_graft(cur, variant, _room_sites(cur, variant)))
     return chain[steps]
 
 

@@ -22,9 +22,8 @@ from __future__ import annotations
 import json
 import sys
 
-from . import complexes
+from ._action import bfs_code, two_color
 from ._record import Record
-from .complexes import PolygonComplex
 from .errors import InvariantError
 
 UNDEF = -1
@@ -34,7 +33,7 @@ Perms = tuple[tuple[int, ...], ...]
 
 def standardize(perms) -> Perms:
     """Renumber points in BFS order from 0 (columns scanned in order)."""
-    code = complexes.bfs_code(perms, 0)
+    code = bfs_code(perms, 0)
     k = len(perms)
     return tuple(code[g::k] for g in range(k))
 
@@ -176,7 +175,7 @@ def classify(perms, p: int, q: int, r: int) -> SubgroupRecord:
                     % (g, (g + 1) % 3, length, full)
                 )
         torsion_free = torsion_free and set(lengths) == {full}
-    transitive, bipartite = complexes.two_color(perms)
+    transitive, bipartite = two_color(perms)
     if not transitive:
         raise ValueError("the action is not transitive: point 0 does not reach all %d points" % m)
     proper = not bipartite
@@ -216,8 +215,13 @@ class _TriangleSearch:
     polygon blocks of size 2r and r1 alone is searched, in the same order,
     so tables come in block order (lexicographic in r1, in the block-BFS
     numbering from 0); _least_first prunes a table that reads a lower
-    first entry from another flag.  nodes counts the entries tried,
-    prunes the canonicity prunes.
+    first entry from another flag.  Before an entry c <-> d of r1 is
+    tried, the room test reads the open (r1 r2) paths that end at c and d:
+    an entry that would join them into an open path of 2q or more edges is
+    one _assign rejects, and is skipped; for p = 2, so is one whose forced
+    partner t0 c <-> t0 d fails the same way.  nodes counts the entries
+    passed to _assign, skips the entries the room test skipped, prunes the
+    canonicity prunes.
     """
 
     def __init__(self, p: int, q: int, r: int, index: int, torsion_free: bool):
@@ -227,8 +231,10 @@ class _TriangleSearch:
         self.trail: list[tuple[int, int, int]] = []
         # per column i, the other columns j with the order of (ri rj)
         self.rel = (((1, p), (2, r)), ((0, p), (2, q)), ((0, r), (1, q)))
+        self.p, self.q = p, q
         self.count = 1
         self.nodes = 0
+        self.skips = 0
         self.prunes = 0
         self.block = blk = 2 * r
         self.impossible = torsion_free and index % blk != 0
@@ -322,20 +328,25 @@ class _TriangleSearch:
             t[col][a] = UNDEF
             t[col][b] = UNDEF
 
-    def _ties(self, live: list[int]) -> list[int] | None:
-        """The points of live whose BFS code ties with 0's (the table
+    def _ties(self, live: list[list]) -> list[list] | None:
+        """The starts of live whose BFS code ties with 0's (the table
         itself) up to the first undecided entry on either side, or None if
-        one reads smaller: every completion keeps that prefix."""
+        one reads smaller: every completion keeps that prefix.
+
+        A start is [order, seq, i, j]: its numbering of the points, the
+        points in that order, and the code position (point i, column j)
+        where its comparison stopped.  The entries before it stay decided
+        below this node, so the comparison resumes there; _search_generic
+        rewinds the starts when it leaves the node."""
         t = self.t
-        m = self.m
         out = []
-        for s in live:
-            order = [UNDEF] * m
-            order[s] = 0
-            seq = [s]
+        for st in live:
+            order, seq, i, j = st
             sign = 0
-            for i, x in enumerate(seq):
-                for col in t:
+            while i < len(seq):
+                x = seq[i]
+                while j < 3:
+                    col = t[j]
                     want = col[i]
                     y = col[x]
                     if want == UNDEF or y == UNDEF:
@@ -347,15 +358,30 @@ class _TriangleSearch:
                     if o != want:
                         sign = o - want
                         break
+                    j += 1
                 else:
+                    i, j = i + 1, 0
                     continue
                 break
+            st[2], st[3] = i, j
             if sign < 0:
                 self.prunes += 1
                 return None
             if sign == 0:
-                out.append(s)
+                out.append(st)
         return out
+
+    @staticmethod
+    def _rewind(saved) -> None:
+        """Return each start to its saved (len(seq), i, j)."""
+        for st, n, i, j in saved:
+            seq = st[1]
+            if len(seq) > n:
+                order = st[0]
+                for y in seq[n:]:
+                    order[y] = UNDEF
+                del seq[n:]
+            st[2], st[3] = i, j
 
     # -- search drivers ---------------------------------------------------
 
@@ -377,21 +403,42 @@ class _TriangleSearch:
         its first point; propagation follows decided entries alone and
         enters none, so blocks open in order."""
         m = self.m
-        t1 = self.t[1]
+        t0, t1, t2 = self.t
         while c < m and t1[c] != UNDEF:
             c += 1
         if c == m:
             yield self._emit()
             return
         fresh = opened * self.block
+        q2 = 2 * self.q
+        # the room test: c <-> d joins the open (r1 r2) paths at c and d,
+        # and _assign rejects it when d's has room or more edges (_path)
+        end_c, edges_c = _path(t1, t2, c)
+        room = q2 - 1 - edges_c
+        # for p = 2, c <-> d forces t0 c <-> t0 d, tested the same way
+        # (_partner_fails) when r1 leaves both open
+        a = t0[c]
+        partner = self.p == 2 and t1[a] == UNDEF
+        path_a = _path(t1, t2, a) if partner else None
         for d in range(c, min(fresh + 1, m)):
             if t1[d] != UNDEF:
+                continue
+            end_d, edges_d = _path(t1, t2, d)
+            if edges_d >= room or (
+                partner and d != end_c and d != a and t1[t0[d]] == UNDEF
+                and _partner_fails(t1, t2, q2, end_c, end_d, edges_c + edges_d + 1, a, path_a, t0[d])
+            ):
+                self._skip(c, d)
                 continue
             mark = len(self.trail)
             self.nodes += 1
             if self._assign(1, c, d) and self._least_first(mark):
                 yield from self._search_prefilled(c + 1, opened + (d == fresh))
             self._undo(mark)
+
+    def _skip(self, c: int, d: int) -> None:
+        """Count the entry c <-> d of r1, which the room test skips."""
+        self.skips += 1
 
     def _least_first(self, mark: int) -> bool:
         """False, counting a prune, if a flag decided since mark reads a
@@ -403,8 +450,8 @@ class _TriangleSearch:
                 return False
         return True
 
-    def _search_generic(self, c: int, col: int, live: list[int]):
-        """live: the points whose codes still tie with 0's (_ties)."""
+    def _search_generic(self, c: int, col: int, live: list[list]):
+        """live: the starts whose codes still tie with 0's (_ties)."""
         m = self.m
         while True:
             if c == self.count:
@@ -417,6 +464,7 @@ class _TriangleSearch:
             if col == 3:
                 col = 0
                 c += 1
+        saved = [(st, len(st[1]), st[2], st[3]) for st in live]
         for d in range(self.count):
             if self.t[col][d] != UNDEF:
                 continue
@@ -426,6 +474,7 @@ class _TriangleSearch:
                 ties = self._ties(live)
                 if ties is not None:
                     yield from self._search_generic(c, col, ties)
+                self._rewind(saved)
             self._undo(mark)
         if self.count < m:
             d = self.count
@@ -433,9 +482,12 @@ class _TriangleSearch:
             mark = len(self.trail)
             self.nodes += 1
             if self._assign(col, c, d):
-                ties = self._ties(live + [d])
+                order = [UNDEF] * m
+                order[d] = 0
+                ties = self._ties(live + [[order, [d], 0, 0]])
                 if ties is not None:
                     yield from self._search_generic(c, col, ties)
+                self._rewind(saved)
             self._undo(mark)
             self.count -= 1
 
@@ -462,9 +514,10 @@ def low_index_subgroups(
     Without torsion_free, each record is its class's least-code table
     (complexes.least_code), in code order.  With it, each record is the
     first table found in its class, its least in block order, standardized;
-    later tables of the class are its renumberings from the flags that tie
-    with 0 on the first entry (_first), whose codes are kept to drop them.
-    The counters go to the "extpack.trigroup" logger at DEBUG.
+    a later table of the class is a renumbering of it, which a flag that
+    ties with 0 on the first entry (_first) reads lower, and is dropped
+    (_least_in_block_order).  The counters go to the "extpack.trigroup"
+    logger at DEBUG.
     """
     _check_params(p, q, r)
     if index < 1:
@@ -473,15 +526,12 @@ def low_index_subgroups(
         raise ValueError("need max_count >= 1, got %d" % max_count)
     search = _TriangleSearch(p, q, r, index, torsion_free)
     records: list[SubgroupRecord] = []
-    seen_codes: set = set()
     tables = 0
     for perms in search.solutions():
         tables += 1
         if torsion_free:
-            if _code_key(perms, 0) in seen_codes:
+            if not _least_in_block_order(perms[1], 2 * r):
                 continue
-            t1, blk = perms[1], 2 * r
-            seen_codes.update(_code_key(perms, f) for f in range(index) if _first(f, t1[f], blk) == t1[0])
             perms = standardize(perms)
         rec = classify(perms, p, q, r)
         if torsion_free and not rec.torsion_free:
@@ -500,8 +550,8 @@ def low_index_subgroups(
     if logging is not None:
         logging.getLogger("extpack.trigroup").debug(
             "low_index_subgroups(%d, %d, %d) at index %d: %d nodes, %d canonicity prunes,"
-            " %d complete tables, %d records",
-            p, q, r, index, search.nodes, search.prunes, tables, len(records),
+            " %d complete tables, %d records, %d room skips",
+            p, q, r, index, search.nodes, search.prunes, tables, len(records), search.skips,
         )
     return records
 
@@ -512,18 +562,95 @@ def _first(f: int, y: int, blk: int) -> int:
     return (y - f if f % 2 == 0 else f - y) % blk if f // blk == y // blk else blk
 
 
-def _code_key(perms, start: int):
-    """bfs_code(perms, start), as bytes when every entry fits in one."""
-    code = complexes.bfs_code(perms, start)
-    return bytes(code) if len(perms[0]) <= 256 else code
+def _path(t1, t2, x: int) -> tuple[int, int]:
+    """The other end of the open path of r2 and r1 edges that starts at x,
+    where r1 is undecided, and its number of edges.  r2 is complete and
+    fixes no point, so the path is open and ends after an r2 edge.
+
+    An entry x <-> d of r1 joins the paths at x and d.  When theirs and the
+    new edge make 2q or more, _assign rejects it: the joined path is open
+    and too long, or, when d ends x's own path, the cycle it closes is
+    shorter than 2q (a path of 2q - 1 edges is closed as soon as it forms),
+    or d is x, a fixed point."""
+    edges = 1
+    y = t2[x]
+    while t1[y] != UNDEF:
+        y = t2[t1[y]]
+        edges += 2
+    return y, edges
+
+
+def _partner_fails(t1, t2, q2: int, end_c: int, end_d: int, joined: int, a: int, path_a, b: int) -> bool:
+    """For p = 2, whether _assign rejects c <-> d for the entry a <-> b,
+    a = t0 c and b = t0 d, that c <-> d forces when r1 leaves a and b open.
+
+    c <-> d joins the paths at c and d (_path) into one of `joined` edges
+    from end_c to end_d; path_a is a's path before.  a <-> b then closes
+    a's path, which must make a cycle of q2 = 2q edges, when it ends at b,
+    and else joins two paths, which must make fewer than 2q edges.  Entries
+    only add edges, so the component of a <-> b that _assign would complete
+    contains this one: a cycle stays as it is, and an open path of 2q or
+    more edges lies in no cycle of 2q edges.
+    """
+    end_a, edges_a = (end_d, joined) if a == end_c else (end_c, joined) if a == end_d else path_a
+    if end_a == b:
+        return edges_a + 1 != q2
+    edges_b = joined if b == end_c or b == end_d else _path(t1, t2, b)[1]
+    return edges_a + edges_b + 1 >= q2
+
+
+def _least_in_block_order(t1, blk: int) -> bool:
+    """Whether a complete table of the torsion-free search, given by its
+    r1, is the least of its class in block order.
+
+    The other tables of the class are its block-order codes from the other
+    flags: blocks numbered as r1 enters them, each walked f, t0 f, t2 t0 f,
+    ... from the flag it is entered at.  A flag whose first entry (_first)
+    is above t1[0] reads higher, and the search leaves none below it, so
+    only the flags that tie there are read, each up to its first
+    difference; the table is the least exactly when none reads lower.  A
+    table not made of whole blocks, which the search never completes, is
+    kept for classify to judge.
+    """
+    m, head = len(t1), t1[0]
+    if m % blk:
+        return True
+    for f in range(1, m):
+        if _first(f, t1[f], blk) != head:
+            continue
+        rank = [-1] * (m // blk)  # block -> its number in f's code
+        rank[f // blk] = 0
+        entry = [f]  # the flag each numbered block is entered at
+        for i in range(m):
+            e, k = entry[i // blk], i % blk
+            # point i of f's code: place k on the walk round e's block
+            x = e - e % blk + ((e + k) % blk if e % 2 == 0 else (e - k) % blk)
+            y = t1[x]
+            b = y // blk
+            n = rank[b]
+            if n < 0:
+                o = len(entry) * blk
+            else:
+                e = entry[n]
+                o = n * blk + ((y - e) % blk if e % 2 == 0 else (e - y) % blk)
+            if o != t1[i]:
+                if o < t1[i]:
+                    return False
+                break
+            if n < 0:
+                rank[b] = len(entry)
+                entry.append(y)
+    return True
 
 
 # ---------------------------------------------------------------------------
 # subgroups <-> polygon complexes
 
 
-def complex_to_subgroup(c: PolygonComplex) -> SubgroupRecord:
+def complex_to_subgroup(c: complexes.PolygonComplex) -> SubgroupRecord:
     """Flag action of a certified extremal complex inside its (2, 3, N) group."""
+    from . import complexes
+
     rep = complexes.verify_extremal(c)
     if not rep.ok:
         raise ValueError("complex is not extremal: %s" % (rep.failures,))
@@ -540,7 +667,7 @@ def complex_to_subgroup(c: PolygonComplex) -> SubgroupRecord:
     return rec
 
 
-def subgroup_to_complex(rec: SubgroupRecord) -> PolygonComplex:
+def subgroup_to_complex(rec: SubgroupRecord) -> complexes.PolygonComplex:
     """Quotient surface of a torsion-free proper (2, 3, N) subgroup.
 
     Cosets are flags: polygons are the <r0, r2> orbits, edges the <r0, r1>
@@ -548,12 +675,14 @@ def subgroup_to_complex(rec: SubgroupRecord) -> PolygonComplex:
     the edge reflection reaches (complexes.read_polygons).  The words are
     read in coset order; serialize writes the canonical form.
     """
+    from . import complexes
+
     p, q, N = rec.params
     if (p, q) != (2, 3):
         raise ValueError("complex reconstruction needs a (2, 3, N) record")
     if not (rec.torsion_free and rec.proper):
         raise ValueError("complex reconstruction needs a torsion-free proper record")
-    out = PolygonComplex(complexes.read_polygons(rec.perms))
+    out = complexes.PolygonComplex(complexes.read_polygons(rec.perms))
     check = complexes.verify_extremal(out)
     if not (check.ok and check.g == rec.genus and check.n == N):
         raise InvariantError(

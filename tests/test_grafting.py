@@ -205,6 +205,31 @@ def test_build_primitive_reads_sites_one_at_a_time(monkeypatch):
     assert c == gr.build_primitive(41) and cx.verify_extremal(c).ok
 
 
+def test_build_primitive_builds_only_the_sites_its_room_leaves(monkeypatch):
+    # a cycle whose corners miss a polygon that an exact room fills is
+    # passed over before its site is built: 51 GraftSites for N = 41 from
+    # an empty chain, where 493 of the 544 built before fitted no row
+    built = []
+    init = gr.GraftSite.__init__
+    monkeypatch.setattr(gr.GraftSite, "__init__", lambda self, *args: built.append(args[1]) or init(self, *args))
+    monkeypatch.setattr(gr, "_chains", {})
+    c = gr.build_primitive(41)
+    assert 0 < len(built) <= 60
+    monkeypatch.undo()
+    assert c == gr.build_primitive(41)
+    # eligible_sites and graft_nth_site still read every site: X15's EG1
+    # grafts reach a room that only some of the sites meet
+    x15 = catalog.load_entry("X15").complex
+    c = list(itertools.islice(gr._grafts(x15, gr.eligible_sites(x15, gr.GraftVariant.EG1)), 4))[-1]
+    room = gr.graft_room(c)
+    sites = gr.eligible_sites(c, gr.GraftVariant.EG1)
+    kept = list(gr._iter_sites(c, gr.GraftVariant.EG1, room))
+    assert kept == [site for site in sites if not gr._misses_room({p for p, _ in site.corners}, room)]
+    assert 0 < len(kept) < len(sites)
+    with pytest.raises(IneligibleSiteError, match=r"site index %d out of range \(0\.\.%d\)" % (len(sites), len(sites) - 1)):
+        gr.graft_nth_site(c, gr.GraftVariant.EG1, len(sites))
+
+
 def test_build_primitive_checks_each_complex_once(monkeypatch):
     # the seed is checked when the chain starts and every later complex
     # when it is grafted: 35 checks for the 35 complexes of N = 41, where

@@ -162,7 +162,9 @@ COLD_COMMANDS = (
     (["bound", "--k", "1", "--g", "3"],
      {"complexes", "trigroup", "geometry", "covers", "grafting", "catalog"}),
     (["enumerate", "--p", "2", "--q", "3", "--r", "7", "--index", "28"],
-     {"geometry", "covers", "grafting", "feasibility", "catalog"}),
+     {"complexes", "geometry", "covers", "grafting", "feasibility", "catalog"}),
+    (["enumerate", "--p", "2", "--q", "3", "--r", "12", "--index", "24", "--torsion-free", "--proper"],
+     {"complexes", "geometry", "covers", "grafting", "feasibility", "catalog"}),
     (["verify", "X7"], {"trigroup", "geometry", "covers", "grafting"}),
     (["double-cover", "X9"], {"grafting", "feasibility", "trigroup", "geometry"}),
     (["cyclic-cover", "X12", "--n", "2"], {"grafting", "feasibility", "trigroup", "geometry"}),
@@ -186,12 +188,27 @@ def _loaded(tmp_path, code, *args):
     return json.loads(out.stdout)
 
 
-@pytest.mark.parametrize("argv, unused", COLD_COMMANDS, ids=[argv[0] for argv, _ in COLD_COMMANDS])
+@pytest.mark.parametrize(
+    "argv, unused", COLD_COMMANDS,
+    ids=[argv[0] + ("-tf" if "--torsion-free" in argv else "") for argv, _ in COLD_COMMANDS],
+)
 def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv, unused):
     code, modules = _loaded(tmp_path, LOADED, json.dumps(argv))
     assert code == 0
     assert "extpack.cli" in modules
     assert not {"extpack." + name for name in unused} & set(modules), modules
+
+
+def test_the_group_bridge_loads_both_layers(tmp_path):
+    # the subgroup/complex bridge reads complexes inside trigroup's two
+    # conversions; enumerate, which does not, loads trigroup alone
+    from extpack import catalog, trigroup
+
+    record = tmp_path / "X9.json"
+    record.write_text(json.dumps(trigroup.complex_to_subgroup(catalog.load_entry("X9").complex).to_json_dict()))
+    for argv in (["to-group", "X9"], ["from-group", str(record)]):
+        code, modules = _loaded(tmp_path, LOADED, json.dumps(argv))
+        assert code == 0 and {"extpack.trigroup", "extpack.complexes"} <= set(modules), (argv, modules)
 
 
 def test_a_cold_render_loads_neither_decimal_nor_fractions(tmp_path):

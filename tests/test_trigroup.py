@@ -643,15 +643,34 @@ class WalkSearch(tg._TriangleSearch):
 #: the groups benchmark's enumerate menu (torsion-free searches are proper),
 #: with the search's (nodes, prunes, tables, records)
 MENU_COUNTERS = {
-    ((2, 3, 7), 84, True): (21779, 384, 70, 12),
-    ((2, 3, 8), 48, True): (2133, 130, 49, 23),
-    ((2, 3, 9), 36, True): (670, 51, 5, 4),
-    ((2, 3, 12), 24, True): (584, 80, 15, 11),
-    ((3, 3, 9), 18, True): (1344, 165, 71, 37),
+    ((2, 3, 7), 84, True): (7224, 384, 70, 12),
+    ((2, 3, 8), 48, True): (858, 130, 49, 23),
+    ((2, 3, 9), 36, True): (284, 51, 5, 4),
+    ((2, 3, 12), 24, True): (250, 80, 15, 11),
+    ((3, 3, 9), 18, True): (920, 165, 71, 37),
     ((2, 3, 12), 24, False): (30487, 1289, 300, 300),
     ((2, 3, 7), 28, False): (5153, 233, 13, 13),
 }
 MENU_IDS = ["%d,%d,%d@%d%s" % (pqr + (index, "-tf" if tf else "")) for pqr, index, tf in MENU_COUNTERS]
+
+#: the torsion-free menu searches' nodes without the room test: every entry
+#: it skips was a node that failed in _assign, so nodes + skips make these
+#: ((3,3,9)@18 has no t0 partner test, p being 3)
+NODES_WITHOUT_ROOM_TEST = {
+    ((2, 3, 7), 84, True): 21779,
+    ((2, 3, 8), 48, True): 2133,
+    ((2, 3, 9), 36, True): 670,
+    ((2, 3, 12), 24, True): 584,
+    ((3, 3, 9), 18, True): 1344,
+}
+
+
+def _room_skips(caplog):
+    (record,) = [rec for rec in caplog.records if rec.name == "extpack.trigroup"]
+    text = record.getMessage()
+    found = re.search(r" records, (\d+) room skips$", text)
+    assert found, text
+    return int(found.group(1))
 
 
 @pytest.mark.parametrize("search, counters", MENU_COUNTERS.items(), ids=MENU_IDS)
@@ -660,6 +679,89 @@ def test_menu_search_counters_are_pinned(caplog, search, counters):
     with caplog.at_level(logging.DEBUG, logger="extpack.trigroup"):
         tg.low_index_subgroups(*pqr, index, torsion_free=tf, proper=True if tf else None)
     assert _search_counters(caplog) == counters
+    skips = _room_skips(caplog)
+    assert counters[0] + skips == NODES_WITHOUT_ROOM_TEST.get(search, counters[0])
+    assert (skips > 0) == tf
+
+
+class CheckedRoomSearch(tg._TriangleSearch):
+    """The search handing every entry that the room test skips to _assign,
+    which must reject it; the entry is then undone."""
+
+    def _skip(self, c, d):
+        mark = len(self.trail)
+        assert not self._assign(1, c, d), "the room test skipped %d <-> %d, which _assign enters" % (c, d)
+        self._undo(mark)
+        assert self.t[1][c] == self.t[1][d] == tg.UNDEF
+        super()._skip(c, d)
+
+
+ROOM_CASES = [(pqr, index) for pqr, index, tf in MENU_COUNTERS if tf] + [
+    case for case in TF_GRID if case + (True,) not in MENU_COUNTERS
+]
+
+
+@pytest.mark.parametrize(
+    "pqr, index", ROOM_CASES, ids=["%d,%d,%d@%d" % (pqr + (index,)) for pqr, index in ROOM_CASES]
+)
+def test_every_room_skip_is_an_entry_assign_rejects(pqr, index):
+    checked, plain = CheckedRoomSearch(*pqr, index, True), tg._TriangleSearch(*pqr, index, True)
+    assert list(checked.solutions()) == list(plain.solutions())
+    assert (checked.nodes, checked.skips, checked.prunes) == (plain.nodes, plain.skips, plain.prunes)
+    assert checked.skips > 0
+
+
+def test_the_room_test_is_exact_on_the_first_337_records(monkeypatch):
+    def records():
+        return tg.low_index_subgroups(3, 3, 7, 42, torsion_free=True, max_count=50)
+
+    plain = records()
+    monkeypatch.setattr(tg, "_TriangleSearch", CheckedRoomSearch)
+    assert records() == plain and len(plain) == 50
+
+
+def block_order_code(t, f):
+    """r1 of the table t renumbered from flag f in block order: each block
+    is numbered in full when r1 first reaches it, along the walk x, t0 x,
+    t2 t0 x, ... from the flag x it is reached at."""
+    new, seq = {}, []
+
+    def enter(x):
+        y, k = x, 0
+        while True:
+            new[y] = len(seq)
+            seq.append(y)
+            y, k = t[2 * (k % 2)][y], k + 1
+            if y == x:
+                return
+
+    enter(f)
+    code = []
+    for x in seq:
+        if t[1][x] not in new:
+            enter(t[1][x])
+        code.append(new[t[1][x]])
+    return code
+
+
+@pytest.mark.parametrize(
+    "pqr,index,classes,prefix_classes",
+    [((2, 3, 7), 84, 12, 18), ((2, 3, 8), 48, 23, 32), ((3, 3, 9), 18, 41, 41), ((2, 3, 12), 48, 303, 482)],
+    ids=["2,3,7@84", "2,3,8@48", "3,3,9@18", "2,3,12@48"],
+)
+def test_the_block_order_test_matches_the_least_code_over_all_flags(pqr, index, classes, prefix_classes):
+    # prefix_classes: the tables a test reading only the first 8 entries of
+    # each code would keep; on three of the four searches it keeps repeats
+    kept = prefix_kept = 0
+    for t in tg._TriangleSearch(*pqr, index, True).solutions():
+        codes = [block_order_code(t, f) for f in range(index)]
+        assert codes[0] == list(t[1])  # the search's own numbering is block order from 0
+        least = codes[0] == min(codes)
+        assert tg._least_in_block_order(t[1], 2 * pqr[2]) == least
+        kept += least
+        prefix_kept += codes[0][:8] == min(code[:8] for code in codes)
+    assert kept == classes == len(tg.low_index_subgroups(*pqr, index, torsion_free=True))
+    assert prefix_kept == prefix_classes
 
 
 @pytest.mark.parametrize(
