@@ -628,11 +628,7 @@ def _least_in_block_order(t1, blk: int) -> bool:
             y = t1[x]
             b = y // blk
             n = rank[b]
-            if n < 0:
-                o = len(entry) * blk
-            else:
-                e = entry[n]
-                o = n * blk + ((y - e) % blk if e % 2 == 0 else (e - y) % blk)
+            o = len(entry) * blk if n < 0 else n * blk + _first(entry[n], y, blk)
             if o != t1[i]:
                 if o < t1[i]:
                     return False
