@@ -13,7 +13,10 @@ class Record:
     binding of keywords and defaults.  The fields are written to the
     instance dict, whose reads are a little slower than CPython's inline
     attribute storage: a class built in a hot loop and read often sets
-    them with object.__setattr__ in its own __init__.
+    them with object.__setattr__ in its own __init__, as PolygonComplex
+    does, of which a census builds thousands.  VertexCycle and GraftSite
+    take the positional path: one build or realize makes at most 91 and
+    54 of them.
     """
 
     _uncompared = ()

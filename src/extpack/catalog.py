@@ -144,16 +144,12 @@ def load_all() -> dict[str, CatalogEntry]:
     return {name: load_entry(name) for name in EXPECTED}
 
 
-_seed_cache: dict[int, PolygonComplex] = {}
-
-
 def seed_complex(n: int) -> PolygonComplex:
-    """The seed complex of cell size n (7, 8, 9 or 12)."""
+    """The seed complex of cell size n (7, 8, 9 or 12), loaded and
+    certified at each call: the graft chain of a seed holds it."""
     if n not in (7, 8, 9, 12):
         raise UnknownCatalogEntryError("no seed with cell size %r" % (n,))
-    if n not in _seed_cache:
-        _seed_cache[n] = load_entry("X%d" % n).complex
-    return _seed_cache[n]
+    return load_entry("X%d" % n).complex
 
 
 def write_catalog(directory) -> None:

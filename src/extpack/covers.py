@@ -282,8 +282,7 @@ def realize_spec(k: int, g: int) -> PolygonComplex:
     """
     from . import feasibility, grafting
 
-    feasibility.require_feasible(k, g)
-    n_sides = 6 + 6 * (g - 2) // k
+    n_sides = feasibility._cell_size(k, g)
     j = feasibility.cover_index(k, g)
     base = grafting.build_primitive(n_sides)
     out = find_nonorientable_cyclic_cover(base, j)

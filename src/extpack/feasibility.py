@@ -168,22 +168,26 @@ def primitive_pair(N: int) -> tuple[int, int]:
     return line_ln(N, 1).entries[0]
 
 
+def _cell_size(k: int, g: int) -> int:
+    """The cell size N = 6 + 6(g-2)/k of a feasible pair; InfeasibleSpecError
+    otherwise."""
+    require_feasible(k, g)
+    return 6 + 6 * (g - 2) // k
+
+
 def is_primitive(k: int, g: int) -> bool:
     """True iff (k, g) is the minimal pair for its cell size."""
-    require_feasible(k, g)
-    N = 6 + 6 * (g - 2) // k
-    return (k, g) == primitive_pair(N)
+    return (k, g) == primitive_pair(_cell_size(k, g))
 
 
 def cover_index(k: int, g: int) -> int:
-    """Position j of (k, g) on its line: the cyclic-cover degree over the primitive pair."""
-    require_feasible(k, g)
-    N = 6 + 6 * (g - 2) // k
-    kn = smallest_k(N)
-    j, rem = divmod(k, kn)
-    if rem or line_ln(N, j).entries[-1] != (k, g):
-        raise InfeasibleSpecError("(%d, %d) is not on the line of N=%d" % (k, g, N))
-    return j
+    """Position j of (k, g) on its line: the cyclic-cover degree over the
+    primitive pair.
+
+    k(N - 6) = 6(g - 2), so 6 divides kN and k_N = 6/gcd(N, 6) divides k;
+    entry j = k/k_N of the line is then (k, g).
+    """
+    return k // smallest_k(_cell_size(k, g))
 
 
 def dual_extremal_pairs(g: int) -> set[frozenset[int]]:
@@ -209,8 +213,6 @@ def uniqueness_class(k: int, g: int) -> Uniqueness:
     Multiplicity requires the ambient (2, 3, N) triangle group to be
     arithmetic, which happens exactly for N in ARITHMETIC_CELL_SIZES.
     """
-    require_feasible(k, g)
-    N = 6 + 6 * (g - 2) // k
-    if N in ARITHMETIC_CELL_SIZES:
+    if _cell_size(k, g) in ARITHMETIC_CELL_SIZES:
         return Uniqueness.POSSIBLY_MULTIPLE
     return Uniqueness.UNIQUE

@@ -10,7 +10,9 @@ grafted.  The wirings are the rows of WIRINGS, one
 table for all four variants.  How many new sides each polygon may take
 is one policy, `graft_room`: exactly what makes the complex
 uniform when one graft can, else up to the size a second graft can
-equalize (the free half of a pair), else no limit.  Which rows leave
+equalize (the free half of a pair), else no limit.  A graft that picks
+its own site (`graft_first_site`, the chain's steps) reads one stream,
+`_grafts`: the sites that room leaves, row by row.  Which rows leave
 every vertex trivalent depends only on the site's twist, which of its
 three crossings reverse orientation (`_TWIST_ROWS`).  `discover_rewrite`
 returns the first row of the twist, in table order, whose side counts
@@ -24,7 +26,9 @@ of whose corners flank an edge shared by two different polygons (the
 phases of the alternation and share the same mechanism.
 
 Iterating grafts from the four seed complexes produces a primitive
-extremal complex for every cell size N >= 7 (`build_primitive`).
+extremal complex for every cell size N >= 7 (`build_primitive`).  N mod 6
+only picks the seed and its schedule, so the process keeps one chain per
+seed and every N of that seed reads a prefix of it.
 """
 
 from __future__ import annotations
@@ -60,11 +64,6 @@ class GraftSite(Record):
     variant: GraftVariant
     cycle: VertexCycle
     shared_edge: int | None = None
-
-    def __init__(self, variant, cycle, shared_edge=None):
-        object.__setattr__(self, "variant", variant)
-        object.__setattr__(self, "cycle", cycle)
-        object.__setattr__(self, "shared_edge", shared_edge)
 
     @property
     def corners(self):
@@ -120,9 +119,10 @@ def _iter_sites(c: PolygonComplex, variant: GraftVariant, room=None):
 
     c must be graftable: it is not checked again here.  The cycles are
     walked lazily, and a cycle's VertexCycle is built only when it is a
-    site of the variant the caller reaches.  Given the room of graft_room,
-    the graft chain's own, a cycle whose corners miss a polygon that an
-    exact room still fills (_misses_room) is passed over: no row fits there.
+    site of the variant the caller reaches.  Given c's room of graft_room,
+    as _grafts gives it, a cycle whose corners miss a polygon that an exact
+    room still fills (_misses_room) is passed over: no row fits there.
+    This is the one place that test is made.
     """
     corners = complexes._corners(c)
     sides = complexes.flag_sides(c)
@@ -215,7 +215,9 @@ def graft_room(c: PolygonComplex) -> tuple[int, ...] | None:
 def _misses_room(polys, room) -> bool:
     """Whether a site whose corners lie in the polygons polys misses a
     polygon that an exact room, one summing to 6 as every row does, still
-    fills: then no row fits there."""
+    fills: then no row fits there.  _iter_sites passes over such a site;
+    given one anyway, _fits rejects each row there, since the row puts its
+    6 sides on the site's polygons, whose room sums to less than 6."""
     if room is None or sum(room) != 6:
         return False
     return any(v for p, v in enumerate(room) if p not in polys)
@@ -236,15 +238,14 @@ def _iter_rewrites(c: PolygonComplex, site: GraftSite, room):
     (_TWIST_ROWS) that fits the room, in table order.
 
     c must be graftable; the callers check that once per search.  A row
-    fits when it grows no polygon beyond its room (_fits); a site whose
-    corners miss a polygon that an exact room still fills fits no row and
-    is skipped before any is tried (_misses_room).  The grafted complex stays
-    connected and non-orientable, because every old pairing survives.
+    fits when it grows no polygon beyond its room (_fits); at a site whose
+    corners miss a polygon that an exact room still fills, which the
+    stream of _grafts never reaches, no row fits (_misses_room).  The
+    grafted complex stays connected and non-orientable, because every old
+    pairing survives.
     Each row is built and checked in full: a row of the twist that is not
     trivalent after all is an InvariantError.
     """
-    if _misses_room({p for p, _ in site.corners}, room):
-        return
     base = max(abs(v) for w in c.polygons for v in w)
     twist = _twist(c, site)
     for r in _TWIST_ROWS[twist]:
@@ -321,12 +322,12 @@ def apply_graft(c: PolygonComplex, site: GraftSite) -> PolygonComplex:
     return _graft_at(c, site)[1]
 
 
-def _grafts(c: PolygonComplex, sites):
+def _grafts(c: PolygonComplex, variant: GraftVariant):
     """Every complex one graft makes from c under graft_room: site by site,
-    row by row.  The sites are c's eligible sites of one variant, read as
-    far as the caller reads the grafts."""
+    row by row.  The sites are those of the variant that c's room leaves
+    (_iter_sites), read as far as the caller reads the grafts."""
     room = graft_room(c)
-    for site in sites:
+    for site in _iter_sites(c, variant, room):
         for _, out in _iter_rewrites(c, site, room):
             yield out
 
@@ -340,26 +341,20 @@ def _sites(c: PolygonComplex, variant: GraftVariant) -> list[GraftSite]:
 
 def graft_first_site(c: PolygonComplex, variant: GraftVariant) -> PolygonComplex:
     """Apply the variant at the first eligible site where a row grafts,
-    under the same room as apply_graft.
+    under the same room as apply_graft: the first graft of the stream the
+    graft chain reads (_grafts), which passes over the sites the room
+    rules out.
 
     Raises IneligibleSiteError when the complex has no site of the variant
-    or no row of any site's twist fits the room.  The sites are counted for
-    that message only.
+    or no row of any site's twist fits the room.  Every site is counted for
+    that message, and only there.
     """
-    c = _graftable(c)
-    return _first_graft(c, variant, _iter_sites(c, variant))
+    return _first_graft(_graftable(c), variant)
 
 
-def _room_sites(c: PolygonComplex, variant: GraftVariant):
-    """The sites of the variant that c's room leaves (_iter_sites): the
-    graft chain's, which builds no site that cannot graft."""
-    return _iter_sites(c, variant, graft_room(c))
-
-
-def _first_graft(c: PolygonComplex, variant: GraftVariant, sites) -> PolygonComplex:
-    """graft_first_site on a graftable c, which is not checked again, over
-    c's sites of the variant: all of them, or those its room leaves."""
-    out = next(_grafts(c, sites), None)
+def _first_graft(c: PolygonComplex, variant: GraftVariant) -> PolygonComplex:
+    """graft_first_site on a graftable c, which is not checked again."""
+    out = next(_grafts(c, variant), None)
     if out is None:
         raise IneligibleSiteError(
             "no %s site of %d can take a graft: no wiring row fits the room %s of sizes %s"
@@ -395,9 +390,9 @@ def _graft_pair(
     the first halves tried, when no first half works.
     """
     tried = 0
-    for mid in _grafts(c, _room_sites(c, v1)):
+    for mid in _grafts(c, v1):
         tried += 1
-        fin = next(_grafts(mid, _room_sites(mid, v2)), None)
+        fin = next(_grafts(mid, v2), None)
         if fin is not None and len(set(fin.sizes)) == 1:
             return mid, fin
     raise RewriteSearchError(
@@ -406,28 +401,29 @@ def _graft_pair(
     )
 
 
-# schedules: base seed, variant rotation, and whether grafts come in pairs,
-# per congruence class of N mod 6
+#: the seed's cell size, by N mod 6: N = 1 and 5 grow from X7, 2 and 4 from X8
+_SEEDS = (12, 7, 8, 9, 8, 7)
+
+#: per seed: the variant rotation, and whether grafts come in pairs
 _SCHEDULES = {
-    0: (12, (GraftVariant.EG2, GraftVariant.EG1), False),
-    1: (7, (GraftVariant.EG3, GraftVariant.EG1, GraftVariant.EG4, GraftVariant.EG2), True),
-    2: (8, (GraftVariant.EG1, GraftVariant.EG2), False),
-    3: (9, (GraftVariant.EG3, GraftVariant.EG4), True),
-    4: (8, (GraftVariant.EG1, GraftVariant.EG2), False),
-    5: (7, (GraftVariant.EG3, GraftVariant.EG1, GraftVariant.EG4, GraftVariant.EG2), True),
+    12: ((GraftVariant.EG2, GraftVariant.EG1), False),
+    7: ((GraftVariant.EG3, GraftVariant.EG1, GraftVariant.EG4, GraftVariant.EG2), True),
+    8: ((GraftVariant.EG1, GraftVariant.EG2), False),
+    9: ((GraftVariant.EG3, GraftVariant.EG4), True),
 }
 
+#: per seed: its graft chain, from the seed on
 _chains: dict[int, list[PolygonComplex]] = {}
 
 
-def _chain(cls: int, steps: int) -> PolygonComplex:
-    from . import catalog
+def _chain(seed: int, steps: int) -> PolygonComplex:
+    variants, paired = _SCHEDULES[seed]
+    if seed not in _chains:
+        from . import catalog
 
-    base_n, variants, paired = _SCHEDULES[cls]
-    if cls not in _chains:
-        _chains[cls] = [_graftable(catalog.seed_complex(base_n))]
+        _chains[seed] = [_graftable(catalog.seed_complex(seed))]
     # every later complex was checked when it was grafted (_iter_rewrites)
-    chain = _chains[cls]
+    chain = _chains[seed]
     while len(chain) <= steps:
         step = len(chain)  # 1-based step number being produced
         cur = chain[-1]
@@ -437,7 +433,7 @@ def _chain(cls: int, steps: int) -> PolygonComplex:
             chain.append(mid)
             chain.append(fin)
         else:
-            chain.append(_first_graft(cur, variant, _room_sites(cur, variant)))
+            chain.append(_first_graft(cur, variant))
     return chain[steps]
 
 
@@ -453,10 +449,8 @@ def build_primitive(N: int) -> PolygonComplex:
     """
     if N < 7:
         raise ValueError("need cell size N >= 7, got %r" % (N,))
-    cls = N % 6
-    base_n = _SCHEDULES[cls][0]
     from .feasibility import smallest_k
 
-    k = smallest_k(N)
-    steps = k * (N - base_n) // 6
-    return complexes._renamed(_chain(cls, steps), "X%d" % N)
+    seed = _SEEDS[N % 6]
+    steps = smallest_k(N) * (N - seed) // 6
+    return complexes._renamed(_chain(seed, steps), "X%d" % N)

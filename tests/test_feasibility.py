@@ -135,3 +135,18 @@ def test_cover_index():
     assert fz.cover_index(6, 3) == 1
     assert fz.cover_index(2, 4) == 2
     assert fz.cover_index(18, 5) == 3
+
+
+def test_cover_index_is_the_position_on_the_line():
+    # k_N divides k for every feasible pair, so k // k_N is exact and entry
+    # j of the line of N is the pair itself
+    pairs = 0
+    for g in range(3, 61):
+        for k in range(1, 6 * (g - 2) + 1):
+            if fz.is_feasible(k, g):
+                N = 6 + 6 * (g - 2) // k
+                j = fz.cover_index(k, g)
+                assert j * fz.smallest_k(N) == k
+                assert fz.line_ln(N, j).entries[-1] == (k, g)
+                pairs += 1
+    assert pairs == sum(fz.count_feasible_k(g) for g in range(3, 61))

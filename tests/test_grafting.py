@@ -137,8 +137,8 @@ def test_paired_steps_graft_under_the_policy():
     for n in range(116, 122):
         gr.build_primitive(n)
     pairs = 0
-    for cls, (_, _, paired) in gr._SCHEDULES.items():
-        chain = gr._chains[cls] if paired else []
+    for seed, (_, paired) in gr._SCHEDULES.items():
+        chain = gr._chains[seed] if paired else []
         for cur, mid, fin in zip(chain[0::2], chain[1::2], chain[2::2]):
             room = gr.graft_room(cur)
             assert sum(room) == 12
@@ -146,7 +146,7 @@ def test_paired_steps_graft_under_the_policy():
             assert gr.graft_room(mid) == tuple(b - a for a, b in zip(mid.sizes, fin.sizes))
             assert len(set(fin.sizes)) == 1
             pairs += 1
-    assert pairs == 131
+    assert pairs == 75
 
 
 def test_catalog_sites_graft_or_are_ineligible():
@@ -220,7 +220,7 @@ def test_build_primitive_builds_only_the_sites_its_room_leaves(monkeypatch):
     # eligible_sites and graft_nth_site still read every site: X15's EG1
     # grafts reach a room that only some of the sites meet
     x15 = catalog.load_entry("X15").complex
-    c = list(itertools.islice(gr._grafts(x15, gr.eligible_sites(x15, gr.GraftVariant.EG1)), 4))[-1]
+    c = list(itertools.islice(gr._grafts(x15, gr.GraftVariant.EG1), 4))[-1]
     room = gr.graft_room(c)
     sites = gr.eligible_sites(c, gr.GraftVariant.EG1)
     kept = list(gr._iter_sites(c, gr.GraftVariant.EG1, room))
@@ -243,6 +243,68 @@ def test_build_primitive_checks_each_complex_once(monkeypatch):
     assert len(checked) == len({id(x) for x in checked})
     monkeypatch.undo()
     assert c == gr.build_primitive(41) and cx.verify_extremal(c).ok
+
+
+def test_one_chain_per_seed(monkeypatch):
+    # N mod 6 picks the seed only: N = 41 reads the X7 chain N = 43 grew,
+    # and N = 20 the X8 chain N = 22 grew, without a graft of their own
+    monkeypatch.setattr(gr, "_chains", {})
+    rewrites = []
+    apply_rewrite = gr.apply_rewrite
+    monkeypatch.setattr(gr, "apply_rewrite", lambda c, rw: rewrites.append(rw) or apply_rewrite(c, rw))
+    for first, second in ((43, 41), (22, 20)):
+        gr.build_primitive(first)
+        assert rewrites
+        rewrites.clear()
+        c = gr.build_primitive(second)
+        assert rewrites == []
+        assert (cx.verify_extremal(c).n, c.name) == (second, "X%d" % second)
+    assert set(gr._chains) <= {7, 8, 9, 12}
+
+
+def reference_first_graft(c, variant):
+    """The first graft over every eligible site of the variant, each under
+    c's room, or None."""
+    room = gr.graft_room(c)
+    for site in gr.eligible_sites(c, variant):
+        for _, out in gr._iter_rewrites(c, site, room):
+            return out
+    return None
+
+
+def test_graft_first_site_reads_the_room_stream():
+    # the stream that passes over the sites the room rules out grafts
+    # where the walk over every site does, and fails with the same message,
+    # on the catalog, the chains' complexes up to N = 31 and the seventh
+    # EG1 graft of X11: its sizes (11, 13, 13, 13, 11, 11) leave the exact
+    # room (2, 0, 0, 0, 2, 2), which every site misses
+    complexes = [entry.complex for _, entry in sorted(catalog.load_all().items())]
+    x11 = catalog.load_entry("X11").complex
+    complexes.append(list(itertools.islice(gr._grafts(x11, gr.GraftVariant.EG1), 7))[-1])
+    steps = {}
+    for n in range(7, 32):
+        gr.build_primitive(n)
+        seed = gr._SEEDS[n % 6]
+        steps[seed] = max(steps.get(seed, 0), smallest_k(n) * (n - seed) // 6)
+    for seed, last in sorted(steps.items()):
+        complexes.extend(gr._chains[seed][: last + 1])
+    verdicts = Counter()
+    for c in complexes:
+        for variant in gr.GraftVariant:
+            expected = reference_first_graft(c, variant)
+            if expected is not None:
+                assert gr.graft_first_site(c, variant) == expected, (c, variant)
+                verdicts["grafts"] += 1
+                continue
+            sites = gr.eligible_sites(c, variant)
+            message = ("no %s site of %d can take a graft: no wiring row fits the room %s of sizes %s"
+                       % (variant.value, len(sites), gr.graft_room(c), c.sizes)
+                       if sites else "the complex has no %s site" % variant.value)
+            with pytest.raises(IneligibleSiteError) as err:
+                gr.graft_first_site(c, variant)
+            assert str(err.value) == message, (c, variant)
+            verdicts[bool(sites)] += 1
+    assert verdicts == {"grafts": 212, True: 4, False: 12}, verdicts
 
 
 def test_discover_rewrite_is_deterministic(seeds):
@@ -362,10 +424,10 @@ def graft_test_complexes(max_n):
     steps = {}
     for n in range(7, max_n + 1):
         gr.build_primitive(n)
-        cls = n % 6
-        steps[cls] = max(steps.get(cls, 0), smallest_k(n) * (n - gr._SCHEDULES[cls][0]) // 6)
-    for cls, last in sorted(steps.items()):
-        out.extend(gr._chains[cls][: last + 1])
+        seed = gr._SEEDS[n % 6]
+        steps[seed] = max(steps.get(seed, 0), smallest_k(n) * (n - seed) // 6)
+    for seed, last in sorted(steps.items()):
+        out.extend(gr._chains[seed][: last + 1])
     return out
 
 
@@ -477,11 +539,11 @@ def compare_with_reference(max_n):
 
 def test_table_grafts_like_the_candidate_stream():
     # both verdicts occur: at many sites no row fits the target, most of
-    # them on the non-uniform mids of the k = 6 schedules.  The 2,520
+    # them on the non-uniform mids of the k = 6 schedules.  The 1,522
     # cycles, seven rows each, check the twist table in full
     verdicts = compare_with_reference(31)
     assert verdicts[True] > 1000 and verdicts[False] > 100, verdicts
-    assert verdicts["rows"] == 17640, verdicts
+    assert verdicts["rows"] == 10654, verdicts
 
 
 def random_rewrites(c, slots, rng, count):
@@ -517,8 +579,9 @@ def test_local_check_matches_the_full_check():
     verdicts = Counter()
     for n in range(26, 32):
         gr.build_primitive(n)
-        steps = smallest_k(n) * (n - gr._SCHEDULES[n % 6][0]) // 6
-        for c in gr._chains[n % 6][: steps + 1]:
+        seed = gr._SEEDS[n % 6]
+        steps = smallest_k(n) * (n - seed) // 6
+        for c in gr._chains[seed][: steps + 1]:
             for site in gr.eligible_sites(c, gr.GraftVariant.EG1):
                 need = Counter(p for p, _ in site.corners for _ in range(2))
                 corner, widened = site_slots(c, site)
@@ -537,7 +600,7 @@ def test_a_site_where_no_row_of_its_twist_fits_is_ineligible():
     # (1, 5).  At its EG1 site 3, rows 4-6 fit the room, but the site's
     # twist (1, 0) grafts by row 3 alone, which does not fit
     x15 = catalog.load_entry("X15").complex
-    c = list(itertools.islice(gr._grafts(x15, gr.eligible_sites(x15, gr.GraftVariant.EG1)), 4))[-1]
+    c = list(itertools.islice(gr._grafts(x15, gr.GraftVariant.EG1), 4))[-1]
     room = gr.graft_room(c)
     assert (c.sizes, room) == ((20, 16), (1, 5))
     site = gr.eligible_sites(c, gr.GraftVariant.EG1)[3]

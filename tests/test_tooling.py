@@ -168,6 +168,9 @@ COLD_COMMANDS = (
     (["verify", "X7"], {"trigroup", "geometry", "covers", "grafting"}),
     (["double-cover", "X9"], {"grafting", "feasibility", "trigroup", "geometry"}),
     (["cyclic-cover", "X12", "--n", "2"], {"grafting", "feasibility", "trigroup", "geometry"}),
+    (["build", "--N", "41"], {"trigroup", "geometry", "covers"}),
+    (["graft", "X8", "--variant", "EG1"], {"trigroup", "geometry", "covers", "feasibility"}),
+    (["realize", "--k", "24", "--g", "10"], {"trigroup", "geometry"}),
 )
 
 LOADED = (
