@@ -15,8 +15,8 @@ class Record:
     attribute storage: a class built in a hot loop and read often sets
     them with object.__setattr__ in its own __init__, as PolygonComplex
     does, of which a census builds thousands.  VertexCycle and GraftSite
-    take the positional path: one build or realize makes at most 91 and
-    54 of them.
+    take the positional path: one build or realize makes at most 91
+    VertexCycles and 54 GraftSites.
     """
 
     _uncompared = ()
