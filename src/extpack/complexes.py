@@ -26,9 +26,11 @@ A complex stores one involution of its flag action (see flag_action),
 the edge crossing t1, written when it is created by the pass that also
 decides connectivity and orientability on the polygon graph; t0 and t2
 follow from the polygon sizes and are built on first use.  One walk of
-t1 t2 gives the vertex cycles; vertex_cycles records each as one
-VertexCycle, its corners with the edges crossed between them, which the
-grafts, the cyclic covers and the holonomy check all read.
+t1 t2 finds the vertex cycles, each as its start flag and its number of
+corners, which is all the certificate reads; vertex_cycles reads each
+cycle's flags from its start and records it as one VertexCycle, its
+corners with the edges crossed between them, which the grafts, the
+cyclic covers and the holonomy check all read.
 """
 
 from __future__ import annotations
@@ -332,39 +334,60 @@ def _corners(c: PolygonComplex) -> list[tuple[int, int]]:
     return [(p, i) for p, word in enumerate(c.polygons) for i in range(len(word))]
 
 
-def _walk(c: PolygonComplex, cap: int | None = None):
-    """Yield each vertex cycle as the flags that t1 . t2 visits.
+def _walk(c: PolygonComplex, cap: int | None = None) -> list[tuple[int, int]] | None:
+    """Each vertex cycle as (start, corners): the leaving flag of its least
+    corner and the number of corners that t1 . t2 visits from there.
 
-    Cycles come in the order of their least corner and start at its
-    leaving flag; the walk meets each corner of a cycle once.  The first
-    cycle to pass cap corners is cut at cap + 1 flags and ends the walk.
+    This is the one routine that finds the vertex cycles.  They come in the
+    order of their least corner, so the starts increase.  The walk counts
+    corners and keeps no flags (_cycle reads a cycle's flags from its
+    start).  With a cap, it returns None as soon as a cycle passes cap
+    corners; without one, its steps test no cap.
     """
     t1 = c._t1
-    cap = len(t1) if cap is None else cap
     seen = bytearray(len(t1) >> 1)
+    out = []
     for start in range(0, len(t1), 2):
         if seen[start >> 1]:
             continue
-        cycle = []
-        f = start
-        while True:
-            cycle.append(f)
-            seen[f >> 1] = 1
-            f = t1[f ^ 1]
-            if f == start or len(cycle) > cap:
-                break
-        yield cycle
-        if len(cycle) > cap:
-            return
+        # later starts are greater, so start's own corner needs no mark
+        n = 1
+        f = t1[start ^ 1]
+        if cap is None:
+            while f != start:
+                seen[f >> 1] = 1
+                n += 1
+                f = t1[f ^ 1]
+        else:
+            while f != start:
+                n += 1
+                if n > cap:
+                    return None
+                seen[f >> 1] = 1
+                f = t1[f ^ 1]
+        out.append((start, n))
+    return out
+
+
+def _cycle(c: PolygonComplex, start: int) -> list[int]:
+    """The flags of the vertex cycle that _walk starts at start, one per
+    corner, in the order t1 . t2 visits them."""
+    t1 = c._t1
+    flags = [start]
+    f = t1[start ^ 1]
+    while f != start:
+        flags.append(f)
+        f = t1[f ^ 1]
+    return flags
 
 
 def vertex_class_sizes(c: PolygonComplex, cap: int | None = None) -> list[int] | None:
-    """Sorted sizes of the corner classes, or None as soon as one passes
-    cap (>= 1): the walk stops there."""
+    """Sorted sizes of the corner classes, or None when one passes cap
+    (any number >= 1): the walk stops at the first such cycle."""
     if cap is not None and cap < 1:
         raise ValueError("need cap >= 1, got %r" % (cap,))
-    sizes = sorted([len(cycle) for cycle in _walk(c, cap)])
-    return None if cap is not None and sizes[-1] > cap else sizes
+    walk = _walk(c, cap)
+    return None if walk is None else sorted([n for _, n in walk])
 
 
 def flag_sides(c: PolygonComplex) -> list[tuple[int, int]]:
@@ -393,10 +416,10 @@ def vertex_cycles(c: PolygonComplex) -> list[VertexCycle]:
     # the walk leaves each corner along the side of its other flag
     return [
         VertexCycle(
-            tuple([corners[f >> 1] for f in cycle]),
-            tuple([sides[f ^ 1] for f in cycle]),
+            tuple([corners[f >> 1] for f in flags]),
+            tuple([sides[f ^ 1] for f in flags]),
         )
-        for cycle in _walk(c)
+        for flags in (_cycle(c, start) for start, _ in _walk(c))
     ]
 
 
@@ -412,7 +435,7 @@ def is_orientable(c: PolygonComplex) -> bool:
 
 def surface_invariants(c: PolygonComplex) -> SurfaceInvariants:
     """Euler characteristic, orientability and genus of the glued surface."""
-    v = sum(1 for _ in _walk(c))
+    v = len(_walk(c))
     e = c.num_edges
     f = c.num_polygons
     chi = v - e + f
@@ -443,15 +466,15 @@ def verify_extremal(c: PolygonComplex) -> ExtremalityReport:
         if n < 7:
             failures.append("CellTooSmall(N=%d)" % n)
 
-    v = 0
+    walk = _walk(c)
+    v = len(walk)
     corners = None
-    for cycle in _walk(c):
-        v += 1
-        if len(cycle) != 3:
+    for start, length in walk:
+        if length != 3:
             if corners is None:
                 corners = _corners(c)
-            p, i = corners[cycle[0] >> 1]
-            failures.append("NotTrivalent(length=%d, corner=(%d, %d))" % (len(cycle), p, i))
+            p, i = corners[start >> 1]
+            failures.append("NotTrivalent(length=%d, corner=(%d, %d))" % (length, p, i))
     orientable = is_orientable(c)
     if orientable:
         failures.append("Orientable")

@@ -3,21 +3,22 @@ complex by one while keeping every vertex trivalent.
 
 A graft inserts three new edge pairs (six new sides) at a chosen vertex
 cycle, keeping all old pairings.  `eligible_sites` checks that the
-complex is graftable (trivalent and non-orientable) with one capped walk,
-then reads the sites off a second walk of its vertex cycles, built one at
-a time.  Each complex of a graft chain is checked once, when it is
-grafted.  The wirings are the rows of WIRINGS, one
-table for all four variants.  How many new sides each polygon may take
-is one policy, `graft_room`: exactly what makes the complex
-uniform when one graft can, else up to the size a second graft can
-equalize (the free half of a pair), else no limit.  A graft that picks
-its own site (`graft_first_site`, the chain's steps) reads one stream,
-`_grafts`: the sites that room leaves, row by row.  Which rows leave
-every vertex trivalent depends only on the site's twist, which of its
-three crossings reverse orientation (`_TWIST_ROWS`).  `discover_rewrite`
-returns the first row of the twist, in table order, whose side counts
-fit the room; the grafted complex is checked in full.  Any such rewrite
-changes (V, E, F) by (+2, +3, 0), so the genus goes up by exactly one.
+complex is graftable (trivalent and non-orientable) with one capped
+walk, then walks its vertex cycles a second time, for their starts only,
+and builds the sites one at a time, each from the flags read off its
+start.  Each complex of a graft chain is checked once, when it is
+grafted.  The wirings are the rows of WIRINGS, one table for all four
+variants.  How many new sides each polygon may take is one policy,
+`graft_room`: exactly what makes the complex uniform when one graft can,
+else up to the size a second graft can equalize (the free half of a
+pair), else no limit.  A graft that picks its own site
+(`graft_first_site`, the chain's steps) reads one stream, `_grafts`: the
+sites that room leaves, row by row.  Which rows leave every vertex
+trivalent depends only on the site's twist, which of its three crossings
+reverse orientation (`_TWIST_ROWS`).  `discover_rewrite` returns the
+first row of the twist, in table order, whose side counts fit the room;
+the grafted complex is checked in full.  Any such rewrite changes (V, E,
+F) by (+2, +3, 0), so the genus goes up by exactly one.
 
 The four variants come in two alternating families.  EG1/EG2 act at a
 cycle seen as three separate boundary corners; EG3/EG4 act at a cycle two
@@ -117,16 +118,19 @@ def _iter_sites(c: PolygonComplex, variant: GraftVariant, room=None):
     """Yield eligible_sites one at a time, so a caller that stops at the
     first site that grafts builds no VertexCycle or GraftSite past it.
 
-    c must be graftable: it is not checked again here.  The cycles are
-    walked lazily, and a cycle's VertexCycle is built only when it is a
-    site of the variant the caller reaches.  Given c's room of graft_room,
-    as _grafts gives it, a cycle whose corners miss a polygon that an exact
-    room still fills (_misses_room) is passed over: no row fits there.
-    This is the one place that test is made.
+    c must be graftable: it is not checked again here.  One walk finds
+    every cycle's start before the first site is yielded; a cycle's flags
+    are read from its start (complexes._cycle) only when the caller
+    reaches it, and its VertexCycle is built only when it is a site of the
+    variant.  Given c's room of graft_room, as _grafts gives it, a cycle
+    whose corners miss a polygon that an exact room still fills
+    (_misses_room) is passed over: no row fits there.  This is the one
+    place that test is made.
     """
     corners = complexes._corners(c)
     sides = complexes.flag_sides(c)
-    for flags in complexes._walk(c):
+    for start, _ in complexes._walk(c):
+        flags = complexes._cycle(c, start)
         if room is not None and _misses_room({corners[f >> 1][0] for f in flags}, room):
             continue
         # the walk leaves each corner along the side of its other flag, and

@@ -83,6 +83,27 @@ def reference_automorphisms(c):
     return [f for f in range(len(perms[0])) if reference_bfs_code(perms, f, ref) == ref]
 
 
+def reference_vertex_orbits(c):
+    """The orbits of t1 . t2 on c's flags, one per vertex cycle, each read
+    from the leaving flag of its least corner, by least corner (the
+    reference for complexes._walk and complexes._cycle).  t1 and t2 are
+    read off flag_action, and every flag of an orbit is looked up in full."""
+    _, t1, t2 = flag_action(c)
+    done = set()
+    out = []
+    for start in range(0, len(t1), 2):
+        if start // 2 in done:
+            continue
+        orbit = [start]
+        f = t1[t2[start]]
+        while f != start:
+            orbit.append(f)
+            f = t1[t2[f]]
+        done.update(f // 2 for f in orbit)
+        out.append(orbit)
+    return out
+
+
 def reference_pairings(c):
     """Every side pairing of realize's layout of c, by label in label order,
     computed eagerly along the same spanning tree, as realize did before

@@ -3,7 +3,9 @@ import random
 
 import pytest
 
-from conftest import random_complexes, reference_automorphisms, reference_bfs_code, reference_least_code
+from conftest import (
+    random_complexes, reference_automorphisms, reference_bfs_code, reference_least_code, reference_vertex_orbits,
+)
 from extpack import catalog, covers, grafting
 from extpack import complexes as cx
 from extpack import trigroup as tg
@@ -207,16 +209,25 @@ def test_derived_flag_action_matches_the_reference():
 
 
 def test_capped_walk_stops_at_the_first_cycle_past_the_cap():
+    # the walk is one (start, corners) pair per cycle, by least corner, and
+    # None with a cap exactly when some cycle passes it; each cycle's flags
+    # are read from its start
     for c in random_complexes(300, seed=183):
-        full = list(cx._walk(c))
-        sizes = sorted(map(len, full))
+        orbits = reference_vertex_orbits(c)
+        walk = cx._walk(c)
+        starts = [start for start, _ in walk]
+        assert walk == [(orbit[0], len(orbit)) for orbit in orbits], c
+        assert starts == sorted(set(starts)) and all(start % 2 == 0 for start in starts), c
+        assert [start >> 1 for start in starts] == [min(f >> 1 for f in orbit) for orbit in orbits], c
+        assert [cx._cycle(c, start) for start in starts] == orbits, c
+        sizes = sorted(map(len, orbits))
         assert cx.vertex_class_sizes(c) == sizes
         for cap in range(1, sizes[-1] + 2):
-            assert cx.vertex_class_sizes(c, cap) == (sizes if sizes[-1] <= cap else None)
-            # the full walk up to the first cycle past cap, cut at cap + 1 flags
-            cut = next((t for t, cycle in enumerate(full) if len(cycle) > cap), None)
-            want = full if cut is None else full[:cut] + [full[cut][:cap + 1]]
-            assert list(cx._walk(c, cap)) == want, (c, cap)
+            passed = sizes[-1] > cap
+            assert cx._walk(c, cap) == (None if passed else walk), (c, cap)
+            assert cx.vertex_class_sizes(c, cap) == (None if passed else sizes), (c, cap)
+            # a cap between two integers passes the same cycles as its floor
+            assert cx.vertex_class_sizes(c, cap + 0.5) == (None if passed else sizes), (c, cap)
 
 
 @pytest.mark.parametrize("cap", [0, -1])
