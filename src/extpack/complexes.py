@@ -341,10 +341,11 @@ def _walk(c: PolygonComplex, cap: int | None = None) -> list[tuple[int, int]] | 
     This is the one routine that finds the vertex cycles.  They come in the
     order of their least corner, so the starts increase.  The walk counts
     corners and keeps no flags (_cycle reads a cycle's flags from its
-    start).  With a cap, it returns None as soon as a cycle passes cap
-    corners; without one, its steps test no cap.
+    start).  It returns None as soon as a cycle passes cap corners; with no
+    cap it tests against the number of flags, which no cycle passes.
     """
     t1 = c._t1
+    cap = len(t1) if cap is None else cap
     seen = bytearray(len(t1) >> 1)
     out = []
     for start in range(0, len(t1), 2):
@@ -353,18 +354,12 @@ def _walk(c: PolygonComplex, cap: int | None = None) -> list[tuple[int, int]] | 
         # later starts are greater, so start's own corner needs no mark
         n = 1
         f = t1[start ^ 1]
-        if cap is None:
-            while f != start:
-                seen[f >> 1] = 1
-                n += 1
-                f = t1[f ^ 1]
-        else:
-            while f != start:
-                n += 1
-                if n > cap:
-                    return None
-                seen[f >> 1] = 1
-                f = t1[f ^ 1]
+        while f != start:
+            n += 1
+            if n > cap:
+                return None
+            seen[f >> 1] = 1
+            f = t1[f ^ 1]
         out.append((start, n))
     return out
 
