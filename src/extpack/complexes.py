@@ -65,13 +65,11 @@ class PolygonComplex(Record):
     _uncompared = ("name",)
 
     def __init__(self, polygons, name=None):
-        object.__setattr__(self, "polygons", polygons)
-        object.__setattr__(self, "name", name)
+        self.__dict__.update(polygons=polygons, name=name)
         self.__post_init__()
 
     def __post_init__(self):
         polys = tuple(map(tuple, self.polygons))
-        object.__setattr__(self, "polygons", polys)
         if not polys:
             raise InvalidComplexError("complex needs at least one polygon")
         # a C-level check of all labels; a fault runs the ordered scan to word it
@@ -89,26 +87,30 @@ class PolygonComplex(Record):
         t1 = [-1] * m
         seen: dict[int, tuple[int, int, bool, int]] = {}
         # links[p]: (q, flipped) per pairing of polygon p with a polygon q != p
-        links: list[list[tuple[int, bool]]] = [[] for _ in polys]
+        links = [[] for _ in polys] if len(polys) > 1 else None
         orientable = True
-        side = 0
+        start = -2  # the leaving flag of the side before the current one
         for p, word in enumerate(polys):
-            # the polygon's last side ends at flag 2 side + 1, at its first corner
-            wrap, last = 2 * side + 1, side + len(word) - 1
+            # the polygon's last side leaves flag last and ends at wrap, the
+            # arriving flag of its first corner
+            wrap, last = start + 3, start + 2 * len(word)
             for v in word:
-                start = 2 * side
-                end = start + 3 if side != last else wrap
-                side += 1
-                a = abs(v)
+                start += 2
+                end = start + 3 if start != last else wrap
+                positive = v > 0
+                a = v if positive else -v
                 if a not in seen:
-                    seen[a] = (start, end, v > 0, p)
+                    seen[a] = (start, end, positive, p)
                     continue
-                start1, end1, positive, p1 = seen[a]
-                flipped = positive != (v > 0)
-                if not flipped:
-                    start, end = end, start
-                t1[start1], t1[start] = start, start1
-                t1[end1], t1[end] = end, end1
+                start1, end1, positive1, p1 = seen[a]
+                flipped = positive1 != positive
+                # a flipped pair glues head to head, the other head to tail
+                if flipped:
+                    t1[start1], t1[start] = start, start1
+                    t1[end1], t1[end] = end, end1
+                else:
+                    t1[start1], t1[end] = end, start1
+                    t1[end1], t1[start] = start, end1
                 if p1 != p:
                     links[p1].append((p, flipped))
                     links[p].append((p1, flipped))
@@ -119,21 +121,22 @@ class PolygonComplex(Record):
             bad = min(a for a, n in Counter(map(abs, flat)).items() if n != 2)
             raise InvalidComplexError("unpaired label %s: every label must occur exactly twice" % bad)
         # color the polygon graph, a flipped link changing the color; it is
-        # the flag action's two-coloring with p's color on p's leaving flags
-        color = [0] + [-1] * (len(polys) - 1)
-        queue = [0]
-        for p in queue:
-            cp = color[p]
-            for q, flipped in links[p]:
-                if color[q] < 0:
-                    color[q] = cp ^ flipped
-                    queue.append(q)
-                elif color[q] != cp ^ flipped:
-                    orientable = False
-        if len(queue) < len(polys):
-            raise InvalidComplexError("complex is disconnected")
-        object.__setattr__(self, "_t1", tuple(t1))
-        object.__setattr__(self, "_orientable", orientable)
+        # the flag action's two-coloring with p's color on p's leaving flags.
+        # One polygon is connected, and its self-pairings decided orientability
+        if len(polys) > 1:
+            color = [0] + [-1] * (len(polys) - 1)
+            queue = [0]
+            for p in queue:
+                cp = color[p]
+                for q, flipped in links[p]:
+                    if color[q] < 0:
+                        color[q] = cp ^ flipped
+                        queue.append(q)
+                    elif color[q] != cp ^ flipped:
+                        orientable = False
+            if len(queue) < len(polys):
+                raise InvalidComplexError("complex is disconnected")
+        self.__dict__.update(polygons=polys, _t1=tuple(t1), _orientable=orientable)
 
     @property
     def num_polygons(self) -> int:
@@ -141,11 +144,12 @@ class PolygonComplex(Record):
 
     @property
     def sizes(self) -> tuple[int, ...]:
-        return tuple(len(w) for w in self.polygons)
+        return tuple(map(len, self.polygons))
 
     @property
     def num_edges(self) -> int:
-        return sum(self.sizes) // 2
+        # four flags to an edge
+        return len(self._t1) >> 2
 
     def __repr__(self):
         tag = " %s" % self.name if self.name else ""
@@ -316,7 +320,7 @@ def flag_action(c: PolygonComplex) -> tuple[tuple[int, ...], tuple[int, ...], tu
         for b, e in zip([0] + ends, ends):
             t0[2 * e - 2], t0[2 * b + 1] = 2 * b + 1, 2 * e - 2
         flags = (tuple(t0), c._t1, tuple(t2))
-        object.__setattr__(c, "_flags", flags)
+        c.__dict__["_flags"] = flags
     return flags
 
 
@@ -343,7 +347,16 @@ def _walk(c: PolygonComplex, cap: int | None = None) -> list[tuple[int, int]] | 
     corners and keeps no flags (_cycle reads a cycle's flags from its
     start).  It returns None as soon as a cycle passes cap corners; with no
     cap it tests against the number of flags, which no cycle passes.
+
+    A walk that reaches the end, uncapped or within its cap, is kept on c
+    as _cycles, as flag_action keeps the flag triple, and every later call
+    answers from it: None exactly when its largest cycle passes the cap.
+    So a complex is walked to the end at most once, and callers share the
+    list and only read it.
     """
+    out = getattr(c, "_cycles", None)
+    if out is not None:
+        return out if cap is None or max([n for _, n in out]) <= cap else None
     t1 = c._t1
     cap = len(t1) if cap is None else cap
     seen = bytearray(len(t1) >> 1)
@@ -361,6 +374,7 @@ def _walk(c: PolygonComplex, cap: int | None = None) -> list[tuple[int, int]] | 
             seen[f >> 1] = 1
             f = t1[f ^ 1]
         out.append((start, n))
+    c.__dict__["_cycles"] = out
     return out
 
 
@@ -452,7 +466,7 @@ def verify_extremal(c: PolygonComplex) -> ExtremalityReport:
     certificate holds, kN = 6g + 6k - 12 follows from chi = k - kN/6.
     """
     failures: list[str] = []
-    sizes = set(c.sizes)
+    sizes = set(map(len, c.polygons))
     n = None
     if len(sizes) != 1:
         failures.append("NonUniformPolygon(sizes=%s)" % sorted(sizes))

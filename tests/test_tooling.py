@@ -134,15 +134,28 @@ def test_only_complexes_reads_a_complex_s_private_fields():
     sources = {path.name: path.read_text(encoding="utf-8")
                for path in sorted((ROOT / "src" / "extpack").glob("*.py"))}
     owner = ast.parse(sources.pop("complexes.py"))
-    # the fields are the underscore names complexes sets with object.__setattr__
+    # the fields are the underscore names complexes writes: through
+    # object.__setattr__, as keywords of __dict__.update(...), or as keys
+    # of __dict__[...] = ...
+    names = []
+    for node in ast.walk(owner):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr == "__setattr__" and len(node.args) == 3:
+                names.append(node.args[1])
+            elif node.func.attr == "update" and isinstance(node.func.value, ast.Attribute) \
+                    and node.func.value.attr == "__dict__":
+                names += [ast.Constant(kw.arg) for kw in node.keywords if kw.arg]
+        elif isinstance(node, ast.Assign):
+            names += [
+                target.slice for target in node.targets
+                if isinstance(target, ast.Subscript) and isinstance(target.value, ast.Attribute)
+                and target.value.attr == "__dict__"
+            ]
     fields = {
-        node.args[1].value
-        for node in ast.walk(owner)
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "__setattr__" and len(node.args) == 3
-        and isinstance(node.args[1], ast.Constant) and node.args[1].value.startswith("_")
+        name.value for name in names
+        if isinstance(name, ast.Constant) and isinstance(name.value, str) and name.value.startswith("_")
     }
-    assert fields == {"_t1", "_flags", "_orientable"}
+    assert fields == {"_t1", "_flags", "_orientable", "_cycles"}
     found = [
         "%s:%d %s" % (name, node.lineno, field)
         for name, text in sources.items()
