@@ -11,12 +11,11 @@ class Record:
     hash.  __post_init__ runs after the fields are set, looked up through
     the class.  A call with one positional argument per field skips the
     binding of keywords and defaults.  The fields are written to the
-    instance dict, whose reads are a little slower than CPython's inline
-    attribute storage: a class built in a hot loop and read often sets
-    them with object.__setattr__ in its own __init__, as PolygonComplex
-    does, of which a census builds thousands.  VertexCycle and GraftSite
-    take the positional path: one build or realize makes at most 91
-    VertexCycles and 54 GraftSites.
+    instance dict in one update.  A class built in a hot loop writes them
+    the same way in its own __init__, with no binding at all, as
+    PolygonComplex does, of which a census builds thousands.  VertexCycle
+    and GraftSite take the positional path: one build or realize makes at
+    most 91 VertexCycles and 54 GraftSites.
     """
 
     _uncompared = ()

@@ -27,10 +27,14 @@ the edge crossing t1, written when it is created by the pass that also
 decides connectivity and orientability on the polygon graph; t0 and t2
 follow from the polygon sizes and are built on first use.  One walk of
 t1 t2 finds the vertex cycles, each as its start flag and its number of
-corners, which is all the certificate reads; vertex_cycles reads each
-cycle's flags from its start and records it as one VertexCycle, its
-corners with the edges crossed between them, which the grafts, the
-cyclic covers and the holonomy check all read.
+corners, which is all the certificate reads.  A walk that reaches the
+end is kept on the complex, so a census's capped filter, the
+certificate, the invariants, vertex_cycles and the graft sites walk a
+complex once.  vertex_cycles reads each cycle's flags from its start and
+records it as one VertexCycle, its corners with the edges crossed
+between them, which the grafts, the cyclic covers and the holonomy check
+all read.  The complex writes its fields and these stored results
+straight into its instance dict.
 """
 
 from __future__ import annotations
@@ -58,6 +62,9 @@ class PolygonComplex(Record):
     Creating a complex validates its labels and writes t1, outside the
     record fields, in one pass that also decides connectivity and
     orientability on the polygon graph; flag_action derives t0 and t2.
+    __init__ writes the fields in one update of the instance dict, and
+    __post_init__, which it calls through the class, writes the checked
+    polygons, t1 and the orientability bit in one more.
     """
 
     polygons: tuple[tuple[int, ...], ...]

@@ -4,9 +4,9 @@ complex by one while keeping every vertex trivalent.
 A graft inserts three new edge pairs (six new sides) at a chosen vertex
 cycle, keeping all old pairings.  `eligible_sites` checks that the
 complex is graftable (trivalent and non-orientable) with one capped
-walk, then walks its vertex cycles a second time, for their starts only,
-and builds the sites one at a time, each from the flags read off its
-start.  Each complex of a graft chain is checked once, when it is
+walk, which the complex keeps, then reads the cycles' starts from that
+walk and builds the sites one at a time, each from the flags read off
+its start.  Each complex of a graft chain is checked once, when it is
 grafted.  The wirings are the rows of WIRINGS, one table for all four
 variants.  How many new sides each polygon may take is one policy,
 `graft_room`: exactly what makes the complex uniform when one graft can,
@@ -118,8 +118,8 @@ def _iter_sites(c: PolygonComplex, variant: GraftVariant, room=None):
     """Yield eligible_sites one at a time, so a caller that stops at the
     first site that grafts builds no VertexCycle or GraftSite past it.
 
-    c must be graftable: it is not checked again here.  One walk finds
-    every cycle's start before the first site is yielded; a cycle's flags
+    c must be graftable: it is not checked again here.  The walk that
+    checked it, kept on c, holds every cycle's start; a cycle's flags
     are read from its start (complexes._cycle) only when the caller
     reaches it, and its VertexCycle is built only when it is a site of the
     variant.  Given c's room of graft_room, as _grafts gives it, a cycle

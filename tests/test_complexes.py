@@ -211,23 +211,91 @@ def test_derived_flag_action_matches_the_reference():
 def test_capped_walk_stops_at_the_first_cycle_past_the_cap():
     # the walk is one (start, corners) pair per cycle, by least corner, and
     # None with a cap exactly when some cycle passes it; each cycle's flags
-    # are read from its start
+    # are read from its start.  Every cap, and every cap between two
+    # integers, is asked twice: of a fresh complex, which walks, and of one
+    # that keeps its full walk, which answers from it
     for c in random_complexes(300, seed=183):
         orbits = reference_vertex_orbits(c)
-        walk = cx._walk(c)
+        walk = [(orbit[0], len(orbit)) for orbit in orbits]
+        sizes = sorted(map(len, orbits))
+        caps = [x for cap in range(1, sizes[-1] + 2) for x in (cap, cap + 0.5)]
+        for cap in caps:
+            passed = sizes[-1] > cap
+            fresh = PolygonComplex(c.polygons)
+            assert cx._walk(fresh, cap) == (None if passed else walk), (c, cap)
+            # a walk stopped at the cap is not kept
+            assert ("_cycles" in vars(fresh)) is not passed, (c, cap)
+            fresh = PolygonComplex(c.polygons)
+            assert cx.vertex_class_sizes(fresh, cap) == (None if passed else sizes), (c, cap)
+        assert cx._walk(c) == walk, c
+        assert cx._walk(c) is vars(c)["_cycles"], c
         starts = [start for start, _ in walk]
-        assert walk == [(orbit[0], len(orbit)) for orbit in orbits], c
         assert starts == sorted(set(starts)) and all(start % 2 == 0 for start in starts), c
         assert [start >> 1 for start in starts] == [min(f >> 1 for f in orbit) for orbit in orbits], c
         assert [cx._cycle(c, start) for start in starts] == orbits, c
-        sizes = sorted(map(len, orbits))
         assert cx.vertex_class_sizes(c) == sizes
-        for cap in range(1, sizes[-1] + 2):
+        renamed = cx._renamed(c, "renamed")
+        assert vars(renamed)["_cycles"] is vars(c)["_cycles"], c
+        for cap in caps:
             passed = sizes[-1] > cap
-            assert cx._walk(c, cap) == (None if passed else walk), (c, cap)
-            assert cx.vertex_class_sizes(c, cap) == (None if passed else sizes), (c, cap)
-            # a cap between two integers passes the same cycles as its floor
-            assert cx.vertex_class_sizes(c, cap + 0.5) == (None if passed else sizes), (c, cap)
+            for kept in (c, renamed):
+                assert cx._walk(kept, cap) == (None if passed else walk), (c, cap)
+                assert cx.vertex_class_sizes(kept, cap) == (None if passed else sizes), (c, cap)
+
+
+class _CountedT1:
+    """A stand-in for a complex's stored t1 that counts the entries read.
+
+    num_edges reads only its length; a walk reads one entry per corner, and
+    so does reading every cycle's flags from its start."""
+
+    def __init__(self, t1):
+        self.t1, self.reads = t1, 0
+
+    def __len__(self):
+        return len(self.t1)
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return self.t1[i]
+
+
+def test_a_survivor_of_the_capped_walk_is_walked_once():
+    # a census calls vertex_class_sizes(c, cap=3), then certifies each
+    # survivor: the certificate, the invariants and the uncapped sizes read
+    # no entry of t1 after the capped walk, vertex_cycles and the graft
+    # sites read each cycle's flags once, and all equal their results on a
+    # fresh complex of the same words
+    sample = [c.polygons for c in random_complexes(300, seed=2961)]
+    sample += [e.complex.polygons for e in catalog.load_all().values()]
+    survivors = 0
+    for words in sample:
+        c = PolygonComplex(words)
+        if cx.vertex_class_sizes(c, cap=3) is None:
+            assert "_cycles" not in vars(c), words
+            continue
+        survivors += 1
+        t1 = _CountedT1(vars(c)["_t1"])
+        vars(c)["_t1"] = t1
+        fresh = PolygonComplex(words)
+        assert cx.verify_extremal(c) == cx.verify_extremal(fresh), words
+        assert cx.surface_invariants(c) == cx.surface_invariants(fresh), words
+        assert cx.vertex_class_sizes(c) == cx.vertex_class_sizes(fresh), words
+        assert t1.reads == 0, words
+        cycles = [(v.corners, v.crossings) for v in cx.vertex_cycles(c)]
+        assert cycles == [(v.corners, v.crossings) for v in cx.vertex_cycles(fresh)], words
+        assert t1.reads == len(t1) >> 1, words
+    assert survivors >= 20
+    for words in [e.complex.polygons for e in catalog.load_all().values()]:
+        c = PolygonComplex(words)
+        if not cx.is_graftable(c):
+            continue
+        t1 = _CountedT1(vars(c)["_t1"])
+        vars(c)["_t1"] = t1
+        for variant in grafting.GraftVariant:
+            t1.reads = 0
+            assert grafting.eligible_sites(c, variant) == grafting.eligible_sites(PolygonComplex(words), variant)
+            assert t1.reads == len(t1) >> 1, (words, variant)
 
 
 @pytest.mark.parametrize("cap", [0, -1])
