@@ -52,11 +52,14 @@ def _read_complex(spec: str | None):
 def _json_chunks(payload):
     """The payload as indented, key-sorted JSON and a newline, in batches of
     1024 encoder chunks: joining a large payload's chunks at once, as
-    json.dumps does, holds all of them in memory."""
+    json.dumps does, holds all of them in memory.  The payload may hold the
+    library's records (SubgroupRecord, ExtremalityReport), each written as
+    its to_json_dict() when the encoder reaches it, so no record's dict
+    outlives its own chunks."""
     import itertools
     import json
 
-    encoder = json.JSONEncoder(indent=2, sort_keys=True)
+    encoder = json.JSONEncoder(indent=2, sort_keys=True, default=lambda rec: rec.to_json_dict())
     chunks = itertools.chain(encoder.iterencode(payload), "\n")
     return iter(lambda: "".join(itertools.islice(chunks, 1024)), "")
 
@@ -157,7 +160,7 @@ def _verify(args):
     rep = complexes.verify_extremal(_read_complex(args.file))
     text = ("ok: (k, g, N) = (%d, %d, %d)\n" % (rep.k, rep.g, rep.n) if rep.ok
             else "not extremal: %s\n" % "; ".join(rep.failures))
-    return 0 if rep.ok else DOMAIN_EXIT, rep.to_json_dict(), text
+    return 0 if rep.ok else DOMAIN_EXIT, rep, text
 
 
 def _graft(args):
@@ -204,14 +207,13 @@ def _enumerate(args):
         proper=args.proper or None,
         max_count=args.max_count,
     )
-    payload = {"format_version": 1, "count": len(recs), "records": [r.to_json_dict() for r in recs]}
-    return 0, payload, None
+    return 0, {"format_version": 1, "count": len(recs), "records": recs}, None
 
 
 def _to_group(args):
     from . import trigroup
 
-    return 0, trigroup.complex_to_subgroup(_read_complex(args.file)).to_json_dict(), None
+    return 0, trigroup.complex_to_subgroup(_read_complex(args.file)), None
 
 
 def _from_group(args):

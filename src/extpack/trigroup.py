@@ -451,11 +451,15 @@ class _TriangleSearch:
         return True
 
     def _search_generic(self, c: int, col: int, live: list[list]):
-        """live: the starts whose codes still tie with 0's (_ties)."""
+        """live: the starts whose codes still tie with 0's (_ties).  The
+        candidates for the first undecided entry (point c, column col) are
+        the points in use, then, while the table has room, the new point
+        count, which opens its own start and is the last one tried."""
         m = self.m
+        count = self.count
         while True:
-            if c == self.count:
-                if self.count == m:
+            if c == count:
+                if count == m:
                     yield self._emit()
                 return
             if self.t[col][c] == UNDEF:
@@ -465,31 +469,24 @@ class _TriangleSearch:
                 col = 0
                 c += 1
         saved = [(st, len(st[1]), st[2], st[3]) for st in live]
-        for d in range(self.count):
+        for d in range(min(count + 1, m)):
             if self.t[col][d] != UNDEF:
                 continue
-            mark = len(self.trail)
-            self.nodes += 1
-            if self._assign(col, c, d):
-                ties = self._ties(live)
-                if ties is not None:
-                    yield from self._search_generic(c, col, ties)
-                self._rewind(saved)
-            self._undo(mark)
-        if self.count < m:
-            d = self.count
-            self.count += 1
-            mark = len(self.trail)
-            self.nodes += 1
-            if self._assign(col, c, d):
+            starts = live
+            if d == count:
+                self.count += 1
                 order = [UNDEF] * m
                 order[d] = 0
-                ties = self._ties(live + [[order, [d], 0, 0]])
+                starts = live + [[order, [d], 0, 0]]
+            mark = len(self.trail)
+            self.nodes += 1
+            if self._assign(col, c, d):
+                ties = self._ties(starts)
                 if ties is not None:
                     yield from self._search_generic(c, col, ties)
                 self._rewind(saved)
             self._undo(mark)
-            self.count -= 1
+        self.count = count
 
 
 def low_index_subgroups(

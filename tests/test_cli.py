@@ -727,6 +727,33 @@ def test_enumerate_command(capsys):
     assert rec["index"] == 24 and rec["triangle"] == [2, 3, 12]
 
 
+def test_json_chunks_write_records_as_their_json_dicts():
+    recs = tg.low_index_subgroups(2, 3, 7, 28, max_count=3)
+    rep = cx.verify_extremal(catalog.load_entry("X7").complex)
+    payload = {"records": recs, "report": rep, "none": [], "nested": [[recs[0]], {"r": rep}]}
+    as_dicts = {
+        "records": [r.to_json_dict() for r in recs],
+        "report": rep.to_json_dict(),
+        "none": [],
+        "nested": [[recs[0].to_json_dict()], {"r": rep.to_json_dict()}],
+    }
+    assert "".join(cli._json_chunks(payload)) == "".join(cli._json_chunks(as_dicts))
+    assert "".join(cli._json_chunks(rep)) == json.dumps(rep.to_json_dict(), indent=2, sort_keys=True) + "\n"
+
+
+def test_handlers_hand_on_the_library_records():
+    # the payload holds the records; the encoder asks each for its dict
+    parser = cli.build_parser()
+    args = parser.parse_args(["enumerate", "--p", "2", "--q", "3", "--r", "7", "--index", "28"])
+    code, payload, text = cli._enumerate(args)
+    assert (code, text) == (0, None)
+    assert payload == {"format_version": 1, "count": 13, "records": tg.low_index_subgroups(2, 3, 7, 28)}
+    assert all(isinstance(r, tg.SubgroupRecord) for r in payload["records"])
+    x12 = catalog.load_entry("X12").complex
+    assert cli._verify(parser.parse_args(["verify", "X12"]))[1] == cx.verify_extremal(x12)
+    assert cli._to_group(parser.parse_args(["to-group", "X12"]))[1] == tg.complex_to_subgroup(x12)
+
+
 def test_group_round_trip(tmp_path, capsys):
     code, out, _ = run(capsys, "to-group", "X12")
     assert code == 0

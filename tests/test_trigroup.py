@@ -684,6 +684,29 @@ def test_menu_search_counters_are_pinned(caplog, search, counters):
     assert (skips > 0) == tf
 
 
+#: generic searches off the menu, with their (nodes, prunes, tables); they
+#: take p != 2 and q != 3, and a search that tried the new point anywhere
+#: but last, or not at all, would move these counts
+GENERIC_COUNTERS = {
+    ((2, 3, 8), 16): (2261, 152, 10),
+    ((2, 3, 9), 18): (2861, 205, 20),
+    ((2, 3, 7), 14): (922, 79, 4),
+    ((3, 3, 4), 12): (2105, 121, 10),
+    ((2, 4, 5), 10): (1137, 96, 24),
+}
+
+
+@pytest.mark.parametrize(
+    "pqr, index", GENERIC_COUNTERS, ids=["%d,%d,%d@%d" % (pqr + (index,)) for pqr, index in GENERIC_COUNTERS]
+)
+def test_generic_search_counters_are_pinned(caplog, pqr, index):
+    with caplog.at_level(logging.DEBUG, logger="extpack.trigroup"):
+        tg.low_index_subgroups(*pqr, index)
+    nodes, prunes, tables, records = _search_counters(caplog)
+    assert (nodes, prunes, tables) == GENERIC_COUNTERS[pqr, index] and records == tables
+    assert _room_skips(caplog) == 0
+
+
 class CheckedRoomSearch(tg._TriangleSearch):
     """The search handing every entry that the room test skips to _assign,
     which must reject it; the entry is then undone."""
