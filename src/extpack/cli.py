@@ -10,12 +10,17 @@ argument is omitted or '-'; results go to stdout unless -o is given, so
 commands compose in pipelines.  Each command is declared once, in
 _COMMANDS, and imports the library modules it runs inside its handler, so
 a cold run loads only those.
+
+Two paths parse a command line, both from _COMMANDS.  _fast parses a
+canonical one, as scripts and pipelines write it, without importing
+argparse and the gettext and locale modules it loads; argparse parses every
+other line, so help, usage and error output are argparse's own.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from .errors import CoverError, EnumerationCapError, UnknownCatalogEntryError
 
@@ -23,13 +28,6 @@ USAGE_EXIT = 1
 DOMAIN_EXIT = 2
 RESOURCE_EXIT = 3
 INTERNAL_EXIT = 4
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print("%s: error: %s" % (self.prog, message), file=sys.stderr)
-        raise SystemExit(USAGE_EXIT)
 
 
 def _read_complex(spec: str | None):
@@ -304,6 +302,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _parser(only: str | None) -> argparse.ArgumentParser:
     """build_parser's parser, holding the subcommand only alone unless only
     is None: a command's run needs no other subcommand's parser."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            print("%s: error: %s" % (self.prog, message), file=sys.stderr)
+            raise SystemExit(USAGE_EXIT)
+
     top = _Parser(prog="extpack", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
     for name, (help_text, _, arguments) in _COMMANDS.items():
@@ -315,13 +321,73 @@ def _parser(only: str | None) -> argparse.ArgumentParser:
     return top
 
 
+def _fast(argv: list[str]):
+    """build_parser().parse_args(argv)'s namespace, read from _COMMANDS,
+    when argv is canonical: the command, then its declared options by their
+    exact names, each at most once and each followed by its value as its own
+    word, its positional and every required option, with values that their
+    type and choices accept.  None otherwise, for argparse to parse: help,
+    an abbreviation, '--opt=value', a repeat, any other word or value that
+    starts with '-' ('-', '--', a negative number), a missing or extra
+    argument, or a rejected value."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    values = {"command": argv[0]}
+    options, positionals = {}, []
+    for flag, kwargs in [("--output", {})] + _COMMANDS[argv[0]][2]:
+        dest = flag.lstrip("-").replace("-", "_")
+        values[dest] = kwargs.get("default", False if "action" in kwargs else None)
+        if flag.startswith("-"):
+            options[flag] = dest, kwargs
+        else:
+            positionals.append((dest, kwargs))
+    options["-o"] = options["--output"]
+    given, i = set(), 1
+    while i < len(argv):
+        if not argv[i].startswith("-"):
+            if not positionals:
+                return None
+            values[positionals.pop(0)[0]] = argv[i]
+            i += 1
+            continue
+        dest, kwargs = options.get(argv[i], (None, None))
+        if dest is None or dest in given:
+            return None
+        given.add(dest)
+        i += 1
+        if "action" in kwargs:
+            values[dest] = True
+            continue
+        if kwargs.get("nargs") == "*":
+            end = next((j for j in range(i, len(argv)) if argv[j].startswith("-")), len(argv))
+        elif i < len(argv) and not argv[i].startswith("-"):
+            end = i + 1
+        else:
+            return None
+        try:
+            words = [kwargs.get("type", str)(w) for w in argv[i:end]]
+        except ValueError:
+            return None
+        if "choices" in kwargs and any(w not in kwargs["choices"] for w in words):
+            return None
+        values[dest] = words if "nargs" in kwargs else words[0]
+        i = end
+    if any("nargs" not in kwargs for _, kwargs in positionals) or any(
+            kwargs.get("required") and dest not in given for dest, kwargs in options.values()):
+        return None
+    return SimpleNamespace(**values)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # the named command's parser alone; what it leaves over, the full parser
-    # reports with its own usage line, message and exit code
-    args, extra = _parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_known_args(argv)
-    if extra:
-        args = build_parser().parse_args(argv)
+    # argparse parses only what _fast defers: the named command's parser
+    # alone, and what it leaves over the full parser reports with its own
+    # usage line, message and exit code
+    args = _fast(argv)
+    if args is None:
+        args, extra = _parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_known_args(argv)
+        if extra:
+            args = build_parser().parse_args(argv)
     # exit codes by error family: the library's domain errors are ValueErrors
     # but for UnknownCatalogEntryError, a KeyError caught before KeyError;
     # EnumerationCapError, InvariantError and RewriteSearchError are

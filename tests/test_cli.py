@@ -3,6 +3,7 @@ import importlib
 import json
 import logging
 import os
+import random
 import sys
 
 import pytest
@@ -282,11 +283,15 @@ def test_main_parses_like_the_full_parser(monkeypatch, capsys, argv):
     assert got == want
     # main writes once, to -o or stdout, for each run that parses
     assert written == ([want[0]["output"]] if isinstance(want[0], dict) else [])
-    # a named command's parser holds that command alone, and the full parser
-    # is built again only for arguments left over, which it reports
+    # a canonical argv builds no parser; otherwise a named command's parser
+    # holds that command alone, and the full parser is built again only for
+    # arguments left over, which it reports
     named = bool(argv) and argv[0] in PARSE_TABLE
-    assert built[0] == (argv[0] if named else None)
-    assert built[1:] == ([None] if "error: unrecognized arguments: " in want[2] else [])
+    if cli._fast(argv) is not None:
+        assert built == []
+    else:
+        assert built[0] == (argv[0] if named else None)
+        assert built[1:] == ([None] if "error: unrecognized arguments: " in want[2] else [])
 
 
 HUGE = "1" + "0" * 320
@@ -704,6 +709,107 @@ def test_cli_output_is_pinned(monkeypatch, capsys, tmp_path, argv):
     # every usage line, help text, message, exit code and output byte, as
     # computed before the commands were declared in one table
     assert _pinned_outcome(monkeypatch, capsys, tmp_path, argv) == CLI_PINS[" ".join(argv)]
+
+
+def _full_parse(capsys, argv):
+    """vars() of build_parser's namespace for argv, or None where it exits."""
+    try:
+        return vars(cli.build_parser().parse_args(argv))
+    except SystemExit:
+        return None
+    finally:
+        capsys.readouterr()
+
+
+def _units(argv):
+    """The words of argv after the command: each option with its values, and
+    each other word alone."""
+    arity = {"-o": 1, "--output": 1}
+    for flag, kwargs in cli._COMMANDS[argv[0]][2]:
+        arity[flag] = 0 if "action" in kwargs else -1 if "nargs" in kwargs else 1
+    units, owed = [], 0
+    for word in argv[1:]:
+        if owed and not word.startswith("-"):
+            units[-1].append(word)
+            owed -= 1  # below zero for nargs="*": it takes every word up to an option
+        else:
+            units.append([word])
+            owed = arity.get(word, 0)
+    return units
+
+
+def _deferred_variants(argv):
+    """Forms of the valid argv that _fast must leave to argparse."""
+    command, units = argv[0], _units(argv)
+    declared = dict(cli._COMMANDS[command][2])
+    join = lambda units: [command] + [word for unit in units for word in unit]
+    options = [i for i, unit in enumerate(units) if unit[0].startswith("-")]
+    for i in options:
+        unit = units[i]
+        yield join(units + [unit])  # repeated
+        if len(unit[0]) > 4:
+            yield join(units[:i] + [[unit[0][:-1]] + unit[1:]] + units[i + 1:])  # a prefix
+        if len(unit) == 2:
+            yield join(units[:i] + [["%s=%s" % tuple(unit)]] + units[i + 1:])
+            if unit[1].isdigit():
+                yield join(units[:i] + [[unit[0], "-" + unit[1]]] + units[i + 1:])
+            if "choices" in declared.get(unit[0], {}):
+                yield join(units[:i] + [[unit[0], unit[1] + "x"]] + units[i + 1:])
+        if declared.get(unit[0], {}).get("required"):
+            yield join(units[:i] + units[i + 1:])  # a missing required option
+    if "record" in declared:
+        yield join([unit for unit in units if unit[0].startswith("-")])  # no record
+    if not any(unit[0] in ("-o", "--output") for unit in units):
+        yield join(units + [["-o", "-"]])
+    if "--voltages" in declared:
+        yield join(units + [["--voltages", "1", "-1", "2"]])
+    yield join(units + [["--"]])
+    yield join([["--"]] + units)
+    yield join(units + [["-h"]])
+    yield join([["-h"]] + units)
+    yield join(units + [["extra"], ["extra"]])  # at least one word too many
+
+
+#: argvs _fast parses: every option kind of cyclic-cover, and the forms
+#: bench/run.py issues
+CANONICAL = [
+    ["cyclic-cover", "X12", "--n", "2", "--voltages", "1", "0", "1", "0", "1", "0"],
+    ["cyclic-cover", "--voltages", "--n", "2", "X12"],
+    ["realize", "--k", "24", "--g", "10", "-o", "r0_canon.cmplx"],
+    ["verify", "r0_canon.cmplx"],
+    ["render", "r0_canon.cmplx", "-o", "r0_canon.svg"],
+    ["build", "--N", "43", "-o", "r0_graft.cmplx"],
+    ["enumerate", "--p", "2", "--q", "3", "--r", "12", "--index", "24"],
+    ["enumerate", "--p", "2", "--q", "3", "--r", "7", "--index", "84", "--torsion-free", "--proper"],
+    ["to-group", "X9", "-o", "r0_X9.json"],
+    ["from-group", "r0_X9.json"],
+    ["bound", "--k", "1", "--g", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", PIN_CASES + CANONICAL,
+                         ids=[" ".join(argv) or "(none)" for argv in PIN_CASES + CANONICAL])
+def test_fast_parses_like_the_full_parser_or_defers(capsys, argv):
+    # _fast gives build_parser's namespace or None, on the pinned argvs, on
+    # their options in other orders and on forms only argparse reads
+    fast = cli._fast(argv)
+    assert fast is None or vars(fast) == _full_parse(capsys, argv)
+    if argv in CANONICAL:
+        assert fast is not None
+    if _full_parse(capsys, argv) is None:
+        return
+    units = _units(argv)
+    for seed in range(3):
+        random.Random(seed).shuffle(units)
+        shuffled = [argv[0]] + [word for unit in units for word in unit]
+        fast = cli._fast(shuffled)
+        assert fast is None or vars(fast) == _full_parse(capsys, shuffled), shuffled
+    for variant in _deferred_variants(argv):
+        assert cli._fast(variant) is None, variant
+
+
+def test_the_equivalence_covers_every_pinned_argv():
+    assert sorted(" ".join(argv) for argv in PIN_CASES) == sorted(CLI_PINS)
 
 
 def test_double_cover_command(tmp_path, capsys):

@@ -244,6 +244,26 @@ def test_a_cold_render_loads_neither_decimal_nor_fractions(tmp_path):
         assert (code, modules) == (0, loaded), argv
 
 
+def test_a_canonical_command_line_loads_no_argparse(tmp_path):
+    # cli._fast parses a well-formed argv from the command table; argparse,
+    # and the gettext and locale modules it loads, serve help and errors only
+    parsers = LOADED.replace("m.startswith('extpack')", "m in ('argparse', 'gettext', 'locale')")
+    for argv in (
+        ["verify", "X7"],
+        ["render", "X7"],
+        ["build", "--N", "41"],
+        ["realize", "--k", "24", "--g", "10"],
+        ["enumerate", "--p", "2", "--q", "3", "--r", "7", "--index", "28"],
+        ["to-group", "X9"],
+        ["bound", "--k", "1", "--g", "3"],
+    ):
+        assert _loaded(tmp_path, parsers, json.dumps(argv)) == [0, []], argv
+    helped = parsers.replace("    code = main(json.loads(sys.argv[1]))\n",
+                             "    try:\n        main(json.loads(sys.argv[1]))\n"
+                             "    except SystemExit as stop:\n        code = stop.code\n")
+    assert _loaded(tmp_path, helped, json.dumps(["verify", "--help"])) == [0, ["argparse", "gettext", "locale"]]
+
+
 #: a cold run of each kind of command; every one of them creates records
 RECORD_COMMANDS = (
     ["bound", "--k", "1", "--g", "3"],
