@@ -13,8 +13,9 @@ a cold run loads only those.
 
 Two paths parse a command line, both from _COMMANDS.  _fast parses a
 canonical one, as scripts and pipelines write it, without importing
-argparse and the gettext and locale modules it loads; argparse parses every
-other line, so help, usage and error output are argparse's own.
+argparse and the gettext and locale modules it loads; the one argparse
+parser, from build_parser, parses every other line, so help, usage and
+error output are argparse's own.
 """
 
 from __future__ import annotations
@@ -296,12 +297,6 @@ _COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    return _parser(None)
-
-
-def _parser(only: str | None) -> argparse.ArgumentParser:
-    """build_parser's parser, holding the subcommand only alone unless only
-    is None: a command's run needs no other subcommand's parser."""
     import argparse
 
     class _Parser(argparse.ArgumentParser):
@@ -313,11 +308,10 @@ def _parser(only: str | None) -> argparse.ArgumentParser:
     top = _Parser(prog="extpack", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
     for name, (help_text, _, arguments) in _COMMANDS.items():
-        if only in (None, name):
-            p = sub.add_parser(name, help=help_text)
-            p.add_argument("-o", "--output", default=None, help="output file (default stdout)")
-            for flag, kwargs in arguments:
-                p.add_argument(flag, **kwargs)
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("-o", "--output", default=None, help="output file (default stdout)")
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
     return top
 
 
@@ -326,10 +320,10 @@ def _fast(argv: list[str]):
     when argv is canonical: the command, then its declared options by their
     exact names, each at most once and each followed by its value as its own
     word, its positional and every required option, with values that their
-    type and choices accept.  None otherwise, for argparse to parse: help,
-    an abbreviation, '--opt=value', a repeat, any other word or value that
-    starts with '-' ('-', '--', a negative number), a missing or extra
-    argument, or a rejected value."""
+    type and choices accept.  None otherwise, for build_parser's parser to
+    parse: help, an abbreviation, '--opt=value', a repeat, any other word or
+    value that starts with '-' ('-', '--', a negative number), a missing or
+    extra argument, or a rejected value."""
     if not argv or argv[0] not in _COMMANDS:
         return None
     values = {"command": argv[0]}
@@ -380,14 +374,7 @@ def _fast(argv: list[str]):
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # argparse parses only what _fast defers: the named command's parser
-    # alone, and what it leaves over the full parser reports with its own
-    # usage line, message and exit code
-    args = _fast(argv)
-    if args is None:
-        args, extra = _parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_known_args(argv)
-        if extra:
-            args = build_parser().parse_args(argv)
+    args = _fast(argv) or build_parser().parse_args(argv)
     # exit codes by error family: the library's domain errors are ValueErrors
     # but for UnknownCatalogEntryError, a KeyError caught before KeyError;
     # EnumerationCapError, InvariantError and RewriteSearchError are

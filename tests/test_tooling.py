@@ -127,6 +127,22 @@ def test_the_cli_declares_its_commands_once():
     assert len(calls) == 1, "add_parser is called at cli.py lines %s" % calls
 
 
+def test_the_cli_imports_argparse_in_build_parser_only():
+    """cli.py parses a line with argparse on one path: build_parser, the
+    only place that imports it."""
+    path = ROOT / "src" / "extpack" / "cli.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imports = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and "argparse" in [getattr(node, "module", None)] + [alias.name for alias in node.names]
+    ]
+    (build,) = [node for node in tree.body if getattr(node, "name", None) == "build_parser"]
+    assert len(imports) == 1 and build.lineno < imports[0] <= build.end_lineno, (
+        "argparse is imported at cli.py lines %s" % imports)
+
+
 def test_only_complexes_reads_a_complex_s_private_fields():
     """A complex's stored action (its t1, the derived triple and the
     orientability bit) is private to complexes: every other library module
@@ -245,8 +261,9 @@ def test_a_cold_render_loads_neither_decimal_nor_fractions(tmp_path):
 
 
 def test_a_canonical_command_line_loads_no_argparse(tmp_path):
-    # cli._fast parses a well-formed argv from the command table; argparse,
-    # and the gettext and locale modules it loads, serve help and errors only
+    # cli._fast parses a well-formed argv from the command table, and every
+    # form bench/run.py issues is one; argparse, and the gettext and locale
+    # modules it loads, serve help, errors and other forms only
     parsers = LOADED.replace("m.startswith('extpack')", "m in ('argparse', 'gettext', 'locale')")
     for argv in (
         ["verify", "X7"],
@@ -254,10 +271,19 @@ def test_a_canonical_command_line_loads_no_argparse(tmp_path):
         ["build", "--N", "41"],
         ["realize", "--k", "24", "--g", "10"],
         ["enumerate", "--p", "2", "--q", "3", "--r", "7", "--index", "28"],
+        ["enumerate", "--p", "2", "--q", "3", "--r", "7", "--index", "84", "--torsion-free", "--proper"],
         ["to-group", "X9"],
         ["bound", "--k", "1", "--g", "3"],
+        ["realize", "--k", "24", "--g", "10", "-o", "r0_canon.cmplx"],
+        ["verify", "r0_canon.cmplx"],
+        ["render", "r0_canon.cmplx", "-o", "r0_canon.svg"],
+        ["build", "--N", "41", "-o", "r0_graft.cmplx"],
+        ["to-group", "X9", "-o", "r0_X9.json"],
+        ["from-group", "r0_X9.json"],
     ):
         assert _loaded(tmp_path, parsers, json.dumps(argv)) == [0, []], argv
+    assert {"r0_canon.cmplx", "r0_canon.svg", "r0_graft.cmplx", "r0_X9.json"} <= set(os.listdir(tmp_path))
+    assert _loaded(tmp_path, parsers, json.dumps(["bound", "--k=1", "--g", "3"])) == [0, ["argparse", "gettext", "locale"]]
     helped = parsers.replace("    code = main(json.loads(sys.argv[1]))\n",
                              "    try:\n        main(json.loads(sys.argv[1]))\n"
                              "    except SystemExit as stop:\n        code = stop.code\n")
