@@ -385,6 +385,13 @@ def _walk(c: PolygonComplex, cap: int | None = None) -> list[tuple[int, int]] | 
     return out
 
 
+def _drop_derived(c: PolygonComplex) -> None:
+    """Drop c's flag triple and kept walk, which flag_action and _walk
+    rebuild on first use; c keeps its words and t1."""
+    c.__dict__.pop("_flags", None)
+    c.__dict__.pop("_cycles", None)
+
+
 def _cycle(c: PolygonComplex, start: int) -> list[int]:
     """The flags of the vertex cycle that _walk starts at start, one per
     corner, in the order t1 . t2 visits them."""

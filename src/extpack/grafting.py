@@ -416,7 +416,8 @@ _SCHEDULES = {
     9: ((GraftVariant.EG3, GraftVariant.EG4), True),
 }
 
-#: per seed: its graft chain, from the seed on
+#: per seed: its graft chain, from the seed on; a member the chain has
+#: grafted past keeps its words and t1 only (complexes._drop_derived)
 _chains: dict[int, list[PolygonComplex]] = {}
 
 
@@ -436,8 +437,10 @@ def _chain(seed: int, steps: int) -> PolygonComplex:
             mid, fin = _graft_pair(cur, variant, variants[step % len(variants)])
             chain.append(mid)
             chain.append(fin)
+            complexes._drop_derived(mid)
         else:
             chain.append(_first_graft(cur, variant))
+        complexes._drop_derived(cur)
     return chain[steps]
 
 

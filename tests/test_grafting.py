@@ -262,6 +262,21 @@ def test_one_chain_per_seed(monkeypatch):
     assert set(gr._chains) <= {7, 8, 9, 12}
 
 
+def test_a_chain_drops_what_it_derived_for_the_members_it_grafted_past(monkeypatch):
+    # the chain keeps every member, for criterion 3 and the paired-step
+    # tests, but only the last keeps its flag triple and walk; the others
+    # rebuild them on first use, equal to a fresh complex's
+    monkeypatch.setattr(gr, "_chains", {})
+    last = gr.build_primitive(43)
+    (chain,) = gr._chains.values()
+    assert len(chain) == 37 and chain[-1].polygons == last.polygons
+    for c in chain[:-1]:
+        assert "_flags" not in vars(c) and "_cycles" not in vars(c), c
+        fresh = cx.PolygonComplex(c.polygons)
+        assert cx.flag_action(c) == cx.flag_action(fresh) and cx._walk(c) == cx._walk(fresh)
+        assert cx.verify_extremal(c) == cx.verify_extremal(fresh)
+
+
 def reference_first_graft(c, variant):
     """The first graft over every eligible site of the variant, each under
     c's room, or None."""

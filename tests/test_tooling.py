@@ -186,7 +186,8 @@ def test_only_complexes_reads_a_complex_s_private_fields():
 
 
 #: what each cold command may not load; run in a fresh interpreter, since
-#: this process has imported the whole package already
+#: this process has imported the whole package already; only enumerate
+#: runs the low-index search, so only enumerate loads its kernel, _lowindex
 COLD_COMMANDS = (
     (["bound", "--k", "1", "--g", "3"],
      {"complexes", "trigroup", "geometry", "covers", "grafting", "catalog"}),
@@ -229,11 +230,13 @@ def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv, unused):
     assert code == 0
     assert "extpack.cli" in modules
     assert not {"extpack." + name for name in unused} & set(modules), modules
+    assert ("extpack._lowindex" in modules) == (argv[0] == "enumerate"), modules
 
 
 def test_the_group_bridge_loads_both_layers(tmp_path):
     # the subgroup/complex bridge reads complexes inside trigroup's two
-    # conversions; enumerate, which does not, loads trigroup alone
+    # conversions, and no search kernel; enumerate, which does not read
+    # complexes, loads trigroup and _lowindex alone
     from extpack import catalog, trigroup
 
     record = tmp_path / "X9.json"
@@ -241,6 +244,7 @@ def test_the_group_bridge_loads_both_layers(tmp_path):
     for argv in (["to-group", "X9"], ["from-group", str(record)]):
         code, modules = _loaded(tmp_path, LOADED, json.dumps(argv))
         assert code == 0 and {"extpack.trigroup", "extpack.complexes"} <= set(modules), (argv, modules)
+        assert "extpack._lowindex" not in modules, (argv, modules)
 
 
 def test_a_cold_render_loads_neither_decimal_nor_fractions(tmp_path):

@@ -1,5 +1,7 @@
+import contextlib
 import json
 import logging
+import os
 import pathlib
 import random
 import re
@@ -9,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from extpack import catalog
+from extpack import _lowindex as li
 from extpack import complexes as cx
 from extpack import trigroup as tg
 from extpack.errors import EnumerationCapError, InvariantError
@@ -134,7 +137,7 @@ def coset_enumerate(
     rel_paths = [tuple(col_of(x) for x in rel) for rel in relators]
     sub_paths = [tuple(col_of(x) for x in w) for w in subgroup_words]
 
-    rows: list[list[int]] = [[tg.UNDEF] * ncols]
+    rows: list[list[int]] = [[li.UNDEF] * ncols]
     labels: list[int] = [0]
 
     def find(c: int) -> int:
@@ -148,13 +151,13 @@ def coset_enumerate(
     def follow(c: int, col: int) -> int:
         c = find(c)
         d = rows[c][col]
-        if d == tg.UNDEF:
+        if d == li.UNDEF:
             if len(rows) >= cap:
                 raise EnumerationCapError(
                     "coset enumeration exceeded the cap of %d rows" % cap
                 )
             d = len(rows)
-            rows.append([tg.UNDEF] * ncols)
+            rows.append([li.UNDEF] * ncols)
             labels.append(d)
             rows[c][col] = d
             rows[d][col ^ 1] = c
@@ -173,9 +176,9 @@ def coset_enumerate(
             rx, ry = rows[x], rows[y]
             for col in range(ncols):
                 d = ry[col]
-                if d == tg.UNDEF:
+                if d == li.UNDEF:
                     continue
-                if rx[col] == tg.UNDEF:
+                if rx[col] == li.UNDEF:
                     rx[col] = d
                 else:
                     stack.append((rx[col], d))
@@ -250,12 +253,12 @@ def test_torsion_free_search_rejects_a_table_with_torsion(monkeypatch):
     # r0 fixes both points; the torsion-free search must never complete it
     table = ((0, 1), (1, 0), (1, 0))
     assert not tg.classify(table, 2, 3, 8).torsion_free
-    monkeypatch.setattr(tg._TriangleSearch, "solutions", lambda self: iter([table]))
+    monkeypatch.setattr(li._TriangleSearch, "solutions", lambda self: iter([table]))
     with pytest.raises(InvariantError, match=r"completed table 1, \(\(0, 1\), .*which has torsion"):
         tg.low_index_subgroups(2, 3, 8, 2, torsion_free=True)
 
 
-class UnprunedSearch(tg._TriangleSearch):
+class UnprunedSearch(li._TriangleSearch):
     """The low-index search without its canonicity tests: every table in
     scan order is completed, each class many times."""
 
@@ -356,7 +359,7 @@ def first_entry(t, f):
 )
 def test_first_entry_prune_keeps_the_least_tables(pqr, index):
     unpruned = list(UnprunedSearch(*pqr, index, True).solutions())
-    pruned = list(tg._TriangleSearch(*pqr, index, True).solutions())
+    pruned = list(li._TriangleSearch(*pqr, index, True).solutions())
     # exactly the tables whose t1[0] is the least first entry, in order: an
     # in-order subsequence of the unpruned tables
     least = [t for t in unpruned if t[1][0] == min(first_entry(t, f) for f in range(index))]
@@ -562,7 +565,7 @@ def test_record_json_round_trip(seeds):
     assert back.genus == rec.genus and back.params == rec.params
 
 
-class WalkSearch(tg._TriangleSearch):
+class WalkSearch(li._TriangleSearch):
     """The earlier propagation: each chain walked by a method call that
     returns a 4-tuple, each relator order read from a dict."""
 
@@ -609,7 +612,7 @@ class WalkSearch(tg._TriangleSearch):
             if stop is not None and cur == stop[0] and col == stop[1]:
                 return None, None, hops, False
             nxt = t[col][cur]
-            if nxt == tg.UNDEF:
+            if nxt == li.UNDEF:
                 return cur, col, hops, False
             if nxt == cur:
                 return cur, col, hops, True
@@ -623,11 +626,11 @@ class WalkSearch(tg._TriangleSearch):
         while queue:
             col, a, b = queue.pop()
             cur = t[col][a]
-            if cur != tg.UNDEF:
+            if cur != li.UNDEF:
                 if cur != b:
                     return False
                 continue
-            if t[col][b] != tg.UNDEF:
+            if t[col][b] != li.UNDEF:
                 return False
             if self.tf and a == b:
                 return False
@@ -707,7 +710,40 @@ def test_generic_search_counters_are_pinned(caplog, pqr, index):
     assert _room_skips(caplog) == 0
 
 
-class CheckedRoomSearch(tg._TriangleSearch):
+def test_the_search_calls_what_the_tracer_wraps(monkeypatch):
+    # bench/spans.py wraps trigroup.low_index_subgroups and trigroup.classify
+    # and reads classify's calls inside the search as trigroup.class_yield;
+    # with the kernel in _lowindex, both names must still see every call
+    from extpack import cli
+
+    calls = []
+    classify = tg.classify
+
+    def counted(*args):
+        calls.append(args)
+        return classify(*args)
+
+    monkeypatch.setattr(tg, "classify", counted)
+    assert len(tg.low_index_subgroups(2, 3, 12, 24)) == len(calls) == 300
+    calls.clear()
+    tables = [t[1] for t in li._TriangleSearch(2, 3, 7, 84, True).solutions()]
+    passed = sum(li._least_in_block_order(t1, 14) for t1 in tables)
+    assert len(tg.low_index_subgroups(2, 3, 7, 84, torsion_free=True, proper=True)) == 12
+    assert len(calls) == passed == 12 and len(tables) == 70
+    searched = []
+    search = tg.low_index_subgroups
+
+    def traced(*args, **kwargs):
+        searched.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(tg, "low_index_subgroups", traced)
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        assert cli.main(["enumerate", "--p", "2", "--q", "3", "--r", "7", "--index", "28"]) == 0
+    assert searched == [(2, 3, 7, 28)]
+
+
+class CheckedRoomSearch(li._TriangleSearch):
     """The search handing every entry that the room test skips to _assign,
     which must reject it; the entry is then undone."""
 
@@ -715,7 +751,7 @@ class CheckedRoomSearch(tg._TriangleSearch):
         mark = len(self.trail)
         assert not self._assign(1, c, d), "the room test skipped %d <-> %d, which _assign enters" % (c, d)
         self._undo(mark)
-        assert self.t[1][c] == self.t[1][d] == tg.UNDEF
+        assert self.t[1][c] == self.t[1][d] == li.UNDEF
         super()._skip(c, d)
 
 
@@ -728,7 +764,7 @@ ROOM_CASES = [(pqr, index) for pqr, index, tf in MENU_COUNTERS if tf] + [
     "pqr, index", ROOM_CASES, ids=["%d,%d,%d@%d" % (pqr + (index,)) for pqr, index in ROOM_CASES]
 )
 def test_every_room_skip_is_an_entry_assign_rejects(pqr, index):
-    checked, plain = CheckedRoomSearch(*pqr, index, True), tg._TriangleSearch(*pqr, index, True)
+    checked, plain = CheckedRoomSearch(*pqr, index, True), li._TriangleSearch(*pqr, index, True)
     assert list(checked.solutions()) == list(plain.solutions())
     assert (checked.nodes, checked.skips, checked.prunes) == (plain.nodes, plain.skips, plain.prunes)
     assert checked.skips > 0
@@ -739,7 +775,7 @@ def test_the_room_test_is_exact_on_the_first_337_records(monkeypatch):
         return tg.low_index_subgroups(3, 3, 7, 42, torsion_free=True, max_count=50)
 
     plain = records()
-    monkeypatch.setattr(tg, "_TriangleSearch", CheckedRoomSearch)
+    monkeypatch.setattr(li, "_TriangleSearch", CheckedRoomSearch)
     assert records() == plain and len(plain) == 50
 
 
@@ -776,11 +812,11 @@ def test_the_block_order_test_matches_the_least_code_over_all_flags(pqr, index, 
     # prefix_classes: the tables a test reading only the first 8 entries of
     # each code would keep; on three of the four searches it keeps repeats
     kept = prefix_kept = 0
-    for t in tg._TriangleSearch(*pqr, index, True).solutions():
+    for t in li._TriangleSearch(*pqr, index, True).solutions():
         codes = [block_order_code(t, f) for f in range(index)]
         assert codes[0] == list(t[1])  # the search's own numbering is block order from 0
         least = codes[0] == min(codes)
-        assert tg._least_in_block_order(t[1], 2 * pqr[2]) == least
+        assert li._least_in_block_order(t[1], 2 * pqr[2]) == least
         kept += least
         prefix_kept += codes[0][:8] == min(code[:8] for code in codes)
     assert kept == classes == len(tg.low_index_subgroups(*pqr, index, torsion_free=True))
@@ -795,7 +831,7 @@ def test_the_block_order_test_matches_the_least_code_over_all_flags(pqr, index, 
 def test_flat_propagation_walks_like_the_chain_walker(pqr, index, tf):
     # the S4 cases and (2,3,8)@24 reach reflection ends, which the
     # torsion-free menu never does
-    flat, walk = tg._TriangleSearch(*pqr, index, tf), WalkSearch(*pqr, index, tf)
+    flat, walk = li._TriangleSearch(*pqr, index, tf), WalkSearch(*pqr, index, tf)
     tables = list(flat.solutions())
     assert tables and tables == list(walk.solutions())
     assert (flat.nodes, flat.prunes) == (walk.nodes, walk.prunes)
@@ -809,5 +845,5 @@ def test_flat_propagation_finds_the_first_337_record_as_the_chain_walker(caplog,
         return [rec.perms for rec in recs], _search_counters(caplog)
 
     flat = first_record()
-    monkeypatch.setattr(tg, "_TriangleSearch", WalkSearch)
+    monkeypatch.setattr(li, "_TriangleSearch", WalkSearch)
     assert first_record() == flat and len(flat[0]) == 1
