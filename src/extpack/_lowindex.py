@@ -2,8 +2,8 @@
 the coset tables of an extended triangle group, with its canonicity and
 block-order tests.
 
-`trigroup.low_index_subgroups` is its one caller.  It imports this module
-inside its body, so the commands that never search (`to-group`,
+`trigroup.iter_low_index_subgroups` is its one caller.  It imports this
+module inside its body, so the commands that never search (`to-group`,
 `from-group` and the rest) do not load or compile it.  The search yields
 complete tables; the driver keeps those least in block order,
 standardizes and classifies them, and logs the counters kept here.

@@ -68,28 +68,19 @@ def derive(name: str) -> PolygonComplex:
     if name in SEED_NAMES:
         from . import trigroup
 
+        stream = trigroup.iter_low_index_subgroups(2, 3, n, 2 * k * n, torsion_free=True, proper=True)
+        found = map(trigroup.subgroup_to_complex, stream)
         if name == "X7":
             # the N = +-1 (mod 6) schedules pair grafts at two cycles whose
             # polygons split three against three; not every index-84 class
             # has that shape, so take the first that does
             from . import grafting
 
-            recs = trigroup.low_index_subgroups(
-                2, 3, n, 2 * k * n, torsion_free=True, proper=True
-            )
-            for rec in recs:
-                c = trigroup.subgroup_to_complex(rec)
-                if grafting.has_complementary_pair(c):
-                    break
-            else:
-                raise RuntimeError("no schedule-compatible seed at index 84")
-        else:
-            recs = trigroup.low_index_subgroups(
-                2, 3, n, 2 * k * n, torsion_free=True, proper=True, max_count=1
-            )
-            if not recs:
-                raise RuntimeError("seed search found nothing at index %d" % (2 * k * n,))
-            c = trigroup.subgroup_to_complex(recs[0])
+            found = filter(grafting.has_complementary_pair, found)
+        c = next(found, None)
+        stream.close()
+        if c is None:
+            raise RuntimeError("seed search found nothing at index %d" % (2 * k * n,))
     elif name.startswith("X"):
         from . import grafting
 
@@ -115,12 +106,11 @@ def _dual_extremal_complex(k: int, two_n: int) -> PolygonComplex:
     from . import trigroup
 
     n = two_n // 2
-    recs = trigroup.low_index_subgroups(
-        3, 3, n, k * two_n, torsion_free=True, proper=True, max_count=1
-    )
-    if not recs:
+    stream = trigroup.iter_low_index_subgroups(3, 3, n, k * two_n, torsion_free=True, proper=True)
+    rec = next(stream, None)
+    stream.close()
+    if rec is None:
         raise RuntimeError("no surface subgroup at index %d in (3,3,%d)" % (k * two_n, n))
-    rec = recs[0]
     big_rec = trigroup.induced_action(rec)
     if not (big_rec.torsion_free and big_rec.proper and big_rec.genus == rec.genus):
         raise InvariantError(

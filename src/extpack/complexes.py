@@ -164,8 +164,8 @@ class PolygonComplex(Record):
 
 
 def _renamed(c: PolygonComplex, name: str | None) -> PolygonComplex:
-    """c under another name, sharing its words and flag action (built now if need be)."""
-    flag_action(c)
+    """c under another name, sharing its words and whatever c has derived;
+    c itself is left as it was."""
     out = object.__new__(PolygonComplex)
     out.__dict__.update(c.__dict__, name=name)
     return out

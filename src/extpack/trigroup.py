@@ -3,12 +3,14 @@ the two index-2 constructions (the orientation-preserving half and the
 induced (3, 3, n) < (2, 3, 2n) action), and the bridge between subgroups
 and polygon complexes.
 
-`low_index_subgroups` is the search's driver: it checks the arguments,
-keeps the tables least in block order, standardizes and classifies them,
-filters by properness, stops at max_count and logs the counters.  The
-backtracking kernel is in the private module `_lowindex`, which the
-driver imports when it runs, so the bridge commands compile no search
-code.
+`iter_low_index_subgroups` is the search's driver: it checks the
+arguments and returns a stream that keeps the tables least in block
+order, standardizes and classifies them, filters by properness, yields
+each record as the search completes it and logs the counters when it
+ends or is closed.  `low_index_subgroups` lists the stream, up to
+max_count records.  The backtracking kernel is in the private module
+`_lowindex`, which the driver imports when it runs, so the bridge
+commands compile no search code.
 
 The extended triangle group of type (p, q, r) is generated by the three
 reflections r0, r1, r2 in the sides of a hyperbolic triangle with angles
@@ -26,8 +28,10 @@ conversion directions live here.
 
 from __future__ import annotations
 
+import itertools
 import json
 import sys
+from collections.abc import Iterator
 
 from ._action import bfs_code, two_color
 from ._record import Record
@@ -199,6 +203,67 @@ def classify(perms, p: int, q: int, r: int) -> SubgroupRecord:
 # low-index subgroup search (the kernel is in _lowindex)
 
 
+def iter_low_index_subgroups(
+    p: int, q: int, r: int, index: int, *, torsion_free: bool = False, proper: bool | None = None
+) -> Iterator[SubgroupRecord]:
+    """Subgroups of the extended (p, q, r) triangle group of exactly the
+    given index, up to conjugacy, classified: a stream that yields each
+    record as soon as the search completes it.  The arguments are checked
+    at the call.
+
+    torsion_free restricts the search itself, which then completes only
+    torsion-free tables (any other is an InvariantError); proper=True
+    keeps the subgroups with a non-orientable quotient, proper=False
+    those with an orientable one.
+
+    Without torsion_free, each record is its class's least-code table
+    (complexes.least_code), in code order.  With it, each record is the
+    first table found in its class, its least in block order, standardized;
+    a later table of the class is a renumbering of it, which a flag that
+    ties with 0 on the first entry (_lowindex._first) reads lower, and is
+    dropped (_lowindex._least_in_block_order).  When the stream ends or is
+    closed, the counters go to the "extpack.trigroup" logger at DEBUG.
+    """
+    _check_params(p, q, r)
+    if index < 1:
+        raise ValueError("need index >= 1")
+    from . import _lowindex
+
+    search = _lowindex._TriangleSearch(p, q, r, index, torsion_free)
+
+    def stream() -> Iterator[SubgroupRecord]:
+        tables = records = 0
+        try:
+            for perms in search.solutions():
+                tables += 1
+                if torsion_free:
+                    if not _lowindex._least_in_block_order(perms[1], 2 * r):
+                        continue
+                    perms = standardize(perms)
+                rec = classify(perms, p, q, r)
+                if torsion_free and not rec.torsion_free:
+                    raise InvariantError(
+                        "low_index_subgroups: the torsion-free search of (%d, %d, %d) at index %d"
+                        " completed table %d, %s, which has torsion" % (p, q, r, index, tables, perms)
+                    )
+                if proper is not None and rec.proper != proper:
+                    continue
+                records += 1
+                yield rec
+        finally:
+            # unimported, logging could show no record; its import stays off
+            # the CLI's cold start
+            logging = sys.modules.get("logging")
+            if logging is not None:
+                logging.getLogger("extpack.trigroup").debug(
+                    "low_index_subgroups(%d, %d, %d) at index %d: %d nodes, %d canonicity prunes,"
+                    " %d complete tables, %d records, %d room skips",
+                    p, q, r, index, search.nodes, search.prunes, tables, records, search.skips,
+                )
+
+    return stream()
+
+
 def low_index_subgroups(
     p: int,
     q: int,
@@ -209,59 +274,13 @@ def low_index_subgroups(
     proper: bool | None = None,
     max_count: int | None = None,
 ) -> list[SubgroupRecord]:
-    """Subgroups of the extended (p, q, r) triangle group of exactly the
-    given index, up to conjugacy, classified.
-
-    torsion_free restricts the search itself, which then completes only
-    torsion-free tables (any other is an InvariantError); proper=True
-    keeps the subgroups with a non-orientable quotient, proper=False
-    those with an orientable one.  max_count (>= 1) stops the search
-    after that many records, preserving the deterministic DFS order.
-
-    Without torsion_free, each record is its class's least-code table
-    (complexes.least_code), in code order.  With it, each record is the
-    first table found in its class, its least in block order, standardized;
-    a later table of the class is a renumbering of it, which a flag that
-    ties with 0 on the first entry (_lowindex._first) reads lower, and is
-    dropped (_lowindex._least_in_block_order).  The counters go to the
-    "extpack.trigroup" logger at DEBUG.
-    """
-    _check_params(p, q, r)
-    if index < 1:
-        raise ValueError("need index >= 1")
+    """The records of iter_low_index_subgroups, as a list; max_count
+    (>= 1) stops the search after that many, in the same order."""
+    stream = iter_low_index_subgroups(p, q, r, index, torsion_free=torsion_free, proper=proper)
     if max_count is not None and max_count < 1:
         raise ValueError("need max_count >= 1, got %d" % max_count)
-    from . import _lowindex
-
-    search = _lowindex._TriangleSearch(p, q, r, index, torsion_free)
-    records: list[SubgroupRecord] = []
-    tables = 0
-    for perms in search.solutions():
-        tables += 1
-        if torsion_free:
-            if not _lowindex._least_in_block_order(perms[1], 2 * r):
-                continue
-            perms = standardize(perms)
-        rec = classify(perms, p, q, r)
-        if torsion_free and not rec.torsion_free:
-            raise InvariantError(
-                "low_index_subgroups: the torsion-free search of (%d, %d, %d) at index %d"
-                " completed table %d, %s, which has torsion" % (p, q, r, index, tables, perms)
-            )
-        if proper is not None and rec.proper != proper:
-            continue
-        records.append(rec)
-        if max_count is not None and len(records) >= max_count:
-            break
-    # unimported, logging could show no record; its import stays off the
-    # CLI's cold start
-    logging = sys.modules.get("logging")
-    if logging is not None:
-        logging.getLogger("extpack.trigroup").debug(
-            "low_index_subgroups(%d, %d, %d) at index %d: %d nodes, %d canonicity prunes,"
-            " %d complete tables, %d records, %d room skips",
-            p, q, r, index, search.nodes, search.prunes, tables, len(records), search.skips,
-        )
+    records = list(itertools.islice(stream, max_count))
+    stream.close()
     return records
 
 

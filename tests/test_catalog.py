@@ -1,4 +1,6 @@
+import logging
 import pathlib
+import re
 import types
 
 import pytest
@@ -24,6 +26,29 @@ def test_derivation_matches_shipped_files(tmp_path):
         derived = (tmp_path / ("%s.cmplx" % name)).read_bytes()
         assert derived == (shipped / ("%s.cmplx" % name)).read_bytes(), name
 
+
+
+@pytest.mark.parametrize(
+    "name, search, records",
+    [
+        # X7 is the first index-84 class with a complementary pair: the 5th
+        ("X7", (2, 3, 7, 84), 5),
+        ("X8", (2, 3, 8, 48), 1),
+        ("X9", (2, 3, 9, 36), 1),
+        ("X12", (2, 3, 12, 24), 1),
+        ("D18", (3, 3, 9, 18), 1),
+        ("D14", (3, 3, 7, 42), 1),
+    ],
+)
+def test_derive_reads_the_search_up_to_its_pick(caplog, name, search, records):
+    with caplog.at_level(logging.DEBUG, logger="extpack.trigroup"):
+        catalog.derive(name)
+    (line,) = [rec.getMessage() for rec in caplog.records if rec.name == "extpack.trigroup"]
+    assert line.startswith("low_index_subgroups(%d, %d, %d) at index %d: " % search), line
+    found = re.search(r" (\d+) complete tables, (\d+) records,", line)
+    assert found and int(found.group(2)) == records, line
+    if name == "X7":
+        assert int(found.group(1)) == 5, line
 
 def test_shipped_files_are_fixed_points():
     # a shipped file is already in the form serialize writes

@@ -349,11 +349,15 @@ def test_serialize_parse_round_trip():
 
 
 def test_renamed_complex_shares_its_flag_action(seeds):
-    c = seeds[9]
+    # the copy shares what c has derived, and derives nothing for c
+    c = PolygonComplex(seeds[9].polygons, "X9")
+    before = vars(c).copy()
     renamed = cx._renamed(c, "Y9")
+    assert vars(c) == before and "_flags" not in before
     assert renamed == c and renamed.polygons is c.polygons
     assert renamed.name == "Y9" and c.name == "X9"
-    assert cx.flag_action(renamed) is cx.flag_action(c)
+    assert cx.flag_action(renamed) == cx.flag_action(c)
+    assert cx.flag_action(cx._renamed(c, "Z9")) is cx.flag_action(c)
     assert cx.is_orientable(renamed) == cx.is_orientable(c)
 
 

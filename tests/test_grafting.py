@@ -277,6 +277,20 @@ def test_a_chain_drops_what_it_derived_for_the_members_it_grafted_past(monkeypat
         assert cx.verify_extremal(c) == cx.verify_extremal(fresh)
 
 
+
+def test_a_build_from_a_longer_chain_derives_nothing_for_its_member(monkeypatch):
+    # N = 41 returns member 34 of the chain N = 43 grew, renamed: the
+    # member keeps its words and t1 only, as before the build
+    monkeypatch.setattr(gr, "_chains", {})
+    gr.build_primitive(43)
+    c = gr.build_primitive(41)
+    (chain,) = gr._chains.values()
+    kept = [i for i, member in enumerate(chain) if {"_flags", "_cycles"} & set(vars(member))]
+    assert kept == [36] and c.polygons is chain[34].polygons
+    # what the copy derives stays with the copy
+    assert cx.verify_extremal(c).ok and "_cycles" in vars(c)
+    assert not {"_flags", "_cycles"} & set(vars(chain[34]))
+
 def reference_first_graft(c, variant):
     """The first graft over every eligible site of the variant, each under
     c's room, or None."""

@@ -185,6 +185,26 @@ def test_only_complexes_reads_a_complex_s_private_fields():
     assert not found, "modules read a complex's private fields: %s" % ", ".join(found)
 
 
+def test_the_low_index_search_has_one_entry_point():
+    """Every low-index search runs through trigroup.iter_low_index_subgroups,
+    the one place that builds the kernel's _TriangleSearch; its list form,
+    low_index_subgroups, serves the CLI alone."""
+    built, listed = [], []
+    for path in sorted((ROOT / "src" / "extpack").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name == "_TriangleSearch":
+                    built.append((path.name, getattr(top, "name", None)))
+                elif name == "low_index_subgroups":
+                    listed.append(path.name)
+    assert built == [("trigroup.py", "iter_low_index_subgroups")], built
+    assert listed == ["cli.py"], listed
+
+
 #: what each cold command may not load; run in a fresh interpreter, since
 #: this process has imported the whole package already; only enumerate
 #: runs the low-index search, so only enumerate loads its kernel, _lowindex

@@ -241,8 +241,9 @@ def test_low_index_subgroup_class_counts_in_s4():
         ((2, 3, 7, 0), {}, "need index >= 1"),
         ((2, 3, 7, 28), {"max_count": 0}, "need max_count >= 1"),
         ((2, 3, 7, 28), {"max_count": -1}, "need max_count >= 1"),
+        ((2, 3, 7, 0), {"max_count": 0}, "need index >= 1"),
     ],
-    ids=["p-below-2", "index-0", "max-count-0", "max-count-negative"],
+    ids=["p-below-2", "index-0", "max-count-0", "max-count-negative", "index-before-max-count"],
 )
 def test_low_index_rejects_bad_arguments(args, kwargs, message):
     with pytest.raises(ValueError, match=message):
@@ -709,6 +710,54 @@ def test_generic_search_counters_are_pinned(caplog, pqr, index):
     assert (nodes, prunes, tables) == GENERIC_COUNTERS[pqr, index] and records == tables
     assert _room_skips(caplog) == 0
 
+
+
+STREAM_CASES = [(pqr, index, tf) for pqr, index, tf in MENU_COUNTERS] + [
+    (pqr, index, False) for pqr, index in GENERIC_COUNTERS
+]
+
+
+@pytest.mark.parametrize("proper", [None, True, False], ids=["any", "proper", "improper"])
+@pytest.mark.parametrize(
+    "pqr, index, tf", STREAM_CASES,
+    ids=["%d,%d,%d@%d%s" % (pqr + (index, "-tf" if tf else "")) for pqr, index, tf in STREAM_CASES],
+)
+def test_the_stream_yields_the_list(pqr, index, tf, proper):
+    stream = tg.iter_low_index_subgroups(*pqr, index, torsion_free=tf, proper=proper)
+    assert list(stream) == tg.low_index_subgroups(*pqr, index, torsion_free=tf, proper=proper)
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        ((1, 3, 7, 28), "triangle parameters must be >= 2"),
+        ((2, 1, 7, 28), "triangle parameters must be >= 2"),
+        ((2, 3, 7, 0), "need index >= 1"),
+        ((1, 3, 7, 0), "triangle parameters must be >= 2"),
+    ],
+    ids=["p-below-2", "q-below-2", "index-0", "p-before-index"],
+)
+def test_the_stream_checks_its_arguments_when_called(args, message):
+    # the call raises: no next() is needed to reach the checks
+    with pytest.raises(ValueError, match=message):
+        tg.iter_low_index_subgroups(*args, torsion_free=True)
+
+
+def test_a_closed_stream_logs_what_it_searched(caplog):
+    with caplog.at_level(logging.DEBUG, logger="extpack.trigroup"):
+        stream = tg.iter_low_index_subgroups(2, 3, 8, 96, torsion_free=True)
+        first = next(stream)
+        assert not caplog.records
+        stream.close()
+        stream.close()
+    counters, skips = _search_counters(caplog), _room_skips(caplog)
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="extpack.trigroup"):
+        assert tg.low_index_subgroups(2, 3, 8, 96, torsion_free=True, max_count=1) == [first]
+    assert (_search_counters(caplog), _room_skips(caplog)) == (counters, skips)
+    nodes, _, tables, records = counters
+    # the full search takes 252,440 nodes and 7,458 tables
+    assert records == 1 and tables < 7458 and nodes < 252440
 
 def test_the_search_calls_what_the_tracer_wraps(monkeypatch):
     # bench/spans.py wraps trigroup.low_index_subgroups and trigroup.classify
