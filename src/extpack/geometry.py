@@ -8,7 +8,9 @@ and t2 are the reflections in its sides.  So a layout places every cell by
 a word in three reflections, which Vinberg's representation makes an exact
 3x3 matrix over Z[lambda], lambda = 2 cos(pi/N), reduced by lambda's
 minimal polynomial (from the cyclotomic polynomial Phi_2N).  Floats only
-draw: exact vectors reach the disk through fixed point.
+draw: exact vectors reach the disk through fixed point.  Drawing reads the
+placements alone; a layout's side pairings are computed together, in one
+pass, when the first of them is read.
 
 The extremal Dirichlet cells are regular N-gons with interior angle
 2*pi/3; their trigonometry pins cosh(inradius) = 1/(2 sin(pi/N)), which is
@@ -215,20 +217,7 @@ def _crossing(n: int, f: int, h: int) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# geodesics and angles
-
-
-def _geodesic_center(v: complex, u: complex) -> complex | None:
-    """Center of the circle through v, u orthogonal to the unit circle, or
-    None when the geodesic is a diameter."""
-    det = v.real * u.imag - v.imag * u.real
-    if abs(det) < 1e-13:
-        return None
-    r1 = (abs(v) ** 2 + 1.0) / 2.0
-    r2 = (abs(u) ** 2 + 1.0) / 2.0
-    cx = (r1 * u.imag - r2 * v.imag) / det
-    cy = (v.real * r2 - u.real * r1) / det
-    return complex(cx, cy)
+# angles
 
 
 def corner_angle(v: complex, u: complex, w: complex) -> float:
@@ -324,8 +313,8 @@ class DiskLayout(Record):
 
     Tree labels are the shared edges along which adjacent polygons were
     drawn together; their pairing is the identity.  The pairings are a
-    read-only mapping by label, in label order, and realize's mapping
-    computes each on first read: drawing reads none of them.
+    read-only mapping by label, in label order; realize's mapping computes
+    them all on the first read of one, and drawing reads none of them.
     """
 
     complex: PolygonComplex
@@ -338,23 +327,17 @@ class DiskLayout(Record):
 
 
 class _Pairings(Mapping):
-    """A layout's side pairings, each computed on first read and kept.
-
-    first maps each label to the flag on its first side, in label order,
-    and links maps each polygon but 0 to the flags (f, h) of the tree edge
-    that placed it, f in its parent; the placement inverses a pairing needs
-    are rebuilt along those links and kept too.
+    """A layout's side pairings by label, in label order.  Length and
+    iteration read the labels only; the first pairing read computes every
+    pairing in one pass (_compute) and keeps them.
     """
 
-    def __init__(self, group, t1, first, placements, links, tree):
-        self._group, self._t1_flags, self._first = group, t1, first
-        self._placements, self._links, self._tree = placements, links, tree
-        self._inverses = {0: group.identity}
-        self._done = {}
+    def __init__(self, first, *inputs):
+        self._first, self._inputs, self._done = first, inputs, None
 
     def __getitem__(self, lab):
-        if lab not in self._done:
-            self._done[lab] = self._pairing(lab)
+        if self._done is None:
+            self._done = self._compute(*self._inputs)
         return self._done[lab]
 
     def __iter__(self):
@@ -363,28 +346,18 @@ class _Pairings(Mapping):
     def __len__(self):
         return len(self._first)
 
-    def _pairing(self, lab):
-        """g_p H_f t1 H_h^-1 g_q^-1, f on the label's first side and h =
-        t1(f); the identity on a tree label."""
-        group, f = self._group, self._first[lab]
-        if lab in self._tree:
-            return group.identity
-        h, m = self._t1_flags[f], 2 * group.n
-        crossing = _crossing(group.n, f % m, h % m)
-        return group.product([self._placements[f // m], crossing, self._inverse(h // m)])
-
-    def _inverse(self, q):
-        """g_q^-1 = H_h t1 H_f^-1 g_p^-1, p the parent of q along its link
-        (f, h), from the nearest ancestor whose inverse is kept."""
-        group, m, path = self._group, 2 * self._group.n, []
-        while q not in self._inverses:
-            path.append(q)
-            q = self._links[q][0] // m
-        for p in reversed(path):
-            f, h = self._links[p]
-            self._inverses[p] = group.mul(_crossing(group.n, h % m, f % m), self._inverses[q])
-            q = p
-        return self._inverses[q]
+    def _compute(self, group, t1, placements, links, tree):
+        """g_p H_f t1 H_h^-1 g_q^-1 by label, f on the label's first side and
+        h = t1(f), the identity on a tree label.  links holds the tree edges
+        (f, h) in realize's queue order, f in the parent, so each inverse
+        g_q^-1 = H_h t1 H_f^-1 g_p^-1 is built after its parent's."""
+        n, m = group.n, 2 * group.n
+        inverses = [group.identity] * len(placements)
+        for f, h in links:
+            inverses[h // m] = group.mul(_crossing(n, h % m, f % m), inverses[f // m])
+        return {lab: group.identity if lab in tree else group.product(
+                    [placements[f // m], _crossing(n, f % m, t1[f] % m), inverses[t1[f] // m]])
+                for lab, f in self._first.items()}
 
 
 def realize(c: PolygonComplex) -> DiskLayout:
@@ -397,7 +370,8 @@ def realize(c: PolygonComplex) -> DiskLayout:
     of polygon q places q at g_q = g_p H_f t1 H_h^-1, H_x being the chamber
     of flag x in the centered cell.  A label's pairing g_p H_f t1 H_h^-1
     g_q^-1, f on its first side, carries the drawn second side onto the
-    first; the layout computes it on first read (_Pairings).
+    first.  The layout keeps the tree edges in queue order, and its
+    pairings are computed from them in one pass on first read (_Pairings).
     """
     rep = complexes.verify_extremal(c)
     if not rep.ok:
@@ -411,7 +385,7 @@ def realize(c: PolygonComplex) -> DiskLayout:
     # in label order
     first = dict(sorted((sides[f][0], f) for f in range(0, len(sides), 2) if sides[f][1] == 1))
     placements: list[Matrix | None] = [group.identity] + [None] * (c.num_polygons - 1)
-    links: list[tuple[int, int] | None] = [None] * c.num_polygons
+    links: list[tuple[int, int]] = []  # the tree edges (f, h), in queue order
     tree: set[int] = set()
     queue = [0]
     for x in queue:
@@ -424,7 +398,7 @@ def realize(c: PolygonComplex) -> DiskLayout:
                 continue
             # the polygon of f is placed and that of h is not
             placements[h // m] = group.mul(placements[f // m], _crossing(n, f % m, h % m))
-            links[h // m] = (f, h)
+            links.append((f, h))
             queue.append(h // m)
             tree.add(lab)
     drawn = group.draw(placements)
@@ -434,7 +408,7 @@ def realize(c: PolygonComplex) -> DiskLayout:
         placements=tuple(placements),
         vertices=tuple(tuple(points[:n]) for points in drawn),
         centres=tuple(points[n] for points in drawn),
-        pairings=_Pairings(group, t1, first, placements, links, tree),
+        pairings=_Pairings(first, group, t1, placements, links, tree),
         tree_labels=frozenset(tree),
     )
 
@@ -492,31 +466,30 @@ def _fmt(x: float) -> str:
     return "0.000000" if out == "-0.000000" else out
 
 
-def _arc_path(v: complex, u: complex) -> str:
-    """SVG path for the geodesic arc from v to u (y axis flipped for SVG)."""
-    center = _geodesic_center(v, u)
-    if center is None:
-        return "M %s %s L %s %s" % (_fmt(v.real), _fmt(-v.imag), _fmt(u.real), _fmt(-u.imag))
+def _side(v: complex, u: complex) -> tuple[str, complex]:
+    """The SVG path of the geodesic arc from v to u (y axis flipped for
+    SVG) and the arc's midpoint, both from one geodesic: a diameter, or the
+    circle through v and u orthogonal to the unit circle."""
+    det = v.real * u.imag - v.imag * u.real
+    if abs(det) < 1e-13:
+        path = "M %s %s L %s %s" % (_fmt(v.real), _fmt(-v.imag), _fmt(u.real), _fmt(-u.imag))
+        return path, (v + u) / 2.0
+    r1 = (abs(v) ** 2 + 1.0) / 2.0
+    r2 = (abs(u) ** 2 + 1.0) / 2.0
+    cx = (r1 * u.imag - r2 * v.imag) / det
+    cy = (v.real * r2 - u.real * r1) / det
+    center = complex(cx, cy)
     radius = abs(v - center)
-    cross = ((v - center).conjugate() * (u - center)).imag
-    # plane-ccw becomes svg-cw under the y flip
-    sweep = 0 if cross > 0 else 1
-    return "M %s %s A %s %s 0 0 %d %s %s" % (
-        _fmt(v.real), _fmt(-v.imag), _fmt(radius), _fmt(radius),
-        sweep, _fmt(u.real), _fmt(-u.imag),
-    )
-
-
-def _geodesic_midpoint(v: complex, u: complex) -> complex:
-    center = _geodesic_center(v, u)
-    if center is None:
-        return (v + u) / 2.0
     a1 = cmath.phase(v - center)
     a2 = cmath.phase(u - center)
     span = (a2 - a1) % (2.0 * math.pi)
-    if span > math.pi:
+    # plane-ccw (span < pi) becomes svg-cw under the y flip
+    sweep = int(span > math.pi)
+    if sweep:
         a1, span = a2, 2.0 * math.pi - span
-    return center + abs(v - center) * cmath.exp(1j * (a1 + span / 2.0))
+    path = "M %s %s A %s %s 0 0 %d %s %s" % (
+        _fmt(v.real), _fmt(-v.imag), _fmt(radius), _fmt(radius), sweep, _fmt(u.real), _fmt(-u.imag))
+    return path, center + radius * cmath.exp(1j * (a1 + span / 2.0))
 
 
 def render_svg(layout: DiskLayout) -> str:
@@ -533,12 +506,11 @@ def render_svg(layout: DiskLayout) -> str:
         word = layout.complex.polygons[p]
         centre = layout.centres[p]
         for i in range(n):
-            v, u = poly[i], poly[(i + 1) % n]
+            path, mid = _side(poly[i], poly[(i + 1) % n])
             lines.append(
                 '<path class="edge" d="%s" fill="none" stroke="#000000" '
-                'stroke-width="0.006"/>' % _arc_path(v, u)
+                'stroke-width="0.006"/>' % path
             )
-            mid = _geodesic_midpoint(v, u)
             pos = mid + 0.1 * (centre - mid)
             lines.append(
                 '<text class="label" x="%s" y="%s" font-size="0.055" '

@@ -1,6 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line
 with its runtime and asserting the stated tolerances and budgets."""
 
+import collections
+import functools
 import math
 import time
 from fractions import Fraction
@@ -12,7 +14,7 @@ from conftest import polygon_area
 from extpack import catalog
 from extpack import complexes as cx
 from extpack import covers, feasibility, geometry, grafting, trigroup
-from extpack.errors import InfeasibleSpecError
+from extpack.errors import IneligibleSiteError, InfeasibleSpecError
 
 
 def _report(num, detail, elapsed, budget):
@@ -120,6 +122,90 @@ def test_criterion_06_group_theoretic_route():
     assert trigroup.complex_to_subgroup(x7).index == 84
     _report(6, "surface records at index 24 and 84; X7 record has index 84",
             time.time() - start, 300)
+
+
+@functools.lru_cache(maxsize=None)
+def census(k, g):
+    """The extremal k-packings of genus g: the proper torsion-free classes
+    at index 2kN in ext(2,3,N), each record's complex by its class key
+    least_code(flag_action(c)), which no two classes share."""
+    n = feasibility._cell_size(k, g)
+    out = {}
+    for rec in trigroup.iter_low_index_subgroups(2, 3, n, 2 * k * n, torsion_free=True, proper=True):
+        c = trigroup.subgroup_to_complex(rec)
+        key = cx.least_code(cx.flag_action(c))
+        assert key not in out, (k, g, rec)
+        out[key] = c
+    return out
+
+
+#: (k, g): the census's class count and its histogram of |Aut|
+CENSUS_PINS = {
+    (1, 3): (11, {1: 1, 2: 8, 6: 2}),
+    (2, 3): (4, {1: 1, 2: 3}),
+    (3, 3): (23, {1: 1, 2: 14, 4: 3, 6: 4, 8: 1}),
+    (6, 3): (12, {1: 2, 2: 8, 6: 2}),
+    (1, 4): (144, {1: 73, 2: 59, 4: 8, 6: 2, 12: 2}),
+    (2, 4): (283, {1: 118, 2: 109, 4: 52, 8: 4}),
+    (3, 4): (260, {1: 120, 2: 106, 3: 6, 4: 23, 6: 4, 12: 1}),
+    (4, 4): (428, {1: 227, 2: 152, 3: 1, 4: 41, 6: 3, 8: 3, 24: 1}),
+}
+
+
+def test_census_classes_and_automorphisms():
+    for (k, g), (count, histogram) in CENSUS_PINS.items():
+        auts = collections.Counter(len(cx.automorphisms(c)) for c in census(k, g).values())
+        assert (len(census(k, g)), dict(auts)) == (count, histogram), (k, g)
+    # k = 1: a class with automorphism group A comes from 2N/|A| of the
+    # gluings of one labelled N-gon; 128 is the count criterion 10 certifies
+    for g, mass in ((3, 128), (4, 3780)):
+        n = feasibility._cell_size(1, g)
+        assert sum(Fraction(2 * n, len(cx.automorphisms(c))) for c in census(1, g).values()) == mass, g
+
+
+def reached(outputs, k, g):
+    """How many outputs there are and how many classes of the (k, g)
+    census they reach; each must certify as (k, g) before it is looked up,
+    and land in the census."""
+    keys = []
+    for c in outputs:
+        rep = cx.verify_extremal(c)
+        assert rep.ok and (rep.k, rep.g) == (k, g), c
+        keys.append(cx.least_code(cx.flag_action(c)))
+        assert keys[-1] in census(k, g), c
+    return len(keys), len(set(keys))
+
+
+def uniform_grafts(k, g):
+    """Every uniform apply_graft of every class of the (k, g) census, at
+    every site of every variant; a site that takes no graft is skipped."""
+    for c in census(k, g).values():
+        for variant in grafting.GraftVariant:
+            for site in grafting.eligible_sites(c, variant):
+                try:
+                    out = grafting.apply_graft(c, site)
+                except IneligibleSiteError:
+                    continue
+                if len(set(out.sizes)) == 1:
+                    yield out
+
+
+def double_covers(k, g):
+    return (covers.find_nonorientable_cyclic_cover(c, 2) for c in census(k, g).values())
+
+
+def test_constructions_land_in_the_census():
+    # a graft adds one to the genus, and a double cover doubles k and takes
+    # g to 2g - 2, so each output is a class of a census one step up:
+    # (outputs, target (k, g), its classes, outputs made, classes reached)
+    for outputs, (k, g), classes, made, hits in (
+        (uniform_grafts(1, 3), (1, 4), 144, 88, 27),
+        (uniform_grafts(3, 3), (3, 4), 260, 288, 36),
+        (double_covers(1, 3), (2, 4), 283, 11, 11),
+        (double_covers(2, 3), (4, 4), 428, 4, 3),
+    ):
+        assert len(census(k, g)) == classes
+        assert reached(outputs, k, g) == (made, hits), (k, g)
 
 
 def test_criterion_07_dual_extremality():

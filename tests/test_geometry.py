@@ -193,10 +193,10 @@ def test_drawing_reads_no_pairing(monkeypatch, spec):
     # check then reads every pairing of the same layout
     c = catalog.load_entry(spec).complex if isinstance(spec, str) else realize_spec(*spec)
 
-    def unread(self, lab):
-        raise AssertionError("pairing %d read while drawing" % lab)
+    def unread(self, *inputs):
+        raise AssertionError("pairings computed while drawing")
 
-    monkeypatch.setattr(geom._Pairings, "_pairing", unread)
+    monkeypatch.setattr(geom._Pairings, "_compute", unread)
     lay = geom.realize(c)
     svg = geom.render_svg(lay)
     monkeypatch.undo()
@@ -204,6 +204,33 @@ def test_drawing_reads_no_pairing(monkeypatch, spec):
     rep = geom.holonomy_check(lay)
     assert rep.max_displacement < 1e-9 and rep.max_angle_error < 1e-10
     assert dict(lay.pairings) == reference_pairings(c)
+
+
+@pytest.mark.parametrize("spec", ["X7", (24, 10)], ids=str)
+def test_pairings_are_computed_once(monkeypatch, spec):
+    # drawing, len and iteration compute no pairing; the first read computes
+    # them all in one pass, and every later read of the layout reuses them
+    c = catalog.load_entry(spec).complex if isinstance(spec, str) else realize_spec(*spec)
+    want = reference_pairings(c)
+    computed = []
+    compute = geom._Pairings._compute
+
+    def counted(self, *inputs):
+        computed.append(id(self))
+        return compute(self, *inputs)
+
+    monkeypatch.setattr(geom._Pairings, "_compute", counted)
+    lay = geom.realize(c)
+    geom.render_svg(lay)
+    assert len(lay.pairings) == len(want) and list(lay.pairings) == list(want)
+    assert computed == []
+    rep = geom.holonomy_check(lay)
+    assert rep.max_displacement < 1e-9 and rep.max_angle_error < 1e-10
+    assert computed == [id(lay.pairings)]
+    assert dict(lay.pairings) == want
+    again = geom.realize(c)
+    assert lay == again
+    assert computed == [id(lay.pairings), id(again.pairings)]
 
 
 def test_holonomy_detects_perturbation(seeds):
