@@ -35,6 +35,13 @@ records it as one VertexCycle, its corners with the edges crossed
 between them, which the grafts, the cyclic covers and the holonomy check
 all read.  The complex writes its fields and these stored results
 straight into its instance dict.
+
+The canonical form, the file parser and the writer are here; the
+least-code pass they run on and the word reader are in the private module
+_canon, which canonicalize imports when it runs, so a caller that only
+certifies never loads it.  least_code, automorphisms and read_polygons
+are complexes names too: the module __getattr__ (PEP 562) reads them
+from _canon on first use.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ from itertools import accumulate, chain
 
 # two_color and bfs_code are complexes names too; trigroup imports them
 # from _action, which loads no polygon layer
-from ._action import _read, bfs_code, two_color
+from ._action import bfs_code, two_color
 from ._record import Record
 from .errors import ComplexFormatError, InvalidComplexError, InvariantError
 
@@ -223,85 +230,6 @@ class ExtremalityReport(Record):
 
 # ---------------------------------------------------------------------------
 # combinatorial structure, read from flag actions
-
-
-def least_code(perms) -> tuple[int, ...]:
-    """The least BFS code over all start points of a transitive action.
-
-    It is the isomorphism key: equal for two actions exactly when they are
-    isomorphic, so for two complexes' flag actions exactly when one is the
-    other relabeled, with polygons rotated, reordered or mirrored, and for
-    two coset tables exactly when the subgroups are conjugate.  A start is
-    read only while it ties the best code (Weinberg's 1966 code for maps,
-    with the early abort of a least-code search).  Two starts that tie in
-    full give an automorphism, and a start that the automorphisms found
-    take to a start read before is skipped (McKay 1981).  An intransitive
-    action raises ValueError.
-    """
-    return _least(perms)[0]
-
-
-def automorphisms(c: PolygonComplex) -> list[int]:
-    """The automorphism group of c, as the images of flag 0.
-
-    An automorphism of the flag action commutes with t0, t1 and t2, so it
-    is fixed by where it sends flag 0.  The group acts freely on the flags,
-    so the ties of least_code's pass generate it, and its order, the length
-    of the list, divides their number.  The list starts with flag 0 (the
-    identity) and is increasing.
-    """
-    return _least(flag_action(c))[1]
-
-
-def _least(perms) -> tuple[tuple[int, ...], list[int]]:
-    """least_code's pass on one order buffer: the least code, and point 0's
-    orbit under the automorphisms that its ties give."""
-    n = len(perms[0])
-    order = [-1] * n
-    best = [n] * (len(perms) * n)  # above every code, so start 0 reads lower
-    parent = None  # from the first full tie: a union-find of the points, rooted at least points
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
-    for start in range(n):
-        # a class rooted below start holds a start already read, with the same code
-        if parent is not None and find(start) < start:
-            continue
-        order[start] = 0
-        seq = [start]
-        i = 0
-        for x in seq:
-            for perm in perms:
-                y = perm[x]
-                o = order[y]
-                if o < 0:
-                    o = order[y] = len(seq)
-                    seq.append(y)
-                if o != best[i]:
-                    break
-                i += 1
-            else:
-                continue
-            break
-        for y in seq:
-            order[y] = -1
-        if i == len(best):
-            # best_seq[j] -> seq[j] is an automorphism: join its cycles
-            parent = parent or list(range(n))
-            for a, b in zip(best_seq, seq):
-                a, b = find(a), find(b)
-                if a != b:
-                    parent[max(a, b)] = min(a, b)
-        elif o < best[i]:
-            best, best_seq = _read(perms, start, order)
-            if len(best_seq) < n:
-                raise ValueError("least_code: intransitive action, point 0 reaches %d of %d points" % (len(best_seq), n))
-            for y in best_seq:
-                order[y] = -1
-    return tuple(best), [0] if parent is None else [f for f in range(n) if find(f) == 0]
 
 
 def flag_action(c: PolygonComplex) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
@@ -526,48 +454,14 @@ def is_graftable(c: PolygonComplex) -> bool:
 # canonical form
 
 
-def read_polygons(perms) -> tuple[tuple[int, ...], ...]:
-    """The polygon words of a flag action (t0, t1, t2), read flag by flag.
+def __getattr__(name):
+    """least_code, automorphisms and read_polygons, read from _canon on
+    first use (PEP 562)."""
+    if name in ("least_code", "automorphisms", "read_polygons"):
+        from . import _canon
 
-    Each flag x that is not yet on a polygon starts the next polygon, whose
-    sides are (a, t0 a) from a = x, stepping a <- t2 t0 a until a returns
-    to x.  Labels are numbered 1, 2, ... by first occurrence and positive
-    there; the partner of a side (a, b) with label v holds t1 a and t1 b,
-    and reads +v if its first flag is t1 b, -v if it is t1 a.  With the
-    sign rule of PolygonComplex, the words glue back to the given action,
-    up to renumbering of the flags.
-    """
-    t0, t1, t2 = perms
-    side_of = [-1] * len(t0)  # flag -> 2 * (its side's number) + its end
-    firsts: list[int] = []  # the first flag of every side
-    sizes: list[int] = []
-    for x in range(len(t0)):
-        if side_of[x] >= 0:
-            continue
-        a = x
-        before = len(firsts)
-        while True:
-            b = t0[a]
-            side_of[a] = 2 * len(firsts)
-            side_of[b] = 2 * len(firsts) + 1
-            firsts.append(a)
-            a = t2[b]
-            if a == x:
-                break
-        sizes.append(len(firsts) - before)
-    labels = [0] * len(firsts)
-    label = 0
-    for s, a in enumerate(firsts):
-        if labels[s]:
-            continue
-        label += 1
-        labels[s] = label
-        partner = side_of[t1[a]]
-        if partner >> 1 == s:
-            raise InvariantError("read_polygons: t1 glues side %d to itself" % s)
-        labels[partner >> 1] = label if partner & 1 else -label
-    ends = list(accumulate(sizes))
-    return tuple(tuple(labels[e - n:e]) for n, e in zip(sizes, ends))
+        return getattr(_canon, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 def canonicalize(c: PolygonComplex) -> PolygonComplex:
@@ -577,8 +471,12 @@ def canonicalize(c: PolygonComplex) -> PolygonComplex:
     3i + j of the code; read_polygons reads the words off that action.
     Since least_code is the isomorphism key, so is the result: two
     complexes have the same canonical form exactly when one is the other
-    relabeled, with polygons rotated, reordered or mirrored.
+    relabeled, with polygons rotated, reordered or mirrored.  The pass
+    lives in _canon, imported here, so a complex that is only certified
+    never loads it.
     """
+    from ._canon import least_code, read_polygons
+
     code = least_code(flag_action(c))
     words = read_polygons((code[0::3], code[1::3], code[2::3]))
     return PolygonComplex(words, name=c.name)

@@ -27,6 +27,7 @@ import sys
 from math import gcd, lcm
 
 from . import complexes
+from ._canon import read_polygons
 from ._record import Record
 from .complexes import PolygonComplex
 from .errors import CoverError, EnumerationCapError, InvariantError
@@ -83,7 +84,7 @@ def orientation_double_cover(c: PolygonComplex) -> PolygonComplex:
     if complexes.is_orientable(c):
         raise CoverError("complex is already orientable; it has no orientation double cover")
     lift = _lift(c, 2, [(f ^ g ^ 1) & 1 for f, g in enumerate(complexes.flag_action(c)[1])])
-    out = PolygonComplex(complexes.read_polygons(lift), name=c.name + "+" if c.name else None)
+    out = PolygonComplex(read_polygons(lift), name=c.name + "+" if c.name else None)
     if not complexes.is_orientable(out):
         raise InvariantError("orientation_double_cover: the cover of %r is not orientable" % (c,))
     return out
@@ -192,7 +193,7 @@ def _cover(c: PolygonComplex, assignment: VoltageAssignment) -> PolygonComplex:
     lift = _lift(c, n, [d * volt[lab] % n for lab, d in complexes.flag_sides(c)])
     if not complexes.two_color(lift)[0]:
         raise CoverError("voltages give a disconnected cover of degree %d" % n)
-    out = PolygonComplex(complexes.read_polygons(lift))
+    out = PolygonComplex(read_polygons(lift))
     sizes = complexes.vertex_class_sizes(out)
     if sizes[0] != 3 or sizes[-1] != 3:
         raise InvariantError(

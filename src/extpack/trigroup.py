@@ -313,17 +313,18 @@ def subgroup_to_complex(rec: SubgroupRecord) -> complexes.PolygonComplex:
 
     Cosets are flags: polygons are the <r0, r2> orbits, edges the <r0, r1>
     orbits, and the pairing signs come from which end of the partner side
-    the edge reflection reaches (complexes.read_polygons).  The words are
+    the edge reflection reaches (_canon.read_polygons).  The words are
     read in coset order; serialize writes the canonical form.
     """
     from . import complexes
+    from ._canon import read_polygons
 
     p, q, N = rec.params
     if (p, q) != (2, 3):
         raise ValueError("complex reconstruction needs a (2, 3, N) record")
     if not (rec.torsion_free and rec.proper):
         raise ValueError("complex reconstruction needs a torsion-free proper record")
-    out = complexes.PolygonComplex(complexes.read_polygons(rec.perms))
+    out = complexes.PolygonComplex(read_polygons(rec.perms))
     check = complexes.verify_extremal(out)
     if not (check.ok and check.g == rec.genus and check.n == N):
         raise InvariantError(

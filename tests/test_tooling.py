@@ -207,20 +207,24 @@ def test_the_low_index_search_has_one_entry_point():
 
 #: what each cold command may not load; run in a fresh interpreter, since
 #: this process has imported the whole package already; only enumerate
-#: runs the low-index search, so only enumerate loads its kernel, _lowindex
+#: runs the low-index search, so only enumerate loads its kernel, _lowindex;
+#: only render draws, so only render loads the reflection group,
+#: _reflection; bound and enumerate read no complex, so neither loads the
+#: least-code pass, _canon
 COLD_COMMANDS = (
     (["bound", "--k", "1", "--g", "3"],
-     {"complexes", "trigroup", "geometry", "covers", "grafting", "catalog"}),
+     {"complexes", "trigroup", "geometry", "covers", "grafting", "catalog", "_canon", "_reflection"}),
     (["enumerate", "--p", "2", "--q", "3", "--r", "7", "--index", "28"],
-     {"complexes", "geometry", "covers", "grafting", "feasibility", "catalog"}),
+     {"complexes", "geometry", "covers", "grafting", "feasibility", "catalog", "_canon", "_reflection"}),
     (["enumerate", "--p", "2", "--q", "3", "--r", "12", "--index", "24", "--torsion-free", "--proper"],
-     {"complexes", "geometry", "covers", "grafting", "feasibility", "catalog"}),
+     {"complexes", "geometry", "covers", "grafting", "feasibility", "catalog", "_canon", "_reflection"}),
     (["verify", "X7"], {"trigroup", "geometry", "covers", "grafting"}),
     (["double-cover", "X9"], {"grafting", "feasibility", "trigroup", "geometry"}),
     (["cyclic-cover", "X12", "--n", "2"], {"grafting", "feasibility", "trigroup", "geometry"}),
     (["build", "--N", "41"], {"trigroup", "geometry", "covers"}),
     (["graft", "X8", "--variant", "EG1"], {"trigroup", "geometry", "covers", "feasibility"}),
     (["realize", "--k", "24", "--g", "10"], {"trigroup", "geometry"}),
+    (["render", "X7"], {"trigroup", "covers", "grafting", "feasibility"}),
 )
 
 LOADED = (
@@ -251,6 +255,40 @@ def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv, unused):
     assert "extpack.cli" in modules
     assert not {"extpack." + name for name in unused} & set(modules), modules
     assert ("extpack._lowindex" in modules) == (argv[0] == "enumerate"), modules
+    assert ("extpack._reflection" in modules) == (argv[0] == "render"), modules
+
+
+def test_a_census_loads_neither_the_least_code_pass_nor_geometry(tmp_path):
+    # a census certifies complexes and reads no canonical form, so it
+    # compiles neither _canon nor the disk layer
+    code = (
+        "import json, sys\n"
+        "from extpack import complexes as cx\n"
+        "for words in ([(1, 2, -1, 2)], [(1, 2, 3, 4, 5, 6, 7), (-1, -2, -3, -4, -5, -6, -7)]):\n"
+        "    c = cx.PolygonComplex(words)\n"
+        "    cx.vertex_class_sizes(c, cap=3)\n"
+        "    cx.verify_extremal(c)\n"
+        "    cx.surface_invariants(c)\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('extpack'))))\n"
+    )
+    modules = _loaded(tmp_path, code)
+    assert "extpack.complexes" in modules
+    assert not {"extpack._canon", "extpack.geometry", "extpack._reflection"} & set(modules), modules
+
+
+def test_geometry_compiles_below_the_cli():
+    """geometry.py and the reflection group it draws with, _reflection.py,
+    each parse to fewer ast nodes than cli.py, which every command
+    compiles.  Where no bytecode is cached, a cold op compiles each module
+    it loads from source, and its largest single compile sets the op's
+    peak memory.  Compiling these three modules took 0.33-0.42 KiB a node
+    (tracemalloc, CPython 3.11), so neither half of the disk layer may set
+    a cold render's peak above the CLI's own."""
+    nodes = {
+        name: sum(1 for _ in ast.walk(ast.parse((ROOT / "src" / "extpack" / name).read_text(encoding="utf-8"))))
+        for name in ("geometry.py", "_reflection.py", "cli.py")
+    }
+    assert max(nodes["geometry.py"], nodes["_reflection.py"]) < nodes["cli.py"], nodes
 
 
 def test_the_group_bridge_loads_both_layers(tmp_path):
@@ -395,3 +433,20 @@ def test_public_names_resolve_to_their_modules():
         extpack.no_such_name
     with pytest.raises(ImportError):
         exec("from extpack import no_such_name", {})
+
+
+def test_the_least_code_names_resolve_to_canon():
+    """least_code, automorphisms and read_polygons live in _canon and are
+    complexes names too, read through the module __getattr__; the package
+    name and a from-import reach the same function."""
+    from extpack import _canon, complexes
+
+    for name in ("least_code", "automorphisms", "read_polygons"):
+        assert getattr(complexes, name) is getattr(_canon, name), name
+        imported: dict = {}
+        exec("from extpack.complexes import %s as found" % name, imported)
+        assert imported["found"] is getattr(_canon, name), name
+    assert extpack.least_code is _canon.least_code
+    assert extpack.automorphisms is _canon.automorphisms
+    with pytest.raises(AttributeError, match="'extpack.complexes' has no attribute 'no_such_name'"):
+        complexes.no_such_name
