@@ -1,15 +1,18 @@
 """Extremal disc packings on compact non-orientable hyperbolic surfaces.
 
 The packing arithmetic lives in `feasibility`; combinatorial surfaces as
-edge-identified polygons in `complexes`, whose least-code pass is the
-private `_canon`; the genus-raising edge-grafting rewrites in
-`grafting`; orientation double covers and cyclic covers in `covers`;
-subgroups of the extended (p, q, r) triangle groups, held as the coset
-actions of the three reflections, their low-index search and the
-subgroup/complex bridge in `trigroup`, whose search kernel is the
-private `_lowindex`; the exact unit-disk layouts in `geometry`, whose
-reflection group is the private `_reflection`; and the shipped certified
-examples in `catalog`.
+edge-identified polygons in `complexes`, whose least-code pass, canonical
+form and file format are the private `_canon` and whose vertex-cycle
+readers are the private `_vertices`; the genus-raising edge-grafting
+rewrites in `grafting`, whose wiring table and rewrite search are the
+private `_rewrite`; orientation double covers and cyclic covers in
+`covers`; subgroups of the extended (p, q, r) triangle groups, held as
+the coset actions of the three reflections, their low-index search and
+the subgroup/complex bridge in `trigroup`, whose search kernel is the
+private `_lowindex`, with the block search's helpers in `_blocks`; the
+exact unit-disk layouts in `geometry`, whose reflection group is the
+private `_reflection`; the shipped certified examples in `catalog`; and
+the command line in `cli`, whose parsers are the private `_cmdline`.
 
 The names below resolve lazily (PEP 562): ``import extpack`` loads no
 submodule, and ``extpack.X`` or ``from extpack import X`` imports only

@@ -1,15 +1,20 @@
-"""The least-code pass over a permutation action, and the reading of
-polygon words off a flag action: the isomorphism key least_code, the
-automorphism group of a complex read off the same pass, and
-read_polygons, which complexes.canonicalize, the covers and the
-subgroup/complex bridge read a complex's words with.
+"""The least-code pass over a permutation action, the reading of polygon
+words off a flag action, and the complex file format on top of them: the
+isomorphism key least_code, the automorphism group of a complex read off
+the same pass, read_polygons, which canonicalize, the covers and the
+subgroup/complex bridge read a complex's words with, and parse and
+serialize, which read and write the canonical form.
 
-complexes.canonicalize imports this module when it runs, so a caller
-that only certifies complexes (a census, verify_extremal and the
-invariants) never loads it; complexes.least_code, complexes.automorphisms
-and complexes.read_polygons resolve here on first use.  Calls into the
-polygon layer go through the complexes module (complexes.flag_action),
-the name the benchmark tracer wraps.
+The canonical form and the file format moved here from complexes, which
+every command compiles, so that its compile stays small: every caller of
+parse or serialize reads the canonical form, and a caller that only
+certifies complexes (a census, verify_extremal and the invariants) never
+loads this module.  complexes.least_code, complexes.automorphisms,
+complexes.read_polygons, complexes.canonicalize, complexes.parse,
+complexes.serialize and complexes.FORMAT_HEADER resolve here on first
+use.  Calls into the polygon layer go through the complexes module
+(complexes.flag_action, complexes.canonicalize), the names the benchmark
+tracer wraps.
 """
 
 from __future__ import annotations
@@ -18,7 +23,9 @@ from itertools import accumulate
 
 from . import complexes
 from ._action import _read
-from .errors import InvariantError
+from .errors import ComplexFormatError, InvariantError
+
+FORMAT_HEADER = "# extpack complex format v1"
 
 
 def least_code(perms) -> tuple[int, ...]:
@@ -100,7 +107,6 @@ def _least(perms) -> tuple[tuple[int, ...], list[int]]:
     return tuple(best), [0] if parent is None else [f for f in range(n) if find(f) == 0]
 
 
-
 def read_polygons(perms) -> tuple[tuple[int, ...], ...]:
     """The polygon words of a flag action (t0, t1, t2), read flag by flag.
 
@@ -143,3 +149,69 @@ def read_polygons(perms) -> tuple[tuple[int, ...], ...]:
         labels[partner >> 1] = label if partner & 1 else -label
     ends = list(accumulate(sizes))
     return tuple(tuple(labels[e - n:e]) for n, e in zip(sizes, ends))
+
+
+def canonicalize(c: complexes.PolygonComplex) -> complexes.PolygonComplex:
+    """The canonical form: c read off its least-code flag action.
+
+    least_code renumbers the flags so that t_j of new flag i is entry
+    3i + j of the code; read_polygons reads the words off that action.
+    Since least_code is the isomorphism key, so is the result: two
+    complexes have the same canonical form exactly when one is the other
+    relabeled, with polygons rotated, reordered or mirrored.
+    """
+    code = least_code(complexes.flag_action(c))
+    words = read_polygons((code[0::3], code[1::3], code[2::3]))
+    return complexes.PolygonComplex(words, name=c.name)
+
+
+# ---------------------------------------------------------------------------
+# file format
+
+
+def parse(text: str) -> complexes.PolygonComplex:
+    """Parse the complex file format and return the canonical complex.
+
+    Lines: ``#`` comments, an optional ``name <string>`` line, and one
+    ``polygon <signed ints>`` line per polygon.
+    """
+    name = None
+    polys: list[tuple[int, ...]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if fields[0] == "name":
+            if name is not None:
+                raise ComplexFormatError("duplicate name line", line=lineno)
+            name = line[len("name"):].strip() or None
+            continue
+        if fields[0] != "polygon":
+            raise ComplexFormatError("expected 'polygon' or 'name', got %r" % fields[0], line=lineno)
+        word = []
+        for tok in fields[1:]:
+            try:
+                v = int(tok)
+            except ValueError:
+                raise ComplexFormatError("bad label %r" % tok, line=lineno) from None
+            if v == 0:
+                raise ComplexFormatError("zero label", line=lineno)
+            word.append(v)
+        if not word:
+            raise ComplexFormatError("empty polygon", line=lineno)
+        polys.append(tuple(word))
+    if not polys:
+        raise ComplexFormatError("no polygon lines found")
+    return complexes.canonicalize(complexes.PolygonComplex(tuple(polys), name=name))
+
+
+def serialize(c: complexes.PolygonComplex) -> str:
+    """Write the canonical form of c in the complex file format."""
+    canon = complexes.canonicalize(c)
+    lines = [FORMAT_HEADER]
+    if canon.name:
+        lines.append("name %s" % canon.name)
+    for word in canon.polygons:
+        lines.append("polygon " + " ".join(str(v) for v in word))
+    return "\n".join(lines) + "\n"

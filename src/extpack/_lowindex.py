@@ -6,7 +6,10 @@ block-order tests.
 module inside its body, so the commands that never search (`to-group`,
 `from-group` and the rest) do not load or compile it.  The search yields
 complete tables; the driver keeps those least in block order,
-standardizes and classifies them, and logs the counters kept here.
+standardizes and classifies them, and logs the counters kept here.  The
+block search's module-level helpers moved to the private module
+_blocks, so that no compile of a cold command is large and a generic
+search never loads them; a torsion-free search imports it when built.
 """
 
 from __future__ import annotations
@@ -58,6 +61,11 @@ class _TriangleSearch:
         self.prunes = 0
         self.block = blk = 2 * r
         self.impossible = torsion_free and index % blk != 0
+        if torsion_free:
+            # the block search's helpers, which a generic search never loads
+            from . import _blocks
+
+            self.blocks = _blocks
         if torsion_free and not self.impossible:
             t0, t2 = self.t[0], self.t[2]
             for base in range(0, index, blk):
@@ -224,6 +232,7 @@ class _TriangleSearch:
         enters none, so blocks open in order."""
         m = self.m
         t0, t1, t2 = self.t
+        path, partner_fails = self.blocks._path, self.blocks._partner_fails
         while c < m and t1[c] != UNDEF:
             c += 1
         if c == m:
@@ -233,20 +242,20 @@ class _TriangleSearch:
         q2 = 2 * self.q
         # the room test: c <-> d joins the open (r1 r2) paths at c and d,
         # and _assign rejects it when d's has room or more edges (_path)
-        end_c, edges_c = _path(t1, t2, c)
+        end_c, edges_c = path(t1, t2, c)
         room = q2 - 1 - edges_c
         # for p = 2, c <-> d forces t0 c <-> t0 d, tested the same way
         # (_partner_fails) when r1 leaves both open
         a = t0[c]
         partner = self.p == 2 and t1[a] == UNDEF
-        path_a = _path(t1, t2, a) if partner else None
+        path_a = path(t1, t2, a) if partner else None
         for d in range(c, min(fresh + 1, m)):
             if t1[d] != UNDEF:
                 continue
-            end_d, edges_d = _path(t1, t2, d)
+            end_d, edges_d = path(t1, t2, d)
             if edges_d >= room or (
                 partner and d != end_c and d != a and t1[t0[d]] == UNDEF
-                and _partner_fails(t1, t2, q2, end_c, end_d, edges_c + edges_d + 1, a, path_a, t0[d])
+                and partner_fails(t1, t2, q2, end_c, end_d, edges_c + edges_d + 1, a, path_a, t0[d])
             ):
                 self._skip(c, d)
                 continue
@@ -263,9 +272,9 @@ class _TriangleSearch:
     def _least_first(self, mark: int) -> bool:
         """False, counting a prune, if a flag decided since mark reads a
         first block-order entry (_first) below t1[0], 0's own."""
-        t1, blk = self.t[1], self.block
+        t1, blk, first = self.t[1], self.block, self.blocks._first
         for _, c, d in self.trail[mark:]:
-            if _first(c, d, blk) < t1[0] or _first(d, c, blk) < t1[0]:
+            if first(c, d, blk) < t1[0] or first(d, c, blk) < t1[0]:
                 self.prunes += 1
                 return False
         return True
@@ -307,86 +316,3 @@ class _TriangleSearch:
                 self._rewind(saved)
             self._undo(mark)
         self.count = count
-
-
-def _first(f: int, y: int, blk: int) -> int:
-    """The first t1 entry of the block-order code from flag f, t1[f] = y:
-    y's place on the walk f, t0 f, t2 t0 f, ... round f's block, else blk."""
-    return (y - f if f % 2 == 0 else f - y) % blk if f // blk == y // blk else blk
-
-
-def _path(t1, t2, x: int) -> tuple[int, int]:
-    """The other end of the open path of r2 and r1 edges that starts at x,
-    where r1 is undecided, and its number of edges.  r2 is complete and
-    fixes no point, so the path is open and ends after an r2 edge.
-
-    An entry x <-> d of r1 joins the paths at x and d.  When theirs and the
-    new edge make 2q or more, _assign rejects it: the joined path is open
-    and too long, or, when d ends x's own path, the cycle it closes is
-    shorter than 2q (a path of 2q - 1 edges is closed as soon as it forms),
-    or d is x, a fixed point."""
-    edges = 1
-    y = t2[x]
-    while t1[y] != UNDEF:
-        y = t2[t1[y]]
-        edges += 2
-    return y, edges
-
-
-def _partner_fails(t1, t2, q2: int, end_c: int, end_d: int, joined: int, a: int, path_a, b: int) -> bool:
-    """For p = 2, whether _assign rejects c <-> d for the entry a <-> b,
-    a = t0 c and b = t0 d, that c <-> d forces when r1 leaves a and b open.
-
-    c <-> d joins the paths at c and d (_path) into one of `joined` edges
-    from end_c to end_d; path_a is a's path before.  a <-> b then closes
-    a's path, which must make a cycle of q2 = 2q edges, when it ends at b,
-    and else joins two paths, which must make fewer than 2q edges.  Entries
-    only add edges, so the component of a <-> b that _assign would complete
-    contains this one: a cycle stays as it is, and an open path of 2q or
-    more edges lies in no cycle of 2q edges.
-    """
-    end_a, edges_a = (end_d, joined) if a == end_c else (end_c, joined) if a == end_d else path_a
-    if end_a == b:
-        return edges_a + 1 != q2
-    edges_b = joined if b == end_c or b == end_d else _path(t1, t2, b)[1]
-    return edges_a + edges_b + 1 >= q2
-
-
-def _least_in_block_order(t1, blk: int) -> bool:
-    """Whether a complete table of the torsion-free search, given by its
-    r1, is the least of its class in block order.
-
-    The other tables of the class are its block-order codes from the other
-    flags: blocks numbered as r1 enters them, each walked f, t0 f, t2 t0 f,
-    ... from the flag it is entered at.  A flag whose first entry (_first)
-    is above t1[0] reads higher, and the search leaves none below it, so
-    only the flags that tie there are read, each up to its first
-    difference; the table is the least exactly when none reads lower.  A
-    table not made of whole blocks, which the search never completes, is
-    kept for classify to judge.
-    """
-    m, head = len(t1), t1[0]
-    if m % blk:
-        return True
-    for f in range(1, m):
-        if _first(f, t1[f], blk) != head:
-            continue
-        rank = [-1] * (m // blk)  # block -> its number in f's code
-        rank[f // blk] = 0
-        entry = [f]  # the flag each numbered block is entered at
-        for i in range(m):
-            e, k = entry[i // blk], i % blk
-            # point i of f's code: place k on the walk round e's block
-            x = e - e % blk + ((e + k) % blk if e % 2 == 0 else (e - k) % blk)
-            y = t1[x]
-            b = y // blk
-            n = rank[b]
-            o = len(entry) * blk if n < 0 else n * blk + _first(entry[n], y, blk)
-            if o != t1[i]:
-                if o < t1[i]:
-                    return False
-                break
-            if n < 0:
-                rank[b] = len(entry)
-                entry.append(y)
-    return True

@@ -30,18 +30,13 @@ t1 t2 finds the vertex cycles, each as its start flag and its number of
 corners, which is all the certificate reads.  A walk that reaches the
 end is kept on the complex, so a census's capped filter, the
 certificate, the invariants, vertex_cycles and the graft sites walk a
-complex once.  vertex_cycles reads each cycle's flags from its start and
-records it as one VertexCycle, its corners with the edges crossed
-between them, which the grafts, the cyclic covers and the holonomy check
-all read.  The complex writes its fields and these stored results
+complex once.  The complex writes its fields and these stored results
 straight into its instance dict.
 
-The canonical form, the file parser and the writer are here; the
-least-code pass they run on and the word reader are in the private module
-_canon, which canonicalize imports when it runs, so a caller that only
-certifies never loads it.  least_code, automorphisms and read_polygons
-are complexes names too: the module __getattr__ (PEP 562) reads them
-from _canon on first use.
+The canonical form and the file format (_canon) and the vertex-cycle
+readers (_vertices) moved to private modules, so that no compile of a
+cold command is large and a caller that only certifies loads neither;
+their names resolve here, through the module __getattr__.
 """
 
 from __future__ import annotations
@@ -53,10 +48,7 @@ from itertools import accumulate, chain
 # from _action, which loads no polygon layer
 from ._action import bfs_code, two_color
 from ._record import Record
-from .errors import ComplexFormatError, InvalidComplexError, InvariantError
-
-FORMAT_HEADER = "# extpack complex format v1"
-
+from .errors import InvalidComplexError, InvariantError
 
 # ---------------------------------------------------------------------------
 # data model
@@ -178,25 +170,6 @@ def _renamed(c: PolygonComplex, name: str | None) -> PolygonComplex:
     return out
 
 
-class VertexCycle(Record):
-    """Corners (polygon, position) around one surface vertex, in cyclic
-    order, and the edges crossed between consecutive corners.
-
-    crossing t sits between corners[t] and corners[t+1 (mod len)]; it is
-    (label, direction) with direction +1 when the crossing leaves the first
-    occurrence of the label (in scan order) and -1 when it leaves the
-    second.  The corners fix the cycle, so the crossings take no part in
-    equality or hashing.
-    """
-
-    corners: tuple[tuple[int, int], ...]
-    crossings: tuple[tuple[int, int], ...] = ()
-    _uncompared = ("crossings",)
-
-    def __len__(self):
-        return len(self.corners)
-
-
 class SurfaceInvariants(Record):
     vertices: int
     edges: int
@@ -257,20 +230,6 @@ def flag_action(c: PolygonComplex) -> tuple[tuple[int, ...], tuple[int, ...], tu
         flags = (tuple(t0), c._t1, tuple(t2))
         c.__dict__["_flags"] = flags
     return flags
-
-
-def occurrences(c: PolygonComplex) -> dict[int, tuple[tuple[int, int, int], tuple[int, int, int]]]:
-    """Map label -> its two occurrences (polygon, position, sign) in scan order."""
-    out: dict[int, list] = {}
-    for p, word in enumerate(c.polygons):
-        for i, v in enumerate(word):
-            out.setdefault(abs(v), []).append((p, i, 1 if v > 0 else -1))
-    return {a: (occ[0], occ[1]) for a, occ in out.items()}
-
-
-def _corners(c: PolygonComplex) -> list[tuple[int, int]]:
-    """Every corner (polygon, position), indexed by its number in the flag action."""
-    return [(p, i) for p, word in enumerate(c.polygons) for i in range(len(word))]
 
 
 def _walk(c: PolygonComplex, cap: int | None = None) -> list[tuple[int, int]] | None:
@@ -341,44 +300,6 @@ def vertex_class_sizes(c: PolygonComplex, cap: int | None = None) -> list[int] |
     return None if walk is None else sorted([n for _, n in walk])
 
 
-def flag_sides(c: PolygonComplex) -> list[tuple[int, int]]:
-    """(label, direction) of the side each flag lies on.
-
-    The direction is +1 on the label's first side in scan order and -1 on
-    its second: the direction of VertexCycle.crossings, and of a cyclic
-    cover's voltages.
-    """
-    # sides are numbered like the corners they leave: flag 2j lies on side
-    # j, and t0 takes flag 2j+1 to the leaving flag of its side
-    labels = [abs(v) for word in c.polygons for v in word]
-    first = {lab: side for side, lab in reversed(list(enumerate(labels)))}
-    sides = [(lab, 1 if first[lab] == side else -1) for side, lab in enumerate(labels)]
-    out = sides * 2
-    out[0::2] = sides
-    out[1::2] = [sides[f >> 1] for f in flag_action(c)[0][1::2]]
-    return out
-
-
-def vertex_cycles(c: PolygonComplex) -> list[VertexCycle]:
-    """All vertex cycles, by least corner, with their corners in cyclic
-    order around the vertex and the crossings between them."""
-    corners = _corners(c)
-    sides = flag_sides(c)
-    # the walk leaves each corner along the side of its other flag
-    return [
-        VertexCycle(
-            tuple([corners[f >> 1] for f in flags]),
-            tuple([sides[f ^ 1] for f in flags]),
-        )
-        for flags in (_cycle(c, start) for start, _ in _walk(c))
-    ]
-
-
-#: the same function; the library calls it under this name, which the
-#: benchmark tracer wraps
-vertex_cycles_with_crossings = vertex_cycles
-
-
 def is_orientable(c: PolygonComplex) -> bool:
     """Whether the polygon graph two-colors (decided when c is created)."""
     return c._orientable
@@ -419,12 +340,14 @@ def verify_extremal(c: PolygonComplex) -> ExtremalityReport:
 
     walk = _walk(c)
     v = len(walk)
-    corners = None
     for start, length in walk:
         if length != 3:
-            if corners is None:
-                corners = _corners(c)
-            p, i = corners[start >> 1]
+            # the cycle's least corner: corner number start >> 1, counted
+            # polygon by polygon
+            p, i = 0, start >> 1
+            while i >= len(c.polygons[p]):
+                i -= len(c.polygons[p])
+                p += 1
             failures.append("NotTrivalent(length=%d, corner=(%d, %d))" % (length, p, i))
     orientable = is_orientable(c)
     if orientable:
@@ -451,84 +374,20 @@ def is_graftable(c: PolygonComplex) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# canonical form
+# names read from the private modules
 
 
 def __getattr__(name):
-    """least_code, automorphisms and read_polygons, read from _canon on
-    first use (PEP 562)."""
-    if name in ("least_code", "automorphisms", "read_polygons"):
-        from . import _canon
-
-        return getattr(_canon, name)
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
-
-
-def canonicalize(c: PolygonComplex) -> PolygonComplex:
-    """The canonical form: c read off its least-code flag action.
-
-    least_code renumbers the flags so that t_j of new flag i is entry
-    3i + j of the code; read_polygons reads the words off that action.
-    Since least_code is the isomorphism key, so is the result: two
-    complexes have the same canonical form exactly when one is the other
-    relabeled, with polygons rotated, reordered or mirrored.  The pass
-    lives in _canon, imported here, so a complex that is only certified
-    never loads it.
-    """
-    from ._canon import least_code, read_polygons
-
-    code = least_code(flag_action(c))
-    words = read_polygons((code[0::3], code[1::3], code[2::3]))
-    return PolygonComplex(words, name=c.name)
-
-
-# ---------------------------------------------------------------------------
-# file format
-
-
-def parse(text: str) -> PolygonComplex:
-    """Parse the complex file format and return the canonical complex.
-
-    Lines: ``#`` comments, an optional ``name <string>`` line, and one
-    ``polygon <signed ints>`` line per polygon.
-    """
-    name = None
-    polys: list[tuple[int, ...]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if fields[0] == "name":
-            if name is not None:
-                raise ComplexFormatError("duplicate name line", line=lineno)
-            name = line[len("name"):].strip() or None
-            continue
-        if fields[0] != "polygon":
-            raise ComplexFormatError("expected 'polygon' or 'name', got %r" % fields[0], line=lineno)
-        word = []
-        for tok in fields[1:]:
-            try:
-                v = int(tok)
-            except ValueError:
-                raise ComplexFormatError("bad label %r" % tok, line=lineno) from None
-            if v == 0:
-                raise ComplexFormatError("zero label", line=lineno)
-            word.append(v)
-        if not word:
-            raise ComplexFormatError("empty polygon", line=lineno)
-        polys.append(tuple(word))
-    if not polys:
-        raise ComplexFormatError("no polygon lines found")
-    return canonicalize(PolygonComplex(tuple(polys), name=name))
-
-
-def serialize(c: PolygonComplex) -> str:
-    """Write the canonical form of c in the complex file format."""
-    canon = canonicalize(c)
-    lines = [FORMAT_HEADER]
-    if canon.name:
-        lines.append("name %s" % canon.name)
-    for word in canon.polygons:
-        lines.append("polygon " + " ".join(str(v) for v in word))
-    return "\n".join(lines) + "\n"
+    """The names whose code moved out of this module, read (PEP 562) from
+    the private module that holds them, which loads on first use: the
+    least-code pass, the canonical form and the file format from _canon,
+    the vertex-cycle readers from _vertices."""
+    if name in ("least_code", "automorphisms", "read_polygons", "canonicalize", "parse", "serialize",
+                "FORMAT_HEADER"):
+        from . import _canon as module
+    elif name in ("VertexCycle", "occurrences", "flag_sides", "vertex_cycles",
+                  "vertex_cycles_with_crossings", "_corners"):
+        from . import _vertices as module
+    else:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    return getattr(module, name)

@@ -97,7 +97,8 @@ def orientation_double_cover(c: PolygonComplex) -> PolygonComplex:
 def _cycle_matrix(c: PolygonComplex):
     """Net crossing count of each edge label around each vertex cycle."""
     cycles = complexes.vertex_cycles_with_crossings(c)
-    # the crossings are flag_sides entries, and every label is crossed
+    # the crossings are flag_sides entries (complexes.flag_sides, in
+    # _vertices), and every label is crossed
     labels = sorted({lab for cycle in cycles for lab, _ in cycle.crossings})
     col = {lab: t for t, lab in enumerate(labels)}
     rows = []

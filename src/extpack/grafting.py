@@ -30,18 +30,25 @@ Iterating grafts from the four seed complexes produces a primitive
 extremal complex for every cell size N >= 7 (`build_primitive`).  N mod 6
 only picks the seed and its schedule, so the process keeps one chain per
 seed and every N of that seed reads a prefix of it.
+
+The wiring table and the rewrite search (WIRINGS to discover_rewrite,
+Rewrite and apply_rewrite) moved to the private module _rewrite, so that
+no compile of a cold command is large; grafting imports their names back.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
-from collections import Counter
 
 from . import complexes
 from ._record import Record
-from .complexes import PolygonComplex, VertexCycle
-from .errors import IneligibleSiteError, InvariantError, NotExtremalError, RewriteSearchError
+from ._rewrite import (
+    _GROWTHS, _TWIST_ROWS, WIRINGS, Rewrite, _fits, _iter_rewrites, _misses_room, _twist, apply_rewrite,
+    discover_rewrite, graft_room,
+)
+from ._vertices import VertexCycle
+from .complexes import PolygonComplex
+from .errors import IneligibleSiteError, NotExtremalError, RewriteSearchError
 
 
 class GraftVariant(enum.Enum):
@@ -69,27 +76,6 @@ class GraftSite(Record):
     @property
     def corners(self):
         return self.cycle.corners
-
-
-class Rewrite(Record):
-    """An explicit graft: sequences of new signed labels inserted at slots.
-
-    insertions are (polygon, position, labels) triples; inserting at
-    position i places the new sides between the old sides i-1 and i.
-    """
-
-    insertions: tuple[tuple[int, int, tuple[int, ...]], ...]
-
-
-def apply_rewrite(c: PolygonComplex, rw: Rewrite) -> PolygonComplex:
-    words = [list(w) for w in c.polygons]
-    by_poly: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
-    for p, pos, seq in rw.insertions:
-        by_poly.setdefault(p, []).append((pos, seq))
-    for p, ins in by_poly.items():
-        for pos, seq in sorted(ins, reverse=True):
-            words[p][pos:pos] = list(seq)
-    return PolygonComplex(tuple(tuple(w) for w in words), name=c.name)
 
 
 #: the message of every graftability check
@@ -121,8 +107,9 @@ def _iter_sites(c: PolygonComplex, variant: GraftVariant, room=None):
     c must be graftable: it is not checked again here.  The walk that
     checked it, kept on c, holds every cycle's start; a cycle's flags
     are read from its start (complexes._cycle) only when the caller
-    reaches it, and its VertexCycle is built only when it is a site of the
-    variant.  Given c's room of graft_room, as _grafts gives it, a cycle
+    reaches it, and its VertexCycle (from the vertex-cycle readers of
+    _vertices) is built only when it is a site of the variant.  Given
+    c's room of graft_room (in _rewrite), as _grafts gives it, a cycle
     whose corners miss a polygon that an exact room still fills
     (_misses_room) is passed over: no row fits there.  This is the one
     place that test is made.
@@ -144,141 +131,6 @@ def _iter_sites(c: PolygonComplex, variant: GraftVariant, room=None):
         cycle = VertexCycle(tuple([corners[f >> 1] for f in flags]),
                             tuple([sides[f ^ 1] for f in flags]))
         yield GraftSite(variant, cycle, shared)
-
-
-#: the local wirings of EG1-EG4, shared by all four variants: one word of
-#: new labels per site corner, in the order of the site's corners.  Label i
-#: stands for base + i, base being the complex's largest label, and is
-#: positive where it first occurs.  The rows are tried in this order.
-WIRINGS = (
-    ((1, 2), (-2, 3), (1, 3)),
-    ((1, 2), (3, 2), (1, -3)),
-    ((1, 2), (-2, 3), (-3, -1)),
-    ((1, 2), (3, 2), (3, -1)),
-    ((1,), (2,), (3, 1, -2, -3)),
-    ((1,), (2,), (3, -2, -1, -3)),
-    ((1,), (2, -1, 3, -2), (3,)),
-)
-
-#: the rows of WIRINGS (0-based) that graft at a site, by its twist.  A
-#: graft changes t2 only at the site's corners, and on their six flags t1
-#: is fixed by the twist, so every vertex cycle a row creates, and whether
-#: each has three corners, depends only on the row and the twist.
-_TWIST_ROWS = {
-    (0, 0): (2, 5),
-    (0, 1): (0, 6),
-    (1, 0): (3,),
-    (1, 1): (1, 4),
-}
-
-
-def _twist(c: PolygonComplex, site: GraftSite) -> tuple[int, int]:
-    """Which of the site's three crossings are orientation-reversing
-    pairings, as the parities of the flags t1 reaches from the arriving
-    flag of the first corner and then from its partner at the second.  An
-    even number of the crossings reverse, so these two bits give all
-    three."""
-    t1 = complexes.flag_action(c)[1]
-    p, pos = site.corners[0]
-    f = t1[2 * (sum(c.sizes[:p]) + pos) + 1]
-    return f & 1, t1[f ^ 1] & 1
-
-
-#: the per-polygon growths one graft can make: a row's side counts summed
-#: over the corners that share a polygon, sorted, for every such sharing
-_GROWTHS = frozenset(
-    tuple(sorted(sum(len(w) for w, q in zip(row, owner) if q == p) for p in set(owner)))
-    for row in WIRINGS
-    for owner in itertools.product(range(3), repeat=3)
-)
-
-
-def graft_room(c: PolygonComplex) -> tuple[int, ...] | None:
-    """How many new sides each polygon may take in one graft: the size
-    policy of every graft.
-
-    When one graft can make the complex uniform, of size (sum + 6) / k, the
-    room is what each polygon lacks of that size.  It sums to 6, as every
-    row of WIRINGS does, so a row fits only by filling it exactly.
-    Otherwise, when (sum + 12) / k is whole, the room is what each polygon
-    lacks of that size: the free half of a pair whose second graft makes
-    the complex uniform (k = 2 and 6).  Otherwise None, no limit.
-    """
-    sizes = c.sizes
-    k = len(sizes)
-    total = sum(sizes)
-    if (total + 6) % k == 0:
-        room = tuple((total + 6) // k - s for s in sizes)
-        if tuple(sorted(v for v in room if v)) in _GROWTHS:
-            return room
-    if (total + 12) % k == 0:
-        return tuple((total + 12) // k - s for s in sizes)
-    return None
-
-
-def _misses_room(polys, room) -> bool:
-    """Whether a site whose corners lie in the polygons polys misses a
-    polygon that an exact room, one summing to 6 as every row does, still
-    fills: then no row fits there.  _iter_sites passes over such a site;
-    given one anyway, _fits rejects each row there, since the row puts its
-    6 sides on the site's polygons, whose room sums to less than 6."""
-    if room is None or sum(room) != 6:
-        return False
-    return any(v for p, v in enumerate(room) if p not in polys)
-
-
-def _fits(site: GraftSite, row, room) -> bool:
-    """Whether the row grows no polygon beyond its room (None is no limit)."""
-    if room is None:
-        return True
-    grow = Counter()
-    for (p, _), word in zip(site.corners, row):
-        grow[p] += len(word)
-    return all(v <= room[p] for p, v in grow.items())
-
-
-def _iter_rewrites(c: PolygonComplex, site: GraftSite, room):
-    """Yield (rewrite, grafted complex) for every row of the site's twist
-    (_TWIST_ROWS) that fits the room, in table order.
-
-    c must be graftable; the callers check that once per search.  A row
-    fits when it grows no polygon beyond its room (_fits); at a site whose
-    corners miss a polygon that an exact room still fills, which the
-    stream of _grafts never reaches, no row fits (_misses_room).  The
-    grafted complex stays connected and non-orientable, because every old
-    pairing survives.
-    Each row is built and checked in full: a row of the twist that is not
-    trivalent after all is an InvariantError.
-    """
-    base = max(abs(v) for w in c.polygons for v in w)
-    twist = _twist(c, site)
-    for r in _TWIST_ROWS[twist]:
-        row = WIRINGS[r]
-        if not _fits(site, row, room):
-            continue
-        rw = Rewrite(tuple(
-            (p, pos, tuple(v + base if v > 0 else v - base for v in word))
-            for (p, pos), word in zip(site.corners, row)
-        ))
-        out = apply_rewrite(c, rw)
-        if not complexes.is_graftable(out):
-            raise InvariantError(
-                "graft: the twist table accepts row %d at %s (twist %s), the full check rejects"
-                " rewrite %s" % (r, site.corners, twist, rw.insertions)
-            )
-        yield rw, out
-
-
-def discover_rewrite(c: PolygonComplex, site: GraftSite) -> Rewrite:
-    """The first rewrite of the wiring table at the site that fits the
-    room of graft_room and grafts.
-
-    Each row of WIRINGS inserts six new sides, three new pairs, at the
-    site's corners; the rows that graft are those of the site's twist.
-    Raises NotExtremalError when c is not graftable and
-    IneligibleSiteError when none of the rows fits the room.
-    """
-    return _graft_at(_graftable(c), site)[0]
 
 
 def _graft_at(c, site) -> tuple[Rewrite, PolygonComplex]:

@@ -220,8 +220,8 @@ def iter_low_index_subgroups(
     (complexes.least_code), in code order.  With it, each record is the
     first table found in its class, its least in block order, standardized;
     a later table of the class is a renumbering of it, which a flag that
-    ties with 0 on the first entry (_lowindex._first) reads lower, and is
-    dropped (_lowindex._least_in_block_order).  When the stream ends or is
+    ties with 0 on the first entry (_blocks._first) reads lower, and is
+    dropped (_blocks._least_in_block_order).  When the stream ends or is
     closed, the counters go to the "extpack.trigroup" logger at DEBUG.
     """
     _check_params(p, q, r)
@@ -237,7 +237,7 @@ def iter_low_index_subgroups(
             for perms in search.solutions():
                 tables += 1
                 if torsion_free:
-                    if not _lowindex._least_in_block_order(perms[1], 2 * r):
+                    if not search.blocks._least_in_block_order(perms[1], 2 * r):
                         continue
                     perms = standardize(perms)
                 rec = classify(perms, p, q, r)

@@ -176,18 +176,27 @@ def reached(outputs, k, g):
     return len(keys), len(set(keys))
 
 
+def all_grafts(c):
+    """Every apply_graft of c, at every site of every variant; a site that
+    takes no graft is skipped."""
+    for variant in grafting.GraftVariant:
+        for site in grafting.eligible_sites(c, variant):
+            try:
+                yield grafting.apply_graft(c, site)
+            except IneligibleSiteError:
+                continue
+
+
 def uniform_grafts(k, g):
-    """Every uniform apply_graft of every class of the (k, g) census, at
-    every site of every variant; a site that takes no graft is skipped."""
-    for c in census(k, g).values():
-        for variant in grafting.GraftVariant:
-            for site in grafting.eligible_sites(c, variant):
-                try:
-                    out = grafting.apply_graft(c, site)
-                except IneligibleSiteError:
-                    continue
-                if len(set(out.sizes)) == 1:
-                    yield out
+    """Every uniform graft of every class of the (k, g) census."""
+    return (out for c in census(k, g).values() for out in all_grafts(c) if len(set(out.sizes)) == 1)
+
+
+def uniform_graft_pairs(k, g):
+    """Every uniform second graft of every first graft of every class of
+    the (k, g) census: for k = 2 no single graft is uniform."""
+    return (out for c in census(k, g).values() for mid in all_grafts(c) for out in all_grafts(mid)
+            if len(set(out.sizes)) == 1)
 
 
 def double_covers(k, g):
@@ -206,6 +215,13 @@ def test_constructions_land_in_the_census():
     ):
         assert len(census(k, g)) == classes
         assert reached(outputs, k, g) == (made, hits), (k, g)
+
+
+def test_graft_pairs_land_in_the_census():
+    # the k = 2 row: two grafts add two to the genus, so each uniform pair
+    # from the 4 classes of (2, 3) is a class of the (2, 5) census
+    assert len(census(2, 5)) == 4062
+    assert reached(uniform_graft_pairs(2, 3), 2, 5) == (512, 10)
 
 
 def test_criterion_07_dual_extremality():

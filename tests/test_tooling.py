@@ -114,33 +114,39 @@ def test_cli_reads_no_private_library_name():
 
 
 def test_the_cli_declares_its_commands_once():
-    """cli.py builds every subparser from one table, _COMMANDS: a second
-    add_parser call would be a second list of the commands."""
-    path = ROOT / "src" / "extpack" / "cli.py"
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    calls = [
-        node.lineno
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "add_parser"
-    ]
-    assert len(calls) == 1, "add_parser is called at cli.py lines %s" % calls
+    """The CLI builds every subparser from one table, cli._COMMANDS: a
+    second add_parser call in cli.py or in its parsers' module, _cmdline.py,
+    would be a second list of the commands."""
+    calls = []
+    for name in ("cli.py", "_cmdline.py"):
+        path = ROOT / "src" / "extpack" / name
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        calls += [
+            "%s:%d" % (name, node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "add_parser"
+        ]
+    assert len(calls) == 1, "add_parser is called at %s" % calls
 
 
 def test_the_cli_imports_argparse_in_build_parser_only():
-    """cli.py parses a line with argparse on one path: build_parser, the
-    only place that imports it."""
-    path = ROOT / "src" / "extpack" / "cli.py"
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    imports = [
-        node.lineno
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.Import, ast.ImportFrom))
-        and "argparse" in [getattr(node, "module", None)] + [alias.name for alias in node.names]
-    ]
-    (build,) = [node for node in tree.body if getattr(node, "name", None) == "build_parser"]
-    assert len(imports) == 1 and build.lineno < imports[0] <= build.end_lineno, (
-        "argparse is imported at cli.py lines %s" % imports)
+    """The CLI parses a line with argparse on one path: build_parser, in
+    the parsers' module _cmdline.py, the only place in it or in cli.py that
+    imports it."""
+    imports, trees = [], {}
+    for name in ("cli.py", "_cmdline.py"):
+        path = ROOT / "src" / "extpack" / name
+        trees[name] = tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        imports += [
+            (name, node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and "argparse" in [getattr(node, "module", None)] + [alias.name for alias in node.names]
+        ]
+    (build,) = [node for node in trees["_cmdline.py"].body if getattr(node, "name", None) == "build_parser"]
+    assert len(imports) == 1 and imports[0][0] == "_cmdline.py" and build.lineno < imports[0][1] <= build.end_lineno, (
+        "argparse is imported at %s" % imports)
 
 
 def test_only_complexes_reads_a_complex_s_private_fields():
@@ -207,24 +213,30 @@ def test_the_low_index_search_has_one_entry_point():
 
 #: what each cold command may not load; run in a fresh interpreter, since
 #: this process has imported the whole package already; only enumerate
-#: runs the low-index search, so only enumerate loads its kernel, _lowindex;
-#: only render draws, so only render loads the reflection group,
-#: _reflection; bound and enumerate read no complex, so neither loads the
-#: least-code pass, _canon
+#: runs the low-index search, so only enumerate loads its kernel, _lowindex,
+#: and only a torsion-free one its block-search helpers, _blocks; only
+#: render draws, so only render loads the reflection group, _reflection;
+#: bound and enumerate read no complex, so neither loads the least-code
+#: pass, _canon, the vertex-cycle readers, _vertices, or the rewrite
+#: search, _rewrite; verify only certifies, so it loads neither of the last
+#: two
 COLD_COMMANDS = (
     (["bound", "--k", "1", "--g", "3"],
-     {"complexes", "trigroup", "geometry", "covers", "grafting", "catalog", "_canon", "_reflection"}),
+     {"complexes", "trigroup", "geometry", "covers", "grafting", "catalog", "_canon", "_reflection",
+      "_vertices", "_rewrite"}),
     (["enumerate", "--p", "2", "--q", "3", "--r", "7", "--index", "28"],
-     {"complexes", "geometry", "covers", "grafting", "feasibility", "catalog", "_canon", "_reflection"}),
+     {"complexes", "geometry", "covers", "grafting", "feasibility", "catalog", "_canon", "_reflection",
+      "_vertices", "_rewrite", "_blocks"}),
     (["enumerate", "--p", "2", "--q", "3", "--r", "12", "--index", "24", "--torsion-free", "--proper"],
-     {"complexes", "geometry", "covers", "grafting", "feasibility", "catalog", "_canon", "_reflection"}),
-    (["verify", "X7"], {"trigroup", "geometry", "covers", "grafting"}),
-    (["double-cover", "X9"], {"grafting", "feasibility", "trigroup", "geometry"}),
-    (["cyclic-cover", "X12", "--n", "2"], {"grafting", "feasibility", "trigroup", "geometry"}),
+     {"complexes", "geometry", "covers", "grafting", "feasibility", "catalog", "_canon", "_reflection",
+      "_vertices", "_rewrite"}),
+    (["verify", "X7"], {"trigroup", "geometry", "covers", "grafting", "_vertices", "_rewrite"}),
+    (["double-cover", "X9"], {"grafting", "feasibility", "trigroup", "geometry", "_rewrite"}),
+    (["cyclic-cover", "X12", "--n", "2"], {"grafting", "feasibility", "trigroup", "geometry", "_rewrite"}),
     (["build", "--N", "41"], {"trigroup", "geometry", "covers"}),
     (["graft", "X8", "--variant", "EG1"], {"trigroup", "geometry", "covers", "feasibility"}),
     (["realize", "--k", "24", "--g", "10"], {"trigroup", "geometry"}),
-    (["render", "X7"], {"trigroup", "covers", "grafting", "feasibility"}),
+    (["render", "X7"], {"trigroup", "covers", "grafting", "feasibility", "_rewrite"}),
 )
 
 LOADED = (
@@ -256,11 +268,13 @@ def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv, unused):
     assert not {"extpack." + name for name in unused} & set(modules), modules
     assert ("extpack._lowindex" in modules) == (argv[0] == "enumerate"), modules
     assert ("extpack._reflection" in modules) == (argv[0] == "render"), modules
+    assert ("extpack._blocks" in modules) == ("--torsion-free" in argv), modules
 
 
 def test_a_census_loads_neither_the_least_code_pass_nor_geometry(tmp_path):
-    # a census certifies complexes and reads no canonical form, so it
-    # compiles neither _canon nor the disk layer
+    # a census certifies complexes and reads no canonical form, no vertex
+    # cycle and no graft, so it compiles neither _canon, _vertices nor
+    # _rewrite, nor the disk layer
     code = (
         "import json, sys\n"
         "from extpack import complexes as cx\n"
@@ -273,22 +287,42 @@ def test_a_census_loads_neither_the_least_code_pass_nor_geometry(tmp_path):
     )
     modules = _loaded(tmp_path, code)
     assert "extpack.complexes" in modules
-    assert not {"extpack._canon", "extpack.geometry", "extpack._reflection"} & set(modules), modules
+    assert not {"extpack._canon", "extpack._vertices", "extpack._rewrite", "extpack.geometry",
+                "extpack._reflection"} & set(modules), modules
 
 
-def test_geometry_compiles_below_the_cli():
-    """geometry.py and the reflection group it draws with, _reflection.py,
-    each parse to fewer ast nodes than cli.py, which every command
-    compiles.  Where no bytecode is cached, a cold op compiles each module
-    it loads from source, and its largest single compile sets the op's
-    peak memory.  Compiling these three modules took 0.33-0.42 KiB a node
-    (tracemalloc, CPython 3.11), so neither half of the disk layer may set
-    a cold render's peak above the CLI's own."""
-    nodes = {
-        name: sum(1 for _ in ast.walk(ast.parse((ROOT / "src" / "extpack" / name).read_text(encoding="utf-8"))))
-        for name in ("geometry.py", "_reflection.py", "cli.py")
-    }
-    assert max(nodes["geometry.py"], nodes["_reflection.py"]) < nodes["cli.py"], nodes
+#: the most memory compiling one module of the package may take, in KiB
+COMPILE_BUDGET_KIB = 900
+
+COMPILE_PEAK = (
+    "import sys, tracemalloc\n"
+    "with open(sys.argv[1], encoding='utf-8') as fh:\n"
+    "    text = fh.read()\n"
+    "tracemalloc.start()\n"
+    "compile(text, sys.argv[1], 'exec')\n"
+    "print(tracemalloc.get_traced_memory()[1])\n"
+)
+
+
+def test_every_module_compiles_within_the_budget():
+    """Compiling any module of the package takes at most
+    COMPILE_BUDGET_KIB, by tracemalloc's peak over compile() in a fresh
+    CPython 3.11 interpreter, one a module: this process has interned the
+    package's names already, and would read low.  The figure is that
+    interpreter's, and moves with its version.  Where no bytecode is
+    cached, a cold op compiles each module it loads from source.  A
+    compile's working memory is freed when it ends and reused by the next
+    one, so the op's peak follows its largest single compile, not their
+    sum, and the budget bounds it."""
+    peaks = {}
+    for path in sorted((ROOT / "src" / "extpack").glob("*.py")):
+        out = subprocess.run(
+            [sys.executable, "-c", COMPILE_PEAK, str(path)], capture_output=True, text=True, check=True,
+        )
+        peaks[path.name] = int(out.stdout) / 1024
+    assert len(peaks) >= 10
+    over = {name: round(kib, 1) for name, kib in peaks.items() if kib > COMPILE_BUDGET_KIB}
+    assert not over, "modules over the %d KiB compile budget: %s" % (COMPILE_BUDGET_KIB, over)
 
 
 def test_the_group_bridge_loads_both_layers(tmp_path):

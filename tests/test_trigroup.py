@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from extpack import catalog
+from extpack import _blocks
 from extpack import _lowindex as li
 from extpack import complexes as cx
 from extpack import trigroup as tg
@@ -776,7 +777,7 @@ def test_the_search_calls_what_the_tracer_wraps(monkeypatch):
     assert len(tg.low_index_subgroups(2, 3, 12, 24)) == len(calls) == 300
     calls.clear()
     tables = [t[1] for t in li._TriangleSearch(2, 3, 7, 84, True).solutions()]
-    passed = sum(li._least_in_block_order(t1, 14) for t1 in tables)
+    passed = sum(_blocks._least_in_block_order(t1, 14) for t1 in tables)
     assert len(tg.low_index_subgroups(2, 3, 7, 84, torsion_free=True, proper=True)) == 12
     assert len(calls) == passed == 12 and len(tables) == 70
     searched = []
@@ -865,7 +866,7 @@ def test_the_block_order_test_matches_the_least_code_over_all_flags(pqr, index, 
         codes = [block_order_code(t, f) for f in range(index)]
         assert codes[0] == list(t[1])  # the search's own numbering is block order from 0
         least = codes[0] == min(codes)
-        assert li._least_in_block_order(t[1], 2 * pqr[2]) == least
+        assert _blocks._least_in_block_order(t[1], 2 * pqr[2]) == least
         kept += least
         prefix_kept += codes[0][:8] == min(code[:8] for code in codes)
     assert kept == classes == len(tg.low_index_subgroups(*pqr, index, torsion_free=True))
