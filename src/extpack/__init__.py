@@ -4,9 +4,9 @@ The packing arithmetic lives in `feasibility`; combinatorial surfaces as
 edge-identified polygons in `complexes`, whose least-code pass, canonical
 form and file format are the private `_canon` and whose vertex-cycle
 readers are the private `_vertices`; the genus-raising edge-grafting
-rewrites in `grafting`, whose wiring table and rewrite search are the
+rewrites in `grafting`, whose wiring table and size policy are the
 private `_rewrite`; orientation double covers and cyclic covers in
-`covers`; subgroups of the extended (p, q, r) triangle groups, held as
+`covers`, lifted by the private `_action`; subgroups of the extended (p, q, r) triangle groups, held as
 the coset actions of the three reflections, their low-index search and
 the subgroup/complex bridge in `trigroup`, whose search kernel is the
 private `_lowindex`, with the block search's helpers in `_blocks`; the

@@ -1,7 +1,26 @@
-"""Permutation actions read by a BFS from one point: the two-coloring and
-the BFS code that complexes (flag actions) and trigroup (coset tables)
-both use.  It imports nothing, so a coset-table command loads no polygon
-layer."""
+"""Permutation actions: the sheeted lift that covers (flag actions) and
+trigroup (coset tables) both build, and what a BFS from one point reads
+off an action, the two-coloring and the BFS code.  It imports nothing,
+so a coset-table command loads no polygon layer, and a caller that only
+certifies complexes never loads it."""
+
+
+def lift(perms, n: int, shifts) -> list[list[int]]:
+    """The n-sheeted lift of an action by per-point sheet shifts (a
+    permutation-voltage lift, Gross-Tucker 1987).
+
+    Point x on sheet s is s*m + x, for the m points of the action.  perm j
+    sends sheet s of x to sheet s + shifts[j][x] (mod n) of perm[x]; a None
+    shift keeps the sheet.  An involution lifts to one when the shifts of
+    x and perm[x] cancel mod n.
+    """
+    m = len(perms[0])
+    sheets = range(0, n * m, m)
+    return [
+        [y + off for off in sheets for y in perm] if shift is None
+        else [(off + d * m) % (n * m) + y for off in sheets for d, y in zip(shift, perm)]
+        for perm, shift in zip(perms, shifts)
+    ]
 
 
 def two_color(perms) -> tuple[bool, bool]:

@@ -5,16 +5,16 @@ the same pass, read_polygons, which canonicalize, the covers and the
 subgroup/complex bridge read a complex's words with, and parse and
 serialize, which read and write the canonical form.
 
-The canonical form and the file format moved here from complexes, which
-every command compiles, so that its compile stays small: every caller of
-parse or serialize reads the canonical form, and a caller that only
-certifies complexes (a census, verify_extremal and the invariants) never
-loads this module.  complexes.least_code, complexes.automorphisms,
-complexes.read_polygons, complexes.canonicalize, complexes.parse,
-complexes.serialize and complexes.FORMAT_HEADER resolve here on first
-use.  Calls into the polygon layer go through the complexes module
-(complexes.flag_action, complexes.canonicalize), the names the benchmark
-tracer wraps.
+The canonical form and the file format live here, apart from complexes,
+which every command compiles, so that its compile stays small: every
+caller of parse or serialize reads the canonical form, and a caller that
+only certifies complexes (a census, verify_extremal and the invariants)
+never loads this module.  The library reads read_polygons and
+FORMAT_HEADER here; complexes.least_code, complexes.automorphisms,
+complexes.canonicalize, complexes.parse and complexes.serialize resolve
+here on first use.  Calls into the polygon layer go through the
+complexes module (complexes.flag_action, complexes.canonicalize), the
+names the benchmark tracer wraps.
 """
 
 from __future__ import annotations

@@ -3,10 +3,11 @@ table cli._COMMANDS: _fast, which parses a canonical line without
 importing argparse, and build_parser, the one argparse parser, which
 parses every other line.  cli.main tries _fast first.
 
-They moved out of cli, which every command compiles, so that no compile
-of a cold command is large; cli imports both names, and the parsers read
-the table, the usage exit code and the description through the cli
-module.
+They live apart from cli, which every command compiles, so that no
+compile of a cold command is large.  cli imports both names at its top,
+and each parser imports cli when it runs, to read the table, the usage
+exit code and the description: loading this module loads no module that
+imports it.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from types import SimpleNamespace
 
 def build_parser() -> argparse.ArgumentParser:
     import argparse
+
+    from . import cli
 
     class _Parser(argparse.ArgumentParser):
         def error(self, message):
@@ -43,6 +46,8 @@ def _fast(argv: list[str]):
     parse: help, an abbreviation, '--opt=value', a repeat, any other word or
     value that starts with '-' ('-', '--', a negative number), a missing or
     extra argument, or a rejected value."""
+    from . import cli
+
     if not argv or argv[0] not in cli._COMMANDS:
         return None
     values = {"command": argv[0]}
@@ -89,8 +94,3 @@ def _fast(argv: list[str]):
             kwargs.get("required") and dest not in given for dest, kwargs in options.values()):
         return None
     return SimpleNamespace(**values)
-
-
-# cli imports this module's names at its top, so it is imported last: then
-# either module may be imported first
-from . import cli

@@ -10,9 +10,8 @@ polynomial Phi_2N.  _Group builds the generators, checks the relations and
 keeps the chambers, corners and centre of the centered cell; _Group.draw
 takes placed cells to the unit disk through fixed point.
 
-geometry imports these names back, so geometry._group and the others
-still resolve; only a command that draws or checks a layout loads this
-module.
+geometry imports the names it uses (Matrix, _crossing, _group); only a
+command that draws or checks a layout loads this module.
 """
 
 from __future__ import annotations

@@ -1,14 +1,14 @@
-"""The rewrite search of edge-grafting: the wiring table WIRINGS, the rows
-each twist grafts by, the size policy graft_room, and the search of a
-site's rows, discover_rewrite, with the Rewrite it returns and
-apply_rewrite, which performs one.
+"""The wiring table of edge-grafting and its size policy: the rows of
+WIRINGS, the rows each twist grafts by (_TWIST_ROWS, _twist), and how
+many new sides a row may give each polygon (graft_room, _misses_room,
+_fits).
 
-They moved out of grafting so that no compile of a cold command is
-large; grafting imports every name back, so grafting.WIRINGS,
-grafting.discover_rewrite and the rest resolve as before.  Calls back
-into grafting (grafting.apply_rewrite, grafting._graft_at) and into the
-polygon layer (complexes.is_graftable, complexes.flag_action) go through
-their modules: the benchmark tracer wraps those names there.
+They live apart from grafting so that no compile of a cold command is
+large.  grafting, the one module that builds grafted complexes, imports
+the names it uses and holds the rewrite search (Rewrite, apply_rewrite,
+discover_rewrite).  This module imports no module that imports it; it
+reads the flag action through complexes.flag_action, which the
+benchmark tracer wraps.
 """
 
 from __future__ import annotations
@@ -17,29 +17,6 @@ import itertools
 from collections import Counter
 
 from . import complexes
-from ._record import Record
-from .errors import InvariantError
-
-
-class Rewrite(Record):
-    """An explicit graft: sequences of new signed labels inserted at slots.
-
-    insertions are (polygon, position, labels) triples; inserting at
-    position i places the new sides between the old sides i-1 and i.
-    """
-
-    insertions: tuple[tuple[int, int, tuple[int, ...]], ...]
-
-
-def apply_rewrite(c: complexes.PolygonComplex, rw: Rewrite) -> complexes.PolygonComplex:
-    words = [list(w) for w in c.polygons]
-    by_poly: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
-    for p, pos, seq in rw.insertions:
-        by_poly.setdefault(p, []).append((pos, seq))
-    for p, ins in by_poly.items():
-        for pos, seq in sorted(ins, reverse=True):
-            words[p][pos:pos] = list(seq)
-    return complexes.PolygonComplex(tuple(tuple(w) for w in words), name=c.name)
 
 
 #: the local wirings of EG1-EG4, shared by all four variants: one word of
@@ -68,8 +45,8 @@ _TWIST_ROWS = {
 }
 
 
-def _twist(c: complexes.PolygonComplex, site: grafting.GraftSite) -> tuple[int, int]:
-    """Which of the site's three crossings are orientation-reversing
+def _twist(c: complexes.PolygonComplex, site) -> tuple[int, int]:
+    """Which of the GraftSite's three crossings are orientation-reversing
     pairings, as the parities of the flags t1 reaches from the arriving
     flag of the first corner and then from its partner at the second.  An
     even number of the crossings reverse, so these two bits give all
@@ -123,60 +100,12 @@ def _misses_room(polys, room) -> bool:
     return any(v for p, v in enumerate(room) if p not in polys)
 
 
-def _fits(site: grafting.GraftSite, row, room) -> bool:
-    """Whether the row grows no polygon beyond its room (None is no limit)."""
+def _fits(site, row, room) -> bool:
+    """Whether the row grows no polygon beyond its room (None is no limit)
+    at the GraftSite."""
     if room is None:
         return True
     grow = Counter()
     for (p, _), word in zip(site.corners, row):
         grow[p] += len(word)
     return all(v <= room[p] for p, v in grow.items())
-
-
-def _iter_rewrites(c: complexes.PolygonComplex, site: grafting.GraftSite, room):
-    """Yield (rewrite, grafted complex) for every row of the site's twist
-    (_TWIST_ROWS) that fits the room, in table order.
-
-    c must be graftable; the callers check that once per search.  A row
-    fits when it grows no polygon beyond its room (_fits); at a site whose
-    corners miss a polygon that an exact room still fills, which the
-    stream of _grafts never reaches, no row fits (_misses_room).  The
-    grafted complex stays connected and non-orientable, because every old
-    pairing survives.
-    Each row is built and checked in full: a row of the twist that is not
-    trivalent after all is an InvariantError.
-    """
-    base = max(abs(v) for w in c.polygons for v in w)
-    twist = _twist(c, site)
-    for r in _TWIST_ROWS[twist]:
-        row = WIRINGS[r]
-        if not _fits(site, row, room):
-            continue
-        rw = Rewrite(tuple(
-            (p, pos, tuple(v + base if v > 0 else v - base for v in word))
-            for (p, pos), word in zip(site.corners, row)
-        ))
-        out = grafting.apply_rewrite(c, rw)
-        if not complexes.is_graftable(out):
-            raise InvariantError(
-                "graft: the twist table accepts row %d at %s (twist %s), the full check rejects"
-                " rewrite %s" % (r, site.corners, twist, rw.insertions)
-            )
-        yield rw, out
-
-
-def discover_rewrite(c: complexes.PolygonComplex, site: grafting.GraftSite) -> Rewrite:
-    """The first rewrite of the wiring table at the site that fits the
-    room of graft_room and grafts.
-
-    Each row of WIRINGS inserts six new sides, three new pairs, at the
-    site's corners; the rows that graft are those of the site's twist.
-    Raises NotExtremalError when c is not graftable and
-    IneligibleSiteError when none of the rows fits the room.
-    """
-    return grafting._graft_at(grafting._graftable(c), site)[0]
-
-
-# grafting imports this module's names at its top, so it is imported last:
-# then either module may be imported first
-from . import grafting

@@ -3,16 +3,16 @@ flag (flag_sides), every vertex cycle with its corners and crossings
 (vertex_cycles), the occurrences of each label and the corners in flag
 order (_corners).
 
-They moved out of complexes so that its compile stays small, and a
+They live apart from complexes so that its compile stays small, and a
 caller that only certifies complexes (a census, verify_extremal and the
-invariants) never loads them; complexes.VertexCycle,
-complexes.flag_sides, complexes.vertex_cycles,
-complexes.vertex_cycles_with_crossings, complexes.occurrences and
-complexes._corners resolve here on first use.  The walk and a cycle's
-flags, which read a complex's private fields, stay in complexes
-(complexes._walk, complexes._cycle).  Calls into the polygon layer go
-through the complexes module (complexes.flag_action,
-complexes.flag_sides), the names the benchmark tracer wraps.
+invariants) never loads them.  The library calls them here, as
+_vertices.flag_sides and the like.  complexes resolves VertexCycle and
+vertex_cycles, which the package exports from it, and occurrences and
+vertex_cycles_with_crossings, which the benchmark tracer wraps there;
+the library calls the alias through complexes.  The walk and a
+cycle's flags, which read a complex's private fields, stay in complexes
+(complexes._walk, complexes._cycle), and the flag action is read through
+complexes.flag_action, which the tracer wraps.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ def vertex_cycles(c: complexes.PolygonComplex) -> list[VertexCycle]:
     """All vertex cycles, by least corner, with their corners in cyclic
     order around the vertex and the crossings between them."""
     corners = _corners(c)
-    sides = complexes.flag_sides(c)
+    sides = flag_sides(c)
     # the walk leaves each corner along the side of its other flag
     return [
         VertexCycle(

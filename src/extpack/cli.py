@@ -15,7 +15,7 @@ Two paths parse a command line, both from _COMMANDS.  _fast parses a
 canonical one, as scripts and pipelines write it, without importing
 argparse and the gettext and locale modules it loads; the one argparse
 parser, from build_parser, parses every other line, so help, usage and
-error output are argparse's own.  Both parsers moved to the private
+error output are argparse's own.  Both parsers live in the private
 module _cmdline, so that no compile of a cold command is large.
 """
 
@@ -188,7 +188,7 @@ def _cyclic_cover(args):
     if args.voltages is None:
         out = covers.find_nonorientable_cyclic_cover(c, args.n)
     else:
-        labels = sorted({lab for lab, _ in complexes.flag_sides(c)})
+        labels = sorted({abs(v) for word in c.polygons for v in word})
         if len(args.voltages) != len(labels):
             raise CoverError(
                 "need %d voltages (one per label), got %d" % (len(labels), len(args.voltages))

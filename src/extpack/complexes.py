@@ -34,9 +34,11 @@ complex once.  The complex writes its fields and these stored results
 straight into its instance dict.
 
 The canonical form and the file format (_canon) and the vertex-cycle
-readers (_vertices) moved to private modules, so that no compile of a
-cold command is large and a caller that only certifies loads neither;
-their names resolve here, through the module __getattr__.
+readers (_vertices) live in private modules, so that no compile of a
+cold command is large and a caller that only certifies loads neither.
+The library calls them there.  The module __getattr__ resolves here only
+the package's public names among them and the two the benchmark tracer
+wraps on this module, occurrences and vertex_cycles_with_crossings.
 """
 
 from __future__ import annotations
@@ -44,9 +46,6 @@ from __future__ import annotations
 from collections import Counter
 from itertools import accumulate, chain
 
-# two_color and bfs_code are complexes names too; trigroup imports them
-# from _action, which loads no polygon layer
-from ._action import bfs_code, two_color
 from ._record import Record
 from .errors import InvalidComplexError, InvariantError
 
@@ -378,15 +377,14 @@ def is_graftable(c: PolygonComplex) -> bool:
 
 
 def __getattr__(name):
-    """The names whose code moved out of this module, read (PEP 562) from
-    the private module that holds them, which loads on first use: the
-    least-code pass, the canonical form and the file format from _canon,
-    the vertex-cycle readers from _vertices."""
-    if name in ("least_code", "automorphisms", "read_polygons", "canonicalize", "parse", "serialize",
-                "FORMAT_HEADER"):
+    """The public names of this module whose code lives in a private
+    module, and the two names the benchmark tracer wraps here, read (PEP
+    562) from that module, which loads on first use: the least-code pass,
+    the canonical form and the file format from _canon, the vertex-cycle
+    readers from _vertices."""
+    if name in ("least_code", "automorphisms", "canonicalize", "parse", "serialize"):
         from . import _canon as module
-    elif name in ("VertexCycle", "occurrences", "flag_sides", "vertex_cycles",
-                  "vertex_cycles_with_crossings", "_corners"):
+    elif name in ("VertexCycle", "vertex_cycles", "occurrences", "vertex_cycles_with_crossings"):
         from . import _vertices as module
     else:
         raise AttributeError("module %r has no attribute %r" % (__name__, name))

@@ -1,10 +1,10 @@
 """Covering constructions: orientation double covers and cyclic covers.
 
-Every cover is a lift of the base's flag action (a permutation-voltage
-lift, Gross-Tucker 1987): n sheets of flags, on which t0 and t2 keep the
-sheet and t1 moves it by a shift fixed per flag.  One two_color pass over
-the lift says whether the cover is connected and whether it is orientable,
-and read_polygons reads its words off.
+Every cover is a lift of the base's flag action (_action.lift, a
+permutation-voltage lift, Gross-Tucker 1987): n sheets of flags, on which
+t0 and t2 keep the sheet and t1 moves it by a shift fixed per flag.  One
+two_color pass over the lift says whether the cover is connected and
+whether it is orientable, and read_polygons reads its words off.
 
 The orientation double cover changes sheet across exactly the
 orientation-reversing pairings.  The cover of a k-extremal genus-g complex
@@ -26,7 +26,7 @@ import itertools
 import sys
 from math import gcd, lcm
 
-from . import complexes
+from . import _action, _vertices, complexes
 from ._canon import read_polygons
 from ._record import Record
 from .complexes import PolygonComplex
@@ -53,24 +53,7 @@ class VoltageAssignment(Record):
 
 
 # ---------------------------------------------------------------------------
-# lifts of the flag action
-
-
-def _lift(c: PolygonComplex, n: int, shift: list[int]):
-    """The degree-n lift of c's flag action by the per-flag sheet shifts.
-
-    Flag f on sheet s is s*m + f, for the m flags of c.  t0 and t2 keep the
-    sheet; t1 sends sheet s to sheet s + shift[f] (mod n).  The shifts of f
-    and t1 f must cancel mod n, so that t1 stays an involution.
-    """
-    t0, t1, t2 = complexes.flag_action(c)
-    m = len(t0)
-    sheets = range(0, n * m, m)
-    return (
-        [f + off for off in sheets for f in t0],
-        [(off + d * m) % (n * m) + g for off in sheets for d, g in zip(shift, t1)],
-        [f + off for off in sheets for f in t2],
-    )
+# the orientation double cover
 
 
 def orientation_double_cover(c: PolygonComplex) -> PolygonComplex:
@@ -83,7 +66,8 @@ def orientation_double_cover(c: PolygonComplex) -> PolygonComplex:
     """
     if complexes.is_orientable(c):
         raise CoverError("complex is already orientable; it has no orientation double cover")
-    lift = _lift(c, 2, [(f ^ g ^ 1) & 1 for f, g in enumerate(complexes.flag_action(c)[1])])
+    flags = complexes.flag_action(c)
+    lift = _action.lift(flags, 2, [None, [(f ^ g ^ 1) & 1 for f, g in enumerate(flags[1])], None])
     out = PolygonComplex(read_polygons(lift), name=c.name + "+" if c.name else None)
     if not complexes.is_orientable(out):
         raise InvariantError("orientation_double_cover: the cover of %r is not orientable" % (c,))
@@ -97,8 +81,7 @@ def orientation_double_cover(c: PolygonComplex) -> PolygonComplex:
 def _cycle_matrix(c: PolygonComplex):
     """Net crossing count of each edge label around each vertex cycle."""
     cycles = complexes.vertex_cycles_with_crossings(c)
-    # the crossings are flag_sides entries (complexes.flag_sides, in
-    # _vertices), and every label is crossed
+    # the crossings are flag_sides entries, and every label is crossed
     labels = sorted({lab for cycle in cycles for lab, _ in cycle.crossings})
     col = {lab: t for t, lab in enumerate(labels)}
     rows = []
@@ -191,8 +174,9 @@ def _cover(c: PolygonComplex, assignment: VoltageAssignment) -> PolygonComplex:
     cycle; checked connected, and trivalent once built."""
     n = assignment.modulus
     volt = assignment.as_dict()
-    lift = _lift(c, n, [d * volt[lab] % n for lab, d in complexes.flag_sides(c)])
-    if not complexes.two_color(lift)[0]:
+    shift = [d * volt[lab] % n for lab, d in _vertices.flag_sides(c)]
+    lift = _action.lift(complexes.flag_action(c), n, [None, shift, None])
+    if not _action.two_color(lift)[0]:
         raise CoverError("voltages give a disconnected cover of degree %d" % n)
     out = PolygonComplex(read_polygons(lift))
     sizes = complexes.vertex_class_sizes(out)
@@ -223,7 +207,7 @@ def find_voltage(c: PolygonComplex, n: int) -> VoltageAssignment:
     labels, rows, _ = _cycle_matrix(c)
     if n == 1:
         return VoltageAssignment.from_dict(1, {lab: 0 for lab in labels})
-    sides = complexes.flag_sides(c)
+    sides = _vertices.flag_sides(c)
     basis = _integer_kernel(rows, len(labels))
     columns = list(zip(*basis))
     combos = (
@@ -240,8 +224,9 @@ def find_voltage(c: PolygonComplex, n: int) -> VoltageAssignment:
             continue
         tried += 1
         volt = dict(zip(labels, vec))
-        lift = _lift(c, n, [d * volt[lab] % n for lab, d in sides])
-        connected, bipartite = complexes.two_color(lift)
+        shift = [d * volt[lab] % n for lab, d in sides]
+        lift = _action.lift(complexes.flag_action(c), n, [None, shift, None])
+        connected, bipartite = _action.two_color(lift)
         if not connected:
             disconnected += 1
         elif bipartite:

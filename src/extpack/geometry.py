@@ -7,8 +7,8 @@ pi/N at the centre, pi/3 at a corner and pi/2 at a side's midpoint; t0, t1
 and t2 are the reflections in its sides.  So a layout places every cell by
 a word in three reflections, an exact 3x3 matrix over Z[lambda], lambda =
 2 cos(pi/N), of the reflection group that the private module _reflection
-builds (its names are imported back here, so geometry._group and the
-others resolve).  Floats only draw: exact vectors reach the disk through
+builds; this module imports the three names it uses (Matrix, _crossing,
+_group).  Floats only draw: exact vectors reach the disk through
 fixed point.  Drawing reads the placements alone; a layout's side
 pairings are computed together, in one pass, when the first of them is
 read.
@@ -25,10 +25,9 @@ import cmath
 import math
 from collections.abc import Mapping
 
-from . import complexes
+from . import _vertices, complexes
 from ._record import Record
-# geometry._group and the group's other names resolve here too
-from ._reflection import Matrix, _crossing, _cyclotomic, _group, _Group, _lambda, _min_poly
+from ._reflection import Matrix, _crossing, _group
 from .complexes import PolygonComplex
 from .errors import InvariantError, NotExtremalError
 
@@ -200,7 +199,7 @@ def realize(c: PolygonComplex) -> DiskLayout:
     m = 2 * n  # flags per polygon
     group = _group(n)
     t1 = complexes.flag_action(c)[1]
-    sides = complexes.flag_sides(c)
+    sides = _vertices.flag_sides(c)
     # each label's first side, by its leaving flag (flag 2j lies on side j),
     # in label order
     first = dict(sorted((sides[f][0], f) for f in range(0, len(sides), 2) if sides[f][1] == 1))

@@ -31,24 +31,22 @@ extremal complex for every cell size N >= 7 (`build_primitive`).  N mod 6
 only picks the seed and its schedule, so the process keeps one chain per
 seed and every N of that seed reads a prefix of it.
 
-The wiring table and the rewrite search (WIRINGS to discover_rewrite,
-Rewrite and apply_rewrite) moved to the private module _rewrite, so that
-no compile of a cold command is large; grafting imports their names back.
+The wiring table and the size policy (WIRINGS, _TWIST_ROWS, _twist,
+graft_room, _misses_room, _fits) live in the private module _rewrite, so
+that no compile of a cold command is large; this module imports the
+names it uses and holds the rewrite search.  The vertex-cycle readers
+are called in _vertices (_vertices.flag_sides, _vertices.vertex_cycles).
 """
 
 from __future__ import annotations
 
 import enum
 
-from . import complexes
+from . import _vertices, complexes
 from ._record import Record
-from ._rewrite import (
-    _GROWTHS, _TWIST_ROWS, WIRINGS, Rewrite, _fits, _iter_rewrites, _misses_room, _twist, apply_rewrite,
-    discover_rewrite, graft_room,
-)
-from ._vertices import VertexCycle
+from ._rewrite import _TWIST_ROWS, WIRINGS, _fits, _misses_room, _twist, graft_room
 from .complexes import PolygonComplex
-from .errors import IneligibleSiteError, NotExtremalError, RewriteSearchError
+from .errors import IneligibleSiteError, InvariantError, NotExtremalError, RewriteSearchError
 
 
 class GraftVariant(enum.Enum):
@@ -70,12 +68,33 @@ class GraftSite(Record):
     """
 
     variant: GraftVariant
-    cycle: VertexCycle
+    cycle: _vertices.VertexCycle
     shared_edge: int | None = None
 
     @property
     def corners(self):
         return self.cycle.corners
+
+
+class Rewrite(Record):
+    """An explicit graft: sequences of new signed labels inserted at slots.
+
+    insertions are (polygon, position, labels) triples; inserting at
+    position i places the new sides between the old sides i-1 and i.
+    """
+
+    insertions: tuple[tuple[int, int, tuple[int, ...]], ...]
+
+
+def apply_rewrite(c: PolygonComplex, rw: Rewrite) -> PolygonComplex:
+    words = [list(w) for w in c.polygons]
+    by_poly: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+    for p, pos, seq in rw.insertions:
+        by_poly.setdefault(p, []).append((pos, seq))
+    for p, ins in by_poly.items():
+        for pos, seq in sorted(ins, reverse=True):
+            words[p][pos:pos] = list(seq)
+    return PolygonComplex(tuple(tuple(w) for w in words), name=c.name)
 
 
 #: the message of every graftability check
@@ -114,8 +133,8 @@ def _iter_sites(c: PolygonComplex, variant: GraftVariant, room=None):
     (_misses_room) is passed over: no row fits there.  This is the one
     place that test is made.
     """
-    corners = complexes._corners(c)
-    sides = complexes.flag_sides(c)
+    corners = _vertices._corners(c)
+    sides = _vertices.flag_sides(c)
     for start, _ in complexes._walk(c):
         flags = complexes._cycle(c, start)
         if room is not None and _misses_room({corners[f >> 1][0] for f in flags}, room):
@@ -128,9 +147,53 @@ def _iter_sites(c: PolygonComplex, variant: GraftVariant, room=None):
                            if corners[f >> 1][0] != corners[e >> 1][0]), None)
             if shared is None:
                 continue
-        cycle = VertexCycle(tuple([corners[f >> 1] for f in flags]),
-                            tuple([sides[f ^ 1] for f in flags]))
+        cycle = _vertices.VertexCycle(tuple([corners[f >> 1] for f in flags]),
+                                      tuple([sides[f ^ 1] for f in flags]))
         yield GraftSite(variant, cycle, shared)
+
+
+def _iter_rewrites(c: PolygonComplex, site: GraftSite, room):
+    """Yield (rewrite, grafted complex) for every row of the site's twist
+    (_TWIST_ROWS) that fits the room, in table order.
+
+    c must be graftable; the callers check that once per search.  A row
+    fits when it grows no polygon beyond its room (_fits); at a site whose
+    corners miss a polygon that an exact room still fills, which the
+    stream of _grafts never reaches, no row fits (_misses_room).  The
+    grafted complex stays connected and non-orientable, because every old
+    pairing survives.
+    Each row is built and checked in full: a row of the twist that is not
+    trivalent after all is an InvariantError.
+    """
+    base = max(abs(v) for w in c.polygons for v in w)
+    twist = _twist(c, site)
+    for r in _TWIST_ROWS[twist]:
+        row = WIRINGS[r]
+        if not _fits(site, row, room):
+            continue
+        rw = Rewrite(tuple(
+            (p, pos, tuple(v + base if v > 0 else v - base for v in word))
+            for (p, pos), word in zip(site.corners, row)
+        ))
+        out = apply_rewrite(c, rw)
+        if not complexes.is_graftable(out):
+            raise InvariantError(
+                "graft: the twist table accepts row %d at %s (twist %s), the full check rejects"
+                " rewrite %s" % (r, site.corners, twist, rw.insertions)
+            )
+        yield rw, out
+
+
+def discover_rewrite(c: PolygonComplex, site: GraftSite) -> Rewrite:
+    """The first rewrite of the wiring table at the site that fits the
+    room of graft_room and grafts.
+
+    Each row of WIRINGS inserts six new sides, three new pairs, at the
+    site's corners; the rows that graft are those of the site's twist.
+    Raises NotExtremalError when c is not graftable and
+    IneligibleSiteError when none of the rows fits the room.
+    """
+    return _graft_at(_graftable(c), site)[0]
 
 
 def _graft_at(c, site) -> tuple[Rewrite, PolygonComplex]:
@@ -156,7 +219,7 @@ def has_complementary_pair(c: PolygonComplex) -> bool:
     paired k = 6 grafting steps consume.  c must be graftable."""
     if c.num_polygons != 6:
         return False
-    polys = {frozenset(p for p, _ in cycle.corners) for cycle in complexes.vertex_cycles(c)}
+    polys = {frozenset(p for p, _ in cycle.corners) for cycle in _vertices.vertex_cycles(c)}
     for site in eligible_sites(c, GraftVariant.EG3):
         a = frozenset(p for p, _ in site.corners)
         if len(a) == 3 and frozenset(range(6)) - a in polys:

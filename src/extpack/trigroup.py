@@ -33,7 +33,7 @@ import json
 import sys
 from collections.abc import Iterator
 
-from ._action import bfs_code, two_color
+from ._action import bfs_code, lift, two_color
 from ._record import Record
 from .errors import InvariantError
 
@@ -337,22 +337,14 @@ def subgroup_to_complex(rec: SubgroupRecord) -> complexes.PolygonComplex:
 def canonical_fuchsian(rec: SubgroupRecord) -> SubgroupRecord:
     """The orientation-preserving half K+ = K intersect PSL(2, R).
 
-    Cosets double with a parity sheet flipped by every reflection; the
-    quotient becomes orientable and, for a genus-g non-orientable surface
-    record, the genus drops to g - 1.
+    Cosets double with a parity sheet that every reflection flips (the
+    2-sheet lift with every shift 1); the quotient becomes orientable and,
+    for a genus-g non-orientable surface record, the genus drops to g - 1.
     """
     if not rec.proper:
         raise ValueError("record is not proper: it has no smaller Fuchsian half")
-    m = rec.index
-    doubled = []
-    for perm in rec.perms:
-        new = [0] * (2 * m)
-        for c in range(m):
-            img = perm[c]
-            new[2 * c] = 2 * img + 1
-            new[2 * c + 1] = 2 * img
-        doubled.append(new)
-    return classify(standardize(doubled), *rec.params)
+    ones = [1] * rec.index
+    return classify(standardize(lift(rec.perms, 2, [ones] * len(rec.perms))), *rec.params)
 
 
 def induced_action(rec: SubgroupRecord) -> SubgroupRecord:

@@ -6,7 +6,8 @@ import pytest
 from extpack import catalog
 from extpack import geometry
 from extpack.geometry import corner_angle
-from extpack.complexes import PolygonComplex, flag_action, flag_sides
+from extpack._vertices import flag_sides
+from extpack.complexes import PolygonComplex, flag_action
 from extpack.errors import InvalidComplexError
 
 

@@ -107,6 +107,19 @@ def test_criterion_05_double_covers():
             time.time() - start, 60)
 
 
+def test_the_double_cover_is_the_canonical_fuchsian_half():
+    # criterion 5 compares genus and index; this compares the records: the
+    # orientation double cover's flag action, classified, is K+ itself
+    cases = [entry.complex for entry in catalog.load_all().values()]
+    cases += [covers.realize_spec(k, g) for g in range(3, 9) for k in range(1, 6 * (g - 2) + 1)
+              if feasibility.is_feasible(k, g)]
+    assert len(cases) == 50
+    for c in cases:
+        plus = trigroup.canonical_fuchsian(trigroup.complex_to_subgroup(c))
+        cover = cx.flag_action(covers.orientation_double_cover(c))
+        assert plus == trigroup.classify(trigroup.standardize(cover), 2, 3, cx.verify_extremal(c).n), c
+
+
 def test_criterion_06_group_theoretic_route():
     start = time.time()
     for (p, q, r), index in [((2, 3, 12), 24), ((2, 3, 7), 84)]:

@@ -6,7 +6,7 @@ import pytest
 from conftest import (
     random_complexes, reference_automorphisms, reference_bfs_code, reference_least_code, reference_vertex_orbits,
 )
-from extpack import catalog, covers, grafting
+from extpack import _action, catalog, covers, grafting
 from extpack import complexes as cx
 from extpack import trigroup as tg
 from extpack.complexes import PolygonComplex
@@ -153,7 +153,7 @@ def test_polygon_graph_coloring_agrees_with_two_color():
     seen = set()
     for words in draws:
         flags = reference_flags(words)
-        transitive, bipartite = cx.two_color(flags)
+        transitive, bipartite = _action.two_color(flags)
         if not transitive:
             with pytest.raises(InvalidComplexError, match="complex is disconnected"):
                 PolygonComplex(words)
@@ -161,7 +161,7 @@ def test_polygon_graph_coloring_agrees_with_two_color():
             continue
         c = PolygonComplex(words)
         assert cx.flag_action(c) == flags, words
-        assert cx.is_orientable(c) == cx.two_color(cx.flag_action(c))[1] == bipartite, words
+        assert cx.is_orientable(c) == _action.two_color(cx.flag_action(c))[1] == bipartite, words
         seen.add((c.num_polygons > 1, bipartite))
     assert seen == {"disconnected", (False, False), (False, True), (True, False), (True, True)}
     assert not cx.is_orientable(PolygonComplex(draws[-3]))
@@ -173,7 +173,7 @@ def test_creating_a_complex_does_not_two_color_its_flags(monkeypatch, seeds):
     def refuse(perms):
         raise AssertionError("two_color called")
 
-    monkeypatch.setattr(cx, "two_color", refuse)
+    monkeypatch.setattr(_action, "two_color", refuse)
     assert len(random_complexes(100, seed=182)) == 100
     for c in seeds.values():
         assert PolygonComplex(c.polygons) == c

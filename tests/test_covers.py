@@ -9,7 +9,7 @@ from math import gcd, lcm
 import pytest
 
 from conftest import random_complexes
-from extpack import catalog, covers
+from extpack import _vertices, catalog, covers
 from extpack import complexes as cx
 from extpack.complexes import PolygonComplex
 from extpack.errors import CoverError, InfeasibleSpecError
@@ -150,8 +150,9 @@ def test_realize_spec_checks_the_base_once(monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
 
-    for name in ("verify_extremal", "vertex_cycles_with_crossings", "flag_sides"):
+    for name in ("verify_extremal", "vertex_cycles_with_crossings"):
         count(cx, name)
+    count(_vertices, "flag_sides")
     count(covers, "_cycle_matrix")
     covers.realize_spec(12, 48)
     assert calls == {

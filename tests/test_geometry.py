@@ -6,7 +6,7 @@ import mpmath
 import pytest
 
 from conftest import disk_distance, polygon_area, reference_pairings
-from extpack import catalog
+from extpack import _reflection, catalog
 from extpack import complexes as cx
 from extpack import geometry as geom
 from extpack.covers import realize_spec
@@ -19,13 +19,13 @@ from extpack.feasibility import is_feasible, packing_radius_bound
 def test_exact_reflection_group(n):
     # psi has degree phi(2n)/2 and changes sign within 1e-50 of mpmath's
     # 2 cos(pi/n); the fixed-point lambda agrees to 50 digits
-    psi = geom._min_poly(n)
+    psi = _reflection._min_poly(n)
     assert psi[-1] == 1
     assert len(psi) - 1 == sum(1 for j in range(1, 2 * n) if math.gcd(j, 2 * n) == 1) // 2
     with mpmath.workdps(120):
         lam, eps = 2 * mpmath.cos(mpmath.pi / n), mpmath.mpf(10) ** -50
         assert mpmath.polyval(psi[::-1], lam - eps) * mpmath.polyval(psi[::-1], lam + eps) < 0
-        assert abs(mpmath.mpf(geom._lambda(n, 200)) / 2**200 - lam) < eps
+        assert abs(mpmath.mpf(_reflection._lambda(n, 200)) / 2**200 - lam) < eps
     group = geom._group(n)
     t0, t1, t2 = group.reflections
     for g, order in ((group.mul(t0, t1), 2), (group.mul(t1, t2), 3), (group.mul(t2, t0), n)):

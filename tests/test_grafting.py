@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from extpack import catalog
+from extpack import _rewrite, catalog
 from extpack import complexes as cx
 from extpack import covers
 from extpack import grafting as gr
@@ -102,7 +102,7 @@ def test_pair_step_from_x7(seeds):
 
 def test_graft_room_is_the_one_size_policy(seeds):
     # one graft grows by a row's side counts, summed over shared polygons
-    assert gr._GROWTHS == {(6,), (1, 5), (2, 4), (1, 1, 4), (2, 2, 2)}
+    assert _rewrite._GROWTHS == {(6,), (1, 5), (2, 4), (1, 1, 4), (2, 2, 2)}
     assert gr.graft_room(seeds[12]) == (6,)
     assert gr.graft_room(seeds[8]) == (2, 2, 2)
     # no graft grows two polygons by three each, or six by one: the free

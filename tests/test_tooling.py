@@ -470,12 +470,13 @@ def test_public_names_resolve_to_their_modules():
 
 
 def test_the_least_code_names_resolve_to_canon():
-    """least_code, automorphisms and read_polygons live in _canon and are
-    complexes names too, read through the module __getattr__; the package
-    name and a from-import reach the same function."""
+    """least_code and automorphisms live in _canon and are complexes names
+    too, read through the module __getattr__; the package name and a
+    from-import reach the same function.  The names the library reads from
+    _canon and _vertices alone do not resolve on complexes."""
     from extpack import _canon, complexes
 
-    for name in ("least_code", "automorphisms", "read_polygons"):
+    for name in ("least_code", "automorphisms"):
         assert getattr(complexes, name) is getattr(_canon, name), name
         imported: dict = {}
         exec("from extpack.complexes import %s as found" % name, imported)
@@ -484,3 +485,72 @@ def test_the_least_code_names_resolve_to_canon():
     assert extpack.automorphisms is _canon.automorphisms
     with pytest.raises(AttributeError, match="'extpack.complexes' has no attribute 'no_such_name'"):
         complexes.no_such_name
+    for name in ("read_polygons", "FORMAT_HEADER", "flag_sides", "_corners"):
+        with pytest.raises(AttributeError, match="has no attribute '%s'" % name):
+            getattr(complexes, name)
+
+
+def _top_level_names(tree) -> set:
+    """The names a module defines at its top level: its functions, its
+    classes and the targets of its assignments."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {target.id for target in targets if isinstance(target, ast.Name)}
+    return names
+
+
+#: the names whose code lives in a private module but which the benchmark
+#: tracer wraps on complexes: complexes resolves them, and the library
+#: calls them through complexes, so that the tracer counts every call
+TRACED_ON_COMPLEXES = ("canonicalize", "parse", "serialize", "vertex_cycles_with_crossings", "occurrences")
+
+
+def test_every_library_name_is_read_from_its_home():
+    """A library module reads a name of complexes, grafting or geometry
+    only where that module defines it: a name whose code lives elsewhere
+    (_canon, _vertices, _action, _rewrite, _reflection) is read from that
+    module.  The one exception is a name that the benchmark tracer wraps
+    on complexes, which the library calls there so that its calls are
+    counted."""
+    sources = {path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=path.name)
+               for path in sorted((ROOT / "src" / "extpack").glob("*.py"))}
+    homes = {name: _top_level_names(sources[name]) for name in ("complexes", "grafting", "geometry")}
+    homes["complexes"] |= set(TRACED_ON_COMPLEXES)
+    found = []
+    for module, tree in sources.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                reads = [(node.value.id, node.attr)]
+            elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                reads = [(node.module, alias.name) for alias in node.names]
+            else:
+                continue
+            found += ["%s.py:%d %s.%s" % (module, node.lineno, owner, name)
+                      for owner, name in reads
+                      if owner in homes and owner != module and name not in homes[owner]]
+    assert not found, "names read away from their home module: %s" % ", ".join(found)
+
+
+def test_split_modules_are_leaves(tmp_path):
+    """Every module imports at its top, before its first function or
+    class, so none ends on an import that closes a cycle; and the modules
+    split off grafting and cli, _rewrite and _cmdline, load neither."""
+    late = []
+    for path in sorted((ROOT / "src" / "extpack").glob("*.py")):
+        body = ast.parse(path.read_text(encoding="utf-8"), filename=path.name).body
+        first = next((node.lineno for node in body if isinstance(node, (ast.FunctionDef, ast.ClassDef))), None)
+        late += ["%s:%d" % (path.name, node.lineno) for node in body
+                 if isinstance(node, (ast.Import, ast.ImportFrom)) and first is not None and node.lineno > first]
+    assert not late, "module-level imports below a def or class: %s" % ", ".join(late)
+    modules = _loaded(
+        tmp_path,
+        "import json, sys\n"
+        "import extpack._rewrite, extpack._cmdline\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('extpack'))))\n",
+    )
+    assert {"extpack._rewrite", "extpack._cmdline"} <= set(modules)
+    assert not {"extpack.grafting", "extpack.cli"} & set(modules), modules

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from extpack import catalog
-from extpack import _blocks
+from extpack import _action, _blocks
 from extpack import _lowindex as li
 from extpack import complexes as cx
 from extpack import trigroup as tg
@@ -68,7 +68,7 @@ def check_relators(relators, perms) -> None:
     for rel in relators:
         for c in range(len(perms[0])):
             assert apply_word(perms, c, rel) == c, "relator %s broken at coset %d" % (rel, c)
-    assert cx.two_color(perms)[0], "action is not transitive"
+    assert _action.two_color(perms)[0], "action is not transitive"
 
 
 def schreier_generators(perms) -> list[Word]:
@@ -303,7 +303,7 @@ def test_generic_search_matches_the_unpruned_search(pqr, index, classes):
     recs = tg.low_index_subgroups(*pqr, index)
     reference = reference_low_index(*pqr, index)
     assert len(recs) == classes
-    codes = [cx.bfs_code(rec.perms, 0) for rec in recs]
+    codes = [_action.bfs_code(rec.perms, 0) for rec in recs]
     assert codes == [cx.least_code(rec.perms) for rec in recs]
     assert codes == sorted(set(codes))  # one per class, met in code order
     # the first table the unpruned DFS meets in a class is its least-code one
