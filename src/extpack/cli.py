@@ -17,6 +17,12 @@ argparse and the gettext and locale modules it loads; the one argparse
 parser, from build_parser, parses every other line, so help, usage and
 error output are argparse's own.  Both parsers live in the private
 module _cmdline, so that no compile of a cold command is large.
+
+Run as the process's command (argv None), main registers gc.freeze with
+atexit, so the interpreter's shutdown collections skip the objects the
+run leaves, which the OS reclaims anyway; atexit handlers and the flush
+of stdout still run.  A caller in process passes argv and keeps its
+collector, for its process goes on.
 """
 
 from __future__ import annotations
@@ -298,7 +304,14 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+    """Run one command line and return its exit code.  With argv None it
+    is the process's command and freezes the collector at exit; a caller
+    that passes argv keeps its own."""
+    if argv is None:
+        import atexit, gc
+
+        atexit.register(gc.freeze)
+        argv = sys.argv[1:]
     args = _fast(argv) or build_parser().parse_args(argv)
     # exit codes by error family: the library's domain errors are ValueErrors
     # but for UnknownCatalogEntryError, a KeyError caught before KeyError;

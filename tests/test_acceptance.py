@@ -300,6 +300,26 @@ def test_criterion_09_numeric_layer():
             time.time() - start, 5)
 
 
+def test_every_census_class_realizes_exactly():
+    # criterion 9's tolerances on every class of the pinned censuses, not
+    # only on the catalog: each lays out with holonomy the identity, and
+    # its drawing has one label per side occurrence
+    worst = [0.0, 0.0]
+    classes = 0
+    for k, g in CENSUS_PINS:
+        for c in census(k, g).values():
+            layout = geometry.realize(c)
+            rep = geometry.holonomy_check(layout)
+            assert rep.max_displacement < 1e-9 and rep.max_angle_error < 1e-10, (k, g, c)
+            worst = [max(worst[0], rep.max_displacement), max(worst[1], rep.max_angle_error)]
+            svg = geometry.render_svg(layout)
+            assert svg.endswith("</svg>\n") and svg.count('<text class="label"') == sum(c.sizes), (k, g, c)
+            classes += 1
+    assert classes == sum(count for count, _ in CENSUS_PINS.values()) == 1165
+    print("census layouts: %d classes, worst displacement %.3g, worst angle error %.3g"
+          % (classes, *worst))
+
+
 def all_single_polygon_gluings(n: int):
     """Yield every complex made of one n-gon: all side matchings and signs.
 

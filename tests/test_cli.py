@@ -4,6 +4,7 @@ import json
 import logging
 import os
 import random
+import subprocess
 import sys
 
 import pytest
@@ -1104,3 +1105,61 @@ def test_unknown_catalog_entry_is_a_domain_error(monkeypatch, capsys):
     code, out, err = run(capsys, "catalog")
     assert code == 2 and out == ""
     assert err == "error: unknown catalog entry 'X99'\n"
+
+
+#: each form bench/run.py issues, in chains whose later lines read what the
+#: earlier ones wrote, and one domain error
+PROGRAM_CHAINS = {
+    "realize-verify-render": [
+        ["realize", "--k", "24", "--g", "10", "-o", "r.cmplx"],
+        ["verify", "r.cmplx"],
+        ["render", "r.cmplx", "-o", "r.svg"],
+    ],
+    "build": [["build", "--N", "41", "-o", "b.cmplx"]],
+    "group-round-trip": [["to-group", "X9", "-o", "X9.json"], ["from-group", "X9.json"]],
+    # 404 KB of buffered stdout
+    "enumerate": [["enumerate", "--p", "2", "--q", "3", "--r", "12", "--index", "24"]],
+    "domain-error": [["realize", "--k", "4", "--g", "3"]],
+}
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _program(argv, cwd):
+    """extpack run as the process's own command, so that main reads sys.argv,
+    with stdout block-buffered as it is by default on a pipe or a file."""
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    return subprocess.Popen([sys.executable, "-m", "extpack.cli", *argv], cwd=cwd,
+                            env=dict(env, PYTHONPATH=SRC), stdin=subprocess.DEVNULL,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+@pytest.mark.parametrize("chain", PROGRAM_CHAINS.values(), ids=list(PROGRAM_CHAINS))
+def test_the_program_writes_what_main_returns_in_process(monkeypatch, capsys, tmp_path, chain):
+    # main(None), as the extpack script and python -m extpack.cli call it,
+    # writes the same bytes and exits with the same code as main(argv)
+    here, there = tmp_path / "in-process", tmp_path / "program"
+    here.mkdir()
+    there.mkdir()
+    monkeypatch.chdir(here)
+    for argv in chain:
+        code, out, err = run(capsys, *argv)
+        proc = _program(argv, there)
+        got_out, got_err = proc.communicate()
+        assert (proc.returncode, got_out, got_err) == (code, out.encode(), err.encode()), argv
+    written = sorted(os.listdir(here))
+    assert sorted(os.listdir(there)) == written
+    for name in written:
+        assert (there / name).read_bytes() == (here / name).read_bytes(), name
+
+
+def test_the_program_reports_a_closed_stdout_pipe():
+    # the reader of a 404 KB payload goes after 10 bytes: the next write
+    # fails, and the program exits 2 with one line and no traceback
+    proc = _program(PROGRAM_CHAINS["enumerate"][0], None)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (2, b"error: [Errno 32] Broken pipe\n")

@@ -1,4 +1,6 @@
 import ast
+import atexit
+import gc
 import importlib
 import importlib.util
 import json
@@ -554,3 +556,66 @@ def test_split_modules_are_leaves(tmp_path):
     )
     assert {"extpack._rewrite", "extpack._cmdline"} <= set(modules)
     assert not {"extpack.grafting", "extpack.cli"} & set(modules), modules
+
+
+#: a fresh interpreter that registers its own exit handler first, so that
+#: it runs last, then runs cli.main on sys.argv as the extpack script does;
+#: the feasible handler is swapped for one that raises an error main does
+#: not catch
+FROZEN_AT_EXIT = (
+    "import atexit, gc, json, sys\n"
+    "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))\n"
+    "sys.argv = ['extpack'] + json.loads(sys.argv[1])\n"
+    "from extpack import cli\n"
+    "if sys.argv[1] == 'feasible':\n"
+    "    def fail(args):\n"
+    "        raise TypeError('uncaught')\n"
+    "    help, _, arguments = cli._COMMANDS['feasible']\n"
+    "    cli._COMMANDS['feasible'] = (help, fail, arguments)\n"
+    "sys.exit(cli.main())\n"
+)
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    (["bound", "--k", "1", "--g", "3"], 0),
+    (["realize", "--k", "4", "--g", "3"], 2),
+    (["bound", "--k", "1"], 1),
+    (["feasible", "--k", "4", "--g", "4"], 1),
+], ids=["success", "domain-error", "usage-error", "uncaught"])
+def test_the_program_freezes_the_collector_at_exit(tmp_path, argv, exit_code):
+    # as the process's command, main registers gc.freeze with atexit on
+    # every way out of it, so the shutdown collections skip what the run
+    # leaves; the handler registered before main runs after gc.freeze
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", FROZEN_AT_EXIT, json.dumps(argv)], cwd=tmp_path,
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == exit_code, out.stderr
+    assert out.stderr.endswith("frozen True\n"), out.stderr
+    assert ("TypeError: uncaught" in out.stderr) == (argv[0] == "feasible"), out.stderr
+
+
+def test_a_caller_of_main_keeps_its_collector(capsys):
+    # main(argv) runs inside its caller's process, which goes on: it neither
+    # freezes the collector nor registers an exit handler
+    from extpack import cli
+
+    before = gc.get_freeze_count(), atexit._ncallbacks()
+    for argv in (["bound", "--k", "1", "--g", "3"], ["realize", "--k", "4", "--g", "3"]):
+        cli.main(argv)
+        assert (gc.get_freeze_count(), atexit._ncallbacks()) == before, argv
+    with pytest.raises(SystemExit):
+        cli.main(["bound", "--k", "1"])
+    assert (gc.get_freeze_count(), atexit._ncallbacks()) == before
+    capsys.readouterr()
+
+
+def test_the_library_never_calls_os_exit():
+    # os._exit skips the atexit handlers, which bench/launch.py reads the
+    # peak resident set from, and the flush of buffered stdout
+    found = []
+    for path in sorted((ROOT / "src" / "extpack").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=path.name)):
+            if (isinstance(node, ast.Attribute) and node.attr == "_exit"
+                    or isinstance(node, ast.ImportFrom) and "_exit" in [alias.name for alias in node.names]):
+                found.append("%s:%d" % (path.name, node.lineno))
+    assert not found, "os._exit in the library: %s" % ", ".join(found)
