@@ -12,7 +12,8 @@ the subgroup/complex bridge in `trigroup`, whose search kernel is the
 private `_lowindex`, with the block search's helpers in `_blocks`; the
 exact unit-disk layouts in `geometry`, whose reflection group is the
 private `_reflection`; the shipped certified examples in `catalog`; and
-the command line in `cli`, whose parsers are the private `_cmdline`.
+the command line in `cli`, whose commands and their handlers are the
+private `_commands`.
 
 The names below resolve lazily (PEP 562): ``import extpack`` loads no
 submodule, and ``extpack.X`` or ``from extpack import X`` imports only

@@ -10,6 +10,10 @@ standardizes and classifies them, and logs the counters kept here.  The
 block search's module-level helpers moved to the private module
 _blocks, so that no compile of a cold command is large and a generic
 search never loads them; a torsion-free search imports it when built.
+
+New library capability goes in a new module, not here; a function here
+that needs it imports that module inside its body, as trigroup imports
+this one.  A new command is one entry in _commands.
 """
 
 from __future__ import annotations

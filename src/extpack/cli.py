@@ -15,8 +15,9 @@ Two paths parse a command line, both from _COMMANDS.  _fast parses a
 canonical one, as scripts and pipelines write it, without importing
 argparse and the gettext and locale modules it loads; the one argparse
 parser, from build_parser, parses every other line, so help, usage and
-error output are argparse's own.  Both parsers live in the private
-module _cmdline, so that no compile of a cold command is large.
+error output are argparse's own.  The handlers, _COMMANDS and the exit
+codes live in the private module _commands, which imports no cli, so
+`python -m extpack.cli` loads this file once, as __main__.
 
 Run as the process's command (argv None), main registers gc.freeze with
 atexit, so the interpreter's shutdown collections skip the objects the
@@ -28,31 +29,10 @@ collector, for its process goes on.
 from __future__ import annotations
 
 import sys
+from types import SimpleNamespace
 
-from ._cmdline import _fast, build_parser
-from .errors import CoverError, EnumerationCapError, UnknownCatalogEntryError
-
-USAGE_EXIT = 1
-DOMAIN_EXIT = 2
-RESOURCE_EXIT = 3
-INTERNAL_EXIT = 4
-
-
-def _read_complex(spec: str | None):
-    from . import complexes
-
-    if spec is None or spec == "-":
-        return complexes.parse(sys.stdin.read())
-    try:
-        with open(spec, "r", encoding="utf-8") as fh:
-            return complexes.parse(fh.read())
-    except FileNotFoundError:
-        name = spec[:-6] if spec.endswith(".cmplx") else spec
-        from . import catalog
-
-        if name in catalog.EXPECTED:
-            return catalog.load_entry(name).complex
-        raise
+from ._commands import _COMMANDS, DOMAIN_EXIT, INTERNAL_EXIT, RESOURCE_EXIT, USAGE_EXIT
+from .errors import EnumerationCapError, UnknownCatalogEntryError
 
 
 def _json_chunks(payload):
@@ -80,227 +60,80 @@ def _write(texts, out: str | None) -> None:
             fh.writelines(texts)
 
 
-def _bound(args):
-    from . import feasibility
+def build_parser() -> argparse.ArgumentParser:
+    import argparse
 
-    params = feasibility.packing_radius_bound(args.k, args.g)
-    cell = params.cell_size
-    lines = [
-        "cosh R = %.12f" % params.cosh_r,
-        "R      = %.12f" % params.radius,
-        "N      = %s%s" % (cell, "" if params.integral else " (not an integer: infeasible)"),
-    ]
-    if params.index is not None:
-        lines.append("index  = %d" % params.index)
-    return 0, {
-        "format_version": 1,
-        "k": params.k,
-        "g": params.g,
-        "coshR": params.cosh_r,
-        "R": params.radius,
-        "N": params.sides if params.integral else [cell.numerator, cell.denominator],
-        "integral": params.integral,
-        "index": params.index,
-    }, "\n".join(lines) + "\n"
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            print("%s: error: %s" % (self.prog, message), file=sys.stderr)
+            raise SystemExit(USAGE_EXIT)
+
+    top = _Parser(prog="extpack", description=__doc__.splitlines()[0])
+    sub = top.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("-o", "--output", default=None, help="output file (default stdout)")
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
+    return top
 
 
-def _feasible(args):
-    from . import feasibility
-
-    ok = feasibility.is_feasible(args.k, args.g)
-    verdict = "feasible: %d divides" if ok else "infeasible: %d does not divide"
-    return (
-        0 if ok else DOMAIN_EXIT,
-        {"format_version": 1, "k": args.k, "g": args.g, "feasible": ok},
-        (verdict + " 6(g-2) = %d\n") % (args.k, 6 * (args.g - 2)),
-    )
-
-
-def _primitive(args):
-    from . import feasibility
-
-    k, g = feasibility.primitive_pair(args.N)
-    text = "(k_%d, g_%d) = (%d, %d)\n" % (args.N, args.N, k, g)
-    return 0, {"format_version": 1, "N": args.N, "k": k, "g": g}, text
-
-
-def _line(args):
-    from . import feasibility
-
-    entries = feasibility.line_ln(args.N, args.jmax).entries
-    text = "L_%d: %s\n" % (args.N, " ".join("(%d,%d)" % e for e in entries))
-    return 0, {"format_version": 1, "N": args.N, "entries": [[k, g] for k, g in entries]}, text
-
-
-def _dual(args):
-    from . import feasibility
-
-    pairs = sorted(sorted(p) for p in feasibility.dual_extremal_pairs(args.g))
-    body = " ".join("{%d,%d}" % tuple(p) for p in pairs) or "(none)"
-    text = "dual-extremal pairs for g=%d: %s\n" % (args.g, body)
-    return 0, {"format_version": 1, "g": args.g, "pairs": pairs}, text
-
-
-def _unique(args):
-    from . import feasibility
-
-    u = feasibility.uniqueness_class(args.k, args.g).value
-    return 0, {"format_version": 1, "k": args.k, "g": args.g, "uniqueness": u}, "%s\n" % u
-
-
-def _build(args):
-    from . import complexes, grafting
-
-    return 0, None, complexes.serialize(grafting.build_primitive(args.N))
-
-
-def _realize(args):
-    from . import complexes, covers
-
-    return 0, None, complexes.serialize(covers.realize_spec(args.k, args.g))
-
-
-def _verify(args):
-    from . import complexes
-
-    rep = complexes.verify_extremal(_read_complex(args.file))
-    text = ("ok: (k, g, N) = (%d, %d, %d)\n" % (rep.k, rep.g, rep.n) if rep.ok
-            else "not extremal: %s\n" % "; ".join(rep.failures))
-    return 0 if rep.ok else DOMAIN_EXIT, rep, text
-
-
-def _graft(args):
-    from . import complexes, grafting
-
-    c = _read_complex(args.file)
-    variant = grafting.GraftVariant(args.variant)
-    if args.site is None:
-        out = grafting.graft_first_site(c, variant)
-    else:
-        out = grafting.graft_nth_site(c, variant, args.site)
-    return 0, None, complexes.serialize(out)
-
-
-def _double_cover(args):
-    from . import complexes, covers
-
-    return 0, None, complexes.serialize(covers.orientation_double_cover(_read_complex(args.file)))
-
-
-def _cyclic_cover(args):
-    from . import complexes, covers
-
-    c = _read_complex(args.file)
-    if args.voltages is None:
-        out = covers.find_nonorientable_cyclic_cover(c, args.n)
-    else:
-        labels = sorted({abs(v) for word in c.polygons for v in word})
-        if len(args.voltages) != len(labels):
-            raise CoverError(
-                "need %d voltages (one per label), got %d" % (len(labels), len(args.voltages))
-            )
-        assignment = covers.VoltageAssignment.from_dict(args.n, dict(zip(labels, args.voltages)))
-        out = covers.cyclic_cover(c, assignment)
-    return 0, None, complexes.serialize(out)
-
-
-def _enumerate(args):
-    from . import trigroup
-
-    recs = trigroup.low_index_subgroups(
-        args.p, args.q, args.r, args.index,
-        torsion_free=args.torsion_free,
-        proper=args.proper or None,
-        max_count=args.max_count,
-    )
-    return 0, {"format_version": 1, "count": len(recs), "records": recs}, None
-
-
-def _to_group(args):
-    from . import trigroup
-
-    return 0, trigroup.complex_to_subgroup(_read_complex(args.file)), None
-
-
-def _from_group(args):
-    from . import complexes, trigroup
-
-    with open(args.record, "r", encoding="utf-8") as fh:
-        rec = trigroup.record_from_json(fh.read())
-    return 0, None, complexes.serialize(trigroup.subgroup_to_complex(rec))
-
-
-def _render(args):
-    from . import geometry
-
-    return 0, None, geometry.render_svg(geometry.realize(_read_complex(args.file)))
-
-
-def _catalog(args):
-    from . import catalog
-
-    entries = catalog.load_all().values()
-    lines = ["%-4s k=%-3d g=%-3d N=%-3d  %s" % (e.name, e.k, e.g, e.n, e.provenance)
-             for e in entries]
-    return 0, {
-        "format_version": 1,
-        "entries": {
-            e.name: {"k": e.k, "g": e.g, "N": e.n, "provenance": e.provenance}
-            for e in entries
-        },
-    }, "\n".join(lines) + "\n"
-
-
-_INT = {"type": int, "required": True}
-_FLAG = {"action": "store_true"}
-_FILE = ("file", {"nargs": "?"})
-_JSON = ("--json", _FLAG)
-
-#: every command, in the order of the usage line: its help text, its
-#: handler and its arguments after -o, each a name and add_argument's
-#: keywords.  A handler takes the parsed arguments and returns (exit code,
-#: JSON payload, text); main writes the payload under --json or when the
-#: text is None, the text otherwise
-_COMMANDS = {
-    "bound": ("extremal radius bound for (k, g)", _bound, [("--k", _INT), ("--g", _INT), _JSON]),
-    "feasible": ("does a k-extremal genus-g surface exist?", _feasible,
-                 [("--k", _INT), ("--g", _INT), _JSON]),
-    "primitive": ("the primitive pair (k_N, g_N) of a cell size", _primitive,
-                  [("--N", _INT), _JSON]),
-    "line": ("the parameter line of cell size N", _line,
-             [("--N", _INT), ("--jmax", {"type": int, "default": 5}), _JSON]),
-    "dual": ("pairs {k1, k2} realizable on one genus-g surface", _dual, [("--g", _INT), _JSON]),
-    "unique": ("can a (k, g) surface carry several extremal packings?", _unique,
-               [("--k", _INT), ("--g", _INT), _JSON]),
-    "build": ("build the primitive complex of cell size N by grafting", _build, [("--N", _INT)]),
-    "realize": ("build a certified complex for any feasible (k, g)", _realize,
-                [("--k", _INT), ("--g", _INT)]),
-    "verify": ("certify a complex file; exit 0 iff extremal", _verify, [_FILE, _JSON]),
-    # the values of grafting.GraftVariant, spelt out so that building the
-    # parser does not import grafting
-    "graft": ("apply one edge-grafting variant", _graft, [
-        _FILE,
-        ("--variant", {"required": True, "choices": ("EG1", "EG2", "EG3", "EG4")}),
-        ("--site", {"type": int, "help": "site index (default: first workable)"}),
-    ]),
-    "double-cover": ("orientation double cover of a non-orientable complex", _double_cover,
-                     [_FILE]),
-    "cyclic-cover": ("degree-n cyclic cover (voltages found if omitted)", _cyclic_cover, [
-        _FILE,
-        ("--n", _INT),
-        ("--voltages", {"type": int, "nargs": "*",
-                        "help": "one residue per edge label, in label order"}),
-    ]),
-    "enumerate": ("low-index subgroup search in an extended triangle group", _enumerate, [
-        ("--p", _INT), ("--q", _INT), ("--r", _INT), ("--index", _INT),
-        ("--torsion-free", _FLAG), ("--proper", _FLAG), ("--max-count", {"type": int}),
-    ]),
-    "to-group": ("flag action of a certified complex, as a subgroup record", _to_group, [_FILE]),
-    "from-group": ("rebuild the quotient complex of a subgroup record", _from_group,
-                   [("record", {"help": "subgroup record JSON file"})]),
-    "render": ("draw a certified complex in the unit disk as SVG", _render, [_FILE]),
-    "catalog": ("list the shipped catalog", _catalog, [_JSON]),
-}
+def _fast(argv: list[str]):
+    """build_parser().parse_args(argv)'s namespace, read from _COMMANDS,
+    when argv is canonical: the command, then its declared options by their
+    exact names, each at most once and each followed by its value as its own
+    word, its positional and every required option, with values that their
+    type and choices accept.  None otherwise, for build_parser's parser to
+    parse: help, an abbreviation, '--opt=value', a repeat, any other word or
+    value that starts with '-' ('-', '--', a negative number), a missing or
+    extra argument, or a rejected value."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    values = {"command": argv[0]}
+    options, positionals = {}, []
+    for flag, kwargs in [("--output", {})] + _COMMANDS[argv[0]][2]:
+        dest = flag.lstrip("-").replace("-", "_")
+        values[dest] = kwargs.get("default", False if "action" in kwargs else None)
+        if flag.startswith("-"):
+            options[flag] = dest, kwargs
+        else:
+            positionals.append((dest, kwargs))
+    options["-o"] = options["--output"]
+    given, i = set(), 1
+    while i < len(argv):
+        if not argv[i].startswith("-"):
+            if not positionals:
+                return None
+            values[positionals.pop(0)[0]] = argv[i]
+            i += 1
+            continue
+        dest, kwargs = options.get(argv[i], (None, None))
+        if dest is None or dest in given:
+            return None
+        given.add(dest)
+        i += 1
+        if "action" in kwargs:
+            values[dest] = True
+            continue
+        if kwargs.get("nargs") == "*":
+            end = next((j for j in range(i, len(argv)) if argv[j].startswith("-")), len(argv))
+        elif i < len(argv) and not argv[i].startswith("-"):
+            end = i + 1
+        else:
+            return None
+        try:
+            words = [kwargs.get("type", str)(w) for w in argv[i:end]]
+        except ValueError:
+            return None
+        if "choices" in kwargs and any(w not in kwargs["choices"] for w in words):
+            return None
+        values[dest] = words if "nargs" in kwargs else words[0]
+        i = end
+    if any("nargs" not in kwargs for _, kwargs in positionals) or any(
+            kwargs.get("required") and dest not in given for dest, kwargs in options.values()):
+        return None
+    return SimpleNamespace(**values)
 
 
 def main(argv: list[str] | None = None) -> int:

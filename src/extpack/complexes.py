@@ -39,6 +39,10 @@ cold command is large and a caller that only certifies loads neither.
 The library calls them there.  The module __getattr__ resolves here only
 the package's public names among them and the two the benchmark tracer
 wraps on this module, occurrences and vertex_cycles_with_crossings.
+
+New library capability goes in a new module, not here; a function here
+that needs it imports that module inside its body, as trigroup imports
+_lowindex.  A new command is one entry in _commands.
 """
 
 from __future__ import annotations

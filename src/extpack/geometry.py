@@ -17,6 +17,10 @@ The extremal Dirichlet cells are regular N-gons with interior angle
 2*pi/3; their trigonometry pins cosh(inradius) = 1/(2 sin(pi/N)), which is
 the same closed form as the packing radius bound, so the geometric and
 arithmetic layers can be cross-checked exactly.
+
+New library capability goes in a new module, not here; a function here
+that needs it imports that module inside its body, as trigroup imports
+_lowindex.  A new command is one entry in _commands.
 """
 
 from __future__ import annotations

@@ -24,6 +24,11 @@ every generator acts as a fixed-point-free involution whose pairwise
 products have full cycle length.  When the type is (2, 3, N) the flag
 action is exactly the flag structure of a polygon complex; the two
 conversion directions live here.
+
+New library capability goes in a new module, not here; a function here
+that needs it imports that module inside its body, as
+iter_low_index_subgroups imports _lowindex.  A new command is one entry
+in _commands.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from extpack import catalog, cli, grafting
+from extpack import _commands, catalog, cli, grafting
 from extpack import complexes as cx
 from extpack import trigroup as tg
 from extpack.errors import InvariantError, RewriteSearchError, UnknownCatalogEntryError
@@ -879,13 +879,13 @@ def test_handlers_hand_on_the_library_records():
     # the payload holds the records; the encoder asks each for its dict
     parser = cli.build_parser()
     args = parser.parse_args(["enumerate", "--p", "2", "--q", "3", "--r", "7", "--index", "28"])
-    code, payload, text = cli._enumerate(args)
+    code, payload, text = _commands._enumerate(args)
     assert (code, text) == (0, None)
     assert payload == {"format_version": 1, "count": 13, "records": tg.low_index_subgroups(2, 3, 7, 28)}
     assert all(isinstance(r, tg.SubgroupRecord) for r in payload["records"])
     x12 = catalog.load_entry("X12").complex
-    assert cli._verify(parser.parse_args(["verify", "X12"]))[1] == cx.verify_extremal(x12)
-    assert cli._to_group(parser.parse_args(["to-group", "X12"]))[1] == tg.complex_to_subgroup(x12)
+    assert _commands._verify(parser.parse_args(["verify", "X12"]))[1] == cx.verify_extremal(x12)
+    assert _commands._to_group(parser.parse_args(["to-group", "X12"]))[1] == tg.complex_to_subgroup(x12)
 
 
 def test_group_round_trip(tmp_path, capsys):

@@ -95,19 +95,22 @@ def test_library_has_no_assert_statements():
 
 
 def test_cli_reads_no_private_library_name():
-    """The CLI runs on the library's public names: it reads no
-    underscore-prefixed attribute of an extpack module."""
-    path = ROOT / "src" / "extpack" / "cli.py"
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    """The CLI runs on the library's public names: neither cli.py nor its
+    command module, _commands.py, reads an underscore-prefixed attribute
+    of an extpack module."""
+    trees = {name: ast.parse((ROOT / "src" / "extpack" / name).read_text(encoding="utf-8"), filename=name)
+             for name in ("cli.py", "_commands.py")}
     modules = {
         alias.asname or alias.name
+        for tree in trees.values()
         for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom) and node.module in (None, "extpack")
         for alias in node.names
     }
     assert "grafting" in modules
     found = [
-        "cli.py:%d %s.%s" % (node.lineno, node.value.id, node.attr)
+        "%s:%d %s.%s" % (name, node.lineno, node.value.id, node.attr)
+        for name, tree in trees.items()
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and node.attr.startswith("_")
         and isinstance(node.value, ast.Name) and node.value.id in modules
@@ -116,11 +119,11 @@ def test_cli_reads_no_private_library_name():
 
 
 def test_the_cli_declares_its_commands_once():
-    """The CLI builds every subparser from one table, cli._COMMANDS: a
-    second add_parser call in cli.py or in its parsers' module, _cmdline.py,
+    """The CLI builds every subparser from one table, _COMMANDS: a second
+    add_parser call in cli.py or in its command module, _commands.py,
     would be a second list of the commands."""
     calls = []
-    for name in ("cli.py", "_cmdline.py"):
+    for name in ("cli.py", "_commands.py"):
         path = ROOT / "src" / "extpack" / name
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         calls += [
@@ -134,10 +137,10 @@ def test_the_cli_declares_its_commands_once():
 
 def test_the_cli_imports_argparse_in_build_parser_only():
     """The CLI parses a line with argparse on one path: build_parser, in
-    the parsers' module _cmdline.py, the only place in it or in cli.py that
-    imports it."""
+    cli.py, the only place in it or in its command module, _commands.py,
+    that imports it."""
     imports, trees = [], {}
-    for name in ("cli.py", "_cmdline.py"):
+    for name in ("cli.py", "_commands.py"):
         path = ROOT / "src" / "extpack" / name
         trees[name] = tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         imports += [
@@ -146,8 +149,8 @@ def test_the_cli_imports_argparse_in_build_parser_only():
             if isinstance(node, (ast.Import, ast.ImportFrom))
             and "argparse" in [getattr(node, "module", None)] + [alias.name for alias in node.names]
         ]
-    (build,) = [node for node in trees["_cmdline.py"].body if getattr(node, "name", None) == "build_parser"]
-    assert len(imports) == 1 and imports[0][0] == "_cmdline.py" and build.lineno < imports[0][1] <= build.end_lineno, (
+    (build,) = [node for node in trees["cli.py"].body if getattr(node, "name", None) == "build_parser"]
+    assert len(imports) == 1 and imports[0][0] == "cli.py" and build.lineno < imports[0][1] <= build.end_lineno, (
         "argparse is imported at %s" % imports)
 
 
@@ -210,7 +213,7 @@ def test_the_low_index_search_has_one_entry_point():
                 elif name == "low_index_subgroups":
                     listed.append(path.name)
     assert built == [("trigroup.py", "iter_low_index_subgroups")], built
-    assert listed == ["cli.py"], listed
+    assert listed == ["_commands.py"], listed
 
 
 #: what each cold command may not load; run in a fresh interpreter, since
@@ -271,6 +274,29 @@ def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv, unused):
     assert ("extpack._lowindex" in modules) == (argv[0] == "enumerate"), modules
     assert ("extpack._reflection" in modules) == (argv[0] == "render"), modules
     assert ("extpack._blocks" in modules) == ("--torsion-free" in argv), modules
+
+
+#: a sitecustomize that lists the package's loaded modules when the
+#: interpreter exits
+LIST_AT_EXIT = (
+    "import atexit, json, sys\n"
+    "atexit.register(lambda: print(json.dumps(sorted(m for m in sys.modules if m.startswith('extpack'))),\n"
+    "                              file=sys.stderr))\n"
+)
+
+
+def test_the_program_run_as_a_module_loads_cli_once(tmp_path):
+    # python -m extpack.cli runs cli.py as __main__, and no module imports
+    # extpack.cli, so the run does not load and execute the file a second
+    # time under its package name
+    (tmp_path / "sitecustomize.py").write_text(LIST_AT_EXIT)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), str(ROOT / "src")]))
+    out = subprocess.run([sys.executable, "-m", "extpack.cli", "bound", "--k", "1", "--g", "3"],
+                         cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert out.returncode == 0 and out.stdout.startswith("cosh R = 1.93185"), out.stderr
+    modules = json.loads(out.stderr.splitlines()[-1])
+    assert "extpack.feasibility" in modules, modules
+    assert "extpack.cli" not in modules, modules
 
 
 def test_a_census_loads_neither_the_least_code_pass_nor_geometry(tmp_path):
@@ -539,22 +565,35 @@ def test_every_library_name_is_read_from_its_home():
 
 def test_split_modules_are_leaves(tmp_path):
     """Every module imports at its top, before its first function or
-    class, so none ends on an import that closes a cycle; and the modules
-    split off grafting and cli, _rewrite and _cmdline, load neither."""
-    late = []
+    class, so none ends on an import that closes a cycle; no module
+    imports cli; and the modules split off grafting and cli, _rewrite and
+    _commands, load neither."""
+    late, importers = [], []
     for path in sorted((ROOT / "src" / "extpack").glob("*.py")):
-        body = ast.parse(path.read_text(encoding="utf-8"), filename=path.name).body
-        first = next((node.lineno for node in body if isinstance(node, (ast.FunctionDef, ast.ClassDef))), None)
-        late += ["%s:%d" % (path.name, node.lineno) for node in body
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=path.name)
+        first = next((node.lineno for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))), None)
+        late += ["%s:%d" % (path.name, node.lineno) for node in tree.body
                  if isinstance(node, (ast.Import, ast.ImportFrom)) and first is not None and node.lineno > first]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                # the module imported from, and each name as a submodule of it
+                base = node.module if not node.level else "extpack." + node.module if node.module else "extpack"
+                names = [base] + ["%s.%s" % (base, alias.name) for alias in node.names]
+            else:
+                continue
+            if "extpack.cli" in names:
+                importers.append("%s:%d" % (path.name, node.lineno))
     assert not late, "module-level imports below a def or class: %s" % ", ".join(late)
+    assert not importers, "modules that import cli: %s" % ", ".join(importers)
     modules = _loaded(
         tmp_path,
         "import json, sys\n"
-        "import extpack._rewrite, extpack._cmdline\n"
+        "import extpack._rewrite, extpack._commands\n"
         "print(json.dumps(sorted(m for m in sys.modules if m.startswith('extpack'))))\n",
     )
-    assert {"extpack._rewrite", "extpack._cmdline"} <= set(modules)
+    assert {"extpack._rewrite", "extpack._commands"} <= set(modules)
     assert not {"extpack.grafting", "extpack.cli"} & set(modules), modules
 
 
