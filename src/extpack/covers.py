@@ -17,7 +17,8 @@ cycle vanishes.  `find_nonorientable_cyclic_cover` searches assignments
 drawn from the integer kernel of the cycle/edge crossing matrix, in a
 deterministic order, and returns the first connected non-orientable cover;
 one exists for every n because the deck homomorphism can be chosen to kill
-an orientation-reversing loop.
+an orientation-reversing loop.  `cyclic_cover` and the search share one
+front half and one lift at every degree, so degree 1 is certified too.
 """
 
 from __future__ import annotations
@@ -85,14 +86,12 @@ def _cycle_matrix(c: PolygonComplex):
     labels = sorted({lab for cycle in cycles for lab, _ in cycle.crossings})
     col = {lab: t for t, lab in enumerate(labels)}
     rows = []
-    anchors = []
     for cycle in cycles:
         row = [0] * len(labels)
         for lab, direction in cycle.crossings:
             row[col[lab]] += direction
         rows.append(row)
-        anchors.append(cycle.corners[0])
-    return labels, rows, anchors
+    return labels, rows, [cycle.corners[0] for cycle in cycles]
 
 
 def _integer_kernel(rows: list[list[int]], ncols: int) -> list[list[int]]:
@@ -140,22 +139,35 @@ def _integer_kernel(rows: list[list[int]], ncols: int) -> list[list[int]]:
     return basis
 
 
+def _checked_base(c: PolygonComplex, n: int):
+    """The front half of every cyclic cover: the degree is at least 1 and
+    the base certifies extremal.  Returns the base's _cycle_matrix."""
+    if n < 1:
+        raise CoverError("cover degree must be >= 1")
+    rep = complexes.verify_extremal(c)
+    if not rep.ok:
+        raise CoverError("base complex is not extremal: %s" % (rep.failures,))
+    return _cycle_matrix(c)
+
+
+def _lift(c: PolygonComplex, sides, n: int, volt: dict[int, int]) -> list[list[int]]:
+    """The flag action of c lifted to n sheets by voltages volt (label to
+    shift), for sides = flag_sides(c): the one voltage lift of this module."""
+    shift = [d * volt[lab] % n for lab, d in sides]
+    return _action.lift(complexes.flag_action(c), n, [None, shift, None])
+
+
 def cyclic_cover(c: PolygonComplex, assignment: VoltageAssignment) -> PolygonComplex:
     """Degree-n cyclic cover of an extremal complex from explicit voltages.
 
     The cover is the lift of the flag action by the voltages (see the
-    module docstring for the direction).  Preconditions checked: the base
-    certifies extremal, the net voltage around every vertex cycle vanishes
-    mod n, and the lift is connected.
+    module docstring for the direction).  Preconditions checked, in order:
+    _checked_base's, a voltage per label, no net voltage around any vertex
+    cycle mod n, and a connected lift.
     """
-    rep = complexes.verify_extremal(c)
-    if not rep.ok:
-        raise CoverError("base complex is not extremal: %s" % (rep.failures,))
     n = assignment.modulus
-    if n < 1:
-        raise CoverError("cover degree must be >= 1")
+    labels, rows, anchors = _checked_base(c, n)
     volt = assignment.as_dict()
-    labels, rows, anchors = _cycle_matrix(c)
     missing = [lab for lab in labels if lab not in volt]
     if missing:
         raise CoverError("no voltage for labels %s" % missing)
@@ -170,12 +182,10 @@ def cyclic_cover(c: PolygonComplex, assignment: VoltageAssignment) -> PolygonCom
 
 
 def _cover(c: PolygonComplex, assignment: VoltageAssignment) -> PolygonComplex:
-    """The lift of c by voltages with no net voltage around any vertex
-    cycle; checked connected, and trivalent once built."""
+    """The lift of a checked base c by voltages with no net voltage around
+    any vertex cycle; checked connected, and trivalent once built."""
     n = assignment.modulus
-    volt = assignment.as_dict()
-    shift = [d * volt[lab] % n for lab, d in _vertices.flag_sides(c)]
-    lift = _action.lift(complexes.flag_action(c), n, [None, shift, None])
+    lift = _lift(c, _vertices.flag_sides(c), n, assignment.as_dict())
     if not _action.two_color(lift)[0]:
         raise CoverError("voltages give a disconnected cover of degree %d" % n)
     out = PolygonComplex(read_polygons(lift))
@@ -194,19 +204,14 @@ def find_voltage(c: PolygonComplex, n: int) -> VoltageAssignment:
     Candidates are integer combinations of a kernel basis of the cycle
     crossing matrix (so cycle sums vanish exactly), scanned in order of
     increasing coefficient radius, up to MAX_VOLTAGE_RADIUS, and
-    lexicographic within a radius.  A candidate is accepted when two_color
-    reads its lift connected and not bipartite.  The counters (kernel
-    dimension, candidates, rejects, radius) go to the "extpack.covers"
-    logger at DEBUG.
+    lexicographic within a radius, and reduced mod n; the zero vector is
+    skipped when n > 1, and at n = 1 it is the first candidate.  A
+    candidate is accepted when two_color reads its lift connected and not
+    bipartite, as the certified base itself is at n = 1.  The counters
+    (kernel dimension, candidates, rejects, radius) go to the
+    "extpack.covers" logger at DEBUG.
     """
-    if n < 1:
-        raise CoverError("cover degree must be >= 1")
-    rep = complexes.verify_extremal(c)
-    if not rep.ok:
-        raise CoverError("base complex is not extremal: %s" % (rep.failures,))
-    labels, rows, _ = _cycle_matrix(c)
-    if n == 1:
-        return VoltageAssignment.from_dict(1, {lab: 0 for lab in labels})
+    labels, rows, _ = _checked_base(c, n)
     sides = _vertices.flag_sides(c)
     basis = _integer_kernel(rows, len(labels))
     columns = list(zip(*basis))
@@ -220,13 +225,11 @@ def find_voltage(c: PolygonComplex, n: int) -> VoltageAssignment:
     tried = disconnected = orientable = radius = 0
     for radius, combo in combos:
         vec = [sum(a * b for a, b in zip(combo, col)) % n for col in columns]
-        if not any(vec):
+        if n > 1 and not any(vec):
             continue
         tried += 1
         volt = dict(zip(labels, vec))
-        shift = [d * volt[lab] % n for lab, d in sides]
-        lift = _action.lift(complexes.flag_action(c), n, [None, shift, None])
-        connected, bipartite = _action.two_color(lift)
+        connected, bipartite = _action.two_color(_lift(c, sides, n, volt))
         if not connected:
             disconnected += 1
         elif bipartite:
@@ -250,14 +253,14 @@ def find_voltage(c: PolygonComplex, n: int) -> VoltageAssignment:
 
 
 def find_nonorientable_cyclic_cover(c: PolygonComplex, n: int) -> PolygonComplex:
-    """First (in voltage search order) connected non-orientable n-cover; c at n = 1.
+    """First (in voltage search order) connected non-orientable n-cover.
 
-    find_voltage checks the base once, and its voltages vanish around every
-    vertex cycle by construction, so the cover skips cyclic_cover's checks.
+    find_voltage checks the base at every n, and its voltages vanish around
+    every vertex cycle by construction, so the cover skips cyclic_cover's
+    checks.  At n = 1 the base is certified first, then c is returned.
     """
-    if n == 1:
-        return c
-    return _cover(c, find_voltage(c, n))
+    assignment = find_voltage(c, n)
+    return c if n == 1 else _cover(c, assignment)
 
 
 def realize_spec(k: int, g: int) -> PolygonComplex:

@@ -107,7 +107,6 @@ def is_feasible(k: int, g: int) -> bool:
 
 
 def require_feasible(k: int, g: int) -> None:
-    _check_domain(k, g)
     if not is_feasible(k, g):
         raise InfeasibleSpecError(
             "infeasible: k=%d does not divide 6(g-2)=%d" % (k, 6 * (g - 2))

@@ -959,6 +959,22 @@ def test_cyclic_cover_degree_below_one(capsys, argv):
     assert err == "error: cover degree must be >= 1\n"
 
 
+@pytest.mark.parametrize(
+    "argv", [["--n", "1"], ["--n", "2"], ["--n", "1", "--voltages", "0", "0"]],
+    ids=["search-1", "search-2", "explicit-1"],
+)
+def test_cyclic_cover_of_a_klein_bottle(tmp_path, capsys, argv):
+    # the base is certified first at every degree, degree 1 included
+    path = tmp_path / "kb.cmplx"
+    path.write_text("polygon 1 2 -1 2\n")
+    code, out, err = run(capsys, "cyclic-cover", str(path), *argv)
+    assert code == 2 and out == ""
+    assert err == (
+        "error: base complex is not extremal:"
+        " ('CellTooSmall(N=4)', 'NotTrivalent(length=4, corner=(0, 0))')\n"
+    )
+
+
 @pytest.mark.parametrize("count", ["0", "-1"])
 def test_enumerate_max_count_below_one(capsys, count):
     code, out, err = run(

@@ -67,7 +67,7 @@ def test_double_cover_lift_matches_the_word_construction():
         assert cx.canonicalize(lift) == cx.canonicalize(reference_double_cover(c)), c
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_cyclic_cover_lift_matches_the_word_construction(n):
     for entry in catalog.load_all().values():
         c = entry.complex
@@ -195,6 +195,17 @@ def test_search_counters_are_logged_at_debug(caplog):
     assert _voltage_counters(caplog) == (3, 2, 0, 1, 1)  # one orientable cover rejected
 
 
+def test_degree_one_search_accepts_the_zero_assignment(seeds, caplog):
+    # at n = 1 every residue is zero: the scan's first candidate is the
+    # zero assignment, accepted and counted like any other
+    x12 = seeds[12]
+    with caplog.at_level(logging.DEBUG, logger="extpack.covers"):
+        va = covers.find_voltage(x12, 1)
+    assert va == covers.VoltageAssignment.from_dict(1, {lab: 0 for lab in cx.occurrences(x12)})
+    dim, tried, disconnected, orientable, radius = _voltage_counters(caplog)
+    assert dim > 0 and (tried, disconnected, orientable, radius) == (1, 0, 0, 1)
+
+
 @pytest.mark.parametrize("n", [0, -2])
 def test_voltage_search_rejects_degree_below_one(seeds, n):
     with pytest.raises(CoverError, match="cover degree must be >= 1"):
@@ -205,7 +216,7 @@ def test_voltage_search_rejects_degree_below_one(seeds, n):
 
 @pytest.mark.parametrize(
     "n_base,deg,expect",
-    [(12, 2, (2, 4, 12)), (7, 3, (18, 5, 7)), (9, 3, (6, 5, 9))],
+    [(12, 2, (2, 4, 12)), (7, 3, (18, 5, 7)), (9, 3, (6, 5, 9)), (12, 1, (1, 3, 12))],
 )
 def test_found_cyclic_covers(seeds, n_base, deg, expect):
     out = covers.find_nonorientable_cyclic_cover(seeds[n_base], deg)
@@ -233,8 +244,12 @@ def test_cyclic_cover_precondition_errors(seeds):
     bad = covers.VoltageAssignment.from_dict(2, {lab: 1 for lab in labels})
     with pytest.raises(CoverError, match="net voltage"):
         covers.cyclic_cover(x12, bad)
+    kb = PolygonComplex(((1, 2, -1, 2),))
     with pytest.raises(CoverError, match="not extremal"):
-        covers.cyclic_cover(PolygonComplex(((1, 2, -1, 2),)), zero)
+        covers.cyclic_cover(kb, zero)
+    for n in (1, 2):  # degree 1 certifies the base like any other degree
+        with pytest.raises(CoverError, match="not extremal"):
+            covers.find_nonorientable_cyclic_cover(kb, n)
 
 
 def test_explicit_voltage_route_matches_search(seeds):

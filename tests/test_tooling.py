@@ -216,6 +216,21 @@ def test_the_low_index_search_has_one_entry_point():
     assert listed == ["_commands.py"], listed
 
 
+def test_covers_has_one_voltage_lift():
+    """Every cyclic cover, searched or from explicit voltages, is lifted by
+    covers._lift; the orientation double cover is the one other lift."""
+    path = ROOT / "src" / "extpack" / "covers.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    callers = sorted(
+        getattr(top, "name", None)
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "lift" and getattr(node.func.value, "id", None) == "_action"
+    )
+    assert callers == ["_lift", "orientation_double_cover"], callers
+
+
 #: what each cold command may not load; run in a fresh interpreter, since
 #: this process has imported the whole package already; only enumerate
 #: runs the low-index search, so only enumerate loads its kernel, _lowindex,
