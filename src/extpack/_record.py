@@ -8,12 +8,12 @@ class Record:
 
     The fields are the class annotations, in order; a class-level value is
     a field's default, and _uncompared names the fields left out of == and
-    hash.  __post_init__ runs after the fields are set, looked up through
-    the class.  A call with one positional argument per field skips the
+    hash.  A call with one positional argument per field skips the
     binding of keywords and defaults.  The fields are written to the
-    instance dict in one update.  A class built in a hot loop writes them
-    the same way in its own __init__, with no binding at all, as
-    PolygonComplex does, of which a census builds thousands.  VertexCycle
+    instance dict in one update, and nothing runs after.  A class that
+    checks its fields, or is built in a hot loop, writes them the same way
+    in its own __init__, with no binding at all, as PolygonComplex does,
+    of which a census builds thousands.  VertexCycle
     and GraftSite take the positional path: one build or realize makes at
     most 91 VertexCycles and 54 GraftSites.
     """
@@ -35,10 +35,6 @@ class Record:
                     cls.__qualname__, ", ".join(fields), len(args), ", ".join(kwargs) or "no keywords"))
             args = [values[f] for f in fields]
         self.__dict__.update(zip(fields, args))
-        self.__post_init__()
-
-    def __post_init__(self):
-        pass
 
     def _key(self):
         return tuple([getattr(self, f) for f in self._compared])

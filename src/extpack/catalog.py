@@ -3,8 +3,11 @@
 The four seeds X7, X8, X9, X12 realize the primitive pairs (6,3), (3,3),
 (2,3), (1,3); they are found by the torsion-free proper low-index search
 in the matching (2, 3, N) extended triangle group and frozen as data
-files.  Derived entries: X10/X11/X15 from the grafting schedules, and
-D18 (simultaneously 1- and 4-extremal, genus 4) and D14 (genus 6),
+files.  Each seed is the first class of its search whose canonical form
+takes step 1 of its own graft schedule (grafting._step), one rule for
+all four: the 5th index-84 class for X7, the 1st for the others.
+Derived entries: X10/X11/X15 from the grafting schedules, and D18
+(simultaneously 1- and 4-extremal, genus 4) and D14 (genus 6),
 obtained from surface subgroups of the (3, 3, 9) and (3, 3, 7) reflection
 groups pushed through the index-2 inclusions (3, 3, n) < (2, 3, 2n).
 D14 is certified as (k, g, N) = (3, 6, 14).  Its 24-extremal side is an
@@ -22,7 +25,7 @@ from importlib import resources
 from . import complexes
 from ._record import Record
 from .complexes import PolygonComplex
-from .errors import InvariantError, UnknownCatalogEntryError
+from .errors import IneligibleSiteError, InvariantError, RewriteSearchError, UnknownCatalogEntryError
 
 #: name -> (k, g, N, provenance)
 EXPECTED = {
@@ -61,34 +64,32 @@ def _certify(name: str, c: PolygonComplex) -> PolygonComplex:
 
 
 def derive(name: str) -> PolygonComplex:
-    """Recompute a catalog complex from scratch (search or grafting)."""
+    """Recompute a catalog complex from scratch (search or grafting).
+
+    A seed is the first class of its torsion-free proper search whose
+    canonical form takes step 1 of its own graft schedule (grafting._step);
+    the search stops there."""
     if name not in EXPECTED:
         raise UnknownCatalogEntryError("unknown catalog entry %r" % (name,))
     k, g, n, _ = EXPECTED[name]
+    from . import grafting, trigroup
+
     if name in SEED_NAMES:
-        from . import trigroup
-
         stream = trigroup.iter_low_index_subgroups(2, 3, n, 2 * k * n, torsion_free=True, proper=True)
-        found = map(trigroup.subgroup_to_complex, stream)
-        if name == "X7":
-            # the N = +-1 (mod 6) schedules pair grafts at two cycles whose
-            # polygons split three against three; not every index-84 class
-            # has that shape, so take the first that does
-            from . import grafting
-
-            found = filter(grafting.has_complementary_pair, found)
-        c = next(found, None)
+        for c in map(complexes.canonicalize, map(trigroup.subgroup_to_complex, stream)):
+            try:
+                grafting._step(c, n, 1)
+                break
+            except (IneligibleSiteError, RewriteSearchError):
+                pass
+        else:
+            raise RuntimeError("no class at index %d takes step 1 of its graft schedule" % (2 * k * n,))
         stream.close()
-        if c is None:
-            raise RuntimeError("seed search found nothing at index %d" % (2 * k * n,))
     elif name.startswith("X"):
-        from . import grafting
-
-        c = grafting.build_primitive(n)
+        c = complexes.canonicalize(grafting.build_primitive(n))
     else:
-        c = _dual_extremal_complex(k, n)
-    c = complexes._renamed(complexes.canonicalize(c), name)
-    return _certify(name, c)
+        c = complexes.canonicalize(_dual_extremal_complex(k, n))
+    return _certify(name, complexes._renamed(c, name))
 
 
 def _dual_extremal_complex(k: int, two_n: int) -> PolygonComplex:

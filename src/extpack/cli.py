@@ -147,7 +147,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = _fast(argv) or build_parser().parse_args(argv)
     # exit codes by error family: the library's domain errors are ValueErrors
-    # but for UnknownCatalogEntryError, a KeyError caught before KeyError;
+    # but for UnknownCatalogEntryError, a KeyError caught before LookupError;
     # EnumerationCapError, InvariantError and RewriteSearchError are
     # RuntimeErrors, the first caught before the rest
     try:
@@ -161,7 +161,7 @@ def main(argv: list[str] | None = None) -> int:
     except EnumerationCapError as err:
         print("resource limit: %s" % err, file=sys.stderr)
         return RESOURCE_EXIT
-    except (RuntimeError, ArithmeticError, KeyError) as err:
+    except (RuntimeError, ArithmeticError, LookupError) as err:
         print("internal error: %s" % err, file=sys.stderr)
         return INTERNAL_EXIT
 

@@ -64,9 +64,10 @@ class PolygonComplex(Record):
     Creating a complex validates its labels and writes t1, outside the
     record fields, in one pass that also decides connectivity and
     orientability on the polygon graph; flag_action derives t0 and t2.
-    __init__ writes the fields in one update of the instance dict, and
-    __post_init__, which it calls through the class, writes the checked
-    polygons, t1 and the orientability bit in one more.
+    Its own __init__, not Record's, writes the fields in one update of the
+    instance dict and calls __post_init__ through the class, so that a
+    wrapper set on the class sees every complex; __post_init__ writes the
+    checked polygons, t1 and the orientability bit in one more update.
     """
 
     polygons: tuple[tuple[int, ...], ...]
@@ -88,7 +89,7 @@ class PolygonComplex(Record):
                 if not word:
                     raise InvalidComplexError("empty polygon")
                 for v in word:
-                    if not isinstance(v, int) or v == 0:
+                    if type(v) is not int or v == 0:
                         raise InvalidComplexError("labels must be nonzero integers, got %r" % (v,))
         # one pass pairs the sides and writes t1 (see flag_action): seen maps
         # a label to its first side's leaving flag, end flag, sign, polygon

@@ -29,7 +29,9 @@ phases of the alternation and share the same mechanism.
 Iterating grafts from the four seed complexes produces a primitive
 extremal complex for every cell size N >= 7 (`build_primitive`).  N mod 6
 only picks the seed and its schedule, so the process keeps one chain per
-seed and every N of that seed reads a prefix of it.
+seed and every N of that seed reads a prefix of it.  One routine, _step,
+takes a step of a schedule: the chain steps through it, and
+catalog.derive picks each seed as the first class that takes step 1.
 
 The wiring table and the size policy (WIRINGS, _TWIST_ROWS, _twist,
 graft_room, _misses_room, _fits) live in the private module _rewrite, so
@@ -213,20 +215,6 @@ def _graft_at(c, site) -> tuple[Rewrite, PolygonComplex]:
     return found
 
 
-def has_complementary_pair(c: PolygonComplex) -> bool:
-    """True when some shared-edge cycle (an EG3 site) and some disjoint
-    second cycle split the polygons three against three: the shape the
-    paired k = 6 grafting steps consume.  c must be graftable."""
-    if c.num_polygons != 6:
-        return False
-    polys = {frozenset(p for p, _ in cycle.corners) for cycle in _vertices.vertex_cycles(c)}
-    for site in eligible_sites(c, GraftVariant.EG3):
-        a = frozenset(p for p, _ in site.corners)
-        if len(a) == 3 and frozenset(range(6)) - a in polys:
-            return True
-    return False
-
-
 def apply_graft(c: PolygonComplex, site: GraftSite) -> PolygonComplex:
     """Perform one edge-grafting at the site; genus goes up by one.
 
@@ -336,8 +324,19 @@ _SCHEDULES = {
 _chains: dict[int, list[PolygonComplex]] = {}
 
 
-def _chain(seed: int, steps: int) -> PolygonComplex:
+def _step(c: PolygonComplex, seed: int, step: int) -> tuple[PolygonComplex, ...]:
+    """The complexes that step `step` (1-based) of seed's schedule appends
+    after the graftable c: both halves of a paired step (_graft_pair), else
+    one graft (_first_graft).  Raises IneligibleSiteError or
+    RewriteSearchError when c cannot take the step."""
     variants, paired = _SCHEDULES[seed]
+    variant = variants[(step - 1) % len(variants)]
+    if paired:
+        return _graft_pair(c, variant, variants[step % len(variants)])
+    return (_first_graft(c, variant),)
+
+
+def _chain(seed: int, steps: int) -> PolygonComplex:
     if seed not in _chains:
         from . import catalog
 
@@ -345,17 +344,11 @@ def _chain(seed: int, steps: int) -> PolygonComplex:
     # every later complex was checked when it was grafted (_iter_rewrites)
     chain = _chains[seed]
     while len(chain) <= steps:
-        step = len(chain)  # 1-based step number being produced
         cur = chain[-1]
-        variant = variants[(step - 1) % len(variants)]
-        if paired:
-            mid, fin = _graft_pair(cur, variant, variants[step % len(variants)])
-            chain.append(mid)
-            chain.append(fin)
-            complexes._drop_derived(mid)
-        else:
-            chain.append(_first_graft(cur, variant))
-        complexes._drop_derived(cur)
+        made = _step(cur, seed, len(chain))
+        chain += made
+        for c in (cur,) + made[:-1]:
+            complexes._drop_derived(c)
     return chain[steps]
 
 

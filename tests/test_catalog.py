@@ -31,7 +31,8 @@ def test_derivation_matches_shipped_files(tmp_path):
 @pytest.mark.parametrize(
     "name, search, records",
     [
-        # X7 is the first index-84 class with a complementary pair: the 5th
+        # X7 is the first index-84 class whose canonical form takes step 1
+        # of its own graft schedule: the 5th
         ("X7", (2, 3, 7, 84), 5),
         ("X8", (2, 3, 8, 48), 1),
         ("X9", (2, 3, 9, 36), 1),

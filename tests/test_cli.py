@@ -1108,6 +1108,20 @@ def test_internal_errors_exit_4(monkeypatch, capsys, module, name, argv, error):
     assert err == "internal error: %s\n" % error
 
 
+def test_any_lookup_error_exits_4(monkeypatch, capsys):
+    # an IndexError is a LookupError, like the KeyError above, and exits the
+    # same way: one line on stderr, no traceback
+    help_text, _, arguments = _commands._COMMANDS["catalog"]
+
+    def fail(args):
+        raise IndexError("tuple index out of range")
+
+    monkeypatch.setitem(_commands._COMMANDS, "catalog", (help_text, fail, arguments))
+    code, out, err = run(capsys, "catalog")
+    assert (code, out) == (4, "")
+    assert err == "internal error: tuple index out of range\n" and "Traceback" not in err
+
+
 def test_unknown_catalog_entry_is_a_domain_error(monkeypatch, capsys):
     with pytest.raises(KeyError):
         catalog.load_entry("X99")

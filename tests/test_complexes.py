@@ -1,3 +1,4 @@
+import enum
 import hashlib
 import random
 
@@ -71,7 +72,7 @@ VALIDATION_CASES = [
     (((1, 1.0),), NONZERO % 1.0),
     (((1, "1"),), NONZERO % "'1'"),
     (((1, None, 1),), NONZERO % None),
-    (((True, False),), NONZERO % False),
+    (((True, False),), NONZERO % True),  # a bool is not an int label
     (((1, 1, 2),), UNPAIRED % 2),  # seen once
     (((1, 1, 1),), UNPAIRED % 1),  # seen three times
     (((2, 2, 2, 2, 1, 1),), UNPAIRED % 2),  # seen four times
@@ -92,12 +93,16 @@ def test_validation_errors():
         assert str(err.value) == message, words
 
 
-def test_bool_labels_are_accepted_as_integers():
-    # bool is an int subclass, so True is label 1
-    c = PolygonComplex(((True, 1),))
-    assert c.polygons == ((True, 1),)
-    assert cx.flag_action(c) == cx.flag_action(PolygonComplex(((1, 1),)))
-    assert cx.surface_invariants(c) == cx.surface_invariants(PolygonComplex(((1, 1),)))
+def test_bool_and_int_enum_labels_are_rejected():
+    # the scan that words the error tests a label's type as the fast check
+    # does, so a bool or an IntEnum is named, not read as the int it equals
+    class Label(enum.IntEnum):
+        TWO = 2
+
+    for label in (True, Label.TWO):
+        with pytest.raises(InvalidComplexError) as err:
+            PolygonComplex(((1, label, 1, label),))
+        assert str(err.value) == NONZERO % repr(label), label
 
 
 def reference_flags(words):

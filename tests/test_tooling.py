@@ -231,6 +231,52 @@ def test_covers_has_one_voltage_lift():
     assert callers == ["_lift", "orientation_double_cover"], callers
 
 
+def test_a_graft_chain_step_has_one_routine():
+    """grafting._step takes every step of a seed's schedule: the graft chain
+    steps through it, and catalog.derive picks each seed by it; no module
+    keeps a second test of the shape a step needs."""
+    callers, shape_tests = [], []
+    for path in sorted((ROOT / "src" / "extpack").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == "has_complementary_pair":
+                    shape_tests.append(path.name)
+                if isinstance(node, ast.Call) and (
+                        getattr(node.func, "id", None) == "_step" or getattr(node.func, "attr", None) == "_step"):
+                    callers.append((path.stem, getattr(top, "name", None)))
+    assert sorted(callers) == [("catalog", "derive"), ("grafting", "_chain")], callers
+    assert not shape_tests, shape_tests
+
+
+def test_every_private_helper_is_read():
+    """Each private top-level function or class of the library is read
+    somewhere in the library outside its own definition, so a helper does
+    not outlive its last caller."""
+    sources = {path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=path.name)
+               for path in sorted((ROOT / "src" / "extpack").glob("*.py"))}
+    private, readers = [], {}
+    for module, tree in sources.items():
+        for top in tree.body:
+            name = getattr(top, "name", None)
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and name.startswith("_") and not name.endswith("__"):
+                private.append((module, name))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    reads = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    reads = [node.attr]
+                elif isinstance(node, ast.ImportFrom):
+                    reads = [alias.name for alias in node.names]
+                else:
+                    continue
+                for read in reads:
+                    readers.setdefault(read, set()).add((module, name))
+    unread = ["%s.%s" % (module, name) for module, name in private
+              if not readers.get(name, set()) - {(module, name)}]
+    assert len(private) > 60 and not unread, unread
+
+
 #: what each cold command may not load; run in a fresh interpreter, since
 #: this process has imported the whole package already; only enumerate
 #: runs the low-index search, so only enumerate loads its kernel, _lowindex,
