@@ -211,6 +211,8 @@ def serialize(c: complexes.PolygonComplex) -> str:
     canon = complexes.canonicalize(c)
     lines = [FORMAT_HEADER]
     if canon.name:
+        if canon.name.splitlines() != [canon.name]:
+            raise ValueError("complex name %r holds a line break" % canon.name)
         lines.append("name %s" % canon.name)
     for word in canon.polygons:
         lines.append("polygon " + " ".join(str(v) for v in word))

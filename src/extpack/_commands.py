@@ -131,12 +131,7 @@ def _verify(args):
 def _graft(args):
     from . import complexes, grafting
 
-    c = _read_complex(args.file)
-    variant = grafting.GraftVariant(args.variant)
-    if args.site is None:
-        out = grafting.graft_first_site(c, variant)
-    else:
-        out = grafting.graft_nth_site(c, variant, args.site)
+    out = grafting.graft(_read_complex(args.file), grafting.GraftVariant(args.variant), args.site)
     return 0, None, complexes.serialize(out)
 
 

@@ -162,8 +162,8 @@ def cyclic_cover(c: PolygonComplex, assignment: VoltageAssignment) -> PolygonCom
 
     The cover is the lift of the flag action by the voltages (see the
     module docstring for the direction).  Preconditions checked, in order:
-    _checked_base's, a voltage per label, no net voltage around any vertex
-    cycle mod n, and a connected lift.
+    _checked_base's, a voltage per label, none for a label c lacks, no net
+    voltage around any vertex cycle mod n, and a connected lift.
     """
     n = assignment.modulus
     labels, rows, anchors = _checked_base(c, n)
@@ -171,6 +171,9 @@ def cyclic_cover(c: PolygonComplex, assignment: VoltageAssignment) -> PolygonCom
     missing = [lab for lab in labels if lab not in volt]
     if missing:
         raise CoverError("no voltage for labels %s" % missing)
+    extra = sorted(set(volt) - set(labels))
+    if extra:
+        raise CoverError("voltages for labels the complex does not have: %s" % extra)
     for row, anchor in zip(rows, anchors):
         s = sum(coef * volt[lab] for coef, lab in zip(row, labels)) % n
         if s:

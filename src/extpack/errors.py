@@ -31,7 +31,9 @@ class RewriteSearchError(RuntimeError):
     """A paired graft step found no first half whose second half ends
     uniform; the message names the sites and the first halves tried.
 
-    This signals a bug in the schedules rather than bad input.
+    Inside a graft chain it signals a bug in the schedules rather than bad
+    input.  catalog.derive reads it as "this class cannot take step 1" of
+    its seed's schedule, and passes on to the next class of its search.
     """
 
 

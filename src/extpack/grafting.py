@@ -11,14 +11,18 @@ grafted.  The wirings are the rows of WIRINGS, one table for all four
 variants.  How many new sides each polygon may take is one policy,
 `graft_room`: exactly what makes the complex uniform when one graft can,
 else up to the size a second graft can equalize (the free half of a
-pair), else no limit.  A graft that picks its own site
-(`graft_first_site`, the chain's steps) reads one stream, `_grafts`: the
-sites that room leaves, row by row.  Which rows leave every vertex
-trivalent depends only on the site's twist, which of its three crossings
-reverse orientation (`_TWIST_ROWS`).  `discover_rewrite` returns the
-first row of the twist, in table order, whose side counts fit the room;
-the grafted complex is checked in full.  Any such rewrite changes (V, E,
-F) by (+2, +3, 0), so the genus goes up by exactly one.
+pair), else no limit.  One routine, `graft`, grafts the variant at a
+site it picks or at a site given by index; when it picks (the CLI's
+`graft` without `--site`, and each single step of a chain, which runs
+its core on a complex already checked) it reads one stream, `_grafts`:
+the sites that room leaves, row by row.  `apply_graft` and
+`discover_rewrite` take a site itself and check it in one place
+(`_eligible`): it must be one of `eligible_sites`.  Which rows leave
+every vertex trivalent depends only on the site's twist, which of its
+three crossings reverse orientation (`_TWIST_ROWS`).  `discover_rewrite`
+returns the first row of the twist, in table order, whose side counts
+fit the room; the grafted complex is checked in full.  Any such rewrite
+changes (V, E, F) by (+2, +3, 0), so the genus goes up by exactly one.
 
 The four variants come in two alternating families.  EG1/EG2 act at a
 cycle seen as three separate boundary corners; EG3/EG4 act at a cycle two
@@ -99,15 +103,11 @@ def apply_rewrite(c: PolygonComplex, rw: Rewrite) -> PolygonComplex:
     return PolygonComplex(tuple(tuple(w) for w in words), name=c.name)
 
 
-#: the message of every graftability check
-_NOT_GRAFTABLE = "complex is not graftable (trivalent + non-orientable)"
-
-
 def _graftable(c: PolygonComplex) -> PolygonComplex:
     """c, once one capped walk has found it graftable; NotExtremalError
     otherwise.  The public entry points check their argument with it."""
     if not complexes.is_graftable(c):
-        raise NotExtremalError(_NOT_GRAFTABLE)
+        raise NotExtremalError("complex is not graftable (trivalent + non-orientable)")
     return c
 
 
@@ -192,15 +192,24 @@ def discover_rewrite(c: PolygonComplex, site: GraftSite) -> Rewrite:
 
     Each row of WIRINGS inserts six new sides, three new pairs, at the
     site's corners; the rows that graft are those of the site's twist.
-    Raises NotExtremalError when c is not graftable and
-    IneligibleSiteError when none of the rows fits the room.
+    Raises NotExtremalError when c is not graftable, and
+    IneligibleSiteError when the site is not one of eligible_sites or
+    none of the rows fits the room.
     """
-    return _graft_at(_graftable(c), site)[0]
+    return _graft_at(_eligible(c, site), site)[0]
+
+
+def _eligible(c: PolygonComplex, site: GraftSite) -> PolygonComplex:
+    """c, once it is graftable and the site is one of its eligible_sites:
+    the one site check of the entry points that take a site."""
+    if site not in _iter_sites(_graftable(c), site.variant):
+        raise IneligibleSiteError("site %s is not eligible for %s" % (site.corners, site.variant))
+    return c
 
 
 def _graft_at(c, site) -> tuple[Rewrite, PolygonComplex]:
     """discover_rewrite's rewrite together with the grafted complex; c must
-    be graftable."""
+    be graftable and the site one of its sites."""
     room = graft_room(c)
     found = next(_iter_rewrites(c, site, room), None)
     if found is None:
@@ -220,13 +229,10 @@ def apply_graft(c: PolygonComplex, site: GraftSite) -> PolygonComplex:
 
     The new sides fill the room of graft_room: uniform complexes with
     k = 1 or 3 polygons grow uniformly, and k = 2 and 6 grow freely up to
-    the size a second graft can equalize.  Raises IneligibleSiteError when
-    the site is not one of eligible_sites or no row of its twist fits the room
-    there.
+    the size a second graft can equalize.  Raises what discover_rewrite
+    raises, at the same sites.
     """
-    if site not in _iter_sites(_graftable(c), site.variant):
-        raise IneligibleSiteError("site %s is not eligible for %s" % (site.corners, site.variant))
-    return _graft_at(c, site)[1]
+    return _graft_at(_eligible(c, site), site)[1]
 
 
 def _grafts(c: PolygonComplex, variant: GraftVariant):
@@ -239,45 +245,35 @@ def _grafts(c: PolygonComplex, variant: GraftVariant):
             yield out
 
 
-def _sites(c: PolygonComplex, variant: GraftVariant) -> list[GraftSite]:
-    sites = eligible_sites(c, variant)
+def graft(c: PolygonComplex, variant: GraftVariant, index: int | None = None) -> PolygonComplex:
+    """Apply the variant at one site, under the same room as apply_graft.
+
+    With index None the site is the first that a row grafts at: the first
+    graft of the stream the graft chain reads (_grafts), which passes over
+    the sites the room rules out.  With an int it is site `index` of
+    eligible_sites.  Raises NotExtremalError when c is not graftable, and
+    IneligibleSiteError when the complex has no site of the variant, no
+    row of any site's twist fits the room (index None), the index is out
+    of range, or no row of the site's twist fits the room there.
+    """
+    return _graft(_graftable(c), variant, index)
+
+
+def _graft(c: PolygonComplex, variant: GraftVariant, index: int | None = None) -> PolygonComplex:
+    """graft on a graftable c, which is not checked again.  Every site is
+    counted only when the stream has no graft or an index is given."""
+    if index is None:
+        out = next(_grafts(c, variant), None)
+        if out is not None:
+            return out
+    sites = list(_iter_sites(c, variant))
     if not sites:
         raise IneligibleSiteError("the complex has no %s site" % variant.value)
-    return sites
-
-
-def graft_first_site(c: PolygonComplex, variant: GraftVariant) -> PolygonComplex:
-    """Apply the variant at the first eligible site where a row grafts,
-    under the same room as apply_graft: the first graft of the stream the
-    graft chain reads (_grafts), which passes over the sites the room
-    rules out.
-
-    Raises IneligibleSiteError when the complex has no site of the variant
-    or no row of any site's twist fits the room.  Every site is counted for
-    that message, and only there.
-    """
-    return _first_graft(_graftable(c), variant)
-
-
-def _first_graft(c: PolygonComplex, variant: GraftVariant) -> PolygonComplex:
-    """graft_first_site on a graftable c, which is not checked again."""
-    out = next(_grafts(c, variant), None)
-    if out is None:
+    if index is None:
         raise IneligibleSiteError(
             "no %s site of %d can take a graft: no wiring row fits the room %s of sizes %s"
-            % (variant.value, len(_sites(c, variant)), graft_room(c), c.sizes)
+            % (variant.value, len(sites), graft_room(c), c.sizes)
         )
-    return out
-
-
-def graft_nth_site(c: PolygonComplex, variant: GraftVariant, index: int) -> PolygonComplex:
-    """Apply the variant at site `index` of eligible_sites, which walks the
-    vertex cycles once and so stands for apply_graft's check.
-
-    Raises IneligibleSiteError when the complex has no site of the variant,
-    the index is out of range, or no row of the site's twist fits the room.
-    """
-    sites = _sites(c, variant)
     if not 0 <= index < len(sites):
         raise IneligibleSiteError("site index %d out of range (0..%d)" % (index, len(sites) - 1))
     return _graft_at(c, sites[index])[1]
@@ -327,13 +323,13 @@ _chains: dict[int, list[PolygonComplex]] = {}
 def _step(c: PolygonComplex, seed: int, step: int) -> tuple[PolygonComplex, ...]:
     """The complexes that step `step` (1-based) of seed's schedule appends
     after the graftable c: both halves of a paired step (_graft_pair), else
-    one graft (_first_graft).  Raises IneligibleSiteError or
+    one graft (_graft).  Raises IneligibleSiteError or
     RewriteSearchError when c cannot take the step."""
     variants, paired = _SCHEDULES[seed]
     variant = variants[(step - 1) % len(variants)]
     if paired:
         return _graft_pair(c, variant, variants[step % len(variants)])
-    return (_first_graft(c, variant),)
+    return (_graft(c, variant),)
 
 
 def _chain(seed: int, steps: int) -> PolygonComplex:

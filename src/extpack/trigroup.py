@@ -314,7 +314,7 @@ def complex_to_subgroup(c: complexes.PolygonComplex) -> SubgroupRecord:
 
 
 def subgroup_to_complex(rec: SubgroupRecord) -> complexes.PolygonComplex:
-    """Quotient surface of a torsion-free proper (2, 3, N) subgroup.
+    """Quotient surface of a torsion-free proper (2, 3, N) subgroup, N >= 7.
 
     Cosets are flags: polygons are the <r0, r2> orbits, edges the <r0, r1>
     orbits, and the pairing signs come from which end of the partner side
@@ -327,6 +327,8 @@ def subgroup_to_complex(rec: SubgroupRecord) -> complexes.PolygonComplex:
     p, q, N = rec.params
     if (p, q) != (2, 3):
         raise ValueError("complex reconstruction needs a (2, 3, N) record")
+    if N < 7:
+        raise ValueError("complex reconstruction needs N >= 7, got N = %d" % N)
     if not (rec.torsion_free and rec.proper):
         raise ValueError("complex reconstruction needs a torsion-free proper record")
     out = complexes.PolygonComplex(read_polygons(rec.perms))

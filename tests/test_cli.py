@@ -937,6 +937,20 @@ def test_malformed_record_is_a_domain_error(tmp_path, capsys, change, message):
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("r, index", [("5", "60"), ("6", "24")])
+def test_from_group_below_seven_is_a_domain_error(tmp_path, capsys, r, index):
+    # the first torsion-free proper record of (2, 3, 5) and (2, 3, 6) has
+    # no extremal quotient: a domain error, not an internal one
+    code, out, _ = run(capsys, "enumerate", "--p", "2", "--q", "3", "--r", r, "--index", index,
+                       "--torsion-free", "--proper")
+    assert code == 0
+    path = tmp_path / "rec.json"
+    path.write_text(json.dumps(json.loads(out)["records"][0]))
+    code, out, err = run(capsys, "from-group", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: complex reconstruction needs N >= 7, got N = %s\n" % r
+
+
 @pytest.mark.parametrize(
     "argv",
     [["verify", "{dir}"], ["from-group", "{dir}"], ["build", "--N", "7", "-o", "{dir}"]],

@@ -1,6 +1,7 @@
 import enum
 import hashlib
 import random
+import re
 
 import pytest
 
@@ -351,6 +352,18 @@ def test_serialize_parse_round_trip():
         assert cx.serialize(back) == text
         canon = cx.canonicalize(c)
         assert back == canon
+
+
+def test_serialize_refuses_a_name_with_a_line_break(seeds):
+    # parse reads lines by str.splitlines, so a name that holds a break
+    # would come back as another complex, or none
+    for name in ("X12", "kb", "a name with spaces", "\u00e9t\u00e9"):
+        c = cx._renamed(seeds[12], name)
+        back = cx.parse(cx.serialize(c))
+        assert back == cx.canonicalize(c) and back.name == name
+    for name in ("\n", "\r", "\u2028", "kb\npolygon 1 1", "kb\r", "kb\u2028polygon 1 1"):
+        with pytest.raises(ValueError, match="^%s$" % re.escape("complex name %r holds a line break" % name)):
+            cx.serialize(cx._renamed(seeds[12], name))
 
 
 def test_renamed_complex_shares_its_flag_action(seeds):

@@ -252,6 +252,19 @@ def test_cyclic_cover_precondition_errors(seeds):
             covers.find_nonorientable_cyclic_cover(kb, n)
 
 
+def test_cyclic_cover_rejects_voltages_for_labels_it_lacks(seeds):
+    # a voltage for a label the complex does not have is named, after the
+    # labels that have none
+    volt = covers.find_voltage(seeds[12], 2).as_dict()
+    extra = covers.VoltageAssignment.from_dict(2, {**volt, 999: 1})
+    with pytest.raises(CoverError, match=r"voltages for labels the complex does not have: \[999\]"):
+        covers.cyclic_cover(seeds[12], extra)
+    missing = covers.VoltageAssignment.from_dict(2, {**{lab: v for lab, v in volt.items() if lab != 1}, 999: 1})
+    with pytest.raises(CoverError, match=r"no voltage for labels \[1\]"):
+        covers.cyclic_cover(seeds[12], missing)
+    assert covers.cyclic_cover(seeds[12], covers.VoltageAssignment.from_dict(2, volt)).sizes == (12, 12)
+
+
 def test_explicit_voltage_route_matches_search(seeds):
     va = covers.find_voltage(seeds[12], 2)
     out = covers.cyclic_cover(seeds[12], va)

@@ -45,8 +45,8 @@ def test_every_entry_point_checks_its_complex(seeds):
     torus = cx.PolygonComplex(((1, 2, 1, 2),))
     site = gr.eligible_sites(seeds[8], gr.GraftVariant.EG1)[0]
     for call in (
-        lambda: gr.graft_first_site(torus, gr.GraftVariant.EG1),
-        lambda: gr.graft_nth_site(torus, gr.GraftVariant.EG1, 0),
+        lambda: gr.graft(torus, gr.GraftVariant.EG1),
+        lambda: gr.graft(torus, gr.GraftVariant.EG1, 0),
         lambda: gr.apply_graft(torus, site),
         lambda: gr.discover_rewrite(torus, site),
     ):
@@ -55,25 +55,25 @@ def test_every_entry_point_checks_its_complex(seeds):
 
 
 def test_apply_graft_x8_to_x10(seeds):
-    out = gr.graft_first_site(seeds[8], gr.GraftVariant.EG1)
+    out = gr.graft(seeds[8], gr.GraftVariant.EG1)
     rep = cx.verify_extremal(out)
     assert (rep.k, rep.g, rep.n) == (3, 4, 10)
     # the paired variant has a site in the image
     assert gr.eligible_sites(out, gr.GraftVariant.EG2)
-    out2 = gr.graft_first_site(out, gr.GraftVariant.EG2)
+    out2 = gr.graft(out, gr.GraftVariant.EG2)
     rep2 = cx.verify_extremal(out2)
     assert (rep2.k, rep2.g, rep2.n) == (3, 5, 12)
 
 
 def test_apply_graft_x12_to_18(seeds):
-    out = gr.graft_first_site(seeds[12], gr.GraftVariant.EG2)
+    out = gr.graft(seeds[12], gr.GraftVariant.EG2)
     rep = cx.verify_extremal(out)
     assert (rep.k, rep.g, rep.n) == (1, 4, 18)
 
 
 def test_graft_step_deltas(seeds):
     c = seeds[8]
-    out = gr.graft_first_site(c, gr.GraftVariant.EG1)
+    out = gr.graft(c, gr.GraftVariant.EG1)
     before = cx.surface_invariants(c)
     after = cx.surface_invariants(out)
     assert after.edges == before.edges + 3
@@ -124,7 +124,7 @@ def test_a_graft_with_no_room_limit(variant, sizes):
     # polygon's growth is limited and the first fitting row grafts
     c = covers.realize_spec(5, 7)
     assert gr.graft_room(c) is None
-    out = gr.graft_first_site(c, gr.GraftVariant(variant))
+    out = gr.graft(c, gr.GraftVariant(variant))
     assert out.sizes == sizes
     assert cx.is_graftable(out)
     assert cx.surface_invariants(out).genus == 8
@@ -164,11 +164,23 @@ def test_catalog_sites_graft_or_are_ineligible():
     assert verdicts == {"grafts": 224, "ineligible": 108}
 
 
-def test_apply_graft_validates_site(seeds):
+@pytest.mark.parametrize("entry", [gr.apply_graft, gr.discover_rewrite], ids=lambda f: f.__name__)
+def test_apply_graft_validates_site(seeds, entry):
+    # both entry points that take a site reject, by one check, a site that
+    # is not one of eligible_sites: a cycle of X8, which X12 does not
+    # have; a cycle of X12 with no shared edge, given as EG3; and a
+    # fabricated cycle
     site = gr.eligible_sites(seeds[8], gr.GraftVariant.EG1)[0]
-    wrong = gr.GraftSite(variant=gr.GraftVariant.EG3, cycle=site.cycle)
-    with pytest.raises(IneligibleSiteError):
-        gr.apply_graft(seeds[12], wrong)
+    x12_site = gr.eligible_sites(seeds[12], gr.GraftVariant.EG2)[0]
+    fabricated = cx.VertexCycle(((0, 0), (0, 1), (0, 2)))
+    for wrong in (
+        gr.GraftSite(variant=gr.GraftVariant.EG3, cycle=site.cycle),
+        gr.GraftSite(variant=gr.GraftVariant.EG3, cycle=x12_site.cycle),
+        gr.GraftSite(variant=gr.GraftVariant.EG1, cycle=fabricated),
+        gr.GraftSite(variant=gr.GraftVariant.EG2, cycle=fabricated),
+    ):
+        with pytest.raises(IneligibleSiteError, match="is not eligible for"):
+            entry(seeds[12], wrong)
 
 
 @pytest.mark.parametrize("n", list(range(7, 32)))
@@ -217,7 +229,7 @@ def test_build_primitive_builds_only_the_sites_its_room_leaves(monkeypatch):
     assert 0 < len(built) <= 60
     monkeypatch.undo()
     assert c == gr.build_primitive(41)
-    # eligible_sites and graft_nth_site still read every site: X15's EG1
+    # eligible_sites and graft at an index still read every site: X15's EG1
     # grafts reach a room that only some of the sites meet
     x15 = catalog.load_entry("X15").complex
     c = list(itertools.islice(gr._grafts(x15, gr.GraftVariant.EG1), 4))[-1]
@@ -227,7 +239,7 @@ def test_build_primitive_builds_only_the_sites_its_room_leaves(monkeypatch):
     assert kept == [site for site in sites if not gr._misses_room({p for p, _ in site.corners}, room)]
     assert 0 < len(kept) < len(sites)
     with pytest.raises(IneligibleSiteError, match=r"site index %d out of range \(0\.\.%d\)" % (len(sites), len(sites) - 1)):
-        gr.graft_nth_site(c, gr.GraftVariant.EG1, len(sites))
+        gr.graft(c, gr.GraftVariant.EG1, len(sites))
 
 
 def test_build_primitive_checks_each_complex_once(monkeypatch):
@@ -322,7 +334,7 @@ def test_graft_first_site_reads_the_room_stream():
         for variant in gr.GraftVariant:
             expected = reference_first_graft(c, variant)
             if expected is not None:
-                assert gr.graft_first_site(c, variant) == expected, (c, variant)
+                assert gr.graft(c, variant) == expected, (c, variant)
                 verdicts["grafts"] += 1
                 continue
             sites = gr.eligible_sites(c, variant)
@@ -330,7 +342,7 @@ def test_graft_first_site_reads_the_room_stream():
                        % (variant.value, len(sites), gr.graft_room(c), c.sizes)
                        if sites else "the complex has no %s site" % variant.value)
             with pytest.raises(IneligibleSiteError) as err:
-                gr.graft_first_site(c, variant)
+                gr.graft(c, variant)
             assert str(err.value) == message, (c, variant)
             verdicts[bool(sites)] += 1
     assert verdicts == {"grafts": 212, True: 4, False: 12}, verdicts

@@ -249,6 +249,25 @@ def test_a_graft_chain_step_has_one_routine():
     assert not shape_tests, shape_tests
 
 
+def test_one_graft_routine_serves_the_graft_command():
+    """The `graft` command grafts through grafting.graft alone, with or
+    without --site, and no module keeps the routines it replaced."""
+    calls, replaced = {}, []
+    for path in sorted((ROOT / "src" / "extpack").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in (
+                        "graft_first_site", "graft_nth_site", "_first_graft", "_sites"):
+                    replaced.append((path.stem, node.name))
+                if (path.stem == "_commands" and isinstance(node, ast.Call)
+                        and getattr(node.func, "value", None) is not None
+                        and getattr(node.func.value, "id", None) == "grafting"):
+                    calls.setdefault(top.name, []).append(node.func.attr)
+    assert calls == {"_build": ["build_primitive"], "_graft": ["graft", "GraftVariant"]}, calls
+    assert not replaced, replaced
+
+
 def test_every_private_helper_is_read():
     """Each private top-level function or class of the library is read
     somewhere in the library outside its own definition, so a helper does

@@ -486,6 +486,16 @@ def test_complex_to_subgroup_and_back():
         assert cx.serialize(back) == shipped.replace("name %s\n" % name, ""), name
 
 
+@pytest.mark.parametrize("r, index", [(5, 60), (6, 24)])
+def test_subgroup_to_complex_rejects_cell_size_below_seven(r, index):
+    # a torsion-free proper (2, 3, N) record with N < 7 has no extremal
+    # quotient: it is refused before the quotient is built
+    (rec,) = tg.low_index_subgroups(2, 3, r, index, torsion_free=True, proper=True, max_count=1)
+    assert rec.torsion_free and rec.proper
+    with pytest.raises(ValueError, match=r"^complex reconstruction needs N >= 7, got N = %d$" % r):
+        tg.subgroup_to_complex(rec)
+
+
 def test_x7_record_has_hurwitz_index(seeds):
     assert tg.complex_to_subgroup(seeds[7]).index == 84
 
