@@ -207,12 +207,19 @@ def parse(text: str) -> complexes.PolygonComplex:
 
 
 def serialize(c: complexes.PolygonComplex) -> str:
-    """Write the canonical form of c in the complex file format."""
+    """Write the canonical form of c in the complex file format.
+
+    parse reads lines by str.splitlines and strips the name line, so a name
+    that holds a line break, or starts or ends with whitespace, would not
+    come back as it is: serialize raises ValueError for it.
+    """
     canon = complexes.canonicalize(c)
     lines = [FORMAT_HEADER]
     if canon.name:
         if canon.name.splitlines() != [canon.name]:
             raise ValueError("complex name %r holds a line break" % canon.name)
+        if canon.name != canon.name.strip():
+            raise ValueError("complex name %r starts or ends with whitespace" % canon.name)
         lines.append("name %s" % canon.name)
     for word in canon.polygons:
         lines.append("polygon " + " ".join(str(v) for v in word))

@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage, 2 infeasible or malformed input, a failed
-certificate, or a file that cannot be read or written, 3 exhausted
-resource caps, 4 internal error (a failed library invariant, any other
-RuntimeError, or an arithmetic or lookup failure inside the library,
-reported without a traceback).  Complex files are read from a path, from
-the shipped catalog by name (X7, X12, ...), or from stdin when the
+certificate, or a file that cannot be read or written, 3 an exhausted
+resource cap or memory (MemoryError), 4 internal error (a failed library
+invariant, any other RuntimeError, RecursionError among them, or an
+arithmetic or lookup failure inside the library).  Each failure is one
+line on stderr, never a traceback.  Complex files are read from a path,
+from the shipped catalog by name (X7, X12, ...), or from stdin when the
 argument is omitted or '-'; results go to stdout unless -o is given, so
 commands compose in pipelines.  Each command is declared once, in
 _COMMANDS, and imports the library modules it runs inside its handler, so
@@ -149,7 +150,8 @@ def main(argv: list[str] | None = None) -> int:
     # exit codes by error family: the library's domain errors are ValueErrors
     # but for UnknownCatalogEntryError, a KeyError caught before LookupError;
     # EnumerationCapError, InvariantError and RewriteSearchError are
-    # RuntimeErrors, the first caught before the rest
+    # RuntimeErrors, the first caught before the rest; a MemoryError, whose
+    # message is often empty, is a resource limit
     try:
         code, payload, text = _COMMANDS[args.command][1](args)
         json_out = text is None or getattr(args, "json", False)
@@ -158,8 +160,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, UnknownCatalogEntryError) as err:
         print("error: %s" % err, file=sys.stderr)
         return DOMAIN_EXIT
-    except EnumerationCapError as err:
-        print("resource limit: %s" % err, file=sys.stderr)
+    except (EnumerationCapError, MemoryError) as err:
+        print("resource limit: %s" % (str(err) or "out of memory"), file=sys.stderr)
         return RESOURCE_EXIT
     except (RuntimeError, ArithmeticError, LookupError) as err:
         print("internal error: %s" % err, file=sys.stderr)

@@ -5,6 +5,13 @@ bound itself, which is evaluated in double precision.  Throughout, k is the
 number of discs and g >= 3 the non-orientable genus; a packing is feasible
 iff k divides 6(g-2), in which case the Dirichlet cells are regular N-gons
 with N = 6 + 6(g-2)/k.
+
+Each domain rule has one owner here, and every other routine, in this
+module or outside it, calls that owner rather than test the rule again, so
+a rule gives one message at every entry point: _check_domain tests k >= 1
+and g >= 3 (ValueError), _cell_size tests that k divides 6(g-2)
+(InfeasibleSpecError), and smallest_k tests that a cell size is at least 7
+(ValueError).
 """
 
 from __future__ import annotations
@@ -22,7 +29,9 @@ from .errors import InfeasibleSpecError
 ARITHMETIC_CELL_SIZES = frozenset({7, 8, 9, 10, 11, 12, 14, 16, 18, 24, 30})
 
 
-def _check_domain(k: int, g: int) -> None:
+def _check_domain(k: int = 1, g: int = 3) -> None:
+    """The domain rules k >= 1 and g >= 3; a caller that takes one of k
+    and g passes that one alone."""
     if k < 1:
         raise ValueError("need k >= 1, got k=%r" % (k,))
     if g < 3:
@@ -106,13 +115,6 @@ def is_feasible(k: int, g: int) -> bool:
     return 6 * (g - 2) % k == 0
 
 
-def require_feasible(k: int, g: int) -> None:
-    if not is_feasible(k, g):
-        raise InfeasibleSpecError(
-            "infeasible: k=%d does not divide 6(g-2)=%d" % (k, 6 * (g - 2))
-        )
-
-
 def universal_k() -> frozenset[int]:
     """The k admitting extremal packings on every genus g >= 3."""
     return frozenset({1, 2, 3, 6})
@@ -120,16 +122,14 @@ def universal_k() -> frozenset[int]:
 
 def feasible_genus_progression(k: int) -> GenusProgression:
     """Genera guaranteed to admit k discs: all g >= 3 with g = 2 (mod k/gcd(k,6))."""
-    if k < 1:
-        raise ValueError("need k >= 1, got k=%r" % (k,))
+    _check_domain(k)
     m = k // gcd(k, 6)
     return GenusProgression(k=k, modulus=m, residue=2 % m)
 
 
 def count_feasible_k(g: int) -> int:
     """Number of k >= 1 with k | 6(g-2), i.e. the divisor count of 6(g-2)."""
-    if g < 3:
-        raise ValueError("need g >= 3, got g=%r" % (g,))
+    _check_domain(g=g)
     n = 6 * (g - 2)
     count = 0
     d = 1
@@ -170,13 +170,15 @@ def primitive_pair(N: int) -> tuple[int, int]:
 def _cell_size(k: int, g: int) -> int:
     """The cell size N = 6 + 6(g-2)/k of a feasible pair; InfeasibleSpecError
     otherwise."""
-    require_feasible(k, g)
+    if not is_feasible(k, g):
+        raise InfeasibleSpecError("infeasible: k=%d does not divide 6(g-2)=%d" % (k, 6 * (g - 2)))
     return 6 + 6 * (g - 2) // k
 
 
 def is_primitive(k: int, g: int) -> bool:
-    """True iff (k, g) is the minimal pair for its cell size."""
-    return (k, g) == primitive_pair(_cell_size(k, g))
+    """True iff (k, g) is the minimal pair for its cell size: position 1
+    on its line."""
+    return cover_index(k, g) == 1
 
 
 def cover_index(k: int, g: int) -> int:
@@ -196,8 +198,7 @@ def dual_extremal_pairs(g: int) -> set[frozenset[int]]:
     {(3g-6)/4, 6g-12}, for g = 2 (mod 4).  Any other multiplicity is
     impossible.
     """
-    if g < 3:
-        raise ValueError("need g >= 3, got g=%r" % (g,))
+    _check_domain(g=g)
     pairs: set[frozenset[int]] = set()
     if g % 2 == 0 and g >= 4:
         pairs.add(frozenset({(g - 2) // 2, 2 * g - 4}))

@@ -357,9 +357,8 @@ def build_primitive(N: int) -> PolygonComplex:
     Intermediate complexes with imprimitive or non-uniform data are kept
     internally but never returned.  The output is the graft chain's own
     labeling, not the canonical form: cyclic covers are searched over it.
+    A cell size below 7 raises feasibility.smallest_k's ValueError.
     """
-    if N < 7:
-        raise ValueError("need cell size N >= 7, got %r" % (N,))
     from .feasibility import smallest_k
 
     seed = _SEEDS[N % 6]

@@ -101,11 +101,12 @@ def record_from_json(text: str) -> SubgroupRecord:
 
     Only "triangle" and "generators" are read; classify checks the action
     and recomputes the classification ("subgroup_words" and the stored
-    flags are ignored).  A malformed record raises ValueError.
+    flags are ignored).  A malformed record raises ValueError, and so does
+    JSON nested too deeply to decode.
     """
     try:
         d = json.loads(text)
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, RecursionError) as err:
         raise ValueError("subgroup record is not JSON: %s" % err) from None
     if not isinstance(d, dict):
         raise ValueError("subgroup record is not a JSON object")

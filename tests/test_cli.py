@@ -12,7 +12,12 @@ import pytest
 from extpack import _commands, catalog, cli, grafting
 from extpack import complexes as cx
 from extpack import trigroup as tg
-from extpack.errors import InvariantError, RewriteSearchError, UnknownCatalogEntryError
+from extpack.errors import (
+    EnumerationCapError,
+    InvariantError,
+    RewriteSearchError,
+    UnknownCatalogEntryError,
+)
 
 
 def run(capsys, *argv):
@@ -922,11 +927,13 @@ def _generators(edit):
         (_generators(lambda g: [p + [x + 24 for x in p] for p in g]),
          "the action is not transitive"),
         (lambda d: "generators: [[0]]", "subgroup record is not JSON"),
+        # too deep for the JSON decoder's stack: malformed, not internal
+        (lambda d: "[" * 100000 + "]" * 100000, "subgroup record is not JSON: maximum recursion depth"),
         (lambda d: dict(d, triangle=[2, 3, 7]),
          "rotation r2 r0 has a cycle of length 12, which does not divide 7"),
     ],
     ids=["out-of-range", "non-permutation", "non-involution", "two-generators",
-         "missing-key", "disconnected", "non-json", "wrong-triangle"],
+         "missing-key", "disconnected", "non-json", "deep-nesting", "wrong-triangle"],
 )
 def test_malformed_record_is_a_domain_error(tmp_path, capsys, change, message):
     doc = change(_x12_record())
@@ -934,7 +941,15 @@ def test_malformed_record_is_a_domain_error(tmp_path, capsys, change, message):
     path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     code, out, err = run(capsys, "from-group", str(path))
     assert code == 2 and out == ""
-    assert err.startswith("error: ") and message in err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["dual", "--g", "2"], ["bound", "--k", "1", "--g", "2"]])
+def test_the_genus_rule_reads_the_same_from_every_command(capsys, argv):
+    # feasibility._check_domain owns the rule; dual and bound both call it
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: need non-orientable genus g >= 3, got g=2\n"
 
 
 @pytest.mark.parametrize("r, index", [("5", "60"), ("6", "24")])
@@ -1122,18 +1137,38 @@ def test_internal_errors_exit_4(monkeypatch, capsys, module, name, argv, error):
     assert err == "internal error: %s\n" % error
 
 
-def test_any_lookup_error_exits_4(monkeypatch, capsys):
-    # an IndexError is a LookupError, like the KeyError above, and exits the
-    # same way: one line on stderr, no traceback
+#: every error family main maps: the error a handler raises, the exit code
+#: and the one stderr line
+ERROR_FAMILIES = [
+    (ValueError("need k >= 1, got k=0"), 2, "error: need k >= 1, got k=0"),
+    (OSError("[Errno 28] No space left on device"), 2, "error: [Errno 28] No space left on device"),
+    (UnknownCatalogEntryError("unknown catalog entry 'X99'"), 2, "error: unknown catalog entry 'X99'"),
+    (EnumerationCapError("node cap 10 reached"), 3, "resource limit: node cap 10 reached"),
+    # raised by the handler itself: no test allocates for real
+    (MemoryError(), 3, "resource limit: out of memory"),
+    (RuntimeError("no seed"), 4, "internal error: no seed"),
+    (RecursionError("maximum recursion depth exceeded"), 4,
+     "internal error: maximum recursion depth exceeded"),
+    (ArithmeticError("residual"), 4, "internal error: residual"),
+    # a LookupError, like the KeyError of test_internal_errors_exit_4
+    (IndexError("tuple index out of range"), 4, "internal error: tuple index out of range"),
+]
+
+
+@pytest.mark.parametrize("error,code,line", ERROR_FAMILIES,
+                         ids=[type(error).__name__ for error, _, _ in ERROR_FAMILIES])
+def test_every_error_family_maps_to_its_exit_code(monkeypatch, capsys, error, code, line):
+    # each family main maps is one line on stderr with its prefix, no
+    # traceback and no output
     help_text, _, arguments = _commands._COMMANDS["catalog"]
 
     def fail(args):
-        raise IndexError("tuple index out of range")
+        raise error
 
     monkeypatch.setitem(_commands._COMMANDS, "catalog", (help_text, fail, arguments))
-    code, out, err = run(capsys, "catalog")
-    assert (code, out) == (4, "")
-    assert err == "internal error: tuple index out of range\n" and "Traceback" not in err
+    result, out, err = run(capsys, "catalog")
+    assert (result, out) == (code, "")
+    assert err == line + "\n" and "Traceback" not in err
 
 
 def test_unknown_catalog_entry_is_a_domain_error(monkeypatch, capsys):

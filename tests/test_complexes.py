@@ -366,6 +366,19 @@ def test_serialize_refuses_a_name_with_a_line_break(seeds):
             cx.serialize(cx._renamed(seeds[12], name))
 
 
+def test_serialize_refuses_a_name_with_outer_whitespace(seeds):
+    # parse strips the name line, so " kb" and "kb " would come back as
+    # "kb", and a name of whitespace alone as no name
+    for name in ("X12", "X12+", "K24G10", "a b"):
+        c = cx._renamed(seeds[12], name)
+        back = cx.parse(cx.serialize(c))
+        assert back == cx.canonicalize(c) and back.name == name
+    for name in (" kb", "kb ", "\t", " ", "kb\t", "\u00a0kb"):
+        expected = "complex name %r starts or ends with whitespace" % name
+        with pytest.raises(ValueError, match="^%s$" % re.escape(expected)):
+            cx.serialize(cx._renamed(seeds[12], name))
+
+
 def test_renamed_complex_shares_its_flag_action(seeds):
     # the copy shares what c has derived, and derives nothing for c
     c = PolygonComplex(seeds[9].polygons, "X9")

@@ -4,6 +4,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from extpack import covers, grafting
 from extpack import feasibility as fz
 from extpack.errors import InfeasibleSpecError
 
@@ -39,6 +40,29 @@ def test_radius_bound_domain_errors():
         fz.packing_radius_bound(0, 5)
     with pytest.raises(ValueError):
         fz.packing_radius_bound(1, 2)
+
+
+@pytest.mark.parametrize(
+    "message,calls",
+    [
+        ("need non-orientable genus g >= 3, got g=2",
+         [(fz.packing_radius_bound, 1, 2), (fz.count_feasible_k, 2), (fz.dual_extremal_pairs, 2)]),
+        ("need k >= 1, got k=0", [(fz.is_feasible, 0, 3), (fz.feasible_genus_progression, 0)]),
+        ("need cell size N >= 7, got N=6",
+         [(fz.smallest_k, 6), (fz.primitive_pair, 6), (grafting.build_primitive, 6)]),
+        ("infeasible: k=4 does not divide 6(g-2)=6",
+         [(fz.is_primitive, 4, 3), (fz.cover_index, 4, 3), (fz.uniqueness_class, 4, 3),
+          (covers.realize_spec, 4, 3)]),
+    ],
+    ids=["genus", "discs", "cell-size", "divisibility"],
+)
+def test_each_domain_rule_has_one_message_at_every_entry_point(message, calls):
+    # one routine owns each rule and every entry point calls it, so the
+    # wording cannot drift between copies
+    for call, *args in calls:
+        with pytest.raises(ValueError) as info:
+            call(*args)
+        assert str(info.value) == message, call.__name__
 
 
 def test_radius_bound_monotone_on_grid():

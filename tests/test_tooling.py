@@ -249,6 +249,50 @@ def test_a_graft_chain_step_has_one_routine():
     assert not shape_tests, shape_tests
 
 
+def test_catalog_and_grafting_hold_one_seed_set():
+    """catalog may not import grafting at module level, so each names the
+    seeds: a seed added in one module alone fails here."""
+    from extpack import catalog, grafting
+    from extpack.errors import UnknownCatalogEntryError
+
+    seeds = {int(name[1:]) for name in catalog.SEED_NAMES}
+    assert seeds == set(grafting._SCHEDULES) == set(grafting._SEEDS) == {7, 8, 9, 12}
+    accepted = set()
+    for n in range(-1, 40):
+        try:
+            c = catalog.seed_complex(n)
+        except UnknownCatalogEntryError:
+            continue
+        assert {len(word) for word in c.polygons} == {n}
+        accepted.add(n)
+    assert accepted == seeds
+
+
+def test_each_domain_rule_has_one_owner():
+    """feasibility._check_domain alone tests k >= 1 and g >= 3 in the
+    library, and in feasibility and grafting smallest_k alone tests that a
+    cell size N is at least 7; every other entry point calls them, so a
+    rule reads the same from each."""
+    owners = {}
+    for path in sorted((ROOT / "src" / "extpack").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if not (isinstance(node, ast.Compare) and isinstance(node.left, ast.Name)
+                        and isinstance(node.comparators[0], ast.Constant)):
+                    continue
+                rule = (node.left.id, node.comparators[0].value)
+                if rule in (("k", 1), ("g", 3)) or (
+                        rule == ("N", 7) and path.stem in ("feasibility", "grafting")):
+                    owners.setdefault(rule, []).append((path.stem, getattr(top, "name", None)))
+    assert owners == {
+        ("k", 1): [("feasibility", "_check_domain")],
+        ("g", 3): [("feasibility", "_check_domain")],
+        ("N", 7): [("feasibility", "smallest_k")],
+    }, owners
+    assert not hasattr(importlib.import_module("extpack.feasibility"), "require_feasible")
+
+
 def test_one_graft_routine_serves_the_graft_command():
     """The `graft` command grafts through grafting.graft alone, with or
     without --site, and no module keeps the routines it replaced."""

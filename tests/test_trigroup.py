@@ -577,6 +577,13 @@ def test_record_json_round_trip(seeds):
     assert back.genus == rec.genus and back.params == rec.params
 
 
+def test_a_deeply_nested_record_is_malformed_input():
+    # the JSON decoder runs out of stack on it: a malformed record, not a
+    # failed library invariant
+    with pytest.raises(ValueError, match="^subgroup record is not JSON: maximum recursion depth"):
+        tg.record_from_json("[" * 100000 + "]" * 100000)
+
+
 class WalkSearch(li._TriangleSearch):
     """The earlier propagation: each chain walked by a method call that
     returns a 4-tuple, each relator order read from a dict."""
