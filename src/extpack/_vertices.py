@@ -1,7 +1,9 @@
 """The vertex-cycle readers of complexes: VertexCycle, the side of each
 flag (flag_sides), every vertex cycle with its corners and crossings
 (vertex_cycles), the occurrences of each label and the corners in flag
-order (_corners).
+order (_corners).  One builder, _vertex_cycle, makes a cycle's
+VertexCycle from its flags: vertex_cycles builds every cycle with it, and
+the graft sites (grafting._iter_sites) only the cycles that are sites.
 
 They live apart from complexes so that its compile stays small, and a
 caller that only certifies complexes (a census, verify_extremal and the
@@ -72,19 +74,19 @@ def flag_sides(c: complexes.PolygonComplex) -> list[tuple[int, int]]:
     return out
 
 
+def _vertex_cycle(flags: list[int], corners: list[tuple[int, int]], sides: list[tuple[int, int]]) -> VertexCycle:
+    """The VertexCycle of a cycle's flags (complexes._cycle), given c's
+    _corners and flag_sides: the library's one VertexCycle builder."""
+    # the walk leaves each corner along the side of its other flag
+    return VertexCycle(tuple([corners[f >> 1] for f in flags]), tuple([sides[f ^ 1] for f in flags]))
+
+
 def vertex_cycles(c: complexes.PolygonComplex) -> list[VertexCycle]:
     """All vertex cycles, by least corner, with their corners in cyclic
     order around the vertex and the crossings between them."""
     corners = _corners(c)
     sides = flag_sides(c)
-    # the walk leaves each corner along the side of its other flag
-    return [
-        VertexCycle(
-            tuple([corners[f >> 1] for f in flags]),
-            tuple([sides[f ^ 1] for f in flags]),
-        )
-        for flags in (complexes._cycle(c, start) for start, _ in complexes._walk(c))
-    ]
+    return [_vertex_cycle(complexes._cycle(c, start), corners, sides) for start, _ in complexes._walk(c)]
 
 
 #: the same function; the library calls it under this name, which the

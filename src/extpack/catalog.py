@@ -52,8 +52,17 @@ class CatalogEntry(Record):
     complex: PolygonComplex
 
 
+def _entry(name: str) -> tuple[int, int, int, str]:
+    """The (k, g, N, provenance) of a catalog entry, or
+    UnknownCatalogEntryError when the catalog has no entry of that name:
+    the one test of a catalog name."""
+    if name not in EXPECTED:
+        raise UnknownCatalogEntryError("unknown catalog entry %r" % (name,))
+    return EXPECTED[name]
+
+
 def _certify(name: str, c: PolygonComplex) -> PolygonComplex:
-    k, g, n, _ = EXPECTED[name]
+    k, g, n, _ = _entry(name)
     rep = complexes.verify_extremal(c)
     if not (rep.ok and (rep.k, rep.g, rep.n) == (k, g, n)):
         raise ValueError(
@@ -66,12 +75,11 @@ def _certify(name: str, c: PolygonComplex) -> PolygonComplex:
 def derive(name: str) -> PolygonComplex:
     """Recompute a catalog complex from scratch (search or grafting).
 
-    A seed is the first class of its torsion-free proper search whose
-    canonical form takes step 1 of its own graft schedule (grafting._step);
-    the search stops there."""
-    if name not in EXPECTED:
-        raise UnknownCatalogEntryError("unknown catalog entry %r" % (name,))
-    k, g, n, _ = EXPECTED[name]
+    The name is read through _entry, so an unknown one raises
+    UnknownCatalogEntryError.  A seed is the first class of its
+    torsion-free proper search whose canonical form takes step 1 of its
+    own graft schedule (grafting._step); the search stops there."""
+    k, g, n, _ = _entry(name)
     from . import grafting, trigroup
 
     if name in SEED_NAMES:
@@ -122,12 +130,13 @@ def _dual_extremal_complex(k: int, two_n: int) -> PolygonComplex:
 
 
 def load_entry(name: str) -> CatalogEntry:
-    """Read one catalog entry from its shipped file, re-certifying it."""
-    if name not in EXPECTED:
-        raise UnknownCatalogEntryError("unknown catalog entry %r" % (name,))
+    """Read one catalog entry from its shipped file, re-certifying it.
+
+    The name is read through _entry, so an unknown one raises
+    UnknownCatalogEntryError before any file is opened."""
+    k, g, n, prov = _entry(name)
     path = resources.files(__package__) / "catalog" / ("%s.cmplx" % name)
     c = complexes.parse(path.read_text(encoding="utf-8"))
-    k, g, n, prov = EXPECTED[name]
     return CatalogEntry(name, k, g, n, prov, _certify(name, complexes._renamed(c, name)))
 
 
@@ -136,9 +145,13 @@ def load_all() -> dict[str, CatalogEntry]:
 
 
 def seed_complex(n: int) -> PolygonComplex:
-    """The seed complex of cell size n (7, 8, 9 or 12), loaded and
-    certified at each call: the graft chain of a seed holds it."""
-    if n not in (7, 8, 9, 12):
+    """The seed complex of cell size n, loaded and certified at each call:
+    the graft chain of a seed holds it.
+
+    The cell sizes are those of SEED_NAMES' entries in EXPECTED (7, 8, 9
+    and 12), compared by equality, so 7.0 loads X7; any other n, "7" and
+    True among them, raises UnknownCatalogEntryError."""
+    if n not in [EXPECTED[s][2] for s in SEED_NAMES]:
         raise UnknownCatalogEntryError("no seed with cell size %r" % (n,))
     return load_entry("X%d" % n).complex
 

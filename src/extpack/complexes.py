@@ -310,7 +310,8 @@ def is_orientable(c: PolygonComplex) -> bool:
 
 
 def surface_invariants(c: PolygonComplex) -> SurfaceInvariants:
-    """Euler characteristic, orientability and genus of the glued surface."""
+    """Euler characteristic, orientability and genus of the glued surface;
+    an orientable one with odd chi is an InvariantError."""
     v = len(_walk(c))
     e = c.num_edges
     f = c.num_polygons
@@ -318,7 +319,9 @@ def surface_invariants(c: PolygonComplex) -> SurfaceInvariants:
     orientable = is_orientable(c)
     if orientable:
         if chi % 2:
-            raise InvalidComplexError("orientable surface with odd Euler characteristic")
+            raise InvariantError(
+                "surface_invariants: %r is orientable with odd Euler characteristic %d" % (c, chi)
+            )
         genus = (2 - chi) // 2
     else:
         genus = 2 - chi

@@ -37,6 +37,12 @@ from .errors import CoverError, EnumerationCapError, InvariantError
 MAX_VOLTAGE_RADIUS = 4
 
 
+def _check_degree(n: int) -> None:
+    """CoverError unless n is at least 1: the one test of a cover degree."""
+    if n < 1:
+        raise CoverError("cover degree must be >= 1")
+
+
 class VoltageAssignment(Record):
     """Sheet-shift residues, one per edge label, for a degree-n cyclic cover."""
 
@@ -48,8 +54,9 @@ class VoltageAssignment(Record):
 
     @classmethod
     def from_dict(cls, n: int, d: dict[int, int]) -> "VoltageAssignment":
-        if n < 1:
-            raise CoverError("cover degree must be >= 1")
+        """The degree-n assignment of d's voltages, each reduced mod n; the
+        degree is checked first (_check_degree), before any v % n."""
+        _check_degree(n)
         return cls(modulus=n, voltages=tuple(sorted((k, v % n) for k, v in d.items())))
 
 
@@ -140,10 +147,10 @@ def _integer_kernel(rows: list[list[int]], ncols: int) -> list[list[int]]:
 
 
 def _checked_base(c: PolygonComplex, n: int):
-    """The front half of every cyclic cover: the degree is at least 1 and
-    the base certifies extremal.  Returns the base's _cycle_matrix."""
-    if n < 1:
-        raise CoverError("cover degree must be >= 1")
+    """The front half of every cyclic cover: the degree is at least 1
+    (_check_degree) and the base certifies extremal.  Returns the base's
+    _cycle_matrix."""
+    _check_degree(n)
     rep = complexes.verify_extremal(c)
     if not rep.ok:
         raise CoverError("base complex is not extremal: %s" % (rep.failures,))

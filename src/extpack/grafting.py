@@ -128,8 +128,8 @@ def _iter_sites(c: PolygonComplex, variant: GraftVariant, room=None):
     c must be graftable: it is not checked again here.  The walk that
     checked it, kept on c, holds every cycle's start; a cycle's flags
     are read from its start (complexes._cycle) only when the caller
-    reaches it, and its VertexCycle (from the vertex-cycle readers of
-    _vertices) is built only when it is a site of the variant.  Given
+    reaches it, and its VertexCycle is built from them by
+    _vertices._vertex_cycle only when it is a site of the variant.  Given
     c's room of graft_room (in _rewrite), as _grafts gives it, a cycle
     whose corners miss a polygon that an exact room still fills
     (_misses_room) is passed over: no row fits there.  This is the one
@@ -149,9 +149,7 @@ def _iter_sites(c: PolygonComplex, variant: GraftVariant, room=None):
                            if corners[f >> 1][0] != corners[e >> 1][0]), None)
             if shared is None:
                 continue
-        cycle = _vertices.VertexCycle(tuple([corners[f >> 1] for f in flags]),
-                                      tuple([sides[f ^ 1] for f in flags]))
-        yield GraftSite(variant, cycle, shared)
+        yield GraftSite(variant, _vertices._vertex_cycle(flags, corners, sides), shared)
 
 
 def _iter_rewrites(c: PolygonComplex, site: GraftSite, room):

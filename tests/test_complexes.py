@@ -13,7 +13,7 @@ from extpack import complexes as cx
 from extpack import trigroup as tg
 from extpack.complexes import PolygonComplex
 from extpack.covers import realize_spec
-from extpack.errors import ComplexFormatError, InvalidComplexError
+from extpack.errors import ComplexFormatError, InvalidComplexError, InvariantError
 
 
 def test_classical_invariants():
@@ -321,6 +321,17 @@ def test_certificate_and_cycles_are_pinned():
         cycles = [(v.corners, v.crossings) for v in cx.vertex_cycles(c)]
         h.update(repr((cx.verify_extremal(c), cx.surface_invariants(c), cycles)).encode())
     assert h.hexdigest() == "1d70833e9d08a74c99c0fc9db3299f8ff399e093913c6ebd7187e926861c21e5"
+
+
+def test_an_orientable_complex_with_odd_euler_characteristic_is_a_library_bug():
+    # a closed orientable surface has even chi, so no valid complex reaches
+    # this state; a kept walk with one cycle too many plants it on the torus
+    torus = PolygonComplex(((1, 2, 1, 2),))
+    torus.__dict__["_cycles"] = cx._walk(torus) + [(2, 1)]
+    with pytest.raises(InvariantError) as err:
+        cx.surface_invariants(torus)
+    assert str(err.value) == (
+        "surface_invariants: <PolygonComplex k=1 sides=[4]> is orientable with odd Euler characteristic 1")
 
 
 def test_parse_examples():

@@ -293,6 +293,27 @@ def test_each_domain_rule_has_one_owner():
     assert not hasattr(importlib.import_module("extpack.feasibility"), "require_feasible")
 
 
+def test_each_catalog_and_cover_rule_has_one_owner():
+    """The seed set is read off catalog.SEED_NAMES and EXPECTED, and no
+    module restates it; catalog._entry alone tests a catalog name and
+    covers._check_degree alone a cover degree, so each message is written
+    once; and _vertices._vertex_cycle alone builds a VertexCycle from a
+    cycle's flags, for vertex_cycles and the graft sites alike."""
+    texts, builders = {}, []
+    for path in sorted((ROOT / "src" / "extpack").glob("*.py")):
+        texts[path.stem] = path.read_text(encoding="utf-8")
+        tree = ast.parse(texts[path.stem], filename=str(path))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "VertexCycle" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    builders.append((path.stem, getattr(top, "name", None)))
+    assert not [module for module, text in texts.items() if "(7, 8, 9, 12)" in text]
+    for message in ("cover degree must be >= 1", "unknown catalog entry"):
+        assert sum(text.count(message) for text in texts.values()) == 1, message
+    assert builders == [("_vertices", "_vertex_cycle")], builders
+
+
 def test_one_graft_routine_serves_the_graft_command():
     """The `graft` command grafts through grafting.graft alone, with or
     without --site, and no module keeps the routines it replaced."""
@@ -398,6 +419,29 @@ def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv, unused):
     assert ("extpack._lowindex" in modules) == (argv[0] == "enumerate"), modules
     assert ("extpack._reflection" in modules) == (argv[0] == "render"), modules
     assert ("extpack._blocks" in modules) == ("--torsion-free" in argv), modules
+
+
+#: every module of the package that a cold command loads, as the README
+#: lists them, beside those every command loads (READ_BY_EVERY_COMMAND):
+#: _action comes in through _canon for verify and through trigroup for
+#: enumerate
+LOADED_EXACTLY = (
+    (["verify", "X7"], {"complexes", "_canon", "_action", "catalog"}),
+    (["enumerate", "--p", "2", "--q", "3", "--r", "7", "--index", "28"], {"trigroup", "_lowindex", "_action"}),
+    (["enumerate", "--p", "2", "--q", "3", "--r", "12", "--index", "24", "--torsion-free", "--proper"],
+     {"trigroup", "_lowindex", "_blocks", "_action"}),
+)
+
+READ_BY_EVERY_COMMAND = {"cli", "_commands", "_record", "errors"}
+
+
+@pytest.mark.parametrize(
+    "argv, loaded", LOADED_EXACTLY,
+    ids=[argv[0] + ("-tf" if "--torsion-free" in argv else "") for argv, _ in LOADED_EXACTLY],
+)
+def test_a_command_loads_exactly_the_modules_the_readme_names(tmp_path, argv, loaded):
+    assert _loaded(tmp_path, LOADED, json.dumps(argv)) == [
+        0, sorted(["extpack"] + ["extpack." + name for name in loaded | READ_BY_EVERY_COMMAND])]
 
 
 #: a sitecustomize that lists the package's loaded modules when the
